@@ -1,0 +1,74 @@
+"""Golden report pins: sha256 of render_json / render_csv for fixed runs.
+
+Each bundled scenario runs under every access-control mode with Personal AP
+forced on and off; fig5 also runs with a controller crash and an AP crash,
+the only pinned path through AP-failure recovery. A change that moves a
+pin on purpose says why in CHANGES.md and rewrites the fixture with
+
+    PYTHONPATH=src python tests/test_report_pins.py > tests/fixtures/report_pins.tsv
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from sdedge.authn import MODES
+from sdedge.report import render_csv, render_json
+from sdedge.scenario import apply_overrides, bundled_scenario_path, parse_scenario_text
+from sdedge.simnet import World
+
+PINS = Path(__file__).parent / "fixtures" / "report_pins.tsv"
+SCENARIOS = ("fig2", "fig5", "fig5c", "fig6")
+FAILURE_RUNS = (("None", "off"), ("LEDGE-PAP", "on"))
+
+
+def _failure_text() -> str:
+    text = bundled_scenario_path("fig5").read_text()
+    text = text.replace("controller CB\n", "controller CB\ncontroller CC\n", 1)
+    return text + "\n[failures]\nfail controller CB at=9.3\nfail ap AP2 at=13.3\n"
+
+
+def cases() -> list[tuple[str, str, str]]:
+    out = [(sc, mode, pap) for sc in SCENARIOS for mode in MODES for pap in ("on", "off")]
+    return out + [("fig5-failures", mode, pap) for mode, pap in FAILURE_RUNS]
+
+
+def digests(scenario: str, mode: str, personal_ap: str) -> tuple[str, str]:
+    if scenario == "fig5-failures":
+        text = _failure_text()
+    else:
+        text = bundled_scenario_path(scenario).read_text()
+    sc = parse_scenario_text(text, name=scenario)
+    params = apply_overrides(sc.params, {"mode": mode, "personal_ap": personal_ap})
+    report = World(sc, params).run()
+    return (
+        hashlib.sha256(render_json(report).encode()).hexdigest(),
+        hashlib.sha256(render_csv(report).encode()).hexdigest(),
+    )
+
+
+def _load_pins() -> dict[tuple[str, str, str], tuple[str, str]]:
+    pins = {}
+    for line in PINS.read_text().splitlines():
+        if line.startswith("#") or not line.strip():
+            continue
+        scenario, mode, pap, json_sha, csv_sha = line.split("\t")
+        pins[(scenario, mode, pap)] = (json_sha, csv_sha)
+    return pins
+
+
+@pytest.mark.parametrize("case", cases(), ids=lambda c: "/".join(c))
+def test_report_matches_pin(case):
+    pinned = _load_pins().get(case)
+    assert pinned is not None, f"no pin for {case}"
+    assert digests(*case) == pinned
+
+
+if __name__ == "__main__":
+    print("# sha256 of render_json and render_csv per run; regenerate with tests/test_report_pins.py")
+    print("# columns: scenario <TAB> mode <TAB> personal_ap <TAB> json_sha256 <TAB> csv_sha256")
+    for case in cases():
+        print("\t".join((*case, *digests(*case))))
