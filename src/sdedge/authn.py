@@ -94,7 +94,6 @@ class AuthnService:
         self.epochs: dict[str, int] = {}
         self.rotated_at: dict[str, float] = {}
         self.ap_keys: dict[str, BeaconKey] = {}
-        self.pending_delivery: dict[str, BeaconKey] = {}  # AP down at rotation time
         self.group_of: dict[str, str] = {}
         self.wallets: dict[str, KeyWallet] = {}
         self.grants: dict[tuple[str, str], Grant] = {}
@@ -117,10 +116,10 @@ class AuthnService:
             self.group_of[ap] = group.group_id
 
     def rotate_group_keys(self, group_id: str, now: float, down_aps=()) -> list[BeaconKey]:
-        """Advance the epoch and hand one fresh key to every member AP.
+        """Advance the epoch and hand one fresh key to every live member AP.
 
-        Keys for unreachable APs are parked in `pending_delivery` and handed
-        over via deliver_pending() once the AP is back.
+        Keys are issued for down APs too but never installed: a failed AP
+        does not return.
         """
         group = self.groups[group_id]
         epoch = self.epochs[group_id] + 1
@@ -137,18 +136,9 @@ class AuthnService:
                 issued_at=now,
             )
             keys.append(key)
-            if ap in down:
-                self.pending_delivery[ap] = key
-            else:
+            if ap not in down:
                 self.ap_keys[ap] = key
-                self.pending_delivery.pop(ap, None)
         return keys
-
-    def deliver_pending(self, ap: str) -> BeaconKey | None:
-        key = self.pending_delivery.pop(ap, None)
-        if key is not None:
-            self.ap_keys[ap] = key
-        return key
 
     def current_key(self, ap: str) -> BeaconKey | None:
         return self.ap_keys.get(ap)

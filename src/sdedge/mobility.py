@@ -22,14 +22,14 @@ from .errors import (
     AlreadyRegistered,
     HandoverFailure,
     MigrationRefused,
+    NoApAvailable,
     NotAMember,
     NotAssociated,
     RoutingFailure,
     UnknownMobile,
 )
 from .ring import OverlayRing, RingView, fnv1a64
-from .scheduler import FlowRequest, PartitionView, select_ap_for_join
-from .errors import NoApAvailable
+from .scheduler import FlowRequest, PartitionView, ViewEvent, select_ap_for_join, update_partition_view
 
 SESSIONS = "sessions"
 
@@ -330,32 +330,31 @@ class MobilityManager:
     ) -> list[Reassignment]:
         """Reassign every MD of a failed AP across the partition's survivors.
 
-        Flows keep their demand bookkeeping; associations survive via the
-        Personal AP protocol when enabled. Flows with no feasible surviving
-        AP are reported stranded.
+        Each MD re-associates to the AP `select_ap_for_join` picks for its
+        largest flow (via the Personal AP protocol when enabled). Its flows
+        ride that association; a flow that does not fit there, or an MD with
+        no feasible surviving AP, is reported stranded. Every load change
+        goes through `update_partition_view`.
         """
         affected = sorted(
             md for md, ap in self.association_ap.items() if ap == failed_ap
         )
-        dead_flows = {f: rec for f, rec in view.open_flows.items() if rec.ap_id == failed_ap}
+        dead_flows = [rec for rec in view.open_flows.values() if rec.ap_id == failed_ap]
+        for rec in dead_flows:
+            update_partition_view(view, ViewEvent("flow-end", flow_id=rec.flow_id))
         view.ap_status.pop(failed_ap, None)
-        for fid in dead_flows:
-            del view.open_flows[fid]
 
         out: list[Reassignment] = []
         for md in affected:
             md_flows = sorted(
-                (rec for rec in dead_flows.values() if rec.md_id == md),
+                (rec for rec in dead_flows if rec.md_id == md),
                 key=lambda r: (-r.demand, r.flow_id),
             )
             hint = None
             if md_flows:
                 lead = md_flows[0]
-                origin = None
-                presence = view.md_roster.get(md)
-                if presence is not None:
-                    origin = presence.position
-                hint = FlowRequest(md, lead.flow_type, lead.demand, lead.required_tech, origin)
+                # no origin: select_ap_for_join takes the MD's position from the roster
+                hint = FlowRequest(md, lead.flow_type, lead.demand, lead.required_tech)
             try:
                 new_ap = select_ap_for_join(md, hint, view)
             except NoApAvailable:
@@ -370,24 +369,19 @@ class MobilityManager:
             else:
                 self.establish_association(md, new_ap)
 
+            ap = view.ap_status[new_ap]
             moved, stranded = [], []
             for rec in md_flows:
-                target = new_ap
-                ap = view.ap_status[target]
-                if not (ap.supports(rec.required_tech) and ap.residual >= rec.demand - 1e-9):
-                    # per-flow fallback: any surviving AP that fits
-                    target = None
-                    for cand_id in sorted(view.ap_status):
-                        cand = view.ap_status[cand_id]
-                        if cand.supports(rec.required_tech) and cand.residual >= rec.demand - 1e-9:
-                            target = cand_id
-                            break
-                if target is None:
+                if not (ap.supports(rec.required_tech) and ap.fits(rec.demand)):
                     stranded.append(rec.flow_id)
                     continue
-                rec.ap_id = target
-                view.ap_status[target].load += rec.demand
-                view.open_flows[rec.flow_id] = rec
+                update_partition_view(
+                    view,
+                    ViewEvent(
+                        "flow-start", md_id=md, ap_id=new_ap, flow_id=rec.flow_id, demand=rec.demand,
+                        flow_type=rec.flow_type, required_tech=rec.required_tech,
+                    ),
+                )
                 moved.append(rec.flow_id)
             out.append(Reassignment(md, failed_ap, new_ap, moved_flows=moved, stranded_flows=stranded))
         return out

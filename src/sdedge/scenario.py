@@ -20,9 +20,9 @@ from pathlib import Path
 from .authn import MODES
 from .errors import ScenarioError, UsageError
 from .ring import fnv1a64
+from .scheduler import MD_STATUSES
 
 SECTIONS = ("params", "topology", "groups", "flows", "traces", "failures", "workload")
-MD_STATUSES = ("joining", "leaving", "staying")
 PERSONAL_AP_CHOICES = ("auto", "on", "off")
 
 
@@ -53,6 +53,20 @@ class Params:
         if self.personal_ap == "auto":
             return self.mode == "LEDGE-PAP"
         return self.personal_ap == "on"
+
+    def validate(self) -> list[str]:
+        """Range problems, shared by scenario files and `--set` overrides."""
+        problems = []
+        if not self.duration > 0:
+            problems.append("duration must be positive")
+        if not 2 <= self.m <= 32:
+            problems.append(f"ring width m={self.m} outside [2, 32]")
+        if self.r < 1:
+            problems.append("replication factor r must be >= 1")
+        for name in ("sample_period", "beacon_period", "rotation_period"):
+            if not getattr(self, name) > 0:
+                problems.append(f"{name} must be positive")
+        return problems
 
 
 _PARAM_TYPES = {f.name: f.type for f in fields(Params)}
@@ -242,13 +256,8 @@ class _Parser:
             self.scenario.params = replace(Params(), **values)
         except (TypeError, ValueError) as exc:  # defensive
             self.fail(0, f"bad parameters: {exc}")
-        p = self.scenario.params
-        if p.duration <= 0:
-            self.fail(0, "duration must be positive")
-        if not 2 <= p.m <= 32:
-            self.fail(0, f"ring width m={p.m} outside [2, 32]")
-        if p.r < 1:
-            self.fail(0, "replication factor r must be >= 1")
+        for problem in self.scenario.params.validate():
+            self.fail(0, problem)
 
     def parse_topology(self) -> None:
         sc = self.scenario
@@ -617,7 +626,11 @@ def apply_overrides(params: Params, overrides: dict[str, str]) -> Params:
             values[key] = _convert_param(key, val)
         except ValueError as exc:
             raise UsageError(f"bad value for {key}: {exc}") from exc
-    return replace(params, **values)
+    params = replace(params, **values)
+    problems = params.validate()
+    if problems:
+        raise UsageError("; ".join(problems))
+    return params
 
 
 def format_scenario(sc: Scenario) -> str:

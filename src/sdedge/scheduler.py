@@ -5,7 +5,8 @@ bins bounded by residual capacity and filtered by radio technology and
 disc coverage. The production path is a greedy heuristic (largest demand
 first, placed on the most-residual feasible AP); `brute_force_assign` is
 the exhaustive oracle used to bound its quality on small instances.
-Utility is total satisfied demand in Mbps.
+Utility is total satisfied demand in Mbps. `best_ap` is the one placement
+rule: the greedy heuristic, joins, moves and AP-failure recovery all call it.
 """
 
 from __future__ import annotations
@@ -42,10 +43,14 @@ class APStatus:
     radio_techs: frozenset[str] = frozenset({"wifi"})
     position: tuple[float, float] | None = None
     radius: float | None = None
+    alive: bool = True
 
     @property
     def residual(self) -> float:
         return self.capacity - self.load
+
+    def fits(self, demand: float) -> bool:
+        return self.residual >= demand - 1e-9
 
     def covers(self, point: tuple[float, float] | None) -> bool:
         # unknown geometry on either side constrains nothing
@@ -123,7 +128,7 @@ def update_partition_view(view: PartitionView, event: ViewEvent) -> PartitionVie
         ap = view.ap_status.get(event.ap_id)
         if ap is None:
             raise SchedulerError(f"flow-start references unknown AP {event.ap_id}")
-        if ap.load + event.demand > ap.capacity + 1e-9:
+        if not ap.fits(event.demand):
             raise SchedulerError(
                 f"flow {event.flow_id} ({event.demand} Mbps) would overload {ap.ap_id}"
             )
@@ -142,14 +147,16 @@ def update_partition_view(view: PartitionView, event: ViewEvent) -> PartitionVie
     return view
 
 
-def feasible_aps(request: FlowRequest, view: PartitionView, residuals: dict[str, float] | None = None):
-    res = residuals if residuals is not None else {a: ap.residual for a, ap in view.ap_status.items()}
-    out = []
-    for ap_id in sorted(view.ap_status):
-        ap = view.ap_status[ap_id]
-        if ap.supports(request.required_tech) and ap.covers(request.origin) and res[ap_id] >= request.demand - 1e-9:
-            out.append(ap)
-    return out
+def best_ap(aps, hint: FlowRequest | None, position: tuple[float, float] | None) -> APStatus | None:
+    """The placement rule: the AP with the most residual capacity among those
+    that cover `position` and support the hint's technology, ties by AP id.
+
+    Capacity is checked by the caller: if the most-residual AP cannot fit a
+    demand, no candidate can.
+    """
+    tech = hint.required_tech if hint is not None else None
+    cands = [ap for ap in aps if ap.covers(position) and ap.supports(tech)]
+    return min(cands, key=lambda ap: (-ap.residual, ap.ap_id), default=None)
 
 
 def _canonical(requests) -> list[FlowRequest]:
@@ -158,19 +165,17 @@ def _canonical(requests) -> list[FlowRequest]:
 
 
 def assign_flows_greedy(requests, view: PartitionView) -> Assignment:
-    """Largest demand first; each flow goes to the most-residual feasible AP.
+    """Largest demand first; each flow goes to the `best_ap` if it fits there.
 
     Infeasible flows stay unassigned; the view itself is never mutated.
     """
-    residuals = {a: ap.residual for a, ap in view.ap_status.items()}
+    aps = [replace(ap) for ap in view.ap_status.values()]
     placements: dict[FlowRequest, str | None] = {}
     utility = 0.0
     for req in _canonical(requests):
-        cands = feasible_aps(req, view, residuals)
-        if cands:
-            # max residual, ties broken by AP id
-            best = sorted(cands, key=lambda ap: (-residuals[ap.ap_id], ap.ap_id))[0]
-            residuals[best.ap_id] -= req.demand
+        best = best_ap(aps, req, req.origin)
+        if best is not None and best.fits(req.demand):
+            best.load += req.demand
             placements[req] = best.ap_id
             utility += req.demand
         else:
@@ -191,10 +196,13 @@ def brute_force_assign(requests, view: PartitionView) -> Assignment:
             f"({ORACLE_MAX_REQUESTS} x {ORACLE_MAX_APS})"
         )
 
-    # static feasibility (tech + coverage); capacity is pruned during search
+    # static feasibility (tech + coverage + capacity); residuals are pruned during search
     options: list[list[str | None]] = []
     for req in reqs:
-        feas = [ap.ap_id for ap in feasible_aps(req, view, {a: view.ap_status[a].capacity for a in aps})]
+        feas = [
+            ap.ap_id for ap in (view.ap_status[a] for a in aps)
+            if ap.supports(req.required_tech) and ap.covers(req.origin) and ap.capacity >= req.demand - 1e-9
+        ]
         options.append([None] + feas)
 
     base = {a: view.ap_status[a].residual for a in aps}
@@ -236,7 +244,7 @@ def brute_force_assign(requests, view: PartitionView) -> Assignment:
 
 
 def select_ap_for_join(md_id: str, flow_hint: FlowRequest | None, view: PartitionView) -> str:
-    """Feasible AP with maximum residual capacity (ties by AP id).
+    """The partition's `best_ap` for the MD, provided the hinted demand fits.
 
     With no hint only coverage of the MD's known position constrains the
     choice; demand and technology come from the hint when present.
@@ -246,27 +254,7 @@ def select_ap_for_join(md_id: str, flow_hint: FlowRequest | None, view: Partitio
         presence = view.md_roster.get(md_id)
         if presence is not None:
             position = presence.position
-    cands = []
-    for ap_id in sorted(view.ap_status):
-        ap = view.ap_status[ap_id]
-        if not ap.covers(position):
-            continue
-        if flow_hint is not None:
-            if not ap.supports(flow_hint.required_tech):
-                continue
-            if ap.residual < flow_hint.demand - 1e-9:
-                continue
-        cands.append(ap)
-    if not cands:
+    ap = best_ap(view.ap_status.values(), flow_hint, position)
+    if ap is None or (flow_hint is not None and not ap.fits(flow_hint.demand)):
         raise NoApAvailable(f"no feasible AP for {md_id} in partition {view.controller}")
-    return sorted(cands, key=lambda ap: (-ap.residual, ap.ap_id))[0].ap_id
-
-
-def clone_view(view: PartitionView) -> PartitionView:
-    """Deep-enough copy for what-if evaluation without touching live state."""
-    return PartitionView(
-        controller=view.controller,
-        ap_status={a: replace(ap) for a, ap in view.ap_status.items()},
-        md_roster={m: replace(p) for m, p in view.md_roster.items()},
-        open_flows={f: replace(r) for f, r in view.open_flows.items()},
-    )
+    return ap.ap_id

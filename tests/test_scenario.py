@@ -147,3 +147,16 @@ def test_override_unknown_key_is_usage_error():
     updated = apply_overrides(sc.params, {"mode": "LEDGE-PAP", "seed": "99"})
     assert updated.mode == "LEDGE-PAP" and updated.seed == 99
     assert updated.personal_ap_enabled
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("r", "0"), ("m", "1"), ("m", "33"), ("duration", "0"),
+     ("sample_period", "0"), ("beacon_period", "-1"), ("rotation_period", "0")],
+)
+def test_out_of_range_param_is_rejected_from_file_and_override(key, value):
+    sc = parse_scenario_text(MINI, "mini")
+    with pytest.raises(UsageError, match=key):
+        apply_overrides(sc.params, {key: value})
+    with pytest.raises(ScenarioError):
+        parse_scenario_text(MINI.replace("duration = 5.0\n", f"duration = 5.0\n{key} = {value}\n"), "bad")
