@@ -135,9 +135,9 @@ class MobilityManager:
         record = SupervisoryRecord(md_id=md_id, md_key=key, previous=None, current=first_controller)
         self.ring.put_record(md_id, record, key=key)
         self.registered[md_id] = key
-        node = self.ring.node(first_controller)
-        node.control.setdefault(SESSIONS, {})[md_id] = SessionState(md_id=md_id, partition=first_controller)
-        self.ring.replicate_to_successors(first_controller)
+        self.ring.put_control(
+            first_controller, SESSIONS, md_id, SessionState(md_id=md_id, partition=first_controller)
+        )
         return record
 
     def locate_supervisory(self, start: int, md_id: str) -> int:
@@ -212,13 +212,12 @@ class MobilityManager:
         self._step("fetch-session", md_id)
 
         session.partition = new_controller
-        new_node = self.ring.node(new_controller)
-        new_node.control.setdefault(SESSIONS, {})[md_id] = session
-        self.ring.replicate_to_successors(new_controller)
+        self.ring.put_control(new_controller, SESSIONS, md_id, session)
 
         record.previous = previous
         record.current = new_controller
-        self.ring.replicate_to_successors(supervisor)
+        if sup_node.store.get(md_id) is stored:  # a record read from a replica stays there
+            self.ring.write_record(supervisor, stored)
         messages += 2  # supervisor update + ack
         self._step("update-supervisor", md_id)
 
@@ -229,11 +228,9 @@ class MobilityManager:
         )
 
     def _fetch_session(self, md_id: str, previous: int) -> tuple[SessionState | None, bool]:
-        prev_node = self.ring.nodes.get(previous)
-        if prev_node is not None and prev_node.alive:
-            session = prev_node.control.get(SESSIONS, {}).pop(md_id, None)
+        if self.ring.is_live(previous):
+            session = self.ring.pop_control(previous, SESSIONS, md_id)  # source retires its copy
             if session is not None:
-                self.ring.replicate_to_successors(previous)  # source retired its copy
                 return session, False
         bundle = self.ring.find_replica_bundle(previous)
         if bundle is not None:

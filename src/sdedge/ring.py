@@ -3,8 +3,11 @@
 Controllers sit on an m-bit ring; each one owns the key arc between its
 predecessor and itself. Membership changes are atomic multi-step
 transactions (no background stabilization), so tables are converged after
-every join/leave/recovery. Record stores are replicated write-through to
-the next `replication` distinct successors.
+every join/leave/recovery. Record stores and control tables are replicated
+to the next `replication` distinct live successors (successor-list
+replication, as in Chord and Dynamo): each write of a record or a control
+entry goes to the owner and to its replica bundles, O(r) per write, and a
+membership change resyncs every bundle from the owners' whole stores.
 """
 
 from __future__ import annotations
@@ -69,7 +72,14 @@ class StoredRecord:
 
 @dataclass
 class ReplicaBundle:
-    """Snapshot of one node's record store and control tables held by a successor."""
+    """A successor's mirror of one owner's record store and control tables.
+
+    Each record or control write at the owner is written here too, so the
+    bundle always equals a whole copy of the owner taken at that moment;
+    a join, leave or adoption rebuilds it from such a copy. A crashed
+    owner's bundles take no more writes; until the owner is adopted, a
+    handover only consumes the sessions it moves out of them.
+    """
 
     records: dict[str, StoredRecord] = field(default_factory=dict)
     control: dict[str, dict] = field(default_factory=dict)
@@ -334,12 +344,44 @@ class OverlayRing:
         return RingView(live).owner(key % self.size)
 
     def put_record(self, name: str, value: Any, key: int | None = None) -> int:
-        """Store a record at the owner of its key; write-through replication."""
+        """Store a record at the owner of its key and in the owner's replicas."""
         key = self.hash_id(name) if key is None else key
         owner = self.owner_of(key)
-        self.nodes[owner].store[name] = StoredRecord(name=name, key=key, value=value)
-        self.replicate_to_successors(owner)
+        self.write_record(owner, StoredRecord(name=name, key=key, value=value))
         return owner
+
+    def write_record(self, node_id: int, record: StoredRecord) -> None:
+        """Write `record` into a node's store and its replica bundles: O(r)."""
+        self.nodes[node_id].store[record.name] = record
+        for bundle in self._replica_bundles(node_id):
+            bundle.records[record.name] = record
+
+    def put_control(self, node_id: int, table: str, name: str, value: Any) -> None:
+        """Set one control-table entry at a node and in its replica bundles."""
+        self.nodes[node_id].control.setdefault(table, {})[name] = value
+        for bundle in self._replica_bundles(node_id):
+            bundle.control.setdefault(table, {})[name] = value
+
+    def pop_control(self, node_id: int, table: str, name: str) -> Any:
+        """Remove one control-table entry at a node and in its replica bundles.
+
+        Returns the node's entry, or None when it held none.
+        """
+        value = self.nodes[node_id].control.get(table, {}).pop(name, None)
+        for bundle in self._replica_bundles(node_id):
+            bundle.control.get(table, {}).pop(name, None)
+        return value
+
+    def _replica_targets(self, node_id: int) -> list[int]:
+        """The first r live successors other than the node itself."""
+        node = self.node(node_id)
+        targets = [sid for sid in node.successor_list if self.is_live(sid) and sid != node_id]
+        return targets[: self.replication]
+
+    def _replica_bundles(self, node_id: int) -> list[ReplicaBundle]:
+        # every live target holds a bundle: membership changes rebuild them all,
+        # and between changes a crash only shrinks the target set
+        return [self.nodes[sid].replica_store[node_id] for sid in self._replica_targets(node_id)]
 
     def get_record(self, name: str, key: int | None = None) -> StoredRecord | None:
         """Fetch a record from its owner, falling back to replica bundles there."""
@@ -369,14 +411,14 @@ class OverlayRing:
         return names
 
     def replicate_to_successors(self, node_id: int) -> tuple[list[ReplicationReceipt], bool]:
-        """Copy a node's store and control tables to its r live successors.
+        """Full resync: copy a node's whole store and control tables to its r
+        live successors. Only membership changes need it; writes are O(r).
 
         Returns (receipts, partial): partial is True when fewer than r live
         successors exist to hold the copies.
         """
         node = self.node(node_id)
-        targets = [sid for sid in node.successor_list if self.is_live(sid) and sid != node_id]
-        targets = targets[: self.replication]
+        targets = self._replica_targets(node_id)
         receipts = []
         for sid in targets:
             bundle = ReplicaBundle(

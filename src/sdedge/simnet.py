@@ -5,7 +5,8 @@ per-partition scheduler views, and the authentication service, and drives
 them from a parsed scenario. Mobiles follow their traces; coverage deltas
 trigger AP association changes (Personal-AP migration or plain
 re-association) and, across partitions, the controller handover protocol.
-Transport streams are sampled on a fixed cadence with a rate cap: a stream
+Transport streams are sampled on a fixed cadence, by one sampler event per
+instant that ticks the streams due then, with a rate cap: a stream
 delivers min(demand, path bottleneck) when connected, admitted, and
 forwarded by the access gate, and zero for a recovery lag after any
 re-admission (the configured TCP-recovery stand-in).
@@ -115,7 +116,10 @@ class World:
             m.name: MDState(m.name, position=(m.x, m.y) if m.x is not None else None)
             for m in scenario.mds
         }
+        self._md_order = sorted(self.mds)  # the MD set never changes
         self.streams: dict[str, StreamState] = {s.name: StreamState(s) for s in scenario.streams}
+        # sample instant -> streams due then, in the order their ticks were asked for
+        self._due: dict[float, list[StreamState]] = {}
         self._md_streams: dict[str, list[StreamState]] = {}
         for st in self.streams.values():
             self._md_streams.setdefault(st.decl.md, []).append(st)
@@ -175,7 +179,7 @@ class World:
     # ------------------------------------------------------------------ bootstrap
 
     def _bootstrap(self) -> None:
-        for md in sorted(self.mds):
+        for md in self._md_order:
             state = self.mds[md]
             if state.position is None:
                 continue
@@ -255,7 +259,7 @@ class World:
         key = self.authn.current_key(ap_name)
         if key is None or not self.aps[ap_name].alive:
             return
-        for md in sorted(self.mds):
+        for md in self._md_order:
             if not self._covers(md, ap_name):
                 continue
             self.authn.receive_beacon(md, ap_name, now)
@@ -484,7 +488,17 @@ class World:
         nxt = round(now + self.params.sample_period, 9)
         horizon = self.params.duration if st.decl.end is None else min(st.decl.end, self.params.duration)
         if nxt <= horizon and not st.ended:
-            self.engine.schedule(nxt, "timer", lambda: self._tick(st), note=f"tick:{st.name}")
+            due = self._due.get(nxt)
+            if due is None:
+                self._due[nxt] = [st]
+                self.engine.schedule(nxt, "timer", lambda: self._sample(nxt), note="tick")
+            else:
+                due.append(st)
+
+    def _sample(self, at: float) -> None:
+        """The one sampler event of an instant: tick its streams in order."""
+        for st in self._due.pop(at):
+            self._tick(st)
 
     # ------------------------------------------------------------------ failures
 

@@ -36,3 +36,8 @@ def test_span_recorder_traces_a_run_and_restores_the_package():
     for name in ("simnet.build_s", "engine.events", "simnet.moves", "scheduler.view_updates",
                  "report.render_json_s"):
         assert layers[name][0] > 0, name
+    # stream F1 is sampled by `handler.timer.tick` spans, and the joins replicate:
+    # a sampler event under another note would read 0 here, not fail the benchmark
+    assert layers["simnet.ticks"][0] > 0
+    assert layers["simnet.tick_s"][0] > 0
+    assert layers["ring.replications"][0] >= 1

@@ -8,6 +8,7 @@ from sdedge.errors import (
     MigrationRefused,
     NoApAvailable,
     NotAssociated,
+    RoutingFailure,
     UnknownMobile,
 )
 from sdedge.mobility import MobilityManager, mac_of
@@ -318,3 +319,97 @@ def test_ap_failure_strands_tech_bound_flows():
     assert len(out) == 1
     assert out[0].new_ap is None
     assert out[0].stranded_flows == ["f0"]
+
+
+# --- replica bundles ------------------------------------------------------------------
+
+def assert_bundles_mirror_owners(ring):
+    """Each live owner's bundle on each live target equals a whole copy of it."""
+    for owner in ring.live_ids():
+        node = ring.node(owner)
+        targets = [sid for sid in node.successor_list if ring.is_live(sid) and sid != owner]
+        for target in targets[: ring.replication]:
+            bundle = ring.node(target).replica_store[owner]
+            assert bundle.records == node.store, (owner, target)
+            assert bundle.control == node.control, (owner, target)
+
+
+def test_replica_bundles_mirror_their_owners_after_every_op():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    md, ctrl = st.integers(0, 7), st.integers(0, 7)
+    op = st.one_of(
+        st.tuples(st.just("register"), md, ctrl),
+        st.tuples(st.just("handover"), md, ctrl),
+        st.tuples(st.just("put"), st.integers(0, 9), st.integers(0, 63)),
+        # crash, then recover now or after the next op
+        st.tuples(st.just("crash"), ctrl, st.booleans()),
+        st.tuples(st.just("join"), st.integers(0, 63), st.just(0)),
+    )
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(
+        ids=st.sets(st.integers(0, 63), min_size=2, max_size=5),
+        r=st.integers(1, 3),
+        ops=st.lists(op, max_size=30),
+    )
+    def check(ids, r, ops):
+        ring = OverlayRing(m=6, replication=r)
+        for i in sorted(ids):
+            ring.join(i)
+        mgr = MobilityManager(ring)
+        assert_bundles_mirror_owners(ring)
+        crashed = None
+        for kind, a, b in ops:
+            live = ring.live_ids()
+            if kind == "register":
+                if f"d{a}" not in mgr.registered:
+                    mgr.register_md(f"d{a}", live[b % len(live)])
+            elif kind == "handover":
+                try:
+                    mgr.handover(f"d{a}", live[b % len(live)])
+                except (HandoverFailure, UnknownMobile):
+                    pass
+            elif kind == "put":
+                ring.put_record(f"k{a}", (a, b), key=b)
+            elif kind == "crash":
+                if crashed is None and len(live) > 2:
+                    crashed = live[a % len(live)]
+                    ring.crash(crashed)
+                    if b:
+                        assert_bundles_mirror_owners(ring)
+                        continue
+            elif kind == "join" and a not in ring.nodes:
+                try:
+                    ring.join(a)
+                except RoutingFailure:
+                    pass
+            if crashed is not None:
+                assert_bundles_mirror_owners(ring)
+                mgr.recover_controller_failure(crashed)
+                crashed = None
+            assert_bundles_mirror_owners(ring)
+
+    check()
+
+
+def test_writes_never_copy_a_whole_store(monkeypatch):
+    ring = OverlayRing(m=16, replication=2)
+    for i in (1000, 20000, 40000, 60000):
+        ring.join(i)
+    mgr = MobilityManager(ring)
+    for i in range(500):
+        mgr.register_md(f"md-{i:04d}", first_controller=(1000, 20000, 40000, 60000)[i % 4])
+    assert len(ring.record_names()) >= 500
+
+    calls = []
+    full_copy = OverlayRing.replicate_to_successors
+    monkeypatch.setattr(
+        OverlayRing, "replicate_to_successors", lambda self, nid: calls.append(nid) or full_copy(self, nid)
+    )
+    ring.put_record("extra", "payload")
+    mgr.register_md("md-new", first_controller=20000)
+    out = mgr.handover("md-0000", new_controller=40000)
+    assert not out.noop
+    assert calls == []
+    assert_bundles_mirror_owners(ring)

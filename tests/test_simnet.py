@@ -282,3 +282,64 @@ def test_different_seeds_differ_in_trace_only_where_randomness_enters():
     r1, r2 = World(sc, p1).run(), World(sc, p2).run()
     assert r1.throughput == r2.throughput
     assert render_json(r1) != render_json(r2)
+
+
+# --- sampling -------------------------------------------------------------------------
+
+# F2 starts half a period after F1; F3 starts a whole period after F1, so from
+# t=1.0 on it shares F1's sample instants. M1's move lands on one of them.
+SAMPLER = """
+[params]
+m = 5
+duration = 3.0
+sample_period = 0.5
+[topology]
+controller C1 key=3
+controller C2 key=20
+switch SW1
+ap AP1 pos=0,0 radius=10 capacity=11 techs=wifi partition=C1
+ap AP2 pos=40,0 radius=10 capacity=11 techs=wifi partition=C2
+md M1 pos=1,1
+md M2 pos=2,2
+link AP1 SW1 latency=0.001 rate=100
+link AP2 SW1 latency=0.001 rate=4
+link SW1 C1 latency=0.001 rate=100
+link SW1 C2 latency=0.001 rate=100
+[flows]
+flow F1 md=M1 dst=C1 type=tcp demand=6 tech=wifi start=0.0
+flow F2 md=M2 dst=C1 type=tcp demand=2 tech=wifi start=0.25
+flow F3 md=M2 dst=C1 type=tcp demand=3 tech=wifi start=0.5 end=2.5
+[traces]
+move M1 1.0 40,1 staying
+"""
+
+
+def test_sampler_rows_are_pinned():
+    world = World(parse_scenario_text(SAMPLER, "sampler"))
+    report = world.run()
+    # the move at t=1.0 runs before that instant's samples, so F1 reads 0 from
+    # 1.0 until its reassociation gap (0.508 s) has passed, then AP2's link cap
+    assert report.throughput == [
+        (0.0, "F1", 6.0), (0.25, "F2", 2.0), (0.5, "F1", 6.0), (0.5, "F3", 3.0),
+        (0.75, "F2", 2.0), (1.0, "F1", 0.0), (1.0, "F3", 3.0), (1.25, "F2", 2.0),
+        (1.5, "F1", 0.0), (1.5, "F3", 3.0), (1.75, "F2", 2.0), (2.0, "F1", 4.0),
+        (2.0, "F3", 3.0), (2.25, "F2", 2.0), (2.5, "F1", 4.0), (2.5, "F3", 0.0),
+        (2.75, "F2", 2.0), (3.0, "F1", 4.0),
+    ]
+
+
+def test_one_sampler_event_per_sample_instant():
+    world = World(parse_scenario_text(SAMPLER, "sampler"))
+    report = world.run()
+    starts = {(st.decl.start, st.name) for st in world.streams.values()}
+    instants = {t for t, name, _ in report.throughput if (t, name) not in starts}
+    ticks = [t for t, _, kind, note in world.engine.trace if kind == "timer" and note == "tick"]
+    assert len(instants) == 11
+    assert sorted(ticks) == sorted(instants)
+
+
+def test_fig5_runs_in_under_ten_thousand_events():
+    world = World(parse_scenario(bundled_scenario_path("fig5")))
+    assert len(world.mds) == 300
+    world.run()
+    assert world.engine.executed < 10_000
