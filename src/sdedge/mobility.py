@@ -11,6 +11,10 @@ never sits on the data path.
 Associations between a device and its AP are tracked as full state
 bundles so the Personal AP protocol can reinstate them at a new AP
 without the device noticing a re-association.
+
+This layer does not place devices on APs. A failed AP only ends its
+devices' coverage: `recover_ap_failure` names them, and the caller moves
+them as it moves any device that left its AP's coverage.
 """
 
 from __future__ import annotations
@@ -22,14 +26,12 @@ from .errors import (
     AlreadyRegistered,
     HandoverFailure,
     MigrationRefused,
-    NoApAvailable,
     NotAMember,
     NotAssociated,
     RoutingFailure,
     UnknownMobile,
 )
 from .ring import OverlayRing, RingView, fnv1a64
-from .scheduler import FlowRequest, PartitionView, ViewEvent, select_ap_for_join, update_partition_view
 
 SESSIONS = "sessions"
 
@@ -90,15 +92,6 @@ class RecoveryReport:
     recovered_records: int
     recovered_sessions: int
     lost: list[str]
-
-
-@dataclass
-class Reassignment:
-    md_id: str
-    old_ap: str
-    new_ap: str | None
-    moved_flows: list[str] = field(default_factory=list)
-    stranded_flows: list[str] = field(default_factory=list)
 
 
 class MobilityManager:
@@ -271,10 +264,6 @@ class MobilityManager:
         self.association_ap[md_id] = ap_new
         return record
 
-    def drop_association(self, md_id: str) -> None:
-        self.associations.pop(md_id, None)
-        self.association_ap.pop(md_id, None)
-
     # -- failure recovery ------------------------------------------------------------------
 
     def recover_controller_failure(self, failed: int) -> RecoveryReport:
@@ -322,63 +311,10 @@ class MobilityManager:
             lost=lost,
         )
 
-    def recover_ap_failure(
-        self, failed_ap: str, view: PartitionView, personal_ap: bool = False
-    ) -> list[Reassignment]:
-        """Reassign every MD of a failed AP across the partition's survivors.
+    def recover_ap_failure(self, failed_ap: str) -> list[str]:
+        """The devices associated with a failed AP, sorted.
 
-        Each MD re-associates to the AP `select_ap_for_join` picks for its
-        largest flow (via the Personal AP protocol when enabled). Its flows
-        ride that association; a flow that does not fit there, or an MD with
-        no feasible surviving AP, is reported stranded. Every load change
-        goes through `update_partition_view`.
+        Each has lost its serving AP's coverage; the caller re-places them as
+        it does any device that moved out of coverage.
         """
-        affected = sorted(
-            md for md, ap in self.association_ap.items() if ap == failed_ap
-        )
-        dead_flows = [rec for rec in view.open_flows.values() if rec.ap_id == failed_ap]
-        for rec in dead_flows:
-            update_partition_view(view, ViewEvent("flow-end", flow_id=rec.flow_id))
-        view.ap_status.pop(failed_ap, None)
-
-        out: list[Reassignment] = []
-        for md in affected:
-            md_flows = sorted(
-                (rec for rec in dead_flows if rec.md_id == md),
-                key=lambda r: (-r.demand, r.flow_id),
-            )
-            hint = None
-            if md_flows:
-                lead = md_flows[0]
-                # no origin: select_ap_for_join takes the MD's position from the roster
-                hint = FlowRequest(md, lead.flow_type, lead.demand, lead.required_tech)
-            try:
-                new_ap = select_ap_for_join(md, hint, view)
-            except NoApAvailable:
-                out.append(
-                    Reassignment(md, failed_ap, None, stranded_flows=[r.flow_id for r in md_flows])
-                )
-                self.drop_association(md)
-                continue
-
-            if personal_ap:
-                self.personal_ap_migrate(md, failed_ap, new_ap)
-            else:
-                self.establish_association(md, new_ap)
-
-            ap = view.ap_status[new_ap]
-            moved, stranded = [], []
-            for rec in md_flows:
-                if not (ap.supports(rec.required_tech) and ap.fits(rec.demand)):
-                    stranded.append(rec.flow_id)
-                    continue
-                update_partition_view(
-                    view,
-                    ViewEvent(
-                        "flow-start", md_id=md, ap_id=new_ap, flow_id=rec.flow_id, demand=rec.demand,
-                        flow_type=rec.flow_type, required_tech=rec.required_tech,
-                    ),
-                )
-                moved.append(rec.flow_id)
-            out.append(Reassignment(md, failed_ap, new_ap, moved_flows=moved, stranded_flows=stranded))
-        return out
+        return sorted(md for md, ap in self.association_ap.items() if ap == failed_ap)

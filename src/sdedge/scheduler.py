@@ -247,7 +247,8 @@ def select_ap_for_join(md_id: str, flow_hint: FlowRequest | None, view: Partitio
     """The partition's `best_ap` for the MD, provided the hinted demand fits.
 
     With no hint only coverage of the MD's known position constrains the
-    choice; demand and technology come from the hint when present.
+    choice; demand and technology come from the hint when present. The
+    simulation no longer calls it; the traced benchmark patches it by name.
     """
     position = flow_hint.origin if flow_hint is not None else None
     if position is None:

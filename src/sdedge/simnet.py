@@ -5,6 +5,10 @@ per-partition scheduler views, and the authentication service, and drives
 them from a parsed scenario. Mobiles follow their traces; coverage deltas
 trigger AP association changes (Personal-AP migration or plain
 re-association) and, across partitions, the controller handover protocol.
+An AP failure is such a delta for each device it served, so they take the
+same path, after the detection delay. A handover or first registration
+that fails, because its target controller is down, leaves the device
+disconnected until its next move.
 Transport streams are sampled on a fixed cadence, by one sampler event per
 instant that ticks the streams due then, with a rate cap: a stream
 delivers min(demand, path bottleneck) when connected, admitted, and
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 from .authn import AuthnService, LocationGroup
 from .engine import EventEngine
-from .errors import NotAMember, SdedgeError
+from .errors import HandoverFailure, NotAMember, SdedgeError
 from .mobility import MobilityManager
 from .report import MetricsReport
 from .ring import OverlayRing
@@ -297,7 +301,6 @@ class World:
         state = self.mds[md]
         state.position = (wp.x, wp.y)
         state.status = wp.status
-        now = self.engine.now
 
         if state.partition is not None:
             presence = self.views[state.partition].md_roster.get(md)
@@ -314,16 +317,21 @@ class World:
                 if any(not self._covers(md, ap) for ap in members):
                     self.authn.revoke(md, gid)
 
+        self._reattach(md, reason="move")
+
+    def _reattach(self, md: str, reason: str) -> None:
+        """Keep the serving AP while it covers `md`, else move to its `best_ap`
+        over every covering AP, in any partition, or disconnect it."""
+        state = self.mds[md]
         serving = self.mobility.association_ap.get(md)
         if serving is not None and state.connected and self._covers(md, serving):
             return  # still inside the serving AP's disc: nothing to do
-
         covering = [self.aps[a] for a in self.coverage_set(md)]
         ap = best_ap(covering, self._largest_flow_hint(md), state.position)
         if ap is None:
-            self._disconnect(md, at=now)
+            self._disconnect(md)
             return
-        self._associate(md, ap.ap_id, reason="move")
+        self._associate(md, ap.ap_id, reason)
 
     def _largest_flow_hint(self, md: str) -> FlowRequest | None:
         active = [st for st in self._md_streams.get(md, ()) if st.started and not st.ended]
@@ -342,26 +350,30 @@ class World:
         new_ctrl = self.partition_of[new_ap]
         old_ctrl = state.partition
 
-        handover_latency = 0.0
-        messages = 0
-        if md not in self.mobility.registered:
+        registered = md in self.mobility.registered
+        outcome = None
+        try:
+            if not registered:
+                self.mobility.register_md(md, self.cid_of[new_ctrl])
+            elif old_ctrl is not None and old_ctrl != new_ctrl:
+                outcome = self.mobility.handover(md, self.cid_of[new_ctrl])
+        except (HandoverFailure, NotAMember):
+            # the target controller is down, or the session is out of reach:
+            # mobility state stays as it was, and the device's next move retries
+            self._disconnect(md)
+            return
+        if not registered:
             self.mobility.establish_association(md, new_ap)
-            self.mobility.register_md(md, self.cid_of[new_ctrl])
             kind = "associate"
             gap = self.params.reassociation_delay
+        elif self.params.personal_ap_enabled and old_ap is not None:
+            self.mobility.personal_ap_migrate(md, old_ap, new_ap)
+            kind = "pap-migrate"
+            gap = self.params.pap_migration_delay
         else:
-            if old_ctrl is not None and old_ctrl != new_ctrl:
-                outcome = self.mobility.handover(md, self.cid_of[new_ctrl])
-                handover_latency = outcome.latency
-                messages = outcome.messages
-            if self.params.personal_ap_enabled and old_ap is not None:
-                self.mobility.personal_ap_migrate(md, old_ap, new_ap)
-                kind = "pap-migrate"
-                gap = self.params.pap_migration_delay
-            else:
-                self.mobility.establish_association(md, new_ap)
-                kind = "reassociate"
-                gap = self.params.reassociation_delay
+            self.mobility.establish_association(md, new_ap)
+            kind = "reassociate"
+            gap = self.params.reassociation_delay
 
         # roster moves between partition views
         if old_ctrl is not None and old_ctrl != new_ctrl:
@@ -375,7 +387,7 @@ class World:
         state.partition = new_ctrl
         state.connected = True
 
-        total = round(gap + handover_latency, 9)
+        total = round(gap + (outcome.latency if outcome else 0.0), 9)
         for st in self._md_streams.get(md, ()):
             st.gap_until = max(st.gap_until, round(now + total, 9))
         self._replace_flows(md, new_ap)
@@ -383,17 +395,17 @@ class World:
             {
                 "t": now,
                 "md": md,
-                "kind": kind,
+                "kind": reason if reason == "ap-recovery" else kind,
                 "from_ap": old_ap,
                 "to_ap": new_ap,
                 "from_controller": old_ctrl,
                 "to_controller": new_ctrl,
                 "latency": total,
-                "messages": messages,
+                "messages": outcome.messages if outcome else 0,
             }
         )
 
-    def _disconnect(self, md: str, at: float) -> None:
+    def _disconnect(self, md: str) -> None:
         state = self.mds[md]
         if not state.connected:
             return
@@ -547,44 +559,9 @@ class World:
         self._pi_busy.pop(name, None)
 
     def _recover_ap(self, name: str) -> None:
-        controller = self.partition_of[name]
-        view = self.views[controller]
-        reassignments = self.mobility.recover_ap_failure(
-            name, view, personal_ap=self.params.personal_ap_enabled
-        )
-        now = self.engine.now
-        gap = (
-            self.params.pap_migration_delay
-            if self.params.personal_ap_enabled
-            else self.params.reassociation_delay
-        )
-        for r in reassignments:
-            state = self.mds.get(r.md_id)
-            if r.new_ap is None:
-                if state is not None:
-                    state.connected = False
-                for st in self._md_streams.get(r.md_id, ()):
-                    st.placed = False
-                continue
-            if state is not None:
-                state.connected = True
-            for st in self._md_streams.get(r.md_id, ()):
-                st.placed = st.name in view.open_flows
-                st.gap_until = max(st.gap_until, round(now + gap, 9))
-            self.packet_in[controller] = self.packet_in.get(controller, 0) + len(r.moved_flows)
-            self.handover_rows.append(
-                {
-                    "t": now,
-                    "md": r.md_id,
-                    "kind": "ap-recovery",
-                    "from_ap": name,
-                    "to_ap": r.new_ap,
-                    "from_controller": controller,
-                    "to_controller": controller,
-                    "latency": gap,
-                    "messages": 0,
-                }
-            )
+        """A failed AP no longer covers anyone: its devices take the move path."""
+        for md in self.mobility.recover_ap_failure(name):
+            self._reattach(md, reason="ap-recovery")
 
     # ------------------------------------------------------------------ packet-in workload
 

@@ -13,7 +13,6 @@ from sdedge.errors import (
 )
 from sdedge.mobility import MobilityManager, mac_of
 from sdedge.ring import OverlayRing, RingView, hash_id
-from sdedge.scheduler import APStatus, PartitionView, ViewEvent, update_partition_view
 
 # pinned: hash_id("M7", 5) == 4, which sits on C(10)'s arc of the ring {3, 10, 16}
 MD = "M7"
@@ -244,81 +243,6 @@ def test_two_adjacent_crashes_with_r2_lose_nothing():
     r2 = mgr.recover_controller_failure(16)
     assert r1.lost == [] and r2.lost == []
     assert mgr.get_supervisory(MD) is not None
-
-
-# --- AP failure recovery ------------------------------------------------------------
-
-def ap_view(*aps):
-    return PartitionView(controller="C1", ap_status={ap.ap_id: ap for ap in aps})
-
-
-def test_ap_failure_reassigns_all_mds_within_capacity():
-    _, mgr = cluster()
-    view = ap_view(
-        APStatus("AP1", capacity=11.0),
-        APStatus("AP2", capacity=11.0),
-        APStatus("AP3", capacity=11.0),
-    )
-    for i in range(5):
-        md = f"dev{i}"
-        mgr.establish_association(md, "AP1")
-        update_partition_view(view, ViewEvent("md-join", md_id=md))
-        update_partition_view(
-            view, ViewEvent("flow-start", md_id=md, ap_id="AP1", flow_id=f"f{i}", demand=2.0)
-        )
-    out = mgr.recover_ap_failure("AP1", view, personal_ap=False)
-    assert len(out) == 5
-    assert all(r.new_ap in {"AP2", "AP3"} for r in out)
-    assert not any(r.stranded_flows for r in out)
-    total_load = sum(ap.load for ap in view.ap_status.values())
-    assert total_load == pytest.approx(10.0)
-    for ap in view.ap_status.values():
-        assert ap.load <= ap.capacity + 1e-9
-
-
-def test_ap_failure_flows_ride_the_new_association_or_strand():
-    _, mgr = cluster()
-    view = ap_view(
-        APStatus("AP1", capacity=11.0),
-        APStatus("AP2", capacity=5.0),
-        APStatus("AP3", capacity=5.0),
-    )
-    mgr.establish_association("dev0", "AP1")
-    update_partition_view(view, ViewEvent("md-join", md_id="dev0"))
-    for fid, demand in (("f0", 4.0), ("f1", 3.0)):
-        update_partition_view(
-            view, ViewEvent("flow-start", md_id="dev0", ap_id="AP1", flow_id=fid, demand=demand)
-        )
-    [r] = mgr.recover_ap_failure("AP1", view, personal_ap=False)
-    assert r.new_ap == mgr.association_ap["dev0"] == "AP2"
-    assert r.moved_flows == ["f0"]
-    assert r.stranded_flows == ["f1"]
-    assert all(rec.ap_id == mgr.association_ap[rec.md_id] for rec in view.open_flows.values())
-    assert view.ap_status["AP3"].load == 0.0
-
-
-def test_ap_failure_with_no_mds_is_empty():
-    _, mgr = cluster()
-    view = ap_view(APStatus("AP1", capacity=11.0), APStatus("AP2", capacity=11.0))
-    assert mgr.recover_ap_failure("AP1", view) == []
-
-
-def test_ap_failure_strands_tech_bound_flows():
-    _, mgr = cluster()
-    view = ap_view(
-        APStatus("AP1", capacity=11.0, radio_techs=frozenset({"wimax"})),
-        APStatus("AP2", capacity=11.0, radio_techs=frozenset({"wifi"})),
-    )
-    mgr.establish_association("dev0", "AP1")
-    update_partition_view(view, ViewEvent("md-join", md_id="dev0"))
-    update_partition_view(
-        view,
-        ViewEvent("flow-start", md_id="dev0", ap_id="AP1", flow_id="f0", demand=3.0, required_tech="wimax"),
-    )
-    out = mgr.recover_ap_failure("AP1", view, personal_ap=False)
-    assert len(out) == 1
-    assert out[0].new_ap is None
-    assert out[0].stranded_flows == ["f0"]
 
 
 # --- replica bundles ------------------------------------------------------------------

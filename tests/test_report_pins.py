@@ -1,9 +1,13 @@
 """Golden report pins: sha256 of render_json / render_csv for fixed runs.
 
 Each bundled scenario runs under every access-control mode with Personal AP
-forced on and off; fig5 also runs with a controller crash and an AP crash,
-the only pinned path through AP-failure recovery. A change that moves a
-pin on purpose says why in CHANGES.md and rewrites the fixture with
+forced on and off. fig5 with a third controller also runs two failure cases,
+each with Personal AP off and on: `fig5-failures` crashes controller CB and
+then AP2, whose devices recover inside their own partition;
+`fig5-xpart` deals the APs over three controllers and crashes AP2, whose
+devices recover onto neighbouring APs of other partitions, with a handover.
+A change that moves a pin on purpose says why in CHANGES.md and rewrites the
+fixture with
 
     PYTHONPATH=src python tests/test_report_pins.py > tests/fixtures/report_pins.tsv
 """
@@ -25,24 +29,34 @@ SCENARIOS = ("fig2", "fig5", "fig5c", "fig6")
 FAILURE_RUNS = (("None", "off"), ("LEDGE-PAP", "on"))
 
 
-def _failure_text() -> str:
+# failure case -> ([failures] section, overrides)
+FAILURE_CASES = {
+    "fig5-failures": ("fail controller CB at=9.3\nfail ap AP2 at=13.3\n", {}),
+    "fig5-xpart": ("fail ap AP2 at=13.3\n", {"controllers": "3"}),
+}
+
+
+def _failure_text(failures: str) -> str:
     text = bundled_scenario_path("fig5").read_text()
     text = text.replace("controller CB\n", "controller CB\ncontroller CC\n", 1)
-    return text + "\n[failures]\nfail controller CB at=9.3\nfail ap AP2 at=13.3\n"
+    return text + "\n[failures]\n" + failures
 
 
 def cases() -> list[tuple[str, str, str]]:
     out = [(sc, mode, pap) for sc in SCENARIOS for mode in MODES for pap in ("on", "off")]
-    return out + [("fig5-failures", mode, pap) for mode, pap in FAILURE_RUNS]
+    return out + [(sc, mode, pap) for sc in FAILURE_CASES for mode, pap in FAILURE_RUNS]
 
 
 def digests(scenario: str, mode: str, personal_ap: str) -> tuple[str, str]:
-    if scenario == "fig5-failures":
-        text = _failure_text()
+    overrides = {"mode": mode, "personal_ap": personal_ap}
+    if scenario in FAILURE_CASES:
+        failures, extra = FAILURE_CASES[scenario]
+        text = _failure_text(failures)
+        overrides.update(extra)
     else:
         text = bundled_scenario_path(scenario).read_text()
     sc = parse_scenario_text(text, name=scenario)
-    params = apply_overrides(sc.params, {"mode": mode, "personal_ap": personal_ap})
+    params = apply_overrides(sc.params, overrides)
     report = World(sc, params).run()
     return (
         hashlib.sha256(render_json(report).encode()).hexdigest(),

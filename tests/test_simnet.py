@@ -220,6 +220,195 @@ def test_failing_a_dead_target_is_a_noop():
     assert len([h for h in world.handover_rows if h["kind"] == "ap-recovery"]) == 3
 
 
+def star(aps, mds, flows, controllers=("C1 key=3",), params=(), tail=""):
+    """A one-switch scenario: every AP and controller links to SW1 at 100 Mbps."""
+    names = [a.split()[0] for a in aps] + [c.split()[0] for c in controllers]
+    lines = ["[params]", "m = 5", "duration = 6.0", *params, "[topology]"]
+    lines += [f"controller {c}" for c in controllers] + ["switch SW1"]
+    lines += [f"ap {a}" for a in aps] + [f"md {m}" for m in mds]
+    lines += [f"link {n} SW1 latency=0.001 rate=100" for n in names]
+    lines += ["[flows]"] + [f"flow {f}" for f in flows]
+    return "\n".join(lines) + "\n" + tail
+
+
+def recoveries(world):
+    return [h for h in world.handover_rows if h["kind"] == "ap-recovery"]
+
+
+def placed_on(world):
+    """flow id -> AP, over every partition view's open flows."""
+    return {fid: rec.ap_id for view in world.views.values() for fid, rec in view.open_flows.items()}
+
+
+def test_ap_failure_spreads_mds_within_capacity():
+    mds = [f"M{i} pos={i},1" for i in range(1, 6)]
+    flows = [f"F{i} md=M{i} dst=C1 type=tcp demand=2 tech=wifi start=0.0" for i in range(1, 6)]
+    aps = [f"AP{i} pos={10 * (i - 1)},0 radius=30 capacity=11 techs=wifi partition=C1" for i in (1, 2, 3)]
+    world = World(parse_scenario_text(star(aps, mds, flows, tail="[failures]\nfail ap AP1 at=2.0\n"), "spread"))
+    world.run()
+    rows = recoveries(world)
+    assert len(rows) == 5 and {r["to_ap"] for r in rows} == {"AP2", "AP3"}
+    # every flow rides its device's new association
+    assert placed_on(world) == {f"F{i}": world.mobility.association_ap[f"M{i}"] for i in range(1, 6)}
+    assert sum(ap.load for ap in world.aps.values()) == pytest.approx(10.0)
+    for ap in world.aps.values():
+        assert ap.load <= ap.capacity + 1e-9
+
+
+def test_ap_failure_flow_that_does_not_fit_waits_for_room():
+    aps = [
+        "AP1 pos=0,0 radius=30 capacity=11 techs=wifi partition=C1",
+        "AP2 pos=10,0 radius=30 capacity=5 techs=wifi partition=C1",
+        "AP3 pos=20,0 radius=30 capacity=5 techs=wifi partition=C1",
+    ]
+    flows = [
+        "F0 md=M1 dst=C1 type=tcp demand=4 tech=wifi start=0.0 end=4.0",
+        "F1 md=M1 dst=C1 type=tcp demand=3 tech=wifi start=0.0",
+    ]
+    text = star(aps, ["M1 pos=1,1"], flows, tail="[failures]\nfail ap AP1 at=2.0\n")
+    world = World(parse_scenario_text(text, "wait"))
+    world.engine.run_until(3.0)
+    [row] = recoveries(world)
+    assert row["to_ap"] == world.mobility.association_ap["M1"] == "AP2"
+    assert placed_on(world) == {"F0": "AP2"}  # F1 rides the association but does not fit
+    assert world.aps["AP3"].load == 0.0
+    report = world.run()
+    f1 = report.series("F1")
+    assert all(v == 0.0 for t, v in f1 if 2.0 <= t < 4.0)
+    assert first_nonzero_after(f1, 2.0) == 4.0  # admitted once F0 ends
+    assert placed_on(world) == {"F1": "AP2"}
+
+
+def test_ap_failure_without_associated_mds_adds_no_rows():
+    world = World(parse_scenario_text(AP_FAIL.replace("fail ap AP1", "fail ap AP2"), "apfail-idle"))
+    report = world.run()
+    assert world.handover_rows == []
+    assert all(v > 0 for _, v in report.series("F1"))
+
+
+def test_ap_failure_leaves_md_without_a_supporting_ap_disconnected():
+    aps = [
+        "AP1 pos=0,0 radius=30 capacity=11 techs=wimax partition=C1",
+        "AP2 pos=10,0 radius=30 capacity=11 techs=wifi partition=C1",
+    ]
+    flows = ["F1 md=M1 dst=C1 type=tcp demand=3 tech=wimax start=0.0"]
+    text = star(aps, ["M1 pos=1,1"], flows, tail="[failures]\nfail ap AP1 at=2.0\n")
+    world = World(parse_scenario_text(text, "tech"))
+    report = world.run()
+    assert recoveries(world) == []
+    assert not world.mds["M1"].connected
+    assert placed_on(world) == {}
+    assert first_nonzero_after(report.series("F1"), 2.0) is None
+
+
+TWO_PARTITIONS = dict(
+    controllers=("C1 key=3", "C2 key=10"),
+    flows=["F1 md=M1 dst=C1 type=tcp demand=2 tech=wifi start=0.0"],
+)
+
+
+def test_ap_failure_recovers_across_partitions():
+    aps = [
+        "AP1 pos=0,0 radius=30 capacity=11 techs=wifi partition=C1",
+        "AP2 pos=10,0 radius=30 capacity=11 techs=wifi partition=C2",
+    ]
+    text = star(aps, ["M1 pos=1,1"], **TWO_PARTITIONS, tail="[failures]\nfail ap AP1 at=2.0\n")
+    world = World(parse_scenario_text(text, "xpart"))
+    report = world.run()
+    [row] = recoveries(world)
+    assert (row["from_ap"], row["to_ap"]) == ("AP1", "AP2")
+    assert (row["from_controller"], row["to_controller"]) == ("C1", "C2")
+    assert row["messages"] > 0
+    assert world.name_of[world.mobility.get_supervisory("M1").current] == "C2"
+    assert first_nonzero_after(report.series("F1"), 2.0) is not None
+
+
+# C2 crashes at t=1.0 and is detected at t=4.0; until then a handover into
+# its partition fails, and the device waits disconnected for its next move
+CRASHED_C2 = ("detection_delay = 3.0",)
+
+
+def test_move_into_an_undetected_crashed_partition_disconnects():
+    aps = [
+        "AP1 pos=0,0 radius=10 capacity=11 techs=wifi partition=C1",
+        "AP2 pos=40,0 radius=10 capacity=11 techs=wifi partition=C2",
+    ]
+    # M1 needs a handover into C2's partition; M2, outside coverage at t=0,
+    # its first registration there
+    tail = (
+        "[traces]\nmove M1 2.0 40,1 staying\nmove M2 2.0 40,2 staying\n"
+        "move M1 5.0 41,1 staying\nmove M2 5.0 41,2 staying\n"
+        "[failures]\nfail controller C2 at=1.0\n"
+    )
+    mds = ["M1 pos=1,1", "M2 pos=100,0"]
+    world = World(parse_scenario_text(star(aps, mds, **TWO_PARTITIONS, params=CRASHED_C2, tail=tail), "ho-fail"))
+    world.engine.run_until(4.5)
+    assert world.handover_rows == []
+    assert not world.mds["M1"].connected and not world.mds["M2"].connected
+    assert world.name_of[world.mobility.get_supervisory("M1").current] == "C1"
+    assert "M2" not in world.mobility.registered
+    # C1 adopted C2's partition at t=4.0, so the moves at t=5.0 succeed
+    report = world.run()
+    assert [(h["md"], h["kind"]) for h in world.handover_rows] == [("M1", "reassociate"), ("M2", "associate")]
+    assert first_nonzero_after(report.series("F1"), 2.0) >= 5.0
+
+
+def test_ap_failure_next_to_an_undetected_crashed_partition_disconnects():
+    aps = [
+        "AP1 pos=0,0 radius=30 capacity=11 techs=wifi partition=C1",
+        "AP2 pos=10,0 radius=30 capacity=11 techs=wifi partition=C2",
+    ]
+    tail = "[failures]\nfail controller C2 at=1.0\nfail ap AP1 at=0.5\n"
+    text = star(aps, ["M1 pos=1,1"], **TWO_PARTITIONS, params=CRASHED_C2, tail=tail)
+    world = World(parse_scenario_text(text, "rec-fail"))
+    report = world.run()
+    assert world.handover_rows == []
+    assert not world.mds["M1"].connected
+    assert first_nonzero_after(report.series("F1"), 0.5) is None
+
+
+class CapacityCheckedWorld(World):
+    """Asserts after every sampler event that no AP carries more than its capacity."""
+
+    def _sample(self, at):
+        super()._sample(at)
+        for ap in self.aps.values():
+            assert ap.load <= ap.capacity + 1e-9, (at, ap.ap_id, ap.load)
+
+
+def test_generated_failure_schedules_run_to_completion():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    instant = st.integers(1, 199).map(lambda k: k / 10)
+    fig5 = bundled_scenario_path("fig5").read_text()
+    fig5 = fig5.replace("controller CB\n", "controller CB\ncontroller CC\n", 1).replace("mds M 300 ", "mds M 60 ", 1)
+
+    # no shrinking: each example is two whole runs, and a failing schedule
+    # of at most four failures reads well as generated
+    phases = (hypothesis.Phase.explicit, hypothesis.Phase.reuse, hypothesis.Phase.generate)
+
+    @hypothesis.settings(max_examples=15, deadline=None, phases=phases)
+    @hypothesis.given(
+        ap_failures=st.lists(st.tuples(st.integers(1, 8), instant), min_size=1, max_size=3),
+        crash=st.one_of(st.none(), st.tuples(st.sampled_from(["CA", "CB", "CC"]), instant)),
+        detection_delay=st.sampled_from(["0", "0.5", "2"]),
+        controllers=st.sampled_from(["0", "3"]),
+        mode=st.sampled_from(["None", "LEDGE-PAP"]),
+    )
+    def check(ap_failures, crash, detection_delay, controllers, mode):
+        lines = [f"fail ap AP{i} at={t}" for i, t in ap_failures]
+        if crash is not None:
+            lines.append(f"fail controller {crash[0]} at={crash[1]}")
+        sc = parse_scenario_text(fig5 + "\n[failures]\n" + "\n".join(lines) + "\n", "fig5-fuzz")
+        params = apply_overrides(
+            sc.params, {"detection_delay": detection_delay, "controllers": controllers, "mode": mode}
+        )
+        first = render_json(CapacityCheckedWorld(sc, params).run())
+        assert render_json(World(sc, params).run()) == first
+
+    check()
+
+
 CTRL_FAIL = """
 [params]
 m = 5
