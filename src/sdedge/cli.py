@@ -39,6 +39,9 @@ def load_scenario(spec: str, seed: int | None, sets: list[str]) -> tuple[Scenari
     if seed is not None:
         overrides["seed"] = str(seed)
     params = apply_overrides(scenario.params, overrides)
+    problem = params.controllers_problem(len(scenario.controllers))
+    if problem:
+        raise UsageError(problem)
     return scenario, params
 
 

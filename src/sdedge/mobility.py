@@ -6,7 +6,8 @@ the serving controller and travel with handovers. The handover protocol
 is the four-step exchange: locate the supervisor, read the previous
 controller from it, fetch the session directly from that controller, then
 rewrite the supervisory record. The supervisor is bookkeeping only; it
-never sits on the data path.
+never sits on the data path. Records and sessions are immutable values:
+each step that changes one writes a new value through the ring.
 
 Associations between a device and its AP are tracked as full state
 bundles so the Personal AP protocol can reinstate them at a new AP
@@ -19,7 +20,7 @@ them as it moves any device that left its AP's coverage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     RoutingFailure,
     UnknownMobile,
 )
-from .ring import OverlayRing, RingView, fnv1a64
+from .ring import OverlayRing, RingView, StoredRecord, fnv1a64
 
 SESSIONS = "sessions"
 
@@ -43,7 +44,7 @@ def mac_of(name: str) -> str:
     return "02:" + ":".join(f"{o:02x}" for o in octets)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupervisoryRecord:
     md_id: str
     md_key: int
@@ -65,12 +66,10 @@ class AssociationRecord:
         return (self.md_mac, self.association_id, self.frame_seq, self.security_keys, frozenset(self.flow_status))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionState:
     md_id: str
     partition: int
-    association: AssociationRecord | None = None
-    active_flows: dict[str, float] = field(default_factory=dict)  # flow id -> demand
 
 
 @dataclass
@@ -80,7 +79,6 @@ class HandoverOutcome:
     new: int
     messages: int
     latency: float
-    rerouted_flows: int
     noop: bool = False
     session_from_replica: bool = False
 
@@ -177,15 +175,10 @@ class MobilityManager:
         messages += hops
         self._step("locate-supervisor", md_id)
 
-        sup_node = self.ring.node(supervisor)
-        stored = sup_node.store.get(md_id)
-        if stored is None:
-            for src in sorted(sup_node.replica_store):
-                stored = sup_node.replica_store[src].records.get(md_id)
-                if stored is not None:
-                    break
-        if stored is None:
+        found = self.ring.read_record(supervisor, md_id)
+        if found is None:
             raise HandoverFailure(f"supervisory record for {md_id} lost beyond replicas")
+        holder, stored = found
         record: SupervisoryRecord = stored.value
         messages += 2  # record request + response
         self._step("read-supervisor", md_id)
@@ -194,45 +187,28 @@ class MobilityManager:
         if previous == new_controller:
             return HandoverOutcome(
                 md_id=md_id, previous=record.previous, new=new_controller,
-                messages=messages, latency=messages * self.link_latency,
-                rerouted_flows=0, noop=True,
+                messages=messages, latency=messages * self.link_latency, noop=True,
             )
 
-        session, from_replica = self._fetch_session(md_id, previous)
+        # the source retires its copy; a crashed source's bundles give theirs
+        # up, so a later adoption of it cannot resurrect the session
+        session = self.ring.pop_control(previous, SESSIONS, md_id)
         messages += 3  # fetch request + transfer + ack
         if session is None:
             raise HandoverFailure(f"session for {md_id} unrecoverable: {previous} and replicas are gone")
         self._step("fetch-session", md_id)
 
-        session.partition = new_controller
-        self.ring.put_control(new_controller, SESSIONS, md_id, session)
-
-        record.previous = previous
-        record.current = new_controller
-        if sup_node.store.get(md_id) is stored:  # a record read from a replica stays there
-            self.ring.write_record(supervisor, stored)
+        self.ring.put_control(new_controller, SESSIONS, md_id, SessionState(md_id, new_controller))
+        moved = SupervisoryRecord(md_id, key, previous, new_controller)
+        self.ring.write_record(holder, StoredRecord(md_id, key, moved))
         messages += 2  # supervisor update + ack
         self._step("update-supervisor", md_id)
 
         return HandoverOutcome(
             md_id=md_id, previous=previous, new=new_controller,
             messages=messages, latency=messages * self.link_latency,
-            rerouted_flows=len(session.active_flows), session_from_replica=from_replica,
+            session_from_replica=not self.ring.is_live(previous),
         )
-
-    def _fetch_session(self, md_id: str, previous: int) -> tuple[SessionState | None, bool]:
-        if self.ring.is_live(previous):
-            session = self.ring.pop_control(previous, SESSIONS, md_id)  # source retires its copy
-            if session is not None:
-                return session, False
-        bundle = self.ring.find_replica_bundle(previous)
-        if bundle is not None:
-            # consume so a later adoption of the dead node cannot resurrect it
-            session = bundle.control.get(SESSIONS, {}).pop(md_id, None)
-            if session is not None:
-                return session, True
-        # previous controller alive but never had it (or everything is gone)
-        return None, False
 
     # -- personal AP protocol ----------------------------------------------------------
 
@@ -294,15 +270,15 @@ class MobilityManager:
         # the adopter replaces the failed controller's role: supervisory
         # records that pointed at it now point at the adopter
         if adopter is not None:
-            for nid in self.ring.live_ids():
-                for stored in self.ring.nodes[nid].store.values():
-                    rec = stored.value
-                    if isinstance(rec, SupervisoryRecord):
-                        if rec.current == failed:
-                            rec.current = adopter
-                        if rec.previous == failed:
-                            rec.previous = adopter
-            self.ring.refresh_replication()
+            for nid, stored in self.ring.stored_records():
+                rec = stored.value
+                if isinstance(rec, SupervisoryRecord) and failed in (rec.current, rec.previous):
+                    moved = replace(
+                        rec,
+                        current=adopter if rec.current == failed else rec.current,
+                        previous=adopter if rec.previous == failed else rec.previous,
+                    )
+                    self.ring.write_record(nid, replace(stored, value=moved))
         return RecoveryReport(
             failed=failed,
             adopter=adopter,

@@ -8,13 +8,19 @@ to the next `replication` distinct live successors (successor-list
 replication, as in Chord and Dynamo): each write of a record or a control
 entry goes to the owner and to its replica bundles, O(r) per write, and a
 membership change resyncs every bundle from the owners' whole stores.
+
+Stored values are immutable, so an owner and its bundles may share one
+value but nobody changes it in place: `write_record`, `put_control` and
+`pop_control` are the only ways replicated state changes. A write addressed
+to a crashed owner lands in its bundles on their live holders, which is
+where an adoption will later find it.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from .errors import MembershipConflict, NotAMember, RingError, RoutingFailure
 
@@ -63,7 +69,7 @@ def in_open_arc(a: int, b: int, k: int) -> bool:
     return k != a
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredRecord:
     name: str
     key: int
@@ -76,9 +82,9 @@ class ReplicaBundle:
 
     Each record or control write at the owner is written here too, so the
     bundle always equals a whole copy of the owner taken at that moment;
-    a join, leave or adoption rebuilds it from such a copy. A crashed
-    owner's bundles take no more writes; until the owner is adopted, a
-    handover only consumes the sessions it moves out of them.
+    a join, leave or adoption rebuilds it from such a copy. Once the owner
+    crashes, its bundles stand in for it: writes addressed to it land here
+    until a successor adopts the nearest bundle.
     """
 
     records: dict[str, StoredRecord] = field(default_factory=dict)
@@ -231,15 +237,11 @@ class OverlayRing:
             return None, {}, {}
 
         adopter = self.nodes[RingView(live).owner(failed_id % self.size)]
-        bundle = None
-        for nid in self._clockwise_from(failed_id, live):
-            bundle = self.nodes[nid].replica_store.get(failed_id)
-            if bundle is not None:
-                break
-
         recovered: dict[str, StoredRecord] = {}
         control: dict[str, dict] = {}
-        if bundle is not None:
+        bundles = self._replica_bundles(failed_id)  # nearest holder first
+        if bundles:
+            bundle = bundles[0]
             recovered = dict(bundle.records)
             control = {t: dict(e) for t, e in bundle.control.items()}
             adopter.store.update(recovered)
@@ -350,27 +352,38 @@ class OverlayRing:
         self.write_record(owner, StoredRecord(name=name, key=key, value=value))
         return owner
 
+    # A crashed node's own store and control tables are out of reach: the
+    # three writes below then change only its bundles on live holders.
+
     def write_record(self, node_id: int, record: StoredRecord) -> None:
         """Write `record` into a node's store and its replica bundles: O(r)."""
-        self.nodes[node_id].store[record.name] = record
+        node = self.node(node_id)
+        if node.alive:
+            node.store[record.name] = record
         for bundle in self._replica_bundles(node_id):
             bundle.records[record.name] = record
 
     def put_control(self, node_id: int, table: str, name: str, value: Any) -> None:
         """Set one control-table entry at a node and in its replica bundles."""
-        self.nodes[node_id].control.setdefault(table, {})[name] = value
+        node = self.node(node_id)
+        if node.alive:
+            node.control.setdefault(table, {})[name] = value
         for bundle in self._replica_bundles(node_id):
             bundle.control.setdefault(table, {})[name] = value
 
     def pop_control(self, node_id: int, table: str, name: str) -> Any:
         """Remove one control-table entry at a node and in its replica bundles.
 
-        Returns the node's entry, or None when it held none.
+        Returns the node's entry, or its nearest live holder's when it
+        crashed, or None when there is none.
         """
-        value = self.nodes[node_id].control.get(table, {}).pop(name, None)
-        for bundle in self._replica_bundles(node_id):
-            bundle.control.get(table, {}).pop(name, None)
-        return value
+        node = self.nodes.get(node_id)
+        if node is None:  # adopted: its entries live on at the adopter
+            return None
+        popped = [b.control.get(table, {}).pop(name, None) for b in self._replica_bundles(node_id)]
+        if node.alive:
+            return node.control.get(table, {}).pop(name, None)
+        return popped[0] if popped else None
 
     def _replica_targets(self, node_id: int) -> list[int]:
         """The first r live successors other than the node itself."""
@@ -380,35 +393,36 @@ class OverlayRing:
 
     def _replica_bundles(self, node_id: int) -> list[ReplicaBundle]:
         # every live target holds a bundle: membership changes rebuild them all,
-        # and between changes a crash only shrinks the target set
+        # between changes a crash only shrinks the target set, and a crashed
+        # owner's bundles stay on their holders until it is adopted
         return [self.nodes[sid].replica_store[node_id] for sid in self._replica_targets(node_id)]
 
     def get_record(self, name: str, key: int | None = None) -> StoredRecord | None:
         """Fetch a record from its owner, falling back to replica bundles there."""
         key = self.hash_id(name) if key is None else key
-        owner = self.nodes[self.owner_of(key)]
-        rec = owner.store.get(name)
+        found = self.read_record(self.owner_of(key), name)
+        return found[1] if found is not None else None
+
+    def read_record(self, node_id: int, name: str) -> tuple[int, StoredRecord] | None:
+        """A node's copy of a record, from its store or else its replica
+        bundles, with the node a write of that record goes to: the node
+        itself, or the owner of the bundle it came from."""
+        node = self.node(node_id)
+        rec = node.store.get(name)
         if rec is not None:
-            return rec
-        for src in sorted(owner.replica_store):
-            rec = owner.replica_store[src].records.get(name)
+            return node_id, rec
+        for src in sorted(node.replica_store):
+            rec = node.replica_store[src].records.get(name)
             if rec is not None:
-                return rec
+                return src, rec
         return None
 
-    def find_replica_bundle(self, owner_id: int) -> ReplicaBundle | None:
-        """Nearest clockwise live holder's bundle for `owner_id`, if any."""
-        for nid in self._clockwise_from(owner_id, self.live_ids()):
-            bundle = self.nodes[nid].replica_store.get(owner_id)
-            if bundle is not None:
-                return bundle
-        return None
+    def stored_records(self) -> list[tuple[int, StoredRecord]]:
+        """(owner, record) for every record in a live node's store."""
+        return [(nid, rec) for nid in self.live_ids() for rec in self.nodes[nid].store.values()]
 
     def record_names(self) -> set[str]:
-        names: set[str] = set()
-        for nid in self.live_ids():
-            names.update(self.nodes[nid].store)
-        return names
+        return {rec.name for _, rec in self.stored_records()}
 
     def replicate_to_successors(self, node_id: int) -> tuple[list[ReplicationReceipt], bool]:
         """Full resync: copy a node's whole store and control tables to its r
@@ -456,13 +470,6 @@ class OverlayRing:
             seen.append(nxt)
             nxt = self.nodes[nxt].successor
         return seen
-
-    def _clockwise_from(self, after: int, ids: list[int]) -> Iterator[int]:
-        if not ids:
-            return
-        i = bisect.bisect_right(ids, after)
-        for off in range(len(ids)):
-            yield ids[(i + off) % len(ids)]
 
     def _relink_and_repair(self) -> None:
         live = self.live_ids()

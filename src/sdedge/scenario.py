@@ -63,10 +63,19 @@ class Params:
             problems.append(f"ring width m={self.m} outside [2, 32]")
         if self.r < 1:
             problems.append("replication factor r must be >= 1")
+        if self.controllers < 0:
+            problems.append("controllers must be >= 0 (0 = all declared)")
         for name in ("sample_period", "beacon_period", "rotation_period"):
             if not getattr(self, name) > 0:
                 problems.append(f"{name} must be positive")
         return problems
+
+    def controllers_problem(self, declared: int) -> str | None:
+        """`controllers` picks among the declared controllers, so it may not
+        exceed their count; checked once the scenario is known."""
+        if self.controllers > declared:
+            return f"controllers={self.controllers} but only {declared} declared"
+        return None
 
 
 _PARAM_TYPES = {f.name: f.type for f in fields(Params)}
@@ -166,14 +175,6 @@ class Scenario:
     waypoints: list[WaypointDecl] = field(default_factory=list)
     failures: list[FailureDecl] = field(default_factory=list)
     workload: WorkloadDecl | None = None
-
-    def node_names(self) -> set[str]:
-        return (
-            {c.name for c in self.controllers}
-            | {s.name for s in self.switches}
-            | {a.name for a in self.aps}
-            | {m.name for m in self.mds}
-        )
 
 
 def _layout_rng(layout_seed: int, tag: str) -> random.Random:
@@ -483,8 +484,9 @@ class _Parser:
 
         if not sc.controllers:
             self.fail(0, "scenario declares no controllers")
-        if sc.params.controllers > len(sc.controllers):
-            self.fail(0, f"controllers={sc.params.controllers} but only {len(sc.controllers)} declared")
+        problem = sc.params.controllers_problem(len(sc.controllers))
+        if problem:
+            self.fail(0, problem)
 
         for ap in sc.aps:
             if ap.partition not in controller_names:

@@ -8,7 +8,8 @@ re-association) and, across partitions, the controller handover protocol.
 An AP failure is such a delta for each device it served, so they take the
 same path, after the detection delay. A handover or first registration
 that fails, because its target controller is down, leaves the device
-disconnected until its next move.
+disconnected until its next move or the adoption of that controller's
+partition, whichever comes first.
 Transport streams are sampled on a fixed cadence, by one sampler event per
 instant that ticks the streams due then, with a rate cap: a stream
 delivers min(demand, path bottleneck) when connected, admitted, and
@@ -415,14 +416,9 @@ class World:
 
     # ------------------------------------------------------------------ flows
 
-    def _session_flows(self, md: str):
-        session = self.mobility.session_of(md)
-        return session.active_flows if session is not None else {}
-
     def _flow_start(self, st: StreamState) -> None:
         st.started = True
         md = st.decl.md
-        self._session_flows(md)[st.name] = st.decl.demand
         assoc = self.mobility.associations.get(md)
         if assoc is not None:
             assoc.flow_status.add(st.name)
@@ -435,7 +431,6 @@ class World:
         st.ended = True
         md = st.decl.md
         self._unplace(st)
-        self._session_flows(md).pop(st.name, None)
         assoc = self.mobility.associations.get(md)
         if assoc is not None:
             assoc.flow_status.discard(st.name)
@@ -557,6 +552,10 @@ class World:
                 md_state.partition = adopter_name
         self.cid_of.pop(name, None)
         self._pi_busy.pop(name, None)
+        # devices a failed handover or registration cut off can attach again
+        for md in self._md_order:
+            if not self.mds[md].connected:
+                self._reattach(md, reason="adoption")
 
     def _recover_ap(self, name: str) -> None:
         """A failed AP no longer covers anyone: its devices take the move path."""

@@ -61,6 +61,16 @@ def test_unknown_override_key_is_usage_error(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_controllers_beyond_declared_are_rejected_from_override_and_file(tmp_path, capsys):
+    assert main(["run", "fig5", "--set", "controllers=9"]) == 2
+    assert "controllers=9 but only 2 declared" in capsys.readouterr().err
+    assert main(["run", "fig5", "--set", "controllers=2", "--set", "duration=1"]) == 0
+    bad = tmp_path / "many.scenario"
+    bad.write_text(bundled_scenario_path("fig5").read_text().replace("[params]\n", "[params]\ncontrollers = 9\n", 1))
+    assert main(["validate", str(bad)]) == 1
+    assert "controllers=9 but only 2 declared" in capsys.readouterr().err
+
+
 def test_missing_scenario(capsys):
     assert main(["validate", "no-such-scenario"]) == 1
 

@@ -98,13 +98,10 @@ def test_read_of_unregistered_mobile():
 def test_handover_follows_the_four_step_protocol():
     ring, mgr = cluster()
     mgr.register_md(MD, 16)
-    session = mgr.session_of(MD)
-    session.active_flows = {"F1": 2.0}
 
     out = mgr.handover(MD, new_controller=3)
     assert out.previous == 16 and out.new == 3
     assert not out.noop
-    assert out.rerouted_flows == 1
     assert out.messages > 0 and out.latency == pytest.approx(out.messages * mgr.link_latency)
 
     rec = mgr.get_supervisory(MD)
@@ -118,7 +115,7 @@ def test_handover_to_current_controller_is_noop():
     _, mgr = cluster()
     mgr.register_md(MD, 16)
     out = mgr.handover(MD, 16)
-    assert out.noop and out.rerouted_flows == 0
+    assert out.noop
     assert mgr.get_supervisory(MD).previous is None  # record untouched
 
 
@@ -136,11 +133,9 @@ def test_handover_chain_keeps_depth_one_history():
 def test_handover_fetches_session_from_replica_when_previous_died():
     ring, mgr = cluster()
     mgr.register_md(MD, 16)
-    mgr.session_of(MD).active_flows = {"F1": 1.0, "F2": 2.0}
     ring.crash(16)
     out = mgr.handover(MD, 3)
     assert out.session_from_replica
-    assert out.rerouted_flows == 2
     assert mgr.get_supervisory(MD).current == 3
 
 
@@ -243,6 +238,33 @@ def test_two_adjacent_crashes_with_r2_lose_nothing():
     r2 = mgr.recover_controller_failure(16)
     assert r1.lost == [] and r2.lost == []
     assert mgr.get_supervisory(MD) is not None
+
+
+def test_handover_inside_the_detection_window_survives_adoption():
+    ring, mgr = cluster(ids=(3, 10, 16, 24), r=2)
+    mgr.register_md(MD, 10)  # record and session both at C(10), bundles at 16 and 24
+    ring.crash(10)
+    out = mgr.handover(MD, 3)  # supervisor 16 serves both from C(10)'s bundle
+    assert out.session_from_replica and out.previous == 10
+
+    def bundles():
+        return [(nid, src, b) for nid in ring.live_ids() for src, b in ring.node(nid).replica_store.items()]
+
+    # the writes addressed to the crashed owner landed in its bundles
+    crashed = [b for _, src, b in bundles() if src == 10]
+    assert len(crashed) == 2
+    assert all(b.records[MD].value.current == 3 for b in crashed)
+    assert all(MD not in b.control.get("sessions", {}) for b in crashed)
+
+    report = mgr.recover_controller_failure(10)
+    assert report.adopter == 16
+    rec = ring.node(16).store[MD].value
+    assert (rec.previous, rec.current) == (16, 3)
+    holders = [b for _, _, b in bundles() if MD in b.records]
+    assert holders and all(b.records[MD].value == rec for b in holders)
+    assert [nid for nid in ring.live_ids() if MD in ring.node(nid).control.get("sessions", {})] == [3]
+    assert mgr.session_of(MD).partition == 3
+    assert all(src == 3 for _, src, b in bundles() if MD in b.control.get("sessions", {}))
 
 
 # --- replica bundles ------------------------------------------------------------------

@@ -325,6 +325,7 @@ def test_ap_failure_recovers_across_partitions():
 
 # C2 crashes at t=1.0 and is detected at t=4.0; until then a handover into
 # its partition fails, and the device waits disconnected for its next move
+# or for C1 to adopt the partition
 CRASHED_C2 = ("detection_delay = 3.0",)
 
 
@@ -342,15 +343,18 @@ def test_move_into_an_undetected_crashed_partition_disconnects():
     )
     mds = ["M1 pos=1,1", "M2 pos=100,0"]
     world = World(parse_scenario_text(star(aps, mds, **TWO_PARTITIONS, params=CRASHED_C2, tail=tail), "ho-fail"))
-    world.engine.run_until(4.5)
+    world.engine.run_until(3.9)
     assert world.handover_rows == []
     assert not world.mds["M1"].connected and not world.mds["M2"].connected
     assert world.name_of[world.mobility.get_supervisory("M1").current] == "C1"
     assert "M2" not in world.mobility.registered
-    # C1 adopted C2's partition at t=4.0, so the moves at t=5.0 succeed
+    # C1 adopts C2's partition at t=4.0 and attaches both devices there,
+    # before their moves at t=5.0
     report = world.run()
-    assert [(h["md"], h["kind"]) for h in world.handover_rows] == [("M1", "reassociate"), ("M2", "associate")]
-    assert first_nonzero_after(report.series("F1"), 2.0) >= 5.0
+    assert [(h["t"], h["md"], h["kind"]) for h in world.handover_rows] == [
+        (4.0, "M1", "reassociate"), (4.0, "M2", "associate"),
+    ]
+    assert 4.0 < first_nonzero_after(report.series("F1"), 2.0) < 5.0
 
 
 def test_ap_failure_next_to_an_undetected_crashed_partition_disconnects():
@@ -361,10 +365,16 @@ def test_ap_failure_next_to_an_undetected_crashed_partition_disconnects():
     tail = "[failures]\nfail controller C2 at=1.0\nfail ap AP1 at=0.5\n"
     text = star(aps, ["M1 pos=1,1"], **TWO_PARTITIONS, params=CRASHED_C2, tail=tail)
     world = World(parse_scenario_text(text, "rec-fail"))
-    report = world.run()
+    world.engine.run_until(3.9)
     assert world.handover_rows == []
     assert not world.mds["M1"].connected
-    assert first_nonzero_after(report.series("F1"), 0.5) is None
+    # the adoption at t=4.0 puts M1 back on AP2, now in C1's partition
+    report = world.run()
+    assert [(h["t"], h["md"], h["to_ap"], h["to_controller"]) for h in world.handover_rows] == [
+        (4.0, "M1", "AP2", "C1"),
+    ]
+    assert world.mds["M1"].connected
+    assert first_nonzero_after(report.series("F1"), 0.5) > 4.0
 
 
 class CapacityCheckedWorld(World):
