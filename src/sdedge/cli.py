@@ -38,11 +38,7 @@ def load_scenario(spec: str, seed: int | None, sets: list[str]) -> tuple[Scenari
     overrides = _parse_overrides(sets)
     if seed is not None:
         overrides["seed"] = str(seed)
-    params = apply_overrides(scenario.params, overrides)
-    problem = params.controllers_problem(len(scenario.controllers))
-    if problem:
-        raise UsageError(problem)
-    return scenario, params
+    return scenario, apply_overrides(scenario.params, overrides)
 
 
 def run_one(spec: str, seed: int | None, sets: list[str]) -> MetricsReport:

@@ -268,7 +268,8 @@ class MobilityManager:
             self.registered.pop(md, None)
 
         # the adopter replaces the failed controller's role: supervisory
-        # records that pointed at it now point at the adopter
+        # records that pointed at it now point at the adopter, including
+        # those another crashed owner's bundles still hold
         if adopter is not None:
             for nid, stored in self.ring.stored_records():
                 rec = stored.value

@@ -3,13 +3,26 @@
 Reports are pure data derived from a finished run; emitting the same
 report twice (or a report from a repeated run with the same seed) must be
 byte-identical, so serialization sorts keys and uses repr-exact floats.
+
+The JSON document is exactly what `json.dumps(document, sort_keys=True,
+indent=1)` prints. That call cannot use the C encoder, because it indents,
+so it renders only the small part of the document. Row writers own the
+three big lists (throughput, handovers, auth_events): they read the
+report's own tuples and dicts, encode each scalar by its type, and join
+rows in bounded batches, so no more than one batch of row strings is alive
+at a time and the peak is the report plus the text, in chunks and then
+joined. tests/test_report_render.py pins the equivalence against that
+`json.dumps` call on generated reports.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .errors import EmitError
 
@@ -83,6 +96,7 @@ class MetricsReport:
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The JSON document without its big row lists (see `_ROW_LISTS`)."""
         return {
             "schema": SCHEMA_VERSION,
             "scenario": self.scenario,
@@ -91,26 +105,94 @@ class MetricsReport:
             "personal_ap": self.personal_ap,
             "duration": self.duration,
             "summary": self.summary(),
-            "throughput": [[t, sid, mbps] for t, sid, mbps in self.throughput],
-            "handovers": self.handovers,
-            "packet_in": {k: self.packet_in[k] for k in sorted(self.packet_in)},
-            "lookup_hops": {str(h): self.lookup_hops[h] for h in sorted(self.lookup_hops)},
-            "auth_events": self.auth_events,
+            "packet_in": self.packet_in,
+            "lookup_hops": {str(h): c for h, c in self.lookup_hops.items()},
             "record_losses": sorted(self.record_losses),
         }
 
 
+_BATCH = 4096  # rows per joined chunk: bounds the short-lived row strings
+_ROW_INDENT = "\n   "  # a row's values sit three levels deep: document, list, row
+
+
+def _value(v) -> str:
+    """One scalar as json.dumps(v, sort_keys=True, indent=1) prints it inside a row."""
+    kind = type(v)
+    if kind is str:
+        return _encode_str(v)
+    if kind is float:
+        if v - v == 0.0:  # finite: inf and nan take json's spellings below
+            return float.__repr__(v)
+    elif kind is bool:  # before int: json prints true/false, not 1/0
+        return "true" if v else "false"
+    elif v is None:
+        return "null"
+    elif kind is int:
+        return int.__repr__(v)
+    return json.dumps(v, sort_keys=True, indent=1).replace("\n", _ROW_INDENT)
+
+
+def _tuple_rows(rows: list[tuple]) -> Iterator[str]:
+    """Rows shaped (t, stream id, Mbps), each an array of three scalars."""
+    for a, b, c in rows:
+        yield f"  [\n   {_value(a)},\n   {_value(b)},\n   {_value(c)}\n  ]"
+
+
+def _dict_rows(rows: list[dict]) -> Iterator[str]:
+    """Flat dict rows; the sorted key layout is worked out once per key set."""
+    layout = keys = template = None
+    for row in rows:
+        if row.keys() != layout:
+            layout, keys = row.keys(), sorted(row)
+            fields = ",\n".join("   " + _encode_str(k).replace("%", "%%") + ": %s" for k in keys)
+            template = "  {\n" + fields + "\n  }"
+        yield template % tuple([_value(row[k]) for k in keys])
+
+
+# the document's big lists, each with the writer for its row shape
+_ROW_LISTS: dict[str, Callable[[list], Iterator[str]]] = {
+    "auth_events": _dict_rows,
+    "handovers": _dict_rows,
+    "throughput": _tuple_rows,
+}
+
+
+def _array(rows: list, writer: Callable[[list], Iterator[str]]) -> Iterator[str]:
+    """A big list at depth one, in chunks of at most _BATCH rows."""
+    if not rows:
+        yield "[]"
+        return
+    yield "[\n"
+    lines = writer(rows)
+    for start in range(0, len(rows), _BATCH):
+        if start:
+            yield ",\n"
+        yield ",\n".join(islice(lines, _BATCH))
+    yield "\n ]"
+
+
 def render_json(report: MetricsReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=1) + "\n"
+    """The full document, as json.dumps(document, sort_keys=True, indent=1) + "\\n" prints it."""
+    small = report.to_json_dict()
+    parts = ["{"]
+    for i, key in enumerate(sorted([*small, *_ROW_LISTS])):
+        parts.append(f"{',' if i else ''}\n {_encode_str(key)}: ")
+        if key in _ROW_LISTS:
+            parts.extend(_array(getattr(report, key), _ROW_LISTS[key]))
+        else:
+            parts.append(json.dumps(small[key], sort_keys=True, indent=1).replace("\n", "\n "))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def render_csv(report: MetricsReport) -> str:
     """Throughput series only; the keyed document lives in the JSON format."""
-    lines = [f"# schema={SCHEMA_VERSION} scenario={report.scenario} seed={report.seed} mode={report.mode}"]
-    lines.append("t,stream_id,mbps")
-    for t, sid, mbps in report.throughput:
-        lines.append(f"{t!r},{sid},{mbps!r}")
-    return "\n".join(lines) + "\n"
+    rows = report.throughput
+    parts = [f"# schema={SCHEMA_VERSION} scenario={report.scenario} seed={report.seed} mode={report.mode}\n"
+             "t,stream_id,mbps\n"]
+    for start in range(0, len(rows), _BATCH):
+        parts.append("".join([f"{t!r},{sid},{mbps!r}\n" for t, sid, mbps in rows[start:start + _BATCH]]))
+    return "".join(parts)
 
 
 def emit(report: MetricsReport, fmt: str, path: str | Path) -> Path:
@@ -121,7 +203,7 @@ def emit(report: MetricsReport, fmt: str, path: str | Path) -> Path:
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise EmitError(f"cannot write {path}: {exc}") from exc
     return path

@@ -418,8 +418,18 @@ class OverlayRing:
         return None
 
     def stored_records(self) -> list[tuple[int, StoredRecord]]:
-        """(owner, record) for every record in a live node's store."""
-        return [(nid, rec) for nid in self.live_ids() for rec in self.nodes[nid].store.values()]
+        """(owner, record) for every record on the ring: a live owner's store,
+        or a crashed owner's nearest replica bundle until it is adopted.
+        `write_record` to that owner reaches every copy."""
+        out = []
+        for nid, node in sorted(self.nodes.items()):
+            if node.alive:
+                held = node.store
+            else:
+                bundles = self._replica_bundles(nid)
+                held = bundles[0].records if bundles else {}
+            out.extend((nid, rec) for rec in held.values())
+        return out
 
     def record_names(self) -> set[str]:
         return {rec.name for _, rec in self.stored_records()}

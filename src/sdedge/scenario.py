@@ -72,7 +72,8 @@ class Params:
 
     def controllers_problem(self, declared: int) -> str | None:
         """`controllers` picks among the declared controllers, so it may not
-        exceed their count; checked once the scenario is known."""
+        exceed their count. The parser checks a file's own value; `World`
+        checks the parameters it is given, overrides included."""
         if self.controllers > declared:
             return f"controllers={self.controllers} but only {declared} declared"
         return None
@@ -83,18 +84,25 @@ _INT_PARAMS = {f.name for f in fields(Params) if f.type == "int"}
 
 
 @dataclass(frozen=True)
-class ControllerDecl:
+class _Directive:
+    """A declaration's line in its scenario file: 0 when it was built in code."""
+
+    line: int = field(default=0, compare=False, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class ControllerDecl(_Directive):
     name: str
     key: int | None = None
 
 
 @dataclass(frozen=True)
-class SwitchDecl:
+class SwitchDecl(_Directive):
     name: str
 
 
 @dataclass(frozen=True)
-class APDecl:
+class APDecl(_Directive):
     name: str
     x: float
     y: float
@@ -105,14 +113,14 @@ class APDecl:
 
 
 @dataclass(frozen=True)
-class MDDecl:
+class MDDecl(_Directive):
     name: str
     x: float | None = None
     y: float | None = None
 
 
 @dataclass(frozen=True)
-class LinkDecl:
+class LinkDecl(_Directive):
     a: str
     b: str
     latency: float
@@ -120,13 +128,13 @@ class LinkDecl:
 
 
 @dataclass(frozen=True)
-class GroupDecl:
+class GroupDecl(_Directive):
     name: str
     members: tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class StreamDecl:
+class StreamDecl(_Directive):
     name: str
     md: str
     dst: str
@@ -138,7 +146,7 @@ class StreamDecl:
 
 
 @dataclass(frozen=True)
-class WaypointDecl:
+class WaypointDecl(_Directive):
     md: str
     t: float
     x: float
@@ -147,7 +155,7 @@ class WaypointDecl:
 
 
 @dataclass(frozen=True)
-class FailureDecl:
+class FailureDecl(_Directive):
     kind: str  # controller | ap
     name: str
     at: float
@@ -189,6 +197,7 @@ class _Parser:
         self.scenario = Scenario(name=name)
         # raw directives per section, with line numbers
         self.raw: dict[str, list[tuple[int, str]]] = {s: [] for s in SECTIONS}
+        self.param_lines: dict[str, int] = {}  # parameter -> line that set it
 
     def fail(self, line_no: int, msg: str, col: int = 1) -> None:
         self.errors.append((line_no, col, msg))
@@ -253,6 +262,7 @@ class _Parser:
                 values[key] = _convert_param(key, val)
             except ValueError as exc:
                 self.fail(line_no, str(exc))
+            self.param_lines[key] = line_no
         try:
             self.scenario.params = replace(Params(), **values)
         except (TypeError, ValueError) as exc:  # defensive
@@ -272,12 +282,12 @@ class _Parser:
                 args = self.kv_args(line_no, tokens[2:], {}, {"key": int})
                 if args is None:
                     continue
-                sc.controllers.append(ControllerDecl(tokens[1], args.get("key")))
+                sc.controllers.append(ControllerDecl(tokens[1], args.get("key"), line=line_no))
             elif head == "switch":
                 if len(tokens) != 2:
                     self.fail(line_no, "switch takes exactly a name")
                     continue
-                sc.switches.append(SwitchDecl(tokens[1]))
+                sc.switches.append(SwitchDecl(tokens[1], line=line_no))
             elif head == "ap":
                 if len(tokens) < 2:
                     self.fail(line_no, "ap needs a name")
@@ -291,7 +301,8 @@ class _Parser:
                     continue
                 x, y = args["pos"]
                 sc.aps.append(
-                    APDecl(tokens[1], x, y, args["radius"], args["capacity"], args["techs"], args["partition"])
+                    APDecl(tokens[1], x, y, args["radius"], args["capacity"], args["techs"], args["partition"],
+                           line=line_no)
                 )
             elif head == "md":
                 if len(tokens) < 2:
@@ -301,7 +312,7 @@ class _Parser:
                 if args is None:
                     continue
                 pos = args.get("pos")
-                sc.mds.append(MDDecl(tokens[1], *(pos if pos else (None, None))))
+                sc.mds.append(MDDecl(tokens[1], *(pos if pos else (None, None)), line=line_no))
             elif head == "mds":
                 if len(tokens) < 3:
                     self.fail(line_no, "mds needs a prefix and a count")
@@ -320,7 +331,7 @@ class _Parser:
                     name = f"{tokens[1]}{i:0{width}d}"
                     rng = _layout_rng(sc.params.layout_seed, f"md:{name}")
                     sc.mds.append(
-                        MDDecl(name, round(rng.uniform(x0, x1), 3), round(rng.uniform(y0, y1), 3))
+                        MDDecl(name, round(rng.uniform(x0, x1), 3), round(rng.uniform(y0, y1), 3), line=line_no)
                     )
             elif head == "link":
                 if len(tokens) < 3:
@@ -329,7 +340,7 @@ class _Parser:
                 args = self.kv_args(line_no, tokens[3:], {"latency": float, "rate": float})
                 if args is None:
                     continue
-                sc.links.append(LinkDecl(tokens[1], tokens[2], args["latency"], args["rate"]))
+                sc.links.append(LinkDecl(tokens[1], tokens[2], args["latency"], args["rate"], line=line_no))
             else:
                 self.fail(line_no, f"unknown topology directive {head!r}")
 
@@ -342,7 +353,7 @@ class _Parser:
             args = self.kv_args(line_no, tokens[2:], {"members": _csv})
             if args is None:
                 continue
-            self.scenario.groups.append(GroupDecl(tokens[1], args["members"]))
+            self.scenario.groups.append(GroupDecl(tokens[1], args["members"], line=line_no))
 
     def parse_flows(self) -> None:
         sc = self.scenario
@@ -359,7 +370,7 @@ class _Parser:
             if head == "flow":
                 sc.streams.append(
                     StreamDecl(tokens[1], args["md"], args["dst"], args["type"],
-                               args["demand"], args["tech"], args["start"], args.get("end"))
+                               args["demand"], args["tech"], args["start"], args.get("end"), line=line_no)
                 )
             else:
                 matched = [m.name for m in sc.mds if fnmatch.fnmatchcase(m.name, args["md"])]
@@ -369,7 +380,7 @@ class _Parser:
                 for md in matched:
                     sc.streams.append(
                         StreamDecl(f"{tokens[1]}-{md}", md, args["dst"], args["type"],
-                                   args["demand"], args["tech"], args["start"], args.get("end"))
+                                   args["demand"], args["tech"], args["start"], args.get("end"), line=line_no)
                     )
 
     def parse_traces(self) -> None:
@@ -391,7 +402,7 @@ class _Parser:
                 if status not in MD_STATUSES:
                     self.fail(line_no, f"unknown MD status {status!r}")
                     continue
-                sc.waypoints.append(WaypointDecl(tokens[1], t, x, y, status))
+                sc.waypoints.append(WaypointDecl(tokens[1], t, x, y, status, line=line_no))
             elif head == "roam":
                 if len(tokens) < 3:
                     self.fail(line_no, "expected: roam GLOB interval=S [until=T] [area=...]")
@@ -415,7 +426,7 @@ class _Parser:
                     while t <= until:
                         sc.waypoints.append(
                             WaypointDecl(md, round(t, 6),
-                                         round(rng.uniform(x0, x1), 3), round(rng.uniform(y0, y1), 3))
+                                         round(rng.uniform(x0, x1), 3), round(rng.uniform(y0, y1), 3), line=line_no)
                         )
                         t += args["interval"]
             else:
@@ -442,7 +453,7 @@ class _Parser:
             args = self.kv_args(line_no, tokens[3:], {"at": float})
             if args is None:
                 continue
-            self.scenario.failures.append(FailureDecl(tokens[1], tokens[2], args["at"]))
+            self.scenario.failures.append(FailureDecl(tokens[1], tokens[2], args["at"], line=line_no))
 
     def parse_workload(self) -> None:
         for line_no, line in self.raw["workload"]:
@@ -476,7 +487,7 @@ class _Parser:
         ):
             for item in items:
                 if item.name in names:
-                    self.fail(0, f"duplicate node name {item.name!r} ({names[item.name]} and {kind})")
+                    self.fail(item.line, f"duplicate node name {item.name!r} ({names[item.name]} and {kind})")
                 names[item.name] = kind
         controller_names = {c.name for c in sc.controllers}
         ap_names = {a.name for a in sc.aps}
@@ -486,54 +497,54 @@ class _Parser:
             self.fail(0, "scenario declares no controllers")
         problem = sc.params.controllers_problem(len(sc.controllers))
         if problem:
-            self.fail(0, problem)
+            self.fail(self.param_lines.get("controllers", 0), problem)
 
         for ap in sc.aps:
             if ap.partition not in controller_names:
-                self.fail(0, f"ap {ap.name} references undeclared controller {ap.partition!r}")
+                self.fail(ap.line, f"ap {ap.name} references undeclared controller {ap.partition!r}")
             if ap.radius <= 0 or ap.capacity <= 0:
-                self.fail(0, f"ap {ap.name} needs positive radius and capacity")
+                self.fail(ap.line, f"ap {ap.name} needs positive radius and capacity")
         for link in sc.links:
             for end in (link.a, link.b):
                 if end not in names:
-                    self.fail(0, f"link references undeclared node {end!r}")
+                    self.fail(link.line, f"link references undeclared node {end!r}")
         seen_group_aps: dict[str, str] = {}
         for g in sc.groups:
             if len(g.members) < 2:
-                self.fail(0, f"group {g.name} needs at least 2 member APs")
+                self.fail(g.line, f"group {g.name} needs at least 2 member APs")
             for member in g.members:
                 if member not in ap_names:
-                    self.fail(0, f"group {g.name} references undeclared AP {member!r}")
+                    self.fail(g.line, f"group {g.name} references undeclared AP {member!r}")
                 elif member in seen_group_aps:
-                    self.fail(0, f"AP {member} is in both {seen_group_aps[member]} and {g.name}")
+                    self.fail(g.line, f"AP {member} is in both {seen_group_aps[member]} and {g.name}")
                 else:
                     seen_group_aps[member] = g.name
         stream_names = set()
         for s in sc.streams:
             if s.name in stream_names:
-                self.fail(0, f"duplicate stream name {s.name!r}")
+                self.fail(s.line, f"duplicate stream name {s.name!r}")
             stream_names.add(s.name)
             if s.md not in md_names:
-                self.fail(0, f"flow {s.name} references undeclared MD {s.md!r}")
+                self.fail(s.line, f"flow {s.name} references undeclared MD {s.md!r}")
             if s.dst not in names or names[s.dst] == "md":
-                self.fail(0, f"flow {s.name} destination {s.dst!r} is not a declared infrastructure node")
+                self.fail(s.line, f"flow {s.name} destination {s.dst!r} is not a declared infrastructure node")
             if s.demand <= 0:
-                self.fail(0, f"flow {s.name} demand must be positive")
+                self.fail(s.line, f"flow {s.name} demand must be positive")
             if s.end is not None and s.end <= s.start:
-                self.fail(0, f"flow {s.name} ends before it starts")
+                self.fail(s.line, f"flow {s.name} ends before it starts")
         per_md_times: dict[str, float] = {}
         for wp in sorted(sc.waypoints, key=lambda w: (w.md, w.t)):
             if wp.md not in md_names:
-                self.fail(0, f"trace references undeclared MD {wp.md!r}")
+                self.fail(wp.line, f"trace references undeclared MD {wp.md!r}")
                 continue
             last = per_md_times.get(wp.md)
             if last is not None and wp.t <= last:
-                self.fail(0, f"waypoints for {wp.md} are not strictly increasing at t={wp.t}")
+                self.fail(wp.line, f"waypoints for {wp.md} are not strictly increasing at t={wp.t}")
             per_md_times[wp.md] = wp.t
         for f in sc.failures:
             pool = controller_names if f.kind == "controller" else ap_names
             if f.name not in pool:
-                self.fail(0, f"failure targets undeclared {f.kind} {f.name!r}")
+                self.fail(f.line, f"failure targets undeclared {f.kind} {f.name!r}")
 
     def run(self) -> Scenario:
         self.split_sections()

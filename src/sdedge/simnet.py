@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .authn import AuthnService, LocationGroup
 from .engine import EventEngine
-from .errors import HandoverFailure, NotAMember, SdedgeError
+from .errors import HandoverFailure, NotAMember, SdedgeError, UsageError
 from .mobility import MobilityManager
 from .report import MetricsReport
 from .ring import OverlayRing
@@ -67,6 +67,9 @@ class World:
 
         # --- controllers & overlay -------------------------------------
         declared = scenario.controllers
+        problem = p.controllers_problem(len(declared))
+        if problem:
+            raise UsageError(problem)
         active = declared[: p.controllers] if p.controllers else declared
         self.ring = OverlayRing(m=p.m, replication=p.r)
         self.cid_of: dict[str, int] = {}

@@ -240,6 +240,23 @@ def test_two_adjacent_crashes_with_r2_lose_nothing():
     assert mgr.get_supervisory(MD) is not None
 
 
+def test_overlapping_crashes_recovered_out_of_order_leave_no_stale_record():
+    ring, mgr = cluster(ids=(3, 10, 16, 24), r=2)
+    mgr.register_md(MD, 16)  # record at 10 (bundles at 16 and 24), session at 16
+    ring.crash(10)
+    ring.crash(16)
+    report = mgr.recover_controller_failure(16)  # while 10 is still down
+    assert report.adopter == 24 and report.lost == []
+    # the record is still held only in 10's bundle, and now names 16's adopter
+    assert mgr.get_supervisory(MD).current == 24
+    out = mgr.handover(MD, 3)
+    assert out.previous == 24 and out.session_from_replica is False
+    mgr.recover_controller_failure(10)
+    rec = mgr.get_supervisory(MD)
+    assert (rec.previous, rec.current) == (24, 3)
+    assert mgr.session_of(MD).partition == 3
+
+
 def test_handover_inside_the_detection_window_survives_adoption():
     ring, mgr = cluster(ids=(3, 10, 16, 24), r=2)
     mgr.register_md(MD, 10)  # record and session both at C(10), bundles at 16 and 24

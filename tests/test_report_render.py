@@ -1,0 +1,108 @@
+"""The JSON renderer against the plain `json.dumps` call it replaces.
+
+`render_json` writes the big row lists with its own row writers; these tests
+pin its output, byte for byte, to `json.dumps(document, sort_keys=True,
+indent=1) + "\\n"` over generated reports. The generators favour the values
+where the two could part: signed zero, subnormal and large floats, the
+non-finite floats json spells its own way, ints and bools where floats are
+expected, None, names that need escaping, and empty lists and tables.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from sdedge import report as report_module
+from sdedge.report import SCHEMA_VERSION, MetricsReport, emit, render_csv, render_json
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SPECIAL_FLOATS = (-0.0, 5e-324, 1e16, 1e-7, math.inf, -math.inf, math.nan)
+numbers = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(), st.integers(), st.booleans())
+names = st.one_of(
+    st.sampled_from(("M1", "é", " ", "😀", '"', "\\", "\x00\n\t\x1f", "%s", "%")),
+    st.text(st.characters(codec="utf-8"), max_size=6),
+)
+scalars = st.one_of(numbers, names, st.none())
+values = st.one_of(scalars, st.lists(scalars, max_size=2), st.dictionaries(names, scalars, max_size=2))
+
+
+def dict_rows(required: dict) -> st.SearchStrategy:
+    """Rows with the keys `summary()` reads, plus extra keys that change the layout."""
+    return st.builds(
+        lambda base, extra: {**extra, **base},
+        st.fixed_dictionaries(required),
+        st.dictionaries(names, values, max_size=2),
+    )
+
+
+handover_rows = dict_rows({
+    "t": numbers, "md": names, "kind": names, "from_ap": st.one_of(names, st.none()),
+    "to_ap": names, "latency": numbers, "messages": st.integers(0, 9),
+})
+auth_rows = dict_rows({"t": numbers, "md": names, "group": names, "granted": values, "reason": names})
+
+reports = st.builds(
+    MetricsReport,
+    scenario=names,
+    seed=st.integers(),
+    mode=names,
+    duration=numbers,
+    personal_ap=st.booleans(),
+    throughput=st.lists(st.tuples(numbers, names, numbers), max_size=6),
+    handovers=st.lists(handover_rows, max_size=4),
+    packet_in=st.dictionaries(names, st.integers(0, 99), max_size=3),
+    lookup_hops=st.dictionaries(st.integers(0, 40), st.integers(1, 99), max_size=3),
+    auth_events=st.lists(auth_rows, max_size=4),
+    record_losses=st.lists(names, max_size=3),
+)
+
+
+def reference_json(report: MetricsReport) -> str:
+    """The full document, printed by the slow `json.dumps` call."""
+    document = {
+        "schema": SCHEMA_VERSION,
+        "scenario": report.scenario,
+        "seed": report.seed,
+        "mode": report.mode,
+        "personal_ap": report.personal_ap,
+        "duration": report.duration,
+        "summary": report.summary(),
+        "throughput": [[t, sid, mbps] for t, sid, mbps in report.throughput],
+        "handovers": report.handovers,
+        "packet_in": {k: report.packet_in[k] for k in sorted(report.packet_in)},
+        "lookup_hops": {str(h): report.lookup_hops[h] for h in sorted(report.lookup_hops)},
+        "auth_events": report.auth_events,
+        "record_losses": sorted(report.record_losses),
+    }
+    return json.dumps(document, sort_keys=True, indent=1) + "\n"
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(reports)
+def test_render_json_matches_json_dumps_and_emit_writes_its_bytes(report):
+    text = render_json(report)
+    assert text == reference_json(report)
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, render in (("json", render_json), ("csv", render_csv)):
+            path = emit(report, fmt, Path(tmp) / f"report.{fmt}")
+            assert path.read_bytes() == render(report).encode("utf-8")
+
+
+def test_rows_spanning_several_batches_match_json_dumps():
+    n = report_module._BATCH
+    report = MetricsReport(
+        scenario="batches", seed=1, mode="None", duration=2.0,
+        throughput=[(i / 10, f"S{i % 3}", float(i % 7)) for i in range(2 * n + 1)],
+        handovers=[{"t": float(i), "md": "M1", "latency": 0.5, "note": (None, math.nan, -math.inf)[i % 3]}
+                   for i in range(n)],
+        auth_events=[{"t": float(i), "md": "M2", "group": "G1", "granted": i % 2 == 0, "reason": "ok"}
+                     for i in range(n + 1)],
+    )
+    assert render_json(report) == reference_json(report)

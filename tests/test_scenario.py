@@ -160,3 +160,36 @@ def test_out_of_range_param_is_rejected_from_file_and_override(key, value):
         apply_overrides(sc.params, {key: value})
     with pytest.raises(ScenarioError):
         parse_scenario_text(MINI.replace("duration = 5.0\n", f"duration = 5.0\n{key} = {value}\n"), "bad")
+
+
+FLOW = "flow F1 md=M1 dst=C1 type=tcp demand=2 tech=wifi start=0.5\n"
+
+
+# (text in MINI, its replacement, a mark of the bad line, the error's wording)
+CROSS_CHECKS = [
+    ("md M1 pos=1,1\n", "md M1 pos=1,1\nmd AP1 pos=2,2\n", "md AP1", "duplicate node name 'AP1'"),
+    ("m = 5\n", "m = 5\ncontrollers = 9\n", "controllers = 9", "controllers=9 but only 1 declared"),
+    ("partition=C1", "partition=C9", "partition=C9", "undeclared controller 'C9'"),
+    ("pos=5,0 radius=10", "pos=5,0 radius=0", "radius=0", "needs positive radius"),
+    ("link SW1 C1", "link AP1 GHOST latency=0.001 rate=10\nlink SW1 C1", "GHOST", "undeclared node 'GHOST'"),
+    ("members=AP1,AP2", "members=AP1", "group G1", "needs at least 2 member APs"),
+    ("members=AP1,AP2", "members=AP1,AP9", "group G1", "undeclared AP 'AP9'"),
+    ("members=AP1,AP2\n", "members=AP1,AP2\ngroup G2 members=AP2,AP1\n", "group G2", "AP AP1 is in both G1 and G2"),
+    (FLOW, FLOW + "flow F1 md=M1 dst=SW1 type=udp demand=1 tech=wifi start=0\n", "type=udp", "duplicate stream"),
+    (FLOW, FLOW + "flow F2 md=M9 dst=C1 type=t demand=1 tech=wifi start=0\n", "md=M9", "undeclared MD 'M9'"),
+    (FLOW, FLOW + "flow F2 md=M1 dst=M1 type=t demand=1 tech=wifi start=0\n", "dst=M1", "infrastructure node"),
+    (FLOW, FLOW + "flow F2 md=M1 dst=C1 type=t demand=-1 tech=wifi start=0\n", "demand=-1", "demand must be positive"),
+    (FLOW, FLOW + "flow F2 md=M1 dst=C1 type=t demand=1 tech=wifi start=2 end=1\n", "end=1", "ends before"),
+    ("move M1 1.0 2,2 staying\n", "move M1 1.0 2,2 staying\nmove M9 2.0 1,1\n", "move M9", "undeclared MD 'M9'"),
+    ("move M1 1.0 2,2 staying\n", "move M1 1.0 2,2 staying\nmove M1 1.0 3,3\n", "3,3", "not strictly increasing"),
+    ("[traces]\n", "[failures]\nfail ap AP9 at=1\n\n[traces]\n", "fail ap AP9", "undeclared ap 'AP9'"),
+]
+
+
+@pytest.mark.parametrize("old,new,mark,wording", CROSS_CHECKS, ids=[c[3] for c in CROSS_CHECKS])
+def test_cross_check_errors_carry_their_line(old, new, mark, wording):
+    text = MINI.replace(old, new, 1)
+    line = next(i for i, row in enumerate(text.splitlines(), start=1) if mark in row)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text, "bad")
+    assert [ln for ln, _, msg in err.value.errors if wording in msg] == [line]

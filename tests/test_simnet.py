@@ -1,5 +1,6 @@
 import pytest
 
+from sdedge.errors import UsageError
 from sdedge.report import render_csv, render_json
 from sdedge.scenario import apply_overrides, bundled_scenario_path, parse_scenario, parse_scenario_text
 from sdedge.simnet import World
@@ -460,6 +461,13 @@ def test_controller_crash_before_handover_uses_replica_session():
     assert handover and handover[0]["to_controller"] == "C3"
     # stream recovers after the move into AP1 coverage
     assert first_nonzero_after(report.series("F1"), 5.0) is not None
+
+
+def test_world_rejects_more_controllers_than_declared():
+    sc, params = load("fig2", controllers=9)  # fig2 declares 3
+    with pytest.raises(UsageError, match="controllers=9 but only 3 declared"):
+        World(sc, params)
+    assert len(World(sc, load("fig2", controllers=2)[1]).cid_of) == 2
 
 
 # --- determinism ---------------------------------------------------------------------
