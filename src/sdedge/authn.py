@@ -19,6 +19,7 @@ re-authentication grace window after a rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 MODE_NONE = "None"
 MODE_LA = "LEDGE-LA"
@@ -38,6 +39,11 @@ class LocationGroup:
     def __post_init__(self):
         if len(self.members) < 2:
             raise ValueError(f"location group {self.group_id} needs at least 2 APs")
+
+    @cached_property
+    def ordered_members(self) -> tuple[str, ...]:
+        """The members in name order, the order keys are issued and checked in."""
+        return tuple(sorted(self.members))
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ class AuthnService:
         self.rotated_at[group_id] = now
         down = set(down_aps)
         keys = []
-        for ap in sorted(group.members):
+        for ap in group.ordered_members:
             key = BeaconKey(
                 key_id=f"k/{group_id}/{epoch}/{ap}",
                 ap=ap,
@@ -174,7 +180,7 @@ class AuthnService:
         epoch = self.epochs[group_id]
         held = self.wallet(md_id).held
         reason = None
-        for ap in sorted(group.members):
+        for ap in group.ordered_members:
             entry = held.get(ap)
             if entry is None or now - entry.received_at > self.key_freshness:
                 reason = DENY_MISSING

@@ -54,20 +54,21 @@ class Params:
             return self.mode == "LEDGE-PAP"
         return self.personal_ap == "on"
 
-    def validate(self) -> list[str]:
-        """Range problems, shared by scenario files and `--set` overrides."""
+    def validate(self) -> list[tuple[str, str]]:
+        """Range problems as (field, message), shared by scenario files and
+        `--set` overrides."""
         problems = []
         if not self.duration > 0:
-            problems.append("duration must be positive")
+            problems.append(("duration", "duration must be positive"))
         if not 2 <= self.m <= 32:
-            problems.append(f"ring width m={self.m} outside [2, 32]")
+            problems.append(("m", f"ring width m={self.m} outside [2, 32]"))
         if self.r < 1:
-            problems.append("replication factor r must be >= 1")
+            problems.append(("r", "replication factor r must be >= 1"))
         if self.controllers < 0:
-            problems.append("controllers must be >= 0 (0 = all declared)")
+            problems.append(("controllers", "controllers must be >= 0 (0 = all declared)"))
         for name in ("sample_period", "beacon_period", "rotation_period"):
             if not getattr(self, name) > 0:
-                problems.append(f"{name} must be positive")
+                problems.append((name, f"{name} must be positive"))
         return problems
 
     def controllers_problem(self, declared: int) -> str | None:
@@ -267,8 +268,8 @@ class _Parser:
             self.scenario.params = replace(Params(), **values)
         except (TypeError, ValueError) as exc:  # defensive
             self.fail(0, f"bad parameters: {exc}")
-        for problem in self.scenario.params.validate():
-            self.fail(0, problem)
+        for name, problem in self.scenario.params.validate():
+            self.fail(self.param_lines.get(name, 0), problem)
 
     def parse_topology(self) -> None:
         sc = self.scenario
@@ -642,7 +643,7 @@ def apply_overrides(params: Params, overrides: dict[str, str]) -> Params:
     params = replace(params, **values)
     problems = params.validate()
     if problems:
-        raise UsageError("; ".join(problems))
+        raise UsageError("; ".join(problem for _, problem in problems))
     return params
 
 

@@ -14,14 +14,20 @@ Transport streams are sampled on a fixed cadence, by one sampler event per
 instant that ticks the streams due then, with a rate cap: a stream
 delivers min(demand, path bottleneck) when connected, admitted, and
 forwarded by the access gate, and zero for a recovery lag after any
-re-admission (the configured TCP-recovery stand-in).
+re-admission (the configured TCP-recovery stand-in). A connected stream
+that was not admitted, because its serving AP had no room, retries
+admission at each of its sampling instants once its gap has passed, and is
+admitted at the first one at which that AP fits its demand; until then it
+samples zero.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .authn import AuthnService, LocationGroup
 from .engine import EventEngine
@@ -428,7 +434,7 @@ class World:
         serving = self.mobility.association_ap.get(md)
         if serving is not None and self.mds[md].connected:
             self._place_flow(st, serving)
-        self._tick(st)  # first sample at the start instant
+        self._tick((st,))  # first sample at the start instant
 
     def _flow_end(self, st: StreamState) -> None:
         st.ended = True
@@ -474,41 +480,57 @@ class World:
 
     # ------------------------------------------------------------------ transport
 
-    def _tick(self, st: StreamState) -> None:
+    def _tick(self, streams: Iterable[StreamState]) -> None:
+        """Sample `streams` at this instant, in order, and queue each one that
+        continues in the next instant's bucket, after any already there.
+
+        The instant's state is read once per call, not once per stream. An
+        unplaced stream retries admission only when its serving AP fits it,
+        by the predicate `_place_flow` applies, so a full AP costs one check.
+        """
         now = self.engine.now
-        md = st.decl.md
-        sample = 0.0
-        if st.started and not st.ended:
-            state = self.mds[md]
-            serving = self.mobility.association_ap.get(md)
-            connected = state.connected and serving is not None and self.aps[serving].alive
-            if connected:
-                if self.authn.gate_traffic(serving, md) == "drop":
-                    st.gate_blocked = True
-                elif now >= st.gap_until:
-                    if not st.placed:
-                        self._place_flow(st, serving)
-                    if st.placed:
-                        sample = min(st.decl.demand, self.bottleneck(serving, st.decl.dst))
-        self.throughput_rows.append((now, st.name, sample))
-        if sample > 0:
-            assoc = self.mobility.associations.get(md)
-            if assoc is not None:
-                assoc.frame_seq += 1
         nxt = round(now + self.params.sample_period, 9)
-        horizon = self.params.duration if st.decl.end is None else min(st.decl.end, self.params.duration)
-        if nxt <= horizon and not st.ended:
-            due = self._due.get(nxt)
+        duration = self.params.duration
+        mds, aps = self.mds, self.aps
+        serving_of, associations = self.mobility.association_ap, self.mobility.associations
+        authn = self.authn
+        gated = authn.active  # mode None forwards everything
+        bottleneck = self.bottleneck
+        append = self.throughput_rows.append
+        due = None
+        for st in streams:
+            decl = st.decl
+            md = decl.md
+            sample = 0.0
+            if st.started and not st.ended:
+                serving = serving_of.get(md)
+                ap = aps.get(serving)
+                if ap is not None and ap.alive and mds[md].connected:
+                    if gated and authn.gate_traffic(serving, md) == "drop":
+                        st.gate_blocked = True
+                    elif now >= st.gap_until:
+                        if not st.placed and ap.fits(decl.demand):
+                            self._place_flow(st, serving)
+                        if st.placed:
+                            sample = min(decl.demand, bottleneck(serving, decl.dst))
+            append((now, decl.name, sample))
+            if sample > 0:
+                assoc = associations.get(md)
+                if assoc is not None:
+                    assoc.frame_seq += 1
+            end = decl.end
+            if st.ended or nxt > (duration if end is None else min(end, duration)):
+                continue
             if due is None:
-                self._due[nxt] = [st]
-                self.engine.schedule(nxt, "timer", lambda: self._sample(nxt), note="tick")
-            else:
-                due.append(st)
+                due = self._due.get(nxt)
+                if due is None:
+                    due = self._due[nxt] = []
+                    self.engine.schedule(nxt, "timer", lambda: self._sample(nxt), note="tick")
+            due.append(st)
 
     def _sample(self, at: float) -> None:
         """The one sampler event of an instant: tick its streams in order."""
-        for st in self._due.pop(at):
-            self._tick(st)
+        self._tick(self._due.pop(at))
 
     # ------------------------------------------------------------------ failures
 
@@ -599,13 +621,16 @@ class World:
             }
             for d in self.authn.auth_log
         ]
+        # (t, stream) order by two stable sorts, with no key tuple per row
+        throughput = sorted(self.throughput_rows, key=itemgetter(1))
+        throughput.sort(key=itemgetter(0))
         return MetricsReport(
             scenario=self.scenario.name,
             seed=self.params.seed,
             mode=self.params.mode,
             personal_ap=self.params.personal_ap_enabled,
             duration=self.params.duration,
-            throughput=sorted(self.throughput_rows, key=lambda r: (r[0], r[1])),
+            throughput=throughput,
             handovers=self.handover_rows,
             packet_in=dict(sorted(self.packet_in.items())),
             lookup_hops=dict(sorted(self.lookup_hops.items())),

@@ -56,6 +56,13 @@ def test_validate_reports_all_errors(tmp_path, capsys):
     assert "GHOST" in err and "NOBODY" in err
 
 
+def test_validate_reports_the_line_of_an_out_of_range_param(tmp_path, capsys):
+    bad = tmp_path / "x.scenario"
+    bad.write_text("[params]\nduration = -1\n[topology]\ncontroller C1\n")
+    assert main(["validate", str(bad)]) == 1
+    assert f"{bad}:2:1: duration must be positive" in capsys.readouterr().err
+
+
 def test_unknown_override_key_is_usage_error(capsys):
     assert main(["run", "fig2", "--set", "bogus=1"]) == 2
     assert "bogus" in capsys.readouterr().err

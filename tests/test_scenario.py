@@ -158,8 +158,9 @@ def test_out_of_range_param_is_rejected_from_file_and_override(key, value):
     sc = parse_scenario_text(MINI, "mini")
     with pytest.raises(UsageError, match=key):
         apply_overrides(sc.params, {key: value})
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError) as err:
         parse_scenario_text(MINI.replace("duration = 5.0\n", f"duration = 5.0\n{key} = {value}\n"), "bad")
+    assert [ln for ln, _, _ in err.value.errors] == [5]  # the line that set it
 
 
 FLOW = "flow F1 md=M1 dst=C1 type=tcp demand=2 tech=wifi start=0.5\n"

@@ -545,6 +545,52 @@ def test_one_sampler_event_per_sample_instant():
     assert sorted(ticks) == sorted(instants)
 
 
+@pytest.mark.parametrize("end,admitted", [(2.0, 2.0), (2.05, 2.1)])
+def test_waiting_flow_is_admitted_at_the_first_instant_after_room_frees(end, admitted):
+    flows = [
+        f"F1 md=M1 dst=C1 type=tcp demand=4 tech=wifi start=0.0 end={end}",
+        "F2 md=M2 dst=C1 type=tcp demand=4 tech=wifi start=0.0",
+    ]
+    aps = ["AP1 pos=0,0 radius=30 capacity=5 techs=wifi partition=C1"]
+    text = star(aps, ["M1 pos=1,1", "M2 pos=2,2"], flows, params=["sample_period = 0.1", "duration = 3.0"])
+    world = World(parse_scenario_text(text, "full-ap"))
+    world.engine.run_until(round(admitted - 0.1, 9))
+    assert placed_on(world) == {"F1": "AP1"}  # F2 waits for room
+    world.engine.run_until(end)
+    if end < admitted:
+        assert placed_on(world) == {}  # room, but no sampling instant yet
+    world.engine.run_until(admitted)
+    assert placed_on(world) == {"F2": "AP1"}
+    report = world.run()
+    assert first_nonzero_after(report.series("F2"), 0.0) == admitted
+    assert all(v == 4.0 for t, v in report.series("F2") if t >= admitted)
+
+
+def test_stream_starting_on_a_sampling_instant_gets_one_row_there_in_name_order():
+    flows = [
+        "FB md=M1 dst=C1 type=tcp demand=1 tech=wifi start=0.5",
+        "FA md=M2 dst=C1 type=tcp demand=1 tech=wifi start=0.0",
+    ]
+    aps = ["AP1 pos=0,0 radius=30 capacity=11 techs=wifi partition=C1"]
+    text = star(aps, ["M1 pos=1,1", "M2 pos=2,2"], flows, params=["sample_period = 0.25", "duration = 1.5"])
+    world = World(parse_scenario_text(text, "same-instant"))
+    report = world.run()
+    # FB's flow-start runs before FA's sampler event at 0.5, so FB is sampled
+    # and queued for 0.75 first, and the sampler appends FA after it
+    for t in (0.5, 0.75):
+        assert [name for at, name, _ in world.throughput_rows if at == t] == ["FB", "FA"]
+    keys = [(t, name) for t, name, _ in report.throughput]
+    assert len(keys) == len(set(keys))
+    instants = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
+    assert keys == [(0.0, "FA"), (0.25, "FA")] + [(t, n) for t in instants[2:] for n in ("FA", "FB")]
+
+
+def test_record_metrics_is_repeatable():
+    world = World(parse_scenario_text(SAMPLER, "sampler"))
+    report = world.run()
+    assert world.record_metrics().throughput == report.throughput
+
+
 def test_fig5_runs_in_under_ten_thousand_events():
     world = World(parse_scenario(bundled_scenario_path("fig5")))
     assert len(world.mds) == 300
