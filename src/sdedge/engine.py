@@ -4,7 +4,8 @@ Events execute in (time, sequence) order; the sequence counter is assigned
 at scheduling time, so equal-time events run in the order they were
 scheduled. All stochastic choices in a simulation draw from the engine's
 single seeded generator, which makes (scenario, seed) fully determine the
-event trace.
+event trace. The engine keeps that trace, one (time, seq, kind, note) tuple
+per event, only when `record_trace` is set; otherwise nothing per event.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ EVENT_KINDS = (
     "flow-end",
     "timer",
 )
+_KINDS = frozenset(EVENT_KINDS)
 
 
-@dataclass
+@dataclass(slots=True)
 class EventHandle:
     time: float
     seq: int
@@ -57,34 +59,33 @@ class EventEngine:
         """Enqueue `fn` to run at absolute sim-time `at`."""
         if at < self.now:
             raise CausalityViolation(f"cannot schedule {kind} at {at} < now {self.now}")
-        if kind not in EVENT_KINDS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        handle = EventHandle(time=at, seq=self._seq, kind=kind, fn=fn, note=note)
+        handle = EventHandle(at, self._seq, kind, fn, note)
         self._seq += 1
         heapq.heappush(self._heap, (at, handle.seq, handle))
         return handle
-
-    def schedule_in(self, delay: float, kind: str, fn: Callable[[], None], note: str = "") -> EventHandle:
-        return self.schedule(self.now + delay, kind, fn, note)
 
     def run_until(self, t_end: float) -> int:
         """Execute every event with time <= t_end in order; clock ends at t_end."""
         if t_end < self.now:
             raise CausalityViolation(f"cannot run backwards to {t_end} from {self.now}")
+        heap, pop = self._heap, heapq.heappop
+        trace = self.trace if self.record_trace else None
         count = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            _, _, handle = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= t_end:
+            at, seq, handle = pop(heap)
             if handle.cancelled:
                 continue
-            self.now = handle.time
-            if self.record_trace:
-                self.trace.append((handle.time, handle.seq, handle.kind, handle.note))
+            self.now = at
+            if trace is not None:
+                trace.append((at, seq, handle.kind, handle.note))
             try:
                 handle.fn()
             except Exception as exc:
                 raise SimulationHalted(
-                    f"handler failed at t={handle.time} ({handle.kind} {handle.note!r}): {exc}",
-                    time=handle.time,
+                    f"handler failed at t={at} ({handle.kind} {handle.note!r}): {exc}",
+                    time=at,
                     kind=handle.kind,
                     note=handle.note,
                 ) from exc
@@ -94,7 +95,7 @@ class EventEngine:
         return count
 
     def trace_digest(self) -> str:
-        """Stable fingerprint of the executed trace (determinism checks)."""
+        """Stable fingerprint of the recorded trace (determinism checks)."""
         import hashlib
 
         h = hashlib.sha256()

@@ -21,6 +21,7 @@ them as it moves any device that left its AP's coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable
 
 from .errors import (
@@ -37,8 +38,9 @@ from .ring import OverlayRing, RingView, StoredRecord, fnv1a64
 SESSIONS = "sessions"
 
 
+@cache
 def mac_of(name: str) -> str:
-    """Deterministic locally-administered MAC for a named node."""
+    """Deterministic locally-administered MAC for a named node (cached: it depends on the name alone)."""
     h = fnv1a64(name.encode("utf-8"))
     octets = [(h >> (8 * i)) & 0xFF for i in range(5)]
     return "02:" + ":".join(f"{o:02x}" for o in octets)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -69,7 +69,7 @@ class World:
         self.scenario = scenario
         self.params = params if params is not None else scenario.params
         p = self.params
-        self.engine = EventEngine(seed=p.seed, record_trace=True)
+        self.engine = EventEngine(seed=p.seed)
 
         # --- controllers & overlay -------------------------------------
         declared = scenario.controllers
@@ -144,12 +144,9 @@ class World:
         self.packet_in: dict[str, int] = {c.name: 0 for c in active}
         self.lookup_hops: dict[int, int] = {}
         self.record_losses: list[str] = []
-        self.delivery_log: list[tuple[float, str, str, int]] = []  # t, md, ap, epoch
-        self.protocol_log: list[tuple[float, str, str]] = []       # t, step, md
         self._pi_busy: dict[str, float] = {c.name: 0.0 for c in active}
 
         self.ring.lookup_observer = self._on_lookup
-        self.mobility.step_observer = self._on_protocol_step
 
         self._bootstrap()
         self._schedule_all()
@@ -158,9 +155,6 @@ class World:
 
     def _on_lookup(self, hops: int) -> None:
         self.lookup_hops[hops] = self.lookup_hops.get(hops, 0) + 1
-
-    def _on_protocol_step(self, step: str, md: str) -> None:
-        self.protocol_log.append((self.engine.now, step, md))
 
     def _covers(self, md: str, ap_name: str) -> bool:
         ap = self.aps[ap_name]
@@ -219,7 +213,7 @@ class World:
             eng.schedule(0.0, "timer", self._rotate_all, note="rotate")
             for ap_name in sorted(self.aps):
                 if self.authn.group_of.get(ap_name):
-                    eng.schedule(0.0, "beacon", lambda a=ap_name: self._beacon(a), note=f"beacon:{ap_name}")
+                    eng.schedule(0.0, "beacon", *self._beacon_source(ap_name))
         for wp in self.scenario.waypoints:
             eng.schedule(wp.t, "md-move", lambda w=wp: self.apply_move(w.md, w), note=f"move:{wp.md}")
         for st in self.streams.values():
@@ -232,8 +226,7 @@ class World:
         w = self.scenario.workload
         if w is not None and w.rate_per_ap > 0:
             for ap_name in sorted(self.aps):
-                eng.schedule(w.start, "message-delivery", lambda a=ap_name: self._packet_in_arrival(a),
-                             note=f"packetin:{ap_name}")
+                eng.schedule(w.start, "message-delivery", *self._packet_in_source(ap_name))
 
     # ------------------------------------------------------------------ beacons & keys
 
@@ -253,32 +246,30 @@ class World:
     def _expire_grants(self) -> None:
         self.authn.expire_stale_grants(self.engine.now, self.params.regrant_grace)
 
-    def _beacon(self, ap_name: str) -> None:
-        now = self.engine.now
-        ap = self.aps[ap_name]
-        if ap.alive and self.authn.current_key(ap_name) is not None:
-            self.engine.schedule(
-                round(now + self.params.wireless_latency, 9),
-                "message-delivery",
-                lambda: self._deliver_beacon(ap_name),
-                note=f"key:{ap_name}",
-            )
-        nxt = round(now + self.params.beacon_period, 9)
-        if nxt <= self.params.duration and ap.alive:
-            self.engine.schedule(nxt, "beacon", lambda: self._beacon(ap_name), note=f"beacon:{ap_name}")
+    def _beacon_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
+        """One AP's beacon handler and note, and its key delivery's, built once."""
+        eng, p, authn, ap = self.engine, self.params, self.authn, self.aps[ap_name]
+        note, deliver_note = f"beacon:{ap_name}", f"key:{ap_name}"
 
-    def _deliver_beacon(self, ap_name: str) -> None:
-        """Recipients are whoever is inside coverage at delivery time."""
-        now = self.engine.now
-        key = self.authn.current_key(ap_name)
-        if key is None or not self.aps[ap_name].alive:
-            return
-        for md in self._md_order:
-            if not self._covers(md, ap_name):
-                continue
-            self.authn.receive_beacon(md, ap_name, now)
-            self.delivery_log.append((now, md, ap_name, key.epoch))
-            self._maybe_authenticate(md)
+        def beacon() -> None:
+            now = eng.now
+            if ap.alive and authn.current_key(ap_name) is not None:
+                eng.schedule(round(now + p.wireless_latency, 9), "message-delivery", deliver, deliver_note)
+            nxt = round(now + p.beacon_period, 9)
+            if nxt <= p.duration and ap.alive:
+                eng.schedule(nxt, "beacon", beacon, note)
+
+        def deliver() -> None:
+            # recipients are whoever is inside coverage at delivery time
+            now = eng.now
+            if authn.current_key(ap_name) is None or not ap.alive:
+                return
+            for md in self._md_order:
+                if self._covers(md, ap_name):
+                    authn.receive_beacon(md, ap_name, now)
+                    self._maybe_authenticate(md)
+
+        return beacon, note
 
     def _maybe_authenticate(self, md: str) -> None:
         """Re-authenticate off a fresh wallet when ungranted or epoch-stale."""
@@ -589,20 +580,25 @@ class World:
 
     # ------------------------------------------------------------------ packet-in workload
 
-    def _packet_in_arrival(self, ap_name: str) -> None:
-        now = self.engine.now
-        w = self.scenario.workload
-        controller = self.partition_of[ap_name]
-        horizon = min(w.until, self.params.duration) if w.until is not None else self.params.duration
-        busy = self._pi_busy.get(controller, 0.0)
-        done = max(now, busy) + w.service_time
-        if done <= horizon:
-            self._pi_busy[controller] = done
-            self.packet_in[controller] = self.packet_in.get(controller, 0) + 1
-        nxt = round(now + 1.0 / w.rate_per_ap, 9)
-        if nxt <= horizon and self.aps[ap_name].alive:
-            self.engine.schedule(nxt, "message-delivery", lambda: self._packet_in_arrival(ap_name),
-                                 note=f"packetin:{ap_name}")
+    def _packet_in_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
+        """One AP's arrival handler and note, built once; each arrival goes to the AP's current controller."""
+        eng, w, p, ap = self.engine, self.scenario.workload, self.params, self.aps[ap_name]
+        partition_of, busy_of, served = self.partition_of, self._pi_busy, self.packet_in
+        horizon = min(w.until, p.duration) if w.until is not None else p.duration
+        period, note = 1.0 / w.rate_per_ap, f"packetin:{ap_name}"
+
+        def arrival() -> None:
+            now = eng.now
+            controller = partition_of[ap_name]
+            done = max(now, busy_of.get(controller, 0.0)) + w.service_time
+            if done <= horizon:
+                busy_of[controller] = done
+                served[controller] = served.get(controller, 0) + 1
+            nxt = round(now + period, 9)
+            if nxt <= horizon and ap.alive:
+                eng.schedule(nxt, "message-delivery", arrival, note)
+
+        return arrival, note
 
     # ------------------------------------------------------------------ run & report
 

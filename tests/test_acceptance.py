@@ -384,8 +384,18 @@ def _auth_world(seed):
     moves = "\n".join(f"move M1 {t} {x},{y} staying" for t, x, y in pts)
     sc = parse_scenario_text(AUTH_ARENA.format(seed=seed, x0=x0, y0=y0, moves=moves), f"auth{seed}")
     world = World(sc)
+    deliveries = []  # (t, md, ap, epoch) per key a beacon delivered
+    receive = world.authn.receive_beacon
+
+    def recording_receive(md, ap, now):
+        key = receive(md, ap, now)
+        if key is not None:
+            deliveries.append((now, md, ap, key.epoch))
+        return key
+
+    world.authn.receive_beacon = recording_receive
     world.run()
-    return world, [(0.0, x0, y0)] + pts
+    return world, [(0.0, x0, y0)] + pts, deliveries
 
 
 def _covered_all(world, x, y):
@@ -400,10 +410,9 @@ def test_a9_authentication_properties():
     freshness = 0.05
     grants_total = denies_total = 0
     for seed in range(50):
-        world, pts = _auth_world(seed)
+        world, pts, deliveries = _auth_world(seed)  # only in-coverage MDs receive
         duration = world.params.duration
         rotation = world.params.rotation_period
-        deliveries = world.delivery_log  # (t, md, ap, epoch): only in-coverage MDs receive
         grants = [d for d in world.authn.auth_log if d.granted]
         denies = [d for d in world.authn.auth_log if not d.granted]
         grants_total += len(grants)

@@ -51,6 +51,13 @@ def test_past_scheduling_is_a_causality_violation():
         eng.schedule(4.9, "timer", lambda: None)
 
 
+def test_unknown_event_kind_is_rejected():
+    eng = EventEngine()
+    with pytest.raises(ValueError, match="unknown event kind 'tick'"):
+        eng.schedule(1.0, "tick", lambda: None)
+    assert eng.run_until(2.0) == 0
+
+
 def test_empty_queue_run_advances_clock():
     eng = EventEngine()
     assert eng.run_until(7.5) == 0
@@ -64,7 +71,7 @@ def test_identical_seeds_give_identical_traces():
         def chained(i):
             if i < 20:
                 delay = eng.rng.uniform(0.01, 0.5)
-                eng.schedule_in(delay, "timer", lambda: chained(i + 1), note=f"step{i}")
+                eng.schedule(eng.now + delay, "timer", lambda: chained(i + 1), note=f"step{i}")
 
         eng.schedule(0.0, "timer", lambda: chained(0), note="boot")
         eng.run_until(100.0)

@@ -52,20 +52,23 @@ move M1 1.0 3,3 staying
 def test_same_partition_ap_change_has_no_controller_handover():
     sc, params = load("fig6", mode="None")
     world = World(sc, params)
+    steps = []
+    world.mobility.step_observer = lambda step, md: steps.append(step)
     world.run()
     kinds = [h["kind"] for h in world.handover_rows]
     assert kinds == ["reassociate"]
     assert world.handover_rows[0]["from_ap"] == "AP1"
     assert world.handover_rows[0]["to_ap"] == "AP3"
     assert world.handover_rows[0]["messages"] == 0  # no controller protocol ran
-    assert world.protocol_log == []
+    assert steps == []
 
 
 def test_cross_partition_move_runs_the_handover_protocol_in_order():
     sc = parse_scenario(bundled_scenario_path("fig2"))
     world = World(sc)
+    steps = []
+    world.mobility.step_observer = lambda step, md: steps.append(step)
     world.run()
-    steps = [step for _, step, _ in world.protocol_log]
     assert steps == ["locate-supervisor", "read-supervisor", "fetch-session", "update-supervisor"]
     row = [h for h in world.handover_rows if h["md"] == "M7"][0]
     assert row["from_controller"] == "C16" and row["to_controller"] == "C3"
@@ -463,6 +466,18 @@ def test_controller_crash_before_handover_uses_replica_session():
     assert first_nonzero_after(report.series("F1"), 5.0) is not None
 
 
+def test_packet_in_follows_ap_failure_and_adoption():
+    # AP5 (C1) fails at t=1: its arrivals stop, so C1 is no longer saturated.
+    # C2 crashes at t=3 and C3 adopts AP2 and AP6: their arrivals go to C3
+    # from then on, and C2 keeps what it served before the crash.
+    text = bundled_scenario_path("fig5c").read_text()
+    text += "\n[failures]\nfail ap AP5 at=1.0\nfail controller C2 at=3.0\n"
+    world = World(parse_scenario_text(text, "fig5c-failures"))
+    report = world.run()
+    assert world.partition_of["AP2"] == world.partition_of["AP6"] == "C3"
+    assert report.packet_in == {"C1": 4401, "C2": 2402, "C3": 4999, "C4": 4999}
+
+
 def test_world_rejects_more_controllers_than_declared():
     sc, params = load("fig2", controllers=9)  # fig2 declares 3
     with pytest.raises(UsageError, match="controllers=9 but only 3 declared"):
@@ -475,10 +490,20 @@ def test_world_rejects_more_controllers_than_declared():
 def test_identical_seed_runs_are_identical():
     sc, params = load("fig6", mode="LEDGE-LA")
     w1, w2 = World(sc, params), World(sc, params)
+    w1.engine.record_trace = w2.engine.record_trace = True
     r1, r2 = w1.run(), w2.run()
+    assert w1.engine.trace and len(w1.engine.trace) == w1.engine.executed
     assert w1.engine.trace_digest() == w2.engine.trace_digest()
     assert render_csv(r1) == render_csv(r2)
     assert render_json(r1) == render_json(r2)
+
+
+def test_default_run_records_no_trace():
+    sc, params = load("fig2")
+    world = World(sc, params)
+    world.run()
+    assert world.engine.executed > 0
+    assert world.engine.trace == []
 
 
 def test_different_seeds_differ_in_trace_only_where_randomness_enters():
@@ -537,6 +562,7 @@ def test_sampler_rows_are_pinned():
 
 def test_one_sampler_event_per_sample_instant():
     world = World(parse_scenario_text(SAMPLER, "sampler"))
+    world.engine.record_trace = True
     report = world.run()
     starts = {(st.decl.start, st.name) for st in world.streams.values()}
     instants = {t for t, name, _ in report.throughput if (t, name) not in starts}
