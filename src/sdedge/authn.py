@@ -55,7 +55,7 @@ class BeaconKey:
     issued_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class WalletEntry:
     key: BeaconKey
     received_at: float
@@ -66,13 +66,8 @@ class KeyWallet:
     md_id: str
     held: dict[str, WalletEntry] = field(default_factory=dict)  # latest per AP
 
-    def receive(self, key: BeaconKey, received_at: float) -> None:
-        cur = self.held.get(key.ap)
-        if cur is None or key.epoch >= cur.key.epoch:
-            self.held[key.ap] = WalletEntry(key=key, received_at=received_at)
 
-
-@dataclass
+@dataclass(slots=True)
 class AuthDecision:
     md_id: str
     group_id: str
@@ -82,7 +77,7 @@ class AuthDecision:
     at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Grant:
     epoch: int
     at: float
@@ -95,6 +90,7 @@ class AuthnService:
         if mode not in MODES:
             raise ValueError(f"unknown access-control mode {mode!r}")
         self.mode = mode
+        self.active = mode != MODE_NONE  # mode None grants and gates nothing
         self.key_freshness = key_freshness
         self.groups: dict[str, LocationGroup] = {}
         self.epochs: dict[str, int] = {}
@@ -104,10 +100,6 @@ class AuthnService:
         self.wallets: dict[str, KeyWallet] = {}
         self.grants: dict[tuple[str, str], Grant] = {}
         self.auth_log: list[AuthDecision] = []
-
-    @property
-    def active(self) -> bool:
-        return self.mode != MODE_NONE
 
     # -- controller side -----------------------------------------------------
 
@@ -158,9 +150,14 @@ class AuthnService:
         return w
 
     def receive_beacon(self, md_id: str, ap: str, received_at: float) -> BeaconKey | None:
+        """Hear `ap`'s current key: it replaces the wallet's entry for `ap`
+        unless that entry holds a later epoch."""
         key = self.ap_keys.get(ap)
         if key is not None:
-            self.wallet(md_id).receive(key, received_at)
+            held = (self.wallets.get(md_id) or self.wallet(md_id)).held
+            cur = held.get(ap)
+            if cur is None or key.epoch >= cur.key.epoch:
+                held[ap] = WalletEntry(key, received_at)
         return key
 
     # -- decisions ----------------------------------------------------------------
@@ -178,11 +175,12 @@ class AuthnService:
             return decision
 
         epoch = self.epochs[group_id]
-        held = self.wallet(md_id).held
+        held = (self.wallets.get(md_id) or self.wallet(md_id)).held
+        freshness = self.key_freshness
         reason = None
         for ap in group.ordered_members:
             entry = held.get(ap)
-            if entry is None or now - entry.received_at > self.key_freshness:
+            if entry is None or now - entry.received_at > freshness:
                 reason = DENY_MISSING
                 break
             if entry.key.epoch != epoch:
@@ -192,7 +190,7 @@ class AuthnService:
 
         granted = reason is None
         if granted:
-            self.grants[(md_id, group_id)] = Grant(epoch=epoch, at=now)
+            self.grants[(md_id, group_id)] = Grant(epoch, now)
         else:
             self.grants.pop((md_id, group_id), None)
         decision = AuthDecision(md_id, group_id, granted, reason, epoch, now)

@@ -19,6 +19,11 @@ that was not admitted, because its serving AP had no room, retries
 admission at each of its sampling instants once its gap has passed, and is
 admitted at the first one at which that AP fits its demand; until then it
 samples zero.
+Coverage is kept, not recomputed: each AP has a roster of the devices whose
+position lies in its disc, which `apply_move` updates on every position
+change; that is the only disc test the world makes. A device is covered by
+an AP that is alive and has it on its roster, and a beacon delivery visits
+the AP's roster in name order instead of every device.
 """
 
 from __future__ import annotations
@@ -131,6 +136,11 @@ class World:
             for m in scenario.mds
         }
         self._md_order = sorted(self.mds)  # the MD set never changes
+        # AP -> devices whose position lies in its disc, dead or alive;
+        # kept by `_update_roster` on every position change
+        self.disc_roster: dict[str, set[str]] = {a: set() for a in self.aps}
+        for state in self.mds.values():
+            self._update_roster(state.name, state.position)
         self.streams: dict[str, StreamState] = {s.name: StreamState(s) for s in scenario.streams}
         # sample instant -> streams due then, in the order their ticks were asked for
         self._due: dict[float, list[StreamState]] = {}
@@ -145,6 +155,7 @@ class World:
         self.lookup_hops: dict[int, int] = {}
         self.record_losses: list[str] = []
         self._pi_busy: dict[str, float] = {c.name: 0.0 for c in active}
+        self._crashed: set[str] = set()  # controllers that crashed, adopted or not
 
         self.ring.lookup_observer = self._on_lookup
 
@@ -156,10 +167,17 @@ class World:
     def _on_lookup(self, hops: int) -> None:
         self.lookup_hops[hops] = self.lookup_hops.get(hops, 0) + 1
 
+    def _update_roster(self, md: str, position: tuple[float, float] | None) -> None:
+        """Record `md` at `position` in the roster of every AP: the one disc test."""
+        roster = self.disc_roster
+        for ap_name, ap in self.aps.items():
+            if position is not None and ap.covers(position):
+                roster[ap_name].add(md)
+            else:
+                roster[ap_name].discard(md)
+
     def _covers(self, md: str, ap_name: str) -> bool:
-        ap = self.aps[ap_name]
-        pos = self.mds[md].position
-        return ap.alive and pos is not None and ap.covers(pos)
+        return self.aps[ap_name].alive and md in self.disc_roster[ap_name]
 
     def coverage_set(self, md: str) -> list[str]:
         return sorted(a for a in self.aps if self._covers(md, a))
@@ -249,6 +267,7 @@ class World:
     def _beacon_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
         """One AP's beacon handler and note, and its key delivery's, built once."""
         eng, p, authn, ap = self.engine, self.params, self.authn, self.aps[ap_name]
+        roster, mobility = self.disc_roster[ap_name], self.mobility
         note, deliver_note = f"beacon:{ap_name}", f"key:{ap_name}"
 
         def beacon() -> None:
@@ -260,33 +279,28 @@ class World:
                 eng.schedule(nxt, "beacon", beacon, note)
 
         def deliver() -> None:
-            # recipients are whoever is inside coverage at delivery time
+            # recipients are the AP's roster at delivery time, in name order;
+            # each re-authenticates off its fresh wallet when it is served by
+            # a grouped AP and holds no grant of that group's current epoch
             now = eng.now
             if authn.current_key(ap_name) is None or not ap.alive:
                 return
-            for md in self._md_order:
-                if self._covers(md, ap_name):
-                    authn.receive_beacon(md, ap_name, now)
-                    self._maybe_authenticate(md)
+            active, serving_of = authn.active, mobility.association_ap
+            group_of, grants, epochs = authn.group_of, authn.grants, authn.epochs
+            for md in sorted(roster):
+                authn.receive_beacon(md, ap_name, now)
+                if not active:
+                    continue
+                gid = group_of.get(serving_of.get(md))
+                if gid is None:
+                    continue
+                grant = grants.get((md, gid))
+                if grant is not None and grant.epoch == epochs.get(gid):
+                    continue
+                if authn.authenticate(md, gid, now).granted:
+                    self._readmit_streams(md)
 
         return beacon, note
-
-    def _maybe_authenticate(self, md: str) -> None:
-        """Re-authenticate off a fresh wallet when ungranted or epoch-stale."""
-        if not self.authn.active:
-            return
-        serving = self.mobility.association_ap.get(md)
-        if serving is None:
-            return
-        gid = self.authn.group_of.get(serving)
-        if gid is None:
-            return
-        grant = self.authn.grants.get((md, gid))
-        if grant is not None and grant.epoch == self.authn.epochs.get(gid):
-            return
-        decision = self.authn.authenticate(md, gid, self.engine.now)
-        if decision.granted:
-            self._readmit_streams(md)
 
     def _readmit_streams(self, md: str) -> None:
         """A grant after a gate block costs the transport recovery lag."""
@@ -302,6 +316,7 @@ class World:
         state = self.mds[md]
         state.position = (wp.x, wp.y)
         state.status = wp.status
+        self._update_roster(md, state.position)
 
         if state.partition is not None:
             presence = self.views[state.partition].md_roster.get(md)
@@ -310,13 +325,11 @@ class World:
                 presence.status = wp.status
 
         # presence proof breaks as soon as any member AP's coverage is gone
-        if self.authn.active:
-            for (gmd, gid) in list(self.authn.grants):
-                if gmd != md:
-                    continue
-                members = self.authn.groups[gid].members
-                if any(not self._covers(md, ap) for ap in members):
-                    self.authn.revoke(md, gid)
+        authn = self.authn
+        if authn.active:
+            for gid, group in authn.groups.items():
+                if (md, gid) in authn.grants and any(not self._covers(md, ap) for ap in group.members):
+                    authn.revoke(md, gid)
 
         self._reattach(md, reason="move")
 
@@ -533,6 +546,7 @@ class World:
             if cid is None or not self.ring.is_live(cid):
                 return  # unknown-by-override or already failed: no-op
             self.ring.crash(cid)
+            self._crashed.add(name)
             self.engine.schedule(
                 round(now + delay, 9), "failure", lambda: self._recover_controller(name, cid),
                 note=f"recover:{name}",
@@ -581,19 +595,24 @@ class World:
     # ------------------------------------------------------------------ packet-in workload
 
     def _packet_in_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
-        """One AP's arrival handler and note, built once; each arrival goes to the AP's current controller."""
+        """One AP's arrival handler and note, built once; each arrival goes to the AP's current controller.
+
+        A crashed controller serves nothing: arrivals for it are lost until
+        its partition is adopted, and the next arrival is still scheduled.
+        """
         eng, w, p, ap = self.engine, self.scenario.workload, self.params, self.aps[ap_name]
-        partition_of, busy_of, served = self.partition_of, self._pi_busy, self.packet_in
+        partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
         horizon = min(w.until, p.duration) if w.until is not None else p.duration
         period, note = 1.0 / w.rate_per_ap, f"packetin:{ap_name}"
 
         def arrival() -> None:
             now = eng.now
             controller = partition_of[ap_name]
-            done = max(now, busy_of.get(controller, 0.0)) + w.service_time
-            if done <= horizon:
-                busy_of[controller] = done
-                served[controller] = served.get(controller, 0) + 1
+            if controller not in crashed:
+                done = max(now, busy_of.get(controller, 0.0)) + w.service_time
+                if done <= horizon:
+                    busy_of[controller] = done
+                    served[controller] = served.get(controller, 0) + 1
             nxt = round(now + period, 9)
             if nxt <= horizon and ap.alive:
                 eng.schedule(nxt, "message-delivery", arrival, note)

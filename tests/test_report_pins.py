@@ -1,11 +1,14 @@
 """Golden report pins: sha256 of render_json / render_csv for fixed runs.
 
 Each bundled scenario runs under every access-control mode with Personal AP
-forced on and off. fig5 with a third controller also runs two failure cases,
-each with Personal AP off and on: `fig5-failures` crashes controller CB and
-then AP2, whose devices recover inside their own partition;
-`fig5-xpart` deals the APs over three controllers and crashes AP2, whose
-devices recover onto neighbouring APs of other partitions, with a handover.
+forced on and off. fig5 with a third controller also runs three failure
+cases: `fig5-failures` crashes controller CB and then AP2, whose devices
+recover inside their own partition; `fig5-xpart` deals the APs over three
+controllers and crashes AP2, whose devices recover onto neighbouring APs of
+other partitions, with a handover. Both run with mode None and Personal AP
+off, and with LEDGE-PAP and Personal AP on. `fig5-gated` has the crashes of
+`fig5-failures` plus location group G1 over AP3-AP6, so beacons and
+re-authentication run across both failures; it runs with LEDGE-PAP only.
 A change that moves a pin on purpose says why in CHANGES.md and rewrites the
 fixture with
 
@@ -27,31 +30,34 @@ from sdedge.simnet import World
 PINS = Path(__file__).parent / "fixtures" / "report_pins.tsv"
 SCENARIOS = ("fig2", "fig5", "fig5c", "fig6")
 FAILURE_RUNS = (("None", "off"), ("LEDGE-PAP", "on"))
+GROUP_G1 = "[groups]\ngroup G1 members=AP3,AP4,AP5,AP6\n\n"
 
 
-# failure case -> ([failures] section, overrides)
+# failure case -> ([groups] section, [failures] section, overrides, (mode, personal_ap) runs)
 FAILURE_CASES = {
-    "fig5-failures": ("fail controller CB at=9.3\nfail ap AP2 at=13.3\n", {}),
-    "fig5-xpart": ("fail ap AP2 at=13.3\n", {"controllers": "3"}),
+    "fig5-failures": ("", "fail controller CB at=9.3\nfail ap AP2 at=13.3\n", {}, FAILURE_RUNS),
+    "fig5-xpart": ("", "fail ap AP2 at=13.3\n", {"controllers": "3"}, FAILURE_RUNS),
+    "fig5-gated": (GROUP_G1, "fail controller CB at=9.3\nfail ap AP2 at=13.3\n", {}, (("LEDGE-PAP", "on"),)),
 }
 
 
-def _failure_text(failures: str) -> str:
+def _failure_text(groups: str, failures: str) -> str:
     text = bundled_scenario_path("fig5").read_text()
     text = text.replace("controller CB\n", "controller CB\ncontroller CC\n", 1)
+    text = text.replace("[flows]\n", groups + "[flows]\n", 1)
     return text + "\n[failures]\n" + failures
 
 
 def cases() -> list[tuple[str, str, str]]:
     out = [(sc, mode, pap) for sc in SCENARIOS for mode in MODES for pap in ("on", "off")]
-    return out + [(sc, mode, pap) for sc in FAILURE_CASES for mode, pap in FAILURE_RUNS]
+    return out + [(sc, mode, pap) for sc, case in FAILURE_CASES.items() for mode, pap in case[3]]
 
 
 def digests(scenario: str, mode: str, personal_ap: str) -> tuple[str, str]:
     overrides = {"mode": mode, "personal_ap": personal_ap}
     if scenario in FAILURE_CASES:
-        failures, extra = FAILURE_CASES[scenario]
-        text = _failure_text(failures)
+        groups, failures, extra, _runs = FAILURE_CASES[scenario]
+        text = _failure_text(groups, failures)
         overrides.update(extra)
     else:
         text = bundled_scenario_path(scenario).read_text()

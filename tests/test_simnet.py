@@ -390,12 +390,51 @@ class CapacityCheckedWorld(World):
             assert ap.load <= ap.capacity + 1e-9, (at, ap.ap_id, ap.load)
 
 
+GROUP_G1 = "[groups]\ngroup G1 members=AP3,AP4,AP5,AP6\n\n"  # fig5's middle APs
+
+
+class RosterCheckedWorld(World):
+    """Asserts after every move and at the end of the run that each AP's
+    roster holds exactly the devices whose position lies in its disc."""
+
+    def check_roster(self):
+        for ap_name, ap in self.aps.items():
+            for md, state in self.mds.items():
+                inside = state.position is not None and ap.covers(state.position)
+                assert (md in self.disc_roster[ap_name]) == inside, (self.engine.now, ap_name, md)
+
+    def apply_move(self, md, wp):
+        super().apply_move(md, wp)
+        self.check_roster()
+
+    def run(self):
+        report = super().run()
+        self.check_roster()
+        return report
+
+
+class CheckedWorld(CapacityCheckedWorld, RosterCheckedWorld):
+    """Both the capacity and the roster checks."""
+
+
+def test_roster_check_runs_on_a_grouped_failure_run():
+    text = bundled_scenario_path("fig5").read_text().replace("mds M 300 ", "mds M 60 ", 1)
+    text = text.replace("[flows]\n", GROUP_G1 + "[flows]\n", 1)
+    text += "\n[failures]\nfail ap AP2 at=5.0\n"
+    sc = parse_scenario_text(text, "fig5-roster")
+    report = RosterCheckedWorld(sc, apply_overrides(sc.params, {"mode": "LEDGE-PAP"})).run()
+    assert any(h["kind"] == "ap-recovery" for h in report.handovers)
+    assert any(d["granted"] and d["t"] > 5.0 for d in report.auth_events)
+
+
 def test_generated_failure_schedules_run_to_completion():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     instant = st.integers(1, 199).map(lambda k: k / 10)
     fig5 = bundled_scenario_path("fig5").read_text()
     fig5 = fig5.replace("controller CB\n", "controller CB\ncontroller CC\n", 1).replace("mds M 300 ", "mds M 60 ", 1)
+    # a location group, so that beacons and re-authentication run across the failures
+    fig5 = fig5.replace("[flows]\n", GROUP_G1 + "[flows]\n", 1)
 
     # no shrinking: each example is two whole runs, and a failing schedule
     # of at most four failures reads well as generated
@@ -417,7 +456,7 @@ def test_generated_failure_schedules_run_to_completion():
         params = apply_overrides(
             sc.params, {"detection_delay": detection_delay, "controllers": controllers, "mode": mode}
         )
-        first = render_json(CapacityCheckedWorld(sc, params).run())
+        first = render_json(CheckedWorld(sc, params).run())
         assert render_json(World(sc, params).run()) == first
 
     check()
@@ -475,7 +514,20 @@ def test_packet_in_follows_ap_failure_and_adoption():
     world = World(parse_scenario_text(text, "fig5c-failures"))
     report = world.run()
     assert world.partition_of["AP2"] == world.partition_of["AP6"] == "C3"
-    assert report.packet_in == {"C1": 4401, "C2": 2402, "C3": 4999, "C4": 4999}
+    assert report.packet_in == {"C1": 4401, "C2": 2400, "C3": 4999, "C4": 4999}
+
+
+@pytest.mark.parametrize("delay", ["0.5", "2.0"])
+def test_crashed_controller_serves_no_packet_ins_before_adoption(delay):
+    # C2 crashes at t=3 and is adopted `delay` later: the arrivals of AP2 and
+    # AP6 in between are lost, so C2 keeps its 2400 from before the crash
+    text = bundled_scenario_path("fig5c").read_text()
+    text += "\n[failures]\nfail ap AP5 at=1.0\nfail controller C2 at=3.0\n"
+    sc = parse_scenario_text(text, "fig5c-failures")
+    world = World(sc, apply_overrides(sc.params, {"detection_delay": delay}))
+    report = world.run()
+    assert world.partition_of["AP2"] == world.partition_of["AP6"] == "C3"
+    assert report.packet_in == {"C1": 4401, "C2": 2400, "C3": 4999, "C4": 4999}
 
 
 def test_world_rejects_more_controllers_than_declared():
