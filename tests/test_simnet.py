@@ -530,6 +530,88 @@ def test_crashed_controller_serves_no_packet_ins_before_adoption(delay):
     assert report.packet_in == {"C1": 4401, "C2": 2400, "C3": 4999, "C4": 4999}
 
 
+def fig5c_world(failures=(), service_time="0.002", window="", **overrides):
+    """Bundled fig5c, with its workload's service time and window edited and `failures` appended."""
+    text = bundled_scenario_path("fig5c").read_text()
+    text = text.replace("service_time=0.002", f"service_time={service_time}{window}", 1)
+    if failures:
+        text += "\n[failures]\n" + "".join(f"{f}\n" for f in failures)
+    sc = parse_scenario_text(text, "fig5c-variant")
+    return World(sc, apply_overrides(sc.params, {k: str(v) for k, v in overrides.items()}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packet_in_counts_per_cluster_size(n):
+    report = fig5c_world(controllers=n).run()
+    assert report.packet_in == {f"C{i}": 4999 for i in range(1, n + 1)}
+
+
+def test_packet_in_counts_inside_a_workload_window():
+    report = fig5c_world(window=" start=0.5 until=7.3").run()
+    assert report.packet_in == {"C1": 3400, "C2": 3400, "C3": 3400, "C4": 3400}
+
+
+@pytest.mark.parametrize("i", range(1, 9))
+def test_packet_in_counts_after_one_ap_fails(i):
+    # the failed AP's arrival at t=2.0 is still served; its controller keeps
+    # only the other AP's arrivals from then on
+    report = fig5c_world([f"fail ap AP{i} at=2.0"]).run()
+    expected = {"C1": 4999, "C2": 4999, "C3": 4999, "C4": 4999}
+    expected[f"C{(i - 1) % 4 + 1}"] = 4801
+    assert report.packet_in == expected
+
+
+def test_packet_in_counts_as_every_ap_fails_in_turn():
+    world = fig5c_world([f"fail ap AP{i} at={round(1.1 * i, 9)}" for i in range(1, 9)])
+    report = world.run()
+    assert report.packet_in == {"C1": 2642, "C2": 3522, "C3": 4402, "C4": 4999}
+
+
+# AP3 fails and C1 crashes at t=2.0; C4 adopts C1's partition after the
+# detection delay, and AP8 fails at t=4.0025, on an arrival instant
+FIG5C_FAILURES = ("fail ap AP3 at=2.0", "fail controller C1 at=2.0", "fail ap AP8 at=4.0025")
+
+
+@pytest.mark.parametrize("delay,c4", [("0", 12000), ("0.0025", 12000), ("0.004", 11998)])
+def test_unsaturated_packet_in_counts_lose_the_detection_window(delay, c4):
+    # at 0.5 ms per packet-in no controller is saturated, so the arrivals of
+    # AP1 and AP5 lost while C1 is down show in C4's count; 0.0025 s is one
+    # arrival period, so that adoption lands on an arrival instant
+    world = fig5c_world(FIG5C_FAILURES, service_time="0.0005", detection_delay=delay)
+    assert world.run().packet_in == {"C1": 1600, "C2": 8000, "C3": 4801, "C4": c4}
+
+
+@pytest.mark.parametrize("delay", ["0", "0.0025", "0.004"])
+def test_saturated_packet_in_counts_hide_the_detection_window(delay):
+    world = fig5c_world(FIG5C_FAILURES, detection_delay=delay)
+    assert world.run().packet_in == {"C1": 1600, "C2": 4999, "C3": 4801, "C4": 4999}
+
+
+def test_crashed_controller_admits_no_flow_before_adoption():
+    # C2 crashes at t=1.0 and C1 adopts its partition at t=3.0. F2 starts on
+    # AP2 at t=1.5, while C2 is down: it waits unplaced, retrying at each
+    # sampling instant, and its flow setup is C1's once C1 has adopted AP2
+    aps = [
+        "AP1 pos=0,0 radius=10 capacity=11 techs=wifi partition=C1",
+        "AP2 pos=40,0 radius=10 capacity=11 techs=wifi partition=C2",
+    ]
+    flows = [
+        "F1 md=M1 dst=C1 type=tcp demand=2 tech=wifi start=0.0",
+        "F2 md=M2 dst=C1 type=tcp demand=2 tech=wifi start=1.5",
+    ]
+    params = ("detection_delay = 2.0", "sample_period = 0.5")
+    text = star(aps, ["M1 pos=1,1", "M2 pos=41,1"], flows, controllers=("C1 key=3", "C2 key=10"),
+                params=params, tail="[failures]\nfail controller C2 at=1.0\n")
+    world = World(parse_scenario_text(text, "crash-admit"))
+    world.engine.run_until(2.9)
+    assert placed_on(world) == {"F1": "AP1"}
+    assert world.packet_in == {"C1": 1, "C2": 0}
+    report = world.run()
+    assert placed_on(world) == {"F1": "AP1", "F2": "AP2"}
+    assert report.packet_in == {"C1": 2, "C2": 0}
+    assert first_nonzero_after(report.series("F2"), 0.0) == 3.0
+
+
 def test_world_rejects_more_controllers_than_declared():
     sc, params = load("fig2", controllers=9)  # fig2 declares 3
     with pytest.raises(UsageError, match="controllers=9 but only 3 declared"):
