@@ -15,10 +15,11 @@ instant that ticks the streams due then, with a rate cap: a stream
 delivers min(demand, path bottleneck) when connected, admitted, and
 forwarded by the access gate, and zero for a recovery lag after any
 re-admission (the configured TCP-recovery stand-in). A connected stream
-that was not admitted, because its serving AP had no room, retries
+that was not admitted, because its serving AP had no room or the AP's
+controller had crashed and its partition was not yet adopted, retries
 admission at each of its sampling instants once its gap has passed, and is
-admitted at the first one at which that AP fits its demand; until then it
-samples zero.
+admitted at the first one at which that AP fits its demand under a live
+controller; until then it samples zero.
 Coverage is kept, not recomputed: each AP has a roster of the devices whose
 position lies in its disc, which `apply_move` updates on every position
 change; that is the only disc test the world makes. A device is covered by
@@ -449,10 +450,15 @@ class World:
             assoc.flow_status.discard(st.name)
 
     def _place_flow(self, st: StreamState, ap_name: str) -> bool:
-        """Admission control: the flow rides the association if it fits."""
+        """Admission control: the flow rides the association if it fits and
+        the AP's controller is up; a crashed controller admits nothing
+        until its partition is adopted."""
         if st.placed or not st.started or st.ended:
             return st.placed
-        view = self.views[self.partition_of[ap_name]]
+        controller = self.partition_of[ap_name]
+        if controller in self._crashed:
+            return False
+        view = self.views[controller]
         ap = view.ap_status.get(ap_name)
         if ap is None or not ap.fits(st.decl.demand):
             return False
@@ -464,7 +470,6 @@ class World:
             ),
         )
         st.placed = True
-        controller = self.partition_of[ap_name]
         self.packet_in[controller] = self.packet_in.get(controller, 0) + 1
         return True
 
