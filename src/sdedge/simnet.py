@@ -25,6 +25,10 @@ position lies in its disc, which `apply_move` updates on every position
 change; that is the only disc test the world makes. A device is covered by
 an AP that is alive and has it on its roster, and a beacon delivery visits
 the AP's roster in name order instead of every device.
+A packet-in workload offers one packet-in per AP per period. The arrivals
+of one instant are one event, which serves the APs due then in name order,
+each at its controller's single server, and schedules the next instant
+once; a handler failure there names the instant, not the AP.
 """
 
 from __future__ import annotations
@@ -244,8 +248,7 @@ class World:
             eng.schedule(f.at, "failure", lambda fd=f: self.inject_failure(fd.kind, fd.name), note=f"fail:{f.name}")
         w = self.scenario.workload
         if w is not None and w.rate_per_ap > 0:
-            for ap_name in sorted(self.aps):
-                eng.schedule(w.start, "message-delivery", *self._packet_in_source(ap_name))
+            eng.schedule(w.start, "message-delivery", self._packet_in_arrivals(), note="packetin")
 
     # ------------------------------------------------------------------ beacons & keys
 
@@ -599,30 +602,41 @@ class World:
 
     # ------------------------------------------------------------------ packet-in workload
 
-    def _packet_in_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
-        """One AP's arrival handler and note, built once; each arrival goes to the AP's current controller.
+    def _packet_in_arrivals(self) -> Callable[[], None]:
+        """The handler of a packet-in arrival instant, built once.
 
-        A crashed controller serves nothing: arrivals for it are lost until
-        its partition is adopted, and the next arrival is still scheduled.
+        Every AP offers one packet-in per period from the workload's start,
+        so the arrivals of one instant are one event: it serves the APs due
+        then in name order, each at its AP's current controller, and then
+        schedules the next instant once, for the APs still alive, if that
+        instant is inside the horizon. An AP that fails is served at the
+        instant already scheduled for it and at none after. A crashed
+        controller serves nothing: arrivals for it are lost until its
+        partition is adopted. A handler failure names the instant, not an AP.
         """
-        eng, w, p, ap = self.engine, self.scenario.workload, self.params, self.aps[ap_name]
+        eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
         partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
         horizon = min(w.until, p.duration) if w.until is not None else p.duration
-        period, note = 1.0 / w.rate_per_ap, f"packetin:{ap_name}"
+        period, service_time = 1.0 / w.rate_per_ap, w.service_time
+        due = sorted(aps)
 
-        def arrival() -> None:
+        def arrivals() -> None:
+            nonlocal due
             now = eng.now
-            controller = partition_of[ap_name]
-            if controller not in crashed:
-                done = max(now, busy_of.get(controller, 0.0)) + w.service_time
-                if done <= horizon:
-                    busy_of[controller] = done
-                    served[controller] = served.get(controller, 0) + 1
+            for ap_name in due:
+                controller = partition_of[ap_name]
+                if controller not in crashed:
+                    done = max(now, busy_of.get(controller, 0.0)) + service_time
+                    if done <= horizon:
+                        busy_of[controller] = done
+                        served[controller] = served.get(controller, 0) + 1
             nxt = round(now + period, 9)
-            if nxt <= horizon and ap.alive:
-                eng.schedule(nxt, "message-delivery", arrival, note)
+            if nxt <= horizon:
+                due = [a for a in due if aps[a].alive]
+                if due:
+                    eng.schedule(nxt, "message-delivery", arrivals, "packetin")
 
-        return arrival, note
+        return arrivals
 
     # ------------------------------------------------------------------ run & report
 

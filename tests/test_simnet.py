@@ -413,8 +413,31 @@ class RosterCheckedWorld(World):
         return report
 
 
-class CheckedWorld(CapacityCheckedWorld, RosterCheckedWorld):
-    """Both the capacity and the roster checks."""
+class PacketInGuard(dict):
+    """Packet-in counts that fail on a count for a controller that has
+    crashed and whose partition is not yet adopted (its view still exists)."""
+
+    def __init__(self, world, counts):
+        super().__init__(counts)
+        self.world = world
+
+    def __setitem__(self, controller, value):
+        world = self.world
+        assert not (controller in world._crashed and controller in world.views), (world.engine.now, controller)
+        super().__setitem__(controller, value)
+
+
+class PacketInCheckedWorld(World):
+    """Asserts on every packet-in, from an arrival or a flow setup, that its
+    controller is not crashed and awaiting adoption."""
+
+    def _schedule_all(self):
+        self.packet_in = PacketInGuard(self, self.packet_in)
+        super()._schedule_all()
+
+
+class CheckedWorld(CapacityCheckedWorld, RosterCheckedWorld, PacketInCheckedWorld):
+    """The capacity, roster and packet-in checks."""
 
 
 def test_roster_check_runs_on_a_grouped_failure_run():
@@ -435,6 +458,8 @@ def test_generated_failure_schedules_run_to_completion():
     fig5 = fig5.replace("controller CB\n", "controller CB\ncontroller CC\n", 1).replace("mds M 300 ", "mds M 60 ", 1)
     # a location group, so that beacons and re-authentication run across the failures
     fig5 = fig5.replace("[flows]\n", GROUP_G1 + "[flows]\n", 1)
+    # a low-rate packet-in load, so that arrival instants cross the failures
+    fig5 += "\n[workload]\npacketin rate_per_ap=20 service_time=0.01\n"
 
     # no shrinking: each example is two whole runs, and a failing schedule
     # of at most four failures reads well as generated
@@ -585,6 +610,25 @@ def test_unsaturated_packet_in_counts_lose_the_detection_window(delay, c4):
 def test_saturated_packet_in_counts_hide_the_detection_window(delay):
     world = fig5c_world(FIG5C_FAILURES, detection_delay=delay)
     assert world.run().packet_in == {"C1": 1600, "C2": 4999, "C3": 4801, "C4": 4999}
+
+
+def test_fig5c_runs_one_event_per_arrival_instant():
+    # 10 s at 400 arrivals/s per AP: 4001 instants, each one event for all 8 APs
+    world = fig5c_world()
+    world.engine.record_trace = True
+    world.run()
+    assert world.engine.executed == 4001
+    instants = [t for t, _, kind, note in world.engine.trace if kind == "message-delivery" and note == "packetin"]
+    assert len(instants) == len(set(instants)) == 4001
+    assert instants[:3] == [0.0, 0.0025, 0.005] and instants[-1] == 10.0
+
+
+def test_packet_in_events_stop_when_every_ap_has_failed():
+    world = fig5c_world([f"fail ap AP{i} at={round(1.1 * i, 9)}" for i in range(1, 9)])
+    world.engine.record_trace = True
+    world.run()
+    instants = [t for t, _, _, note in world.engine.trace if note == "packetin"]
+    assert instants[-1] == 8.8  # AP8 fails then, after its arrival was scheduled
 
 
 def test_crashed_controller_admits_no_flow_before_adoption():
