@@ -625,11 +625,13 @@ class World:
             now = eng.now
             for ap_name in due:
                 controller = partition_of[ap_name]
-                if controller not in crashed:
-                    done = max(now, busy_of.get(controller, 0.0)) + service_time
-                    if done <= horizon:
-                        busy_of[controller] = done
-                        served[controller] = served.get(controller, 0) + 1
+                if controller in crashed:
+                    continue
+                busy = busy_of[controller]
+                done = (busy if busy > now else now) + service_time
+                if done <= horizon:
+                    busy_of[controller] = done
+                    served[controller] += 1
             nxt = round(now + period, 9)
             if nxt <= horizon:
                 due = [a for a in due if aps[a].alive]
