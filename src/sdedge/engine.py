@@ -36,10 +36,6 @@ class EventHandle:
     kind: str
     fn: Callable[[], None]
     note: str = ""
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 @dataclass
@@ -75,8 +71,6 @@ class EventEngine:
         count = 0
         while heap and heap[0][0] <= t_end:
             at, seq, handle = pop(heap)
-            if handle.cancelled:
-                continue
             self.now = at
             if trace is not None:
                 trace.append((at, seq, handle.kind, handle.note))

@@ -133,10 +133,6 @@ class MobilityManager:
         )
         return record
 
-    def locate_supervisory(self, start: int, md_id: str) -> int:
-        owner, _ = self.ring.route_with_fallback(start, self.ring.hash_id(md_id))
-        return owner
-
     def get_supervisory(self, md_id: str) -> SupervisoryRecord:
         key = self.registered.get(md_id)
         if key is None:

@@ -431,9 +431,6 @@ class OverlayRing:
             out.extend((nid, rec) for rec in held.values())
         return out
 
-    def record_names(self) -> set[str]:
-        return {rec.name for _, rec in self.stored_records()}
-
     def replicate_to_successors(self, node_id: int) -> tuple[list[ReplicationReceipt], bool]:
         """Full resync: copy a node's whole store and control tables to its r
         live successors. Only membership changes need it; writes are O(r).

@@ -16,14 +16,18 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .authn import MODES
 from .errors import ScenarioError, UsageError
 from .ring import fnv1a64
-from .scheduler import MD_STATUSES
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 SECTIONS = ("params", "topology", "groups", "flows", "traces", "failures", "workload")
 PERSONAL_AP_CHOICES = ("auto", "on", "off")
+MD_STATUSES = ("joining", "leaving", "staying")  # parsed and validated; no decision reads it
 
 
 @dataclass(frozen=True)
@@ -603,23 +607,28 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     return _Parser(text, name).run()
 
 
-def parse_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
-    return parse_scenario_text(path.read_text(), name=path.stem)
+def parse_scenario(path: str | Path | Traversable) -> Scenario:
+    """Parse a scenario file, or a bundled one's package resource."""
+    if isinstance(path, str):
+        path = Path(path)
+    return parse_scenario_text(path.read_text(), name=Path(path.name).stem)
 
 
-def bundled_scenario_path(name: str) -> Path:
-    """Resolve a scenario shipped with the package (e.g. 'fig6' or 'fig6.scenario')."""
+def bundled_scenario_path(name: str) -> Traversable:
+    """A scenario shipped with the package (e.g. 'fig6' or 'fig6.scenario').
+
+    The result is the package resource itself, read in place with
+    `read_text()`; for a package imported from a zip it is no file on disk.
+    """
     if not name.endswith(".scenario"):
         name += ".scenario"
-    base = resources.files("sdedge") / "scenarios" / name
-    with resources.as_file(base) as p:
-        if not p.exists():
-            raise FileNotFoundError(f"no bundled scenario {name}")
-        return p
+    res = resources.files("sdedge") / "scenarios" / name
+    if not res.is_file():
+        raise FileNotFoundError(f"no bundled scenario {name}")
+    return res
 
 
-def resolve_scenario(spec: str | Path) -> Path:
+def resolve_scenario(spec: str | Path) -> Path | Traversable:
     """A path on disk, or the name of a bundled scenario."""
     p = Path(spec)
     if p.exists():

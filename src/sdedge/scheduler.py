@@ -7,6 +7,10 @@ first, placed on the most-residual feasible AP); `brute_force_assign` is
 the exhaustive oracle used to bound its quality on small instances.
 Utility is total satisfied demand in Mbps. `best_ap` is the one placement
 rule: the greedy heuristic, joins, moves and AP-failure recovery all call it.
+
+A partition view holds what admission and release read: per-AP capacity,
+load, radio techs and coverage disc, and the open flows. It keeps no
+device roster.
 """
 
 from __future__ import annotations
@@ -14,12 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import NoApAvailable, OracleTooLarge, SchedulerError, UnknownMobile, UnmatchedRelease
+from .errors import NoApAvailable, OracleTooLarge, SchedulerError, UnmatchedRelease
 
 ORACLE_MAX_REQUESTS = 8
 ORACLE_MAX_APS = 4
-
-MD_STATUSES = ("joining", "leaving", "staying")
 
 
 @dataclass(frozen=True)
@@ -63,45 +65,25 @@ class APStatus:
 
 
 @dataclass
-class MDPresence:
-    md_id: str
-    status: str = "staying"
-    position: tuple[float, float] | None = None
-
-
-@dataclass
 class FlowRecord:
     flow_id: str
-    md_id: str
     ap_id: str
     demand: float
-    flow_type: str = "data"
-    required_tech: str | None = None
 
 
 @dataclass
 class PartitionView:
     controller: str
     ap_status: dict[str, APStatus] = field(default_factory=dict)
-    md_roster: dict[str, MDPresence] = field(default_factory=dict)
     open_flows: dict[str, FlowRecord] = field(default_factory=dict)
-
-    @property
-    def density(self) -> int:
-        return len(self.md_roster)
 
 
 @dataclass(frozen=True)
 class ViewEvent:
-    kind: str  # md-join | md-leave | flow-start | flow-end
-    md_id: str | None = None
+    kind: str  # flow-start | flow-end
     ap_id: str | None = None
     flow_id: str | None = None
     demand: float = 0.0
-    position: tuple[float, float] | None = None
-    status: str = "staying"
-    flow_type: str = "data"
-    required_tech: str | None = None
 
 
 @dataclass
@@ -115,16 +97,8 @@ class Assignment:
 
 
 def update_partition_view(view: PartitionView, event: ViewEvent) -> PartitionView:
-    """Apply one roster/flow event to the view, in place."""
-    if event.kind == "md-join":
-        if event.status not in MD_STATUSES:
-            raise ValueError(f"unknown MD status {event.status!r}")
-        view.md_roster[event.md_id] = MDPresence(event.md_id, event.status, event.position)
-    elif event.kind == "md-leave":
-        if event.md_id not in view.md_roster:
-            raise UnknownMobile(f"{event.md_id} is not in partition {view.controller}")
-        del view.md_roster[event.md_id]
-    elif event.kind == "flow-start":
+    """Apply one flow event to the view, in place."""
+    if event.kind == "flow-start":
         ap = view.ap_status.get(event.ap_id)
         if ap is None:
             raise SchedulerError(f"flow-start references unknown AP {event.ap_id}")
@@ -133,10 +107,7 @@ def update_partition_view(view: PartitionView, event: ViewEvent) -> PartitionVie
                 f"flow {event.flow_id} ({event.demand} Mbps) would overload {ap.ap_id}"
             )
         ap.load += event.demand
-        view.open_flows[event.flow_id] = FlowRecord(
-            event.flow_id, event.md_id, event.ap_id, event.demand,
-            flow_type=event.flow_type, required_tech=event.required_tech,
-        )
+        view.open_flows[event.flow_id] = FlowRecord(event.flow_id, event.ap_id, event.demand)
     elif event.kind == "flow-end":
         rec = view.open_flows.pop(event.flow_id, None)
         if rec is None:
@@ -246,15 +217,11 @@ def brute_force_assign(requests, view: PartitionView) -> Assignment:
 def select_ap_for_join(md_id: str, flow_hint: FlowRequest | None, view: PartitionView) -> str:
     """The partition's `best_ap` for the MD, provided the hinted demand fits.
 
-    With no hint only coverage of the MD's known position constrains the
-    choice; demand and technology come from the hint when present. The
+    Demand, technology and position (the hint's origin) come from the hint;
+    with no hint nothing but the partition constrains the choice. The
     simulation no longer calls it; the traced benchmark patches it by name.
     """
     position = flow_hint.origin if flow_hint is not None else None
-    if position is None:
-        presence = view.md_roster.get(md_id)
-        if presence is not None:
-            position = presence.position
     ap = best_ap(view.ap_status.values(), flow_hint, position)
     if ap is None or (flow_hint is not None and not ap.fits(flow_hint.demand)):
         raise NoApAvailable(f"no feasible AP for {md_id} in partition {view.controller}")

@@ -67,7 +67,6 @@ class StreamState:
 class MDState:
     name: str
     position: tuple[float, float] | None = None
-    status: str = "staying"
     connected: bool = False
     partition: str | None = None  # controller name of current view
 
@@ -212,9 +211,7 @@ class World:
     def _bootstrap(self) -> None:
         for md in self._md_order:
             state = self.mds[md]
-            if state.position is None:
-                continue
-            ap = best_ap([self.aps[a] for a in self.coverage_set(md)], None, state.position)
+            ap = best_ap([self.aps[a] for a in self.coverage_set(md)], None, None)
             if ap is None:
                 continue
             ap_name = ap.ap_id
@@ -223,11 +220,6 @@ class World:
             self.mobility.register_md(md, self.cid_of[controller])
             state.connected = True
             state.partition = controller
-            state.status = "joining"
-            update_partition_view(
-                self.views[controller],
-                ViewEvent("md-join", md_id=md, position=state.position, status="joining"),
-            )
 
     def _schedule_all(self) -> None:
         p = self.params
@@ -319,14 +311,7 @@ class World:
     def apply_move(self, md: str, wp: WaypointDecl) -> None:
         state = self.mds[md]
         state.position = (wp.x, wp.y)
-        state.status = wp.status
         self._update_roster(md, state.position)
-
-        if state.partition is not None:
-            presence = self.views[state.partition].md_roster.get(md)
-            if presence is not None:
-                presence.position = state.position
-                presence.status = wp.status
 
         # presence proof breaks as soon as any member AP's coverage is gone
         authn = self.authn
@@ -345,7 +330,7 @@ class World:
         if serving is not None and state.connected and self._covers(md, serving):
             return  # still inside the serving AP's disc: nothing to do
         covering = [self.aps[a] for a in self.coverage_set(md)]
-        ap = best_ap(covering, self._largest_flow_hint(md), state.position)
+        ap = best_ap(covering, self._largest_flow_hint(md), None)
         if ap is None:
             self._disconnect(md)
             return
@@ -356,8 +341,7 @@ class World:
         if not active:
             return None
         lead = sorted(active, key=lambda st: (-st.decl.demand, st.name))[0]
-        return FlowRequest(md, lead.decl.flow_type, lead.decl.demand, lead.decl.tech,
-                           origin=self.mds[md].position)
+        return FlowRequest(md, lead.decl.flow_type, lead.decl.demand, lead.decl.tech)
 
     def _associate(self, md: str, new_ap: str, reason: str) -> None:
         now = self.engine.now
@@ -393,15 +377,6 @@ class World:
             kind = "reassociate"
             gap = self.params.reassociation_delay
 
-        # roster moves between partition views
-        if old_ctrl is not None and old_ctrl != new_ctrl:
-            if md in self.views[old_ctrl].md_roster:
-                update_partition_view(self.views[old_ctrl], ViewEvent("md-leave", md_id=md))
-        if old_ctrl != new_ctrl or md not in self.views[new_ctrl].md_roster:
-            update_partition_view(
-                self.views[new_ctrl],
-                ViewEvent("md-join", md_id=md, position=state.position, status=state.status),
-            )
         state.partition = new_ctrl
         state.connected = True
 
@@ -466,11 +441,7 @@ class World:
         if ap is None or not ap.fits(st.decl.demand):
             return False
         update_partition_view(
-            view,
-            ViewEvent(
-                "flow-start", md_id=st.decl.md, ap_id=ap_name, flow_id=st.name,
-                demand=st.decl.demand, flow_type=st.decl.flow_type, required_tech=st.decl.tech,
-            ),
+            view, ViewEvent("flow-start", ap_id=ap_name, flow_id=st.name, demand=st.decl.demand)
         )
         st.placed = True
         self.packet_in[controller] = self.packet_in.get(controller, 0) + 1
@@ -580,7 +551,6 @@ class World:
         dead_view = self.views.pop(name)
         target = self.views[adopter_name]
         target.ap_status.update(dead_view.ap_status)
-        target.md_roster.update(dead_view.md_roster)
         target.open_flows.update(dead_view.open_flows)
         for ap_name, ctrl in list(self.partition_of.items()):
             if ctrl == name:

@@ -201,7 +201,7 @@ def test_a6_churn_with_writes_loses_nothing():
     for md, key in mgr.registered.items():
         holder = oracle.owner(key)
         assert md in ring.node(holder).store, f"{md} not at its oracle owner {holder}"
-    assert len(ring.record_names()) == 500
+    assert len({rec.name for _, rec in ring.stored_records()}) == 500
     print(f"[A6] PASS churn safety: 100 membership ops + 500 writes, zero loss, oracle-equal ownership")
 
 

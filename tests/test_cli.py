@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 
+import sdedge
 from sdedge.cli import main
 from sdedge.scenario import bundled_scenario_path
 
@@ -90,3 +96,25 @@ def test_batch_runs_directory(tmp_path, capsys):
     code = main(["batch", str(tmp_path), "--out-dir", str(out_dir), "--format", "json"])
     assert code == 0
     assert sorted(p.name for p in out_dir.iterdir()) == ["one.json", "two.json"]
+
+
+def test_validate_reads_bundled_scenarios_from_a_zipped_package(tmp_path):
+    # a package imported from a zip has no scenario files on disk: the
+    # bundled text must be read from the archive, not from a temporary copy
+    package = Path(sdedge.__file__).parent
+    archive = tmp_path / "sdedge.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for f in sorted(package.rglob("*")):
+            if f.is_file() and "__pycache__" not in f.parts:
+                zf.write(f, Path("sdedge") / f.relative_to(package))
+    code = (
+        "import sys, sdedge.cli; "
+        "assert sdedge.cli.__file__.startswith(sys.argv[1]), sdedge.cli.__file__; "
+        "sys.exit(sdedge.cli.main(['validate', 'fig5c']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(archive)], cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(archive)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("fig5c: ok")

@@ -34,16 +34,6 @@ def test_event_at_current_time_runs_before_later_ones():
     assert seen == ["now", "later"]
 
 
-def test_cancelled_event_never_fires():
-    eng = EventEngine(record_trace=True)
-    fired = []
-    handle = eng.schedule(1.0, "timer", lambda: fired.append(1), note="doomed")
-    handle.cancel()
-    eng.run_until(5.0)
-    assert fired == []
-    assert all(note != "doomed" for _, _, _, note in eng.trace)
-
-
 def test_past_scheduling_is_a_causality_violation():
     eng = EventEngine()
     eng.run_until(5.0)

@@ -66,11 +66,12 @@ def test_300_registrations_all_stored_at_oracle_owner():
 # --- supervisor location ----------------------------------------------------
 
 def test_locate_supervisor_from_any_controller():
-    _, mgr = cluster()
+    ring, mgr = cluster()
     mgr.register_md(MD, 16)
-    assert mgr.locate_supervisory(3, MD) == 10
-    assert mgr.locate_supervisory(16, MD) == 10
-    assert mgr.locate_supervisory(10, MD) == 10
+    key = mgr.registered[MD]
+    assert ring.route_with_fallback(3, key)[0] == 10
+    assert ring.route_with_fallback(16, key)[0] == 10
+    assert ring.route_with_fallback(10, key)[0] == 10
 
 
 def test_locate_is_start_independent_for_many_mds():
@@ -79,10 +80,9 @@ def test_locate_is_start_independent_for_many_mds():
     ids = sorted(rng.sample(range(1 << 10), 6))
     for i in ids:
         ring.join(i)
-    mgr = MobilityManager(ring)
     for i in range(50):
         md = f"dev{i}"
-        answers = {mgr.locate_supervisory(start, md) for start in ids}
+        answers = {ring.route_with_fallback(start, ring.hash_id(md))[0] for start in ids}
         assert len(answers) == 1
         assert answers.pop() == RingView(ids).owner(hash_id(md, 10))
 
@@ -363,7 +363,7 @@ def test_writes_never_copy_a_whole_store(monkeypatch):
     mgr = MobilityManager(ring)
     for i in range(500):
         mgr.register_md(f"md-{i:04d}", first_controller=(1000, 20000, 40000, 60000)[i % 4])
-    assert len(ring.record_names()) >= 500
+    assert len({rec.name for _, rec in ring.stored_records()}) >= 500
 
     calls = []
     full_copy = OverlayRing.replicate_to_successors

@@ -247,7 +247,7 @@ def test_churn_preserves_records_and_ownership():
             rec = ring.get_record(nm, key=k)
             assert rec is not None and rec.value is not None
             assert ring.owner_of(k) == oracle.owner(k)
-    assert ring.record_names() == set(stored)
+    assert {rec.name for _, rec in ring.stored_records()} == set(stored)
 
 
 # --- fallback routing -------------------------------------------------------

@@ -1,9 +1,8 @@
-import copy
 import random
 
 import pytest
 
-from sdedge.errors import NoApAvailable, OracleTooLarge, UnknownMobile, UnmatchedRelease
+from sdedge.errors import NoApAvailable, OracleTooLarge, UnmatchedRelease
 from sdedge.scheduler import (
     APStatus,
     Assignment,
@@ -29,57 +28,25 @@ def simple_view(*caps, techs=("wifi",)) -> PartitionView:
 
 # --- view maintenance -------------------------------------------------------
 
-def test_join_then_leave_restores_view():
-    view = simple_view(11.0)
-    before = copy.deepcopy(view)
-    update_partition_view(view, ViewEvent("md-join", md_id="M1", status="joining"))
-    update_partition_view(view, ViewEvent("md-leave", md_id="M1"))
-    assert view == before
-
-
 def test_flow_start_reserves_demand():
     view = simple_view(11.0)
-    update_partition_view(view, ViewEvent("flow-start", md_id="M1", ap_id="AP1", flow_id="F1", demand=2.0))
+    update_partition_view(view, ViewEvent("flow-start", ap_id="AP1", flow_id="F1", demand=2.0))
     assert view.ap_status["AP1"].load == 2.0
     assert view.ap_status["AP1"].residual == 9.0
 
 
 def test_flow_end_releases_exactly_what_was_reserved():
     view = simple_view(11.0)
-    update_partition_view(view, ViewEvent("flow-start", md_id="M1", ap_id="AP1", flow_id="F1", demand=2.5))
+    update_partition_view(view, ViewEvent("flow-start", ap_id="AP1", flow_id="F1", demand=2.5))
     update_partition_view(view, ViewEvent("flow-end", flow_id="F1"))
     assert view.ap_status["AP1"].load == 0.0
     assert view.open_flows == {}
-
-
-def test_leave_of_unknown_md():
-    view = simple_view(11.0)
-    with pytest.raises(UnknownMobile):
-        update_partition_view(view, ViewEvent("md-leave", md_id="ghost"))
 
 
 def test_flow_end_without_start():
     view = simple_view(11.0)
     with pytest.raises(UnmatchedRelease):
         update_partition_view(view, ViewEvent("flow-end", flow_id="F9"))
-
-
-def test_event_trace_density_counting():
-    rng = random.Random(3)
-    view = simple_view(50.0)
-    joins = leaves = 0
-    present = []
-    for i in range(100):
-        if present and rng.random() < 0.4:
-            md = present.pop(rng.randrange(len(present)))
-            update_partition_view(view, ViewEvent("md-leave", md_id=md))
-            leaves += 1
-        else:
-            md = f"M{i}"
-            update_partition_view(view, ViewEvent("md-join", md_id=md))
-            present.append(md)
-            joins += 1
-    assert view.density == joins - leaves
 
 
 # --- greedy assignment --------------------------------------------------------
@@ -228,6 +195,10 @@ def test_select_ap_none_available():
 def test_select_ap_coverage_constrains_with_null_hint():
     near = APStatus("AP1", capacity=11.0, position=(0.0, 0.0), radius=10.0)
     far = APStatus("AP2", capacity=11.0, position=(100.0, 0.0), radius=10.0)
+    near.load = 1.0
     view = view_with([near, far])
-    update_partition_view(view, ViewEvent("md-join", md_id="M1", position=(3.0, 4.0)))
-    assert select_ap_for_join("M1", None, view) == "AP1"
+    # a null hint carries no position, so the most residual AP wins
+    assert select_ap_for_join("M1", None, view) == "AP2"
+    # a hint's origin is the position that coverage constrains
+    hint = FlowRequest("M1", "data", 1.0, origin=(3.0, 4.0))
+    assert select_ap_for_join("M1", hint, view) == "AP1"
