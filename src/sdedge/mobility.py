@@ -258,9 +258,11 @@ class MobilityManager:
 
         adopter, recovered, control = self.ring.adopt_failed(failed)
         recovered_names = set(recovered)
-        # a suspect is lost only if no live node can actually serve it now
+        # a suspect is lost only if no live node can actually serve it now;
+        # with no live node left, none can
         lost = sorted(
-            md for md in suspects if self.ring.get_record(md, key=self.registered[md]) is None
+            md for md in suspects
+            if adopter is None or self.ring.get_record(md, key=self.registered[md]) is None
         )
         for md in lost:
             self.registered.pop(md, None)

@@ -4,30 +4,88 @@ Reports are pure data derived from a finished run; emitting the same
 report twice (or a report from a repeated run with the same seed) must be
 byte-identical, so serialization sorts keys and uses repr-exact floats.
 
+The throughput series a run reports is a `Throughput`: per stream, the
+runs (first instant, Mbps) it changed value at, which the dense rows
+(t, stream, Mbps) are expanded from only when something reads them.
+
 The JSON document is exactly what `json.dumps(document, sort_keys=True,
 indent=1)` prints. That call cannot use the C encoder, because it indents,
 so it renders only the small part of the document. Row writers own the
-three big lists (throughput, handovers, auth_events): they read the
-report's own tuples and dicts, encode each scalar by its type, and join
-rows in bounded batches, so no more than one batch of row strings is alive
-at a time and the peak is the report plus the text, in chunks and then
-joined. tests/test_report_render.py pins the equivalence against that
-`json.dumps` call on generated reports.
+three big lists (throughput, handovers, auth_events). The throughput
+writers, JSON and CSV, make one pass over the runs: each row is the
+string of its instant joined to the string of its run, so a scalar is
+encoded once per instant or run, not once per row, and one instant's rows
+are joined at a time. The dict writers encode each scalar by its type and
+join rows in bounded batches. Either way the peak is the report plus the
+text, in chunks and then joined. tests/test_report_render.py pins the
+equivalence against that `json.dumps` call on generated reports.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator
 
 from .errors import EmitError
 
 SCHEMA_VERSION = "sdedge.metrics/1"
 FORMATS = ("csv", "json")
+
+
+class Throughput(Sequence):
+    """Rows (t, stream id, Mbps) in (t, stream) order, kept as per-stream runs.
+
+    A stream with `n` rows has them at its start and then each
+    round(t + period, 9), the instants `World` samples it at; each row
+    reads the value of the stream's latest run (first instant, Mbps) at or
+    before it. `len()` expands nothing; each reader expands the runs once.
+    """
+
+    def __init__(self, period: float, streams: Iterable[tuple[str, float, int, list[tuple[float, float]]]]):
+        self.period = period
+        self.streams = sorted(streams, key=itemgetter(0))  # (stream id, start, n, runs)
+        self._len = sum(n for _, _, n, _ in self.streams)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __iter__(self) -> Iterator[tuple[float, str, float]]:
+        runs, instants = self.expand()
+        sids, values = [sid for sid, _ in runs], [mbps for _, mbps in runs]
+        for t, ids in instants:
+            yield from zip(repeat(t), map(sids.__getitem__, ids), map(values.__getitem__, ids))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (list, Throughput)) and list(self) == list(other)
+
+    def expand(self) -> tuple[list[tuple[str, float]], list[tuple[float, list[int]]]]:
+        """Every run as (stream id, Mbps), and per instant in time order the
+        indices of the runs its rows read, in stream order."""
+        runs: list[tuple[str, float]] = []
+        rows_at: dict[float, list[int]] = {}
+        chains: dict[float, tuple[list[float], list[list[int]]]] = {}  # start -> instants, their row lists
+        for sid, start, n, stream_runs in self.streams:
+            ts, slots = chains.setdefault(start, ([], []))
+            while len(ts) < n:
+                t = round(ts[-1] + self.period, 9) if ts else start
+                ts.append(t)
+                slots.append(rows_at.setdefault(t, []))
+            a = 0
+            for (_, mbps), b in zip(stream_runs, [ts.index(t) for t, _ in stream_runs[1:]] + [n]):
+                rid = len(runs)
+                runs.append((sid, mbps))
+                for slot in slots[a:b]:
+                    slot.append(rid)
+                a = b
+        return runs, sorted(rows_at.items())
 
 
 @dataclass
@@ -37,8 +95,8 @@ class MetricsReport:
     mode: str
     duration: float
     personal_ap: bool = False
-    # time, stream id, Mbps
-    throughput: list[tuple[float, str, float]] = field(default_factory=list)
+    # time, stream id, Mbps: a list, or a Throughput from a run
+    throughput: Sequence[tuple[float, str, float]] = field(default_factory=list)
     # per association change / controller handover
     handovers: list[dict] = field(default_factory=list)
     packet_in: dict[str, int] = field(default_factory=dict)
@@ -48,25 +106,25 @@ class MetricsReport:
 
     # -- derived ------------------------------------------------------------
 
-    def stream_ids(self) -> list[str]:
-        return sorted({sid for _, sid, _ in self.throughput})
-
     def series(self, stream_id: str) -> list[tuple[float, float]]:
         return [(t, mbps) for t, sid, mbps in self.throughput if sid == stream_id]
 
     def delivered_mbit(self, stream_id: str | None = None) -> float:
         """Trapezoid-free accounting: each sample covers one sample interval."""
+        return self._delivered(stream_id)[0]
+
+    def _delivered(self, stream_id: str | None) -> tuple[float, dict[str, float]]:
+        """The delivered Mbit, and each stream's last instant, in one pass over the rows."""
         total = 0.0
-        rows = self.throughput
         last_t: dict[str, float] = {}
-        for t, sid, mbps in rows:
+        for t, sid, mbps in self.throughput:
             if stream_id is not None and sid != stream_id:
                 continue
             prev = last_t.get(sid)
             dt = t - prev if prev is not None else 0.0
             total += mbps * dt
             last_t[sid] = t
-        return total
+        return total, last_t
 
     def mean_handover_latency(self) -> float | None:
         lats = [h["latency"] for h in self.handovers]
@@ -76,9 +134,10 @@ class MetricsReport:
 
     def summary(self) -> dict:
         grants = sum(1 for e in self.auth_events if e["granted"])
+        delivered, last_t = self._delivered(None)
         return {
-            "streams": len(self.stream_ids()),
-            "delivered_mbit_total": round(self.delivered_mbit(), 9),
+            "streams": len(last_t),
+            "delivered_mbit_total": round(delivered, 9),
             "handover_count": len(self.handovers),
             "mean_handover_latency": self.mean_handover_latency(),
             "packet_in_total": sum(self.packet_in.values()),
@@ -132,10 +191,25 @@ def _value(v) -> str:
     return json.dumps(v, sort_keys=True, indent=1).replace("\n", _ROW_INDENT)
 
 
-def _tuple_rows(rows: list[tuple]) -> Iterator[str]:
+def _run_rows(rows: Sequence[tuple], head: Callable[[object], str], tail: Callable[[object, object], str],
+              sep: str) -> Iterator[str]:
+    """Throughput rows as text, one instant's rows to a chunk: `head(t)`
+    joined to `tail(stream id, Mbps)`, each string made once per instant or
+    run. A plain list of rows is one run per row, in list order."""
+    if isinstance(rows, Throughput):
+        runs, instants = rows.expand()
+    else:
+        runs, instants = [(sid, mbps) for _, sid, mbps in rows], [(row[0], [i]) for i, row in enumerate(rows)]
+    tails = [tail(sid, mbps) for sid, mbps in runs]
+    for t, ids in instants:
+        h = head(t)
+        yield h + (sep + h).join(map(tails.__getitem__, ids))
+
+
+def _throughput_chunks(rows: Sequence[tuple]) -> Iterator[str]:
     """Rows shaped (t, stream id, Mbps), each an array of three scalars."""
-    for a, b, c in rows:
-        yield f"  [\n   {_value(a)},\n   {_value(b)},\n   {_value(c)}\n  ]"
+    return _run_rows(rows, lambda t: f"  [\n   {_value(t)},\n   ",
+                     lambda sid, mbps: f"{_value(sid)},\n   {_value(mbps)}\n  ]", ",\n")
 
 
 def _dict_rows(rows: list[dict]) -> Iterator[str]:
@@ -149,25 +223,32 @@ def _dict_rows(rows: list[dict]) -> Iterator[str]:
         yield template % tuple([_value(row[k]) for k in keys])
 
 
-# the document's big lists, each with the writer for its row shape
-_ROW_LISTS: dict[str, Callable[[list], Iterator[str]]] = {
-    "auth_events": _dict_rows,
-    "handovers": _dict_rows,
-    "throughput": _tuple_rows,
+def _dict_chunks(rows: list[dict]) -> Iterator[str]:
+    """Dict rows, _BATCH to a chunk."""
+    lines = _dict_rows(rows)
+    for _ in range(0, len(rows), _BATCH):
+        yield ",\n".join(islice(lines, _BATCH))
+
+
+# the document's big lists, each with the writer of its chunks for its row shape
+_ROW_LISTS: dict[str, Callable[[Sequence], Iterator[str]]] = {
+    "auth_events": _dict_chunks,
+    "handovers": _dict_chunks,
+    "throughput": _throughput_chunks,
 }
 
 
-def _array(rows: list, writer: Callable[[list], Iterator[str]]) -> Iterator[str]:
-    """A big list at depth one, in chunks of at most _BATCH rows."""
-    if not rows:
+def _array(chunks: Iterator[str]) -> Iterator[str]:
+    """A big list at depth one, from its chunks of rows."""
+    first = next(chunks, None)
+    if first is None:
         yield "[]"
         return
     yield "[\n"
-    lines = writer(rows)
-    for start in range(0, len(rows), _BATCH):
-        if start:
-            yield ",\n"
-        yield ",\n".join(islice(lines, _BATCH))
+    yield first
+    for chunk in chunks:
+        yield ",\n"
+        yield chunk
     yield "\n ]"
 
 
@@ -178,7 +259,7 @@ def render_json(report: MetricsReport) -> str:
     for i, key in enumerate(sorted([*small, *_ROW_LISTS])):
         parts.append(f"{',' if i else ''}\n {_encode_str(key)}: ")
         if key in _ROW_LISTS:
-            parts.extend(_array(getattr(report, key), _ROW_LISTS[key]))
+            parts.extend(_array(_ROW_LISTS[key](getattr(report, key))))
         else:
             parts.append(json.dumps(small[key], sort_keys=True, indent=1).replace("\n", "\n "))
     parts.append("\n}\n")
@@ -187,11 +268,9 @@ def render_json(report: MetricsReport) -> str:
 
 def render_csv(report: MetricsReport) -> str:
     """Throughput series only; the keyed document lives in the JSON format."""
-    rows = report.throughput
     parts = [f"# schema={SCHEMA_VERSION} scenario={report.scenario} seed={report.seed} mode={report.mode}\n"
              "t,stream_id,mbps\n"]
-    for start in range(0, len(rows), _BATCH):
-        parts.append("".join([f"{t!r},{sid},{mbps!r}\n" for t, sid, mbps in rows[start:start + _BATCH]]))
+    parts.extend(_run_rows(report.throughput, lambda t: f"{t!r},", lambda sid, mbps: f"{sid},{mbps!r}\n", ""))
     return "".join(parts)
 
 

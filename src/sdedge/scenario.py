@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from .authn import MODES
 from .errors import ScenarioError, UsageError
-from .ring import fnv1a64
+from .ring import fnv1a64, hash_id
 
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
@@ -188,6 +188,24 @@ class Scenario:
     waypoints: list[WaypointDecl] = field(default_factory=list)
     failures: list[FailureDecl] = field(default_factory=list)
     workload: WorkloadDecl | None = None
+
+
+def ring_keys(controllers: list[ControllerDecl], m: int) -> tuple[dict[str, int], list[tuple[int, str]]]:
+    """Each controller's key on the m-bit ring, declared or hashed from its
+    name, and the problems that keep one off it, as (line, message). The
+    parser checks a file's own `m`; `World` checks the `m` it is given."""
+    keys: dict[str, int] = {}
+    problems = []
+    taken: dict[int, str] = {}
+    for c in controllers:
+        key = c.key if c.key is not None else hash_id(c.name, m)
+        if not 0 <= key < 1 << m:
+            problems.append((c.line, f"controller {c.name} key {key} outside [0, 2^{m})"))
+        elif key in taken:
+            problems.append((c.line, f"controller {c.name} collides with {taken[key]} at key {key}"))
+        else:
+            keys[c.name], taken[key] = key, c.name
+    return keys, problems
 
 
 def _layout_rng(layout_seed: int, tag: str) -> random.Random:
@@ -503,6 +521,10 @@ class _Parser:
         problem = sc.params.controllers_problem(len(sc.controllers))
         if problem:
             self.fail(self.param_lines.get("controllers", 0), problem)
+        if not any(name == "m" for name, _ in sc.params.validate()):
+            active = sc.controllers[: sc.params.controllers] if sc.params.controllers else sc.controllers
+            for line, msg in ring_keys(active, sc.params.m)[1]:
+                self.fail(line, msg)
 
         for ap in sc.aps:
             if ap.partition not in controller_names:

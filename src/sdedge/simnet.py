@@ -10,16 +10,29 @@ same path, after the detection delay. A handover or first registration
 that fails, because its target controller is down, leaves the device
 disconnected until its next move or the adoption of that controller's
 partition, whichever comes first.
-Transport streams are sampled on a fixed cadence, by one sampler event per
-instant that ticks the streams due then, with a rate cap: a stream
-delivers min(demand, path bottleneck) when connected, admitted, and
+Transport streams are sampled on a fixed cadence, with a rate cap: a
+stream delivers min(demand, path bottleneck) when connected, admitted, and
 forwarded by the access gate, and zero for a recovery lag after any
 re-admission (the configured TCP-recovery stand-in). A connected stream
 that was not admitted, because its serving AP had no room or the AP's
-controller had crashed and its partition was not yet adopted, retries
-admission at each of its sampling instants once its gap has passed, and is
-admitted at the first one at which that AP fits its demand under a live
-controller; until then it samples zero.
+controller had crashed and its partition was not yet adopted, is admitted
+at the first of its sampling instants, once its gap has passed, at which
+that AP fits its demand under a live controller; until then it samples
+zero. A stream's samples are kept as runs, one per change of value.
+One sampler event per instant visits only the streams whose sample can
+differ from their last one; every other stream is parked, its run going on:
+- dirty streams: an event changed an input (their start or end, an
+  association change or disconnection of their device, a grant of theirs
+  appearing or going, a re-admission, or the failure of their serving AP);
+- streams whose recovery gap has passed, popped from a heap by the sampler;
+- woken waiters: a stream left unplaced waits on its serving AP, and is
+  retried only after a release there or the adoption of its partition, in
+  rank order while the AP fits the smallest demand. Without either, no
+  retry could succeed.
+Within an instant, streams tick in rank order: later start first, then
+declaration order. For streams that start on one another's sampling
+instants that is the order they asked for the instant in, so admissions
+that compete for the same room resolve as a tick of every due stream would.
 Coverage is kept, not recomputed: each AP has a roster of the devices whose
 position lies in its disc, which `apply_move` updates on every position
 change; that is the only disc test the world makes. A device is covered by
@@ -34,33 +47,53 @@ once; a handler failure there names the instant, not the AP.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
-from operator import itemgetter
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field
+from heapq import heappop, heappush, merge
 
 from .authn import AuthnService, LocationGroup
 from .engine import EventEngine
-from .errors import HandoverFailure, NotAMember, SdedgeError, UsageError
+from .errors import HandoverFailure, NotAMember, UsageError
 from .mobility import MobilityManager
-from .report import MetricsReport
+from .report import MetricsReport, Throughput
 from .ring import OverlayRing
-from .scenario import Params, Scenario, StreamDecl, WaypointDecl
+from .scenario import Params, Scenario, StreamDecl, WaypointDecl, ring_keys
 from .scheduler import APStatus, FlowRequest, PartitionView, ViewEvent, best_ap, update_partition_view
 
 
-@dataclass
+@dataclass(eq=False)
 class StreamState:
     decl: StreamDecl
+    rank: int = 0  # tick order within an instant: later start first, then declaration order
     started: bool = False
     ended: bool = False
     placed: bool = False
     gap_until: float = 0.0
     gate_blocked: bool = False
+    chain: _Chain | None = None  # the instants it is still due at
+    value: float = 0.0  # its latest sample
+    runs: list[tuple[float, float]] = field(default_factory=list)  # (first instant, Mbps) per change
+    k0: int = 0  # chain index of its first instant
+    k: int = 0  # chain index of its last instant credited to frame_seq
+    waiting_on: str | None = None  # the AP it waits on for room
 
     @property
     def name(self) -> str:
         return self.decl.name
+
+
+@dataclass(eq=False)
+class _Chain:
+    """The streams due at one sequence of instants, each round(t + sample_period, 9)
+    after the last. `k` counts its sampler events, so a stream's parked
+    instants are the difference of two chain indices."""
+
+    k: int = 0
+    stops: list[tuple[float, int]] = field(default_factory=list)  # heap of (last allowed instant, rank)
+    dirty: set[int] = field(default_factory=set)  # ranks to tick at the next instant
+    woken: set[str] = field(default_factory=set)  # APs whose waiters retry at the next instant
 
 
 @dataclass
@@ -86,16 +119,14 @@ class World:
         if problem:
             raise UsageError(problem)
         active = declared[: p.controllers] if p.controllers else declared
+        keys, problems = ring_keys(active, p.m)
+        if problems:
+            raise UsageError("; ".join(f"{scenario.name}:{line}: {msg}" for line, msg in problems))
         self.ring = OverlayRing(m=p.m, replication=p.r)
-        self.cid_of: dict[str, int] = {}
-        self.name_of: dict[int, str] = {}
-        for decl in active:
-            cid = decl.key if decl.key is not None else self.ring.hash_id(decl.name)
-            if cid in self.name_of:
-                raise SdedgeError(f"controller {decl.name} collides with {self.name_of[cid]} at key {cid}")
+        self.cid_of: dict[str, int] = keys
+        self.name_of: dict[int, str] = {cid: name for name, cid in keys.items()}
+        for cid in keys.values():
             self.ring.join(cid)
-            self.cid_of[decl.name] = cid
-            self.name_of[cid] = decl.name
 
         self.mobility = MobilityManager(
             self.ring, link_latency=p.link_latency, coverage_check=self._covers
@@ -146,14 +177,19 @@ class World:
         for state in self.mds.values():
             self._update_roster(state.name, state.position)
         self.streams: dict[str, StreamState] = {s.name: StreamState(s) for s in scenario.streams}
-        # sample instant -> streams due then, in the order their ticks were asked for
-        self._due: dict[float, list[StreamState]] = {}
         self._md_streams: dict[str, list[StreamState]] = {}
         for st in self.streams.values():
             self._md_streams.setdefault(st.decl.md, []).append(st)
+        # the sampler's state: see `_sample`
+        self._ranked = sorted(self.streams.values(), key=lambda st: -st.decl.start)  # stable: then declared
+        for rank, st in enumerate(self._ranked):
+            st.rank = rank
+        self._due: dict[float, _Chain] = {}  # sample instant -> the chain due then
+        self._waiters: dict[str, list[int]] = {a: [] for a in self.aps}  # AP -> ranks waiting for room
+        self._gaps: list[tuple[float, int]] = []  # heap of (gap end, rank) of streams sampled in a gap
+        self._min_demand = min((s.demand for s in scenario.streams), default=0.0)
 
         # --- metrics ------------------------------------------------------------
-        self.throughput_rows: list[tuple[float, str, float]] = []
         self.handover_rows: list[dict] = []
         self.packet_in: dict[str, int] = {c.name: 0 for c in active}
         self.lookup_hops: dict[int, int] = {}
@@ -258,7 +294,8 @@ class World:
             self.engine.schedule(nxt, "timer", self._rotate_all, note="rotate")
 
     def _expire_grants(self) -> None:
-        self.authn.expire_stale_grants(self.engine.now, self.params.regrant_grace)
+        for md, _gid in self.authn.expire_stale_grants(self.engine.now, self.params.regrant_grace):
+            self._mark(self._md_streams.get(md, ()))
 
     def _beacon_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
         """One AP's beacon handler and note, and its key delivery's, built once."""
@@ -293,7 +330,10 @@ class World:
                 grant = grants.get((md, gid))
                 if grant is not None and grant.epoch == epochs.get(gid):
                     continue
-                if authn.authenticate(md, gid, now).granted:
+                granted = authn.authenticate(md, gid, now).granted
+                if granted != (grant is not None):  # the gate flips
+                    self._mark(self._md_streams.get(md, ()))
+                if granted:
                     self._readmit_streams(md)
 
         return beacon, note
@@ -303,6 +343,7 @@ class World:
         now = self.engine.now
         for st in self._md_streams.get(md, ()):
             if st.gate_blocked:
+                self._mark((st,))
                 st.gap_until = max(st.gap_until, round(now + self.params.recovery_lag, 9))
                 st.gate_blocked = False
 
@@ -319,6 +360,7 @@ class World:
             for gid, group in authn.groups.items():
                 if (md, gid) in authn.grants and any(not self._covers(md, ap) for ap in group.members):
                     authn.revoke(md, gid)
+                    self._mark(self._md_streams.get(md, ()))
 
         self._reattach(md, reason="move")
 
@@ -349,6 +391,7 @@ class World:
         old_ap = self.mobility.association_ap.get(md)
         if old_ap == new_ap and state.connected:
             return
+        self._mark(self._md_streams.get(md, ()))
         new_ctrl = self.partition_of[new_ap]
         old_ctrl = state.partition
 
@@ -402,6 +445,7 @@ class World:
         state = self.mds[md]
         if not state.connected:
             return
+        self._mark(self._md_streams.get(md, ()))
         state.connected = False
         for st in self._md_streams.get(md, ()):
             self._unplace(st)
@@ -417,10 +461,19 @@ class World:
         serving = self.mobility.association_ap.get(md)
         if serving is not None and self.mds[md].connected:
             self._place_flow(st, serving)
-        self._tick((st,))  # first sample at the start instant
+        # the first sample is taken now; the chain of the next instant carries it on
+        p, end = self.params, st.decl.end
+        nxt = round(self.engine.now + p.sample_period, 9)
+        stop = p.duration if end is None else min(end, p.duration)
+        if nxt <= stop:
+            st.chain = self._chain_at(nxt)
+            st.k0 = st.chain.k
+            heappush(st.chain.stops, (stop, st.rank))
+        self._tick(st, st.k0)
 
     def _flow_end(self, st: StreamState) -> None:
         st.ended = True
+        self._mark((st,))
         md = st.decl.md
         self._unplace(st)
         assoc = self.mobility.associations.get(md)
@@ -448,11 +501,14 @@ class World:
         return True
 
     def _unplace(self, st: StreamState) -> None:
+        """Release the flow's room, and wake the streams waiting for room there."""
         if not st.placed:
             return
         for view in self.views.values():
-            if st.name in view.open_flows:
+            rec = view.open_flows.get(st.name)
+            if rec is not None:
                 update_partition_view(view, ViewEvent("flow-end", flow_id=st.name))
+                self._wake(rec.ap_id)
                 break
         st.placed = False
 
@@ -463,57 +519,129 @@ class World:
 
     # ------------------------------------------------------------------ transport
 
-    def _tick(self, streams: Iterable[StreamState]) -> None:
-        """Sample `streams` at this instant, in order, and queue each one that
-        continues in the next instant's bucket, after any already there.
+    def sample_of(self, st: StreamState) -> tuple[float, str]:
+        """The sample `st` takes now, without side effects, and why: "off", "gated",
+        "gap", "wait" (no room or no live controller), "admit" or "placed"."""
+        decl = st.decl
+        if not st.started or st.ended:
+            return 0.0, "off"
+        serving = self.mobility.association_ap.get(decl.md)
+        ap = self.aps.get(serving)
+        if ap is None or not ap.alive or not self.mds[decl.md].connected:
+            return 0.0, "off"
+        if self.authn.active and self.authn.gate_traffic(serving, decl.md) == "drop":
+            return 0.0, "gated"
+        if self.engine.now < st.gap_until:
+            return 0.0, "gap"
+        why = "placed"
+        if not st.placed:
+            if self.partition_of[serving] in self._crashed or not ap.fits(decl.demand):
+                return 0.0, "wait"
+            why = "admit"
+        return min(decl.demand, self.bottleneck(serving, decl.dst)), why
 
-        The instant's state is read once per call, not once per stream. An
-        unplaced stream retries admission only when its serving AP fits it,
-        by the predicate `_place_flow` applies, so a full AP costs one check.
-        """
-        now = self.engine.now
-        nxt = round(now + self.params.sample_period, 9)
-        duration = self.params.duration
-        mds, aps = self.mds, self.aps
-        serving_of, associations = self.mobility.association_ap, self.mobility.associations
-        authn = self.authn
-        gated = authn.active  # mode None forwards everything
-        bottleneck = self.bottleneck
-        append = self.throughput_rows.append
-        due = None
+    def _tick(self, st: StreamState, k: int) -> None:
+        """Sample `st` at this instant, its chain index `k`, and park it by its reason."""
+        self._unwait(st)
+        value, why = self.sample_of(st)
+        md = st.decl.md
+        if why == "admit":
+            self._place_flow(st, self.mobility.association_ap[md])
+        elif why == "wait":
+            st.waiting_on = self.mobility.association_ap[md]
+            insort(self._waiters[st.waiting_on], st.rank)
+        elif why == "gated":
+            st.gate_blocked = True
+        elif why == "gap":
+            heappush(self._gaps, (st.gap_until, st.rank))
+        self._settle(st, k - 1)
+        if value != st.value or not st.runs:
+            st.runs.append((self.engine.now, value))
+            st.value = value
+        self._settle(st, k)
+
+    def _settle(self, st: StreamState, k: int) -> None:
+        """Credit frame_seq with the instants after the last credited one, up to
+        chain index `k`, at which `st` sampled its current value, if positive."""
+        if st.value > 0 and k > st.k:
+            assoc = self.mobility.associations.get(st.decl.md)
+            if assoc is not None:
+                assoc.frame_seq += k - st.k
+        st.k = k
+
+    def _mark(self, streams: Iterable[StreamState]) -> None:
+        """An input of each of `streams` changes now: credit its parked
+        instants, and tick it at its chain's next instant."""
         for st in streams:
-            decl = st.decl
-            md = decl.md
-            sample = 0.0
-            if st.started and not st.ended:
-                serving = serving_of.get(md)
-                ap = aps.get(serving)
-                if ap is not None and ap.alive and mds[md].connected:
-                    if gated and authn.gate_traffic(serving, md) == "drop":
-                        st.gate_blocked = True
-                    elif now >= st.gap_until:
-                        if not st.placed and ap.fits(decl.demand):
-                            self._place_flow(st, serving)
-                        if st.placed:
-                            sample = min(decl.demand, bottleneck(serving, decl.dst))
-            append((now, decl.name, sample))
-            if sample > 0:
-                assoc = associations.get(md)
-                if assoc is not None:
-                    assoc.frame_seq += 1
-            end = decl.end
-            if st.ended or nxt > (duration if end is None else min(end, duration)):
-                continue
-            if due is None:
-                due = self._due.get(nxt)
-                if due is None:
-                    due = self._due[nxt] = []
-                    self.engine.schedule(nxt, "timer", lambda: self._sample(nxt), note="tick")
-            due.append(st)
+            if st.chain is not None:
+                self._settle(st, st.chain.k)
+                self._unwait(st)
+                st.chain.dirty.add(st.rank)
+
+    def _unwait(self, st: StreamState) -> None:
+        """`st` waits for room no longer."""
+        if st.waiting_on is not None:
+            self._waiters[st.waiting_on].remove(st.rank)
+            st.waiting_on = None
+
+    def _wake(self, ap_name: str) -> None:
+        """Room, or a live controller, came to `ap_name`: its waiters retry at their next instant."""
+        if self._waiters[ap_name]:
+            for chain in self._due.values():
+                chain.woken.add(ap_name)
+
+    def _woken(self, ap_name: str, chain: _Chain) -> Iterator[int]:
+        """The waiters of `chain` on `ap_name`, in rank order, while the AP fits the smallest demand."""
+        ap, ranked = self.aps[ap_name], self._ranked
+        for rank in list(self._waiters[ap_name]):
+            if not ap.fits(self._min_demand):
+                return  # ticks only take room: no later waiter fits either
+            if ranked[rank].chain is chain:
+                yield rank
+
+    def _chain_at(self, at: float) -> _Chain:
+        """The chain due at `at`; a new one schedules that instant's sampler event."""
+        chain = self._due.get(at)
+        if chain is None:
+            chain = self._due[at] = _Chain()
+            self.engine.schedule(at, "timer", lambda: self._sample(at), note="tick")
+        return chain
+
+    def _merge(self, a: _Chain, b: _Chain) -> None:
+        """Chains `a` and `b` are due at the same instant, so one from then on: `a` takes `b`'s streams."""
+        shift = a.k - b.k
+        for entry in b.stops:
+            st = self._ranked[entry[1]]
+            st.chain, st.k0, st.k = a, st.k0 + shift, st.k + shift
+            heappush(a.stops, entry)
+        a.dirty |= b.dirty
+        a.woken |= b.woken
 
     def _sample(self, at: float) -> None:
-        """The one sampler event of an instant: tick its streams in order."""
-        self._tick(self._due.pop(at))
+        """The one sampler event of an instant: tick the chain's dirty streams and
+        woken waiters in rank order, then carry the chain on to its next instant."""
+        chain = self._due.pop(at)
+        chain.k += 1
+        gaps, ranked = self._gaps, self._ranked
+        while gaps and gaps[0][0] <= at:
+            self._mark((ranked[heappop(gaps)[1]],))
+        order: Iterable[int] = sorted(chain.dirty)
+        chain.dirty.clear()
+        if chain.woken:
+            order = merge(order, *[self._woken(a, chain) for a in sorted(chain.woken)])
+            chain.woken.clear()
+        for rank in order:
+            self._tick(ranked[rank], chain.k)
+        nxt = round(at + self.params.sample_period, 9)
+        stops = chain.stops
+        while stops and stops[0][0] < nxt:
+            st = ranked[heappop(stops)[1]]
+            self._settle(st, chain.k)
+            self._unwait(st)
+            st.chain = None
+        if stops:
+            self._merge(chain, self._chain_at(nxt))  # a stream that started now may have made it
+            self._due[nxt] = chain
 
     # ------------------------------------------------------------------ failures
 
@@ -535,6 +663,8 @@ class World:
             if ap is None or not ap.alive:
                 return
             ap.alive = False
+            serving_of = self.mobility.association_ap
+            self._mark([st for md, a in serving_of.items() if a == name for st in self._md_streams.get(md, ())])
             self.engine.schedule(
                 round(now + delay, 9), "failure", lambda: self._recover_ap(name), note=f"recover:{name}"
             )
@@ -552,9 +682,9 @@ class World:
         target = self.views[adopter_name]
         target.ap_status.update(dead_view.ap_status)
         target.open_flows.update(dead_view.open_flows)
-        for ap_name, ctrl in list(self.partition_of.items()):
-            if ctrl == name:
-                self.partition_of[ap_name] = adopter_name
+        for ap_name in dead_view.ap_status:
+            self.partition_of[ap_name] = adopter_name
+            self._wake(ap_name)  # its waiters may be admitted by a live controller now
         for md_state in self.mds.values():
             if md_state.partition == name:
                 md_state.partition = adopter_name
@@ -627,16 +757,19 @@ class World:
             }
             for d in self.authn.auth_log
         ]
-        # (t, stream) order by two stable sorts, with no key tuple per row
-        throughput = sorted(self.throughput_rows, key=itemgetter(1))
-        throughput.sort(key=itemgetter(0))
+        streams = []
+        for st in self.streams.values():
+            if st.chain is not None:
+                self._settle(st, st.chain.k)
+            if st.runs:
+                streams.append((st.name, st.decl.start, st.k - st.k0 + 1, st.runs[:]))
         return MetricsReport(
             scenario=self.scenario.name,
             seed=self.params.seed,
             mode=self.params.mode,
             personal_ap=self.params.personal_ap_enabled,
             duration=self.params.duration,
-            throughput=throughput,
+            throughput=Throughput(self.params.sample_period, streams),
             handovers=self.handover_rows,
             packet_in=dict(sorted(self.packet_in.items())),
             lookup_hops=dict(sorted(self.lookup_hops.items())),

@@ -118,3 +118,13 @@ def test_validate_reads_bundled_scenarios_from_a_zipped_package(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("fig5c: ok")
+
+
+@pytest.mark.parametrize("scenario,message", [
+    ("fig2", "fig2:15: controller C10 key 10 outside [0, 2^2)"),
+    ("fig5c", "fig5c:15: controller C3 collides with C1 at key 3"),
+])
+def test_ring_width_override_is_checked_against_the_controllers(scenario, message, capsys):
+    assert main(["run", scenario, "--set", "m=2"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -2,7 +2,8 @@
 
 `render_json` writes the big row lists with its own row writers; these tests
 pin its output, byte for byte, to `json.dumps(document, sort_keys=True,
-indent=1) + "\\n"` over generated reports. The generators favour the values
+indent=1) + "\\n"` over generated reports, and pin a runs-backed
+`Throughput` to the same rows given as a plain list. The generators favour the values
 where the two could part: signed zero, subnormal and large floats, the
 non-finite floats json spells its own way, ints and bools where floats are
 expected, None, names that need escaping, and empty lists and tables.
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from sdedge import report as report_module
-from sdedge.report import SCHEMA_VERSION, MetricsReport, emit, render_csv, render_json
+from sdedge.report import SCHEMA_VERSION, MetricsReport, Throughput, emit, render_csv, render_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -106,3 +107,61 @@ def test_rows_spanning_several_batches_match_json_dumps():
                      for i in range(n + 1)],
     )
     assert render_json(report) == reference_json(report)
+
+
+def expanded(period, streams):
+    """The rows of `Throughput(period, streams)`, expanded by hand and sorted."""
+    rows = []
+    for sid, start, n, runs in streams:
+        firsts, t, mbps = dict(runs), start, None
+        for _ in range(n):
+            mbps = firsts.get(t, mbps)
+            rows.append((t, sid, mbps))
+            t = round(t + period, 9)
+    return sorted(rows, key=lambda row: (row[0], row[1]))
+
+
+def runs_of(sid, start, period, samples):
+    """One stream's (stream id, start, n, runs), from its sample per instant."""
+    runs, t = [], start
+    for mbps in samples:
+        if not runs or runs[-1][1] != mbps:
+            runs.append((t, mbps))
+        t = round(t + period, 9)
+    return sid, start, len(samples), runs
+
+
+# starts on different sampling chains, and later starts that join a chain
+starts = st.sampled_from((0.0, 0.05, 0.1, 0.3, 0.25, 1.0, 0.30000000001))
+mbps_values = st.sampled_from((0.0, 0.2, 8.0, 11.0, 1e16, 5e-324))
+runs_streams = st.builds(
+    lambda period, streams: (period, [runs_of(sid, start, period, samples) for sid, (start, samples) in streams.items()]),
+    st.sampled_from((0.1, 0.25)),
+    st.dictionaries(names, st.tuples(starts, st.lists(mbps_values, min_size=1, max_size=8)), max_size=5),
+)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(runs_streams, reports)
+def test_runs_backed_throughput_renders_the_bytes_of_its_rows(runs, report):
+    period, streams = runs
+    throughput = Throughput(period, streams)
+    rows = expanded(period, streams)
+    assert throughput == rows and len(throughput) == len(rows)
+    report.throughput = rows
+    as_list = render_json(report), render_csv(report)
+    report.throughput = throughput
+    assert (render_json(report), render_csv(report)) == as_list
+    assert as_list[0] == reference_json(report)
+
+
+def test_runs_spanning_several_batches_render_the_bytes_of_their_rows():
+    period, n = 0.1, report_module._BATCH
+    streams = [runs_of(f"S{i}", start, period, [float(k // 50 % 3) for k in range(n)])
+               for i, start in enumerate((0.0, 0.05, 1.0))]
+    throughput = Throughput(period, streams)
+    assert len(throughput) == 3 * n > 2 * report_module._BATCH
+    rows = MetricsReport(scenario="runs", seed=1, mode="None", duration=9.0, throughput=expanded(period, streams))
+    runs = MetricsReport(scenario="runs", seed=1, mode="None", duration=9.0, throughput=throughput)
+    assert render_json(runs) == render_json(rows) == reference_json(rows)
+    assert render_csv(runs) == render_csv(rows)

@@ -1,8 +1,10 @@
 import pytest
 
+from sdedge.cli import main
 from sdedge.errors import UsageError
 from sdedge.report import render_csv, render_json
 from sdedge.scenario import apply_overrides, bundled_scenario_path, parse_scenario, parse_scenario_text
+from sdedge.scheduler import APStatus
 from sdedge.simnet import World
 
 
@@ -436,8 +438,48 @@ class PacketInCheckedWorld(World):
         super()._schedule_all()
 
 
-class CheckedWorld(CapacityCheckedWorld, RosterCheckedWorld, PacketInCheckedWorld):
-    """The capacity, roster and packet-in checks."""
+class SampleCheckedWorld(World):
+    """A dense oracle of the sampler. After every sampler event, each stream
+    due then that was not ticked would sample its run's value and could not
+    be admitted. At the end, each association's frame_seq counts every
+    positive sample of its device's streams while it held."""
+
+    def _schedule_all(self):
+        self.ticked, self.positives = set(), {}  # id(association) -> [association, positive samples]
+        super()._schedule_all()
+
+    def _count(self, st):
+        assoc = self.mobility.associations.get(st.decl.md)
+        if st.value > 0 and assoc is not None:
+            self.positives.setdefault(id(assoc), [assoc, 0])[1] += 1
+
+    def _tick(self, st, k):
+        super()._tick(st, k)
+        self.ticked.add(st.name)
+
+    def _flow_start(self, st):
+        super()._flow_start(st)
+        self._count(st)
+
+    def _sample(self, at):
+        due = [self._ranked[rank] for _, rank in self._due[at].stops]
+        self.ticked.clear()
+        super()._sample(at)
+        for st in due:
+            if st.name not in self.ticked:
+                value, why = self.sample_of(st)
+                assert value == st.value and why != "admit", (at, st.name, value, why, st.value)
+            self._count(st)
+
+    def run(self):
+        report = super().run()
+        for assoc in self.mobility.associations.values():
+            assert assoc.frame_seq == self.positives.get(id(assoc), [assoc, 0])[1], assoc.md_id
+        return report
+
+
+class CheckedWorld(CapacityCheckedWorld, RosterCheckedWorld, PacketInCheckedWorld, SampleCheckedWorld):
+    """The capacity, roster, packet-in and dense-sample checks."""
 
 
 def test_roster_check_runs_on_a_grouped_failure_run():
@@ -462,22 +504,26 @@ def test_generated_failure_schedules_run_to_completion():
     fig5 += "\n[workload]\npacketin rate_per_ap=20 service_time=0.01\n"
 
     # no shrinking: each example is two whole runs, and a failing schedule
-    # of at most four failures reads well as generated
+    # of at most six failures reads well as generated
     phases = (hypothesis.Phase.explicit, hypothesis.Phase.reuse, hypothesis.Phase.generate)
 
     @hypothesis.settings(max_examples=15, deadline=None, phases=phases)
     @hypothesis.given(
         ap_failures=st.lists(st.tuples(st.integers(1, 8), instant), min_size=1, max_size=3),
-        crash=st.one_of(st.none(), st.tuples(st.sampled_from(["CA", "CB", "CC"]), instant)),
+        # up to every controller, so that the whole cluster can be lost
+        crashes=st.lists(st.tuples(st.sampled_from(["CA", "CB", "CC"]), instant), max_size=3),
         detection_delay=st.sampled_from(["0", "0.5", "2"]),
         controllers=st.sampled_from(["0", "3"]),
         mode=st.sampled_from(["None", "LEDGE-PAP"]),
+        # an AP that fits a single 0.2 Mbps flow keeps flows waiting, so that
+        # releases and adoptions wake waiters
+        capacity=st.sampled_from(["11", "0.2"]),
     )
-    def check(ap_failures, crash, detection_delay, controllers, mode):
+    def check(ap_failures, crashes, detection_delay, controllers, mode, capacity):
         lines = [f"fail ap AP{i} at={t}" for i, t in ap_failures]
-        if crash is not None:
-            lines.append(f"fail controller {crash[0]} at={crash[1]}")
-        sc = parse_scenario_text(fig5 + "\n[failures]\n" + "\n".join(lines) + "\n", "fig5-fuzz")
+        lines += [f"fail controller {name} at={t}" for name, t in crashes]
+        text = fig5.replace("capacity=11 ", f"capacity={capacity} ")
+        sc = parse_scenario_text(text + "\n[failures]\n" + "\n".join(lines) + "\n", "fig5-fuzz")
         params = apply_overrides(
             sc.params, {"detection_delay": detection_delay, "controllers": controllers, "mode": mode}
         )
@@ -771,22 +817,83 @@ def test_waiting_flow_is_admitted_at_the_first_instant_after_room_frees(end, adm
 
 
 def test_stream_starting_on_a_sampling_instant_gets_one_row_there_in_name_order():
+    # AP1 has room for one flow, which F0 holds until 0.6. FA waits from
+    # t=0.0; FB starts at 0.25, one of FA's sampling instants, and waits too.
+    # At 0.75 both retry, the later-started FB first, and FB wins the room.
     flows = [
-        "FB md=M1 dst=C1 type=tcp demand=1 tech=wifi start=0.5",
+        "F0 md=M3 dst=C1 type=tcp demand=1 tech=wifi start=0.0 end=0.6",
+        "FB md=M1 dst=C1 type=tcp demand=1 tech=wifi start=0.25",
         "FA md=M2 dst=C1 type=tcp demand=1 tech=wifi start=0.0",
     ]
-    aps = ["AP1 pos=0,0 radius=30 capacity=11 techs=wifi partition=C1"]
-    text = star(aps, ["M1 pos=1,1", "M2 pos=2,2"], flows, params=["sample_period = 0.25", "duration = 1.5"])
-    world = World(parse_scenario_text(text, "same-instant"))
-    report = world.run()
-    # FB's flow-start runs before FA's sampler event at 0.5, so FB is sampled
-    # and queued for 0.75 first, and the sampler appends FA after it
-    for t in (0.5, 0.75):
-        assert [name for at, name, _ in world.throughput_rows if at == t] == ["FB", "FA"]
+    aps = ["AP1 pos=0,0 radius=30 capacity=1 techs=wifi partition=C1"]
+    mds = ["M1 pos=1,1", "M2 pos=2,2", "M3 pos=3,3"]
+    text = star(aps, mds, flows, params=["sample_period = 0.25", "duration = 1.5"])
+    report = World(parse_scenario_text(text, "same-instant")).run()
+    assert first_nonzero_after(report.series("FB"), 0.0) == 0.75
+    assert all(v == 0.0 for _, v in report.series("FA"))
     keys = [(t, name) for t, name, _ in report.throughput]
-    assert len(keys) == len(set(keys))
     instants = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
-    assert keys == [(0.0, "FA"), (0.25, "FA")] + [(t, n) for t in instants[2:] for n in ("FA", "FB")]
+    assert keys == [(0.0, "F0"), (0.0, "FA"), (0.25, "F0"), (0.25, "FA"), (0.25, "FB"), (0.5, "F0")] + [
+        (t, n) for t in instants[2:] for n in ("FA", "FB")
+    ]
+
+
+def test_admission_retries_grow_with_releases_not_with_instants(monkeypatch):
+    # AP1 fits one flow. F0 holds it and nine more flows wait; each release
+    # admits the next. A full AP is retried only after a release there.
+    calls = []
+    fits = APStatus.fits
+    monkeypatch.setattr(APStatus, "fits", lambda ap, demand: calls.append(ap.ap_id) or fits(ap, demand))
+
+    def fits_calls(duration, ends):
+        flows = [f"F{i} md=M{i} dst=C1 type=tcp demand=1 tech=wifi start=0.0" for i in range(10)]
+        flows = [f + (f" end={ends[i]}" if i < len(ends) else "") for i, f in enumerate(flows)]
+        mds = [f"M{i} pos={i},1" for i in range(10)]
+        aps = ["AP1 pos=0,0 radius=30 capacity=1 techs=wifi partition=C1"]
+        text = star(aps, mds, flows, params=[f"duration = {duration}"])
+        calls.clear()
+        report = World(parse_scenario_text(text, "full-ap")).run()
+        assert [first_nonzero_after(report.series(f"F{i}"), 0.0) for i in range(len(ends) + 1)] == [
+            0.0, *[round(end + 0.05, 9) for end in ends]
+        ]
+        return len(calls)
+
+    no_release, one_release = fits_calls(3.0, []), fits_calls(3.0, [1.05])
+    assert fits_calls(30.0, [1.05]) == one_release  # ten times the instants, no more retries
+    # a release retries the first waiter only, since the room it frees fits
+    # one flow: one check opens the scan, three admit it, one ends the scan
+    assert fits_calls(30.0, [1.05, 2.05]) - one_release == one_release - no_release == 5
+
+
+@pytest.mark.parametrize("overrides,tail,gated", [
+    # the epoch-1 grant expires at 5.4, before the beacon wave at 6.0
+    # grants epoch 2; the stream then pays the recovery lag
+    ({"beacon_period": "1.0", "rotation_period": "5.1"}, "", (5.4, 10.1)),
+    # AP2 fails, so after the rotation at 10.0 its key is missing: the
+    # re-authentication at 10.005 is denied and drops the standing grant
+    ({}, "\n[failures]\nfail ap AP2 at=5.0\n", (10.1, None)),
+])
+def test_grant_changes_reach_parked_streams(overrides, tail, gated):
+    sc = parse_scenario_text(bundled_scenario_path("fig6").read_text() + tail, "fig6-grants")
+    report = CheckedWorld(sc, apply_overrides(sc.params, {"mode": "LEDGE-LA", **overrides})).run()
+    series = report.series("F1")
+    assert next(t for t, v in series if t > 5.0 and v == 0.0) == gated[0]
+    assert first_nonzero_after(series, gated[0]) == gated[1]
+
+
+def test_losing_every_controller_lists_every_device_lost(tmp_path, capsys):
+    # CB adopts CA's partition at t=5 and crashes at t=8, with no live
+    # controller left: every registered device is lost, and the run goes on
+    text = bundled_scenario_path("fig5").read_text().replace("mds M 300 ", "mds M 60 ", 1)
+    text += "\n[failures]\nfail controller CA at=5.0\nfail controller CB at=8.0\n"
+    world = CheckedWorld(parse_scenario_text(text, "fig5-lost"))
+    report = world.run()
+    assert sorted(report.record_losses) == sorted(world.mds)
+    assert world.mobility.registered == {} and list(world.views) == ["CB"]  # nobody adopted CB
+    path = tmp_path / "fig5-lost.scenario"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 0
+    assert "lost=60" in capsys.readouterr().out
 
 
 def test_record_metrics_is_repeatable():
