@@ -19,8 +19,9 @@ controller had crashed and its partition was not yet adopted, is admitted
 at the first of its sampling instants, once its gap has passed, at which
 that AP fits its demand under a live controller; until then it samples
 zero. A stream's samples are kept as runs, one per change of value.
-One sampler event per instant visits only the streams whose sample can
-differ from their last one; every other stream is parked, its run going on:
+Streams due at the same instants form a chain. One sampler event per
+instant visits only the streams of its chain whose sample can differ from
+their last one; every other stream is parked, its run going on:
 - dirty streams: an event changed an input (their start or end, an
   association change or disconnection of their device, a grant of theirs
   appearing or going, a re-admission, or the failure of their serving AP);
@@ -29,10 +30,12 @@ differ from their last one; every other stream is parked, its run going on:
   retried only after a release there or the adoption of its partition, in
   rank order while the AP fits the smallest demand. Without either, no
   retry could succeed.
-Within an instant, streams tick in rank order: later start first, then
-declaration order. For streams that start on one another's sampling
-instants that is the order they asked for the instant in, so admissions
-that compete for the same room resolve as a tick of every due stream would.
+Within an instant, streams tick in rank order, the order in which they
+asked for it, as a tick of every due stream would take them, so admissions
+that compete for the same room resolve the same way. A stream that starts
+on a chain's instant asks for the next one before the chain's streams do,
+so later starts rank first, and streams that start together rank in
+declaration order.
 Coverage is kept, not recomputed: each AP has a roster of the devices whose
 position lies in its disc, which `apply_move` updates on every position
 change; that is the only disc test the world makes. A device is covered by
@@ -52,6 +55,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, merge
+from operator import attrgetter
 
 from .authn import AuthnService, LocationGroup
 from .engine import EventEngine
@@ -66,7 +70,7 @@ from .scheduler import APStatus, FlowRequest, PartitionView, ViewEvent, best_ap,
 @dataclass(eq=False)
 class StreamState:
     decl: StreamDecl
-    rank: int = 0  # tick order within an instant: later start first, then declaration order
+    rank: int = 0  # its place in its chain's tick order
     started: bool = False
     ended: bool = False
     placed: bool = False
@@ -91,9 +95,15 @@ class _Chain:
     instants are the difference of two chain indices."""
 
     k: int = 0
-    stops: list[tuple[float, int]] = field(default_factory=list)  # heap of (last allowed instant, rank)
-    dirty: set[int] = field(default_factory=set)  # ranks to tick at the next instant
+    lo: int = 0  # the lowest and highest rank of its streams
+    hi: int = -1
+    # heap of (last allowed instant, name, stream), one entry per stream
+    stops: list[tuple[float, str, StreamState]] = field(default_factory=list)
+    dirty: set[StreamState] = field(default_factory=set)  # to tick at the next instant
     woken: set[str] = field(default_factory=set)  # APs whose waiters retry at the next instant
+
+
+_RANK = attrgetter("rank")
 
 
 @dataclass
@@ -181,12 +191,9 @@ class World:
         for st in self.streams.values():
             self._md_streams.setdefault(st.decl.md, []).append(st)
         # the sampler's state: see `_sample`
-        self._ranked = sorted(self.streams.values(), key=lambda st: -st.decl.start)  # stable: then declared
-        for rank, st in enumerate(self._ranked):
-            st.rank = rank
         self._due: dict[float, _Chain] = {}  # sample instant -> the chain due then
-        self._waiters: dict[str, list[int]] = {a: [] for a in self.aps}  # AP -> ranks waiting for room
-        self._gaps: list[tuple[float, int]] = []  # heap of (gap end, rank) of streams sampled in a gap
+        self._waiters: dict[str, list[StreamState]] = {a: [] for a in self.aps}  # AP -> its waiters, by rank
+        self._gaps: list[tuple[float, str]] = []  # heap of (gap end, name) of streams sampled in a gap
         self._min_demand = min((s.demand for s in scenario.streams), default=0.0)
 
         # --- metrics ------------------------------------------------------------
@@ -466,9 +473,10 @@ class World:
         nxt = round(self.engine.now + p.sample_period, 9)
         stop = p.duration if end is None else min(end, p.duration)
         if nxt <= stop:
-            st.chain = self._chain_at(nxt)
-            st.k0 = st.chain.k
-            heappush(st.chain.stops, (stop, st.rank))
+            chain = st.chain = self._chain_at(nxt)
+            st.k0, st.rank = chain.k, chain.hi + 1  # it asked for `nxt` after the chain's streams
+            chain.hi += 1
+            heappush(chain.stops, (stop, st.name, st))
         self._tick(st, st.k0)
 
     def _flow_end(self, st: StreamState) -> None:
@@ -548,12 +556,11 @@ class World:
         if why == "admit":
             self._place_flow(st, self.mobility.association_ap[md])
         elif why == "wait":
-            st.waiting_on = self.mobility.association_ap[md]
-            insort(self._waiters[st.waiting_on], st.rank)
+            self._wait(st, self.mobility.association_ap[md])
         elif why == "gated":
             st.gate_blocked = True
         elif why == "gap":
-            heappush(self._gaps, (st.gap_until, st.rank))
+            heappush(self._gaps, (st.gap_until, st.name))
         self._settle(st, k - 1)
         if value != st.value or not st.runs:
             st.runs.append((self.engine.now, value))
@@ -576,12 +583,17 @@ class World:
             if st.chain is not None:
                 self._settle(st, st.chain.k)
                 self._unwait(st)
-                st.chain.dirty.add(st.rank)
+                st.chain.dirty.add(st)
+
+    def _wait(self, st: StreamState, ap_name: str) -> None:
+        """`st` waits for room on `ap_name`."""
+        st.waiting_on = ap_name
+        insort(self._waiters[ap_name], st, key=_RANK)
 
     def _unwait(self, st: StreamState) -> None:
         """`st` waits for room no longer."""
         if st.waiting_on is not None:
-            self._waiters[st.waiting_on].remove(st.rank)
+            self._waiters[st.waiting_on].remove(st)
             st.waiting_on = None
 
     def _wake(self, ap_name: str) -> None:
@@ -590,14 +602,14 @@ class World:
             for chain in self._due.values():
                 chain.woken.add(ap_name)
 
-    def _woken(self, ap_name: str, chain: _Chain) -> Iterator[int]:
+    def _woken(self, ap_name: str, chain: _Chain) -> Iterator[StreamState]:
         """The waiters of `chain` on `ap_name`, in rank order, while the AP fits the smallest demand."""
-        ap, ranked = self.aps[ap_name], self._ranked
-        for rank in list(self._waiters[ap_name]):
+        ap = self.aps[ap_name]
+        for st in list(self._waiters[ap_name]):
             if not ap.fits(self._min_demand):
                 return  # ticks only take room: no later waiter fits either
-            if ranked[rank].chain is chain:
-                yield rank
+            if st.chain is chain:
+                yield st
 
     def _chain_at(self, at: float) -> _Chain:
         """The chain due at `at`; a new one schedules that instant's sampler event."""
@@ -608,11 +620,16 @@ class World:
         return chain
 
     def _merge(self, a: _Chain, b: _Chain) -> None:
-        """Chains `a` and `b` are due at the same instant, so one from then on: `a` takes `b`'s streams."""
-        shift = a.k - b.k
+        """Chains `a` and `b` are due at the same instant, so one from then on:
+        `a` takes `b`'s streams, which asked for the instant first and so rank first."""
+        shift, k_shift = a.lo - 1 - b.hi, a.k - b.k
+        a.lo = b.lo + shift
         for entry in b.stops:
-            st = self._ranked[entry[1]]
-            st.chain, st.k0, st.k = a, st.k0 + shift, st.k + shift
+            st, waiting_on = entry[2], entry[2].waiting_on
+            self._unwait(st)  # its rank changes, and with it its place among the waiters
+            st.chain, st.rank, st.k0, st.k = a, st.rank + shift, st.k0 + k_shift, st.k + k_shift
+            if waiting_on is not None:
+                self._wait(st, waiting_on)
             heappush(a.stops, entry)
         a.dirty |= b.dirty
         a.woken |= b.woken
@@ -622,25 +639,25 @@ class World:
         woken waiters in rank order, then carry the chain on to its next instant."""
         chain = self._due.pop(at)
         chain.k += 1
-        gaps, ranked = self._gaps, self._ranked
+        gaps = self._gaps
         while gaps and gaps[0][0] <= at:
-            self._mark((ranked[heappop(gaps)[1]],))
-        order: Iterable[int] = sorted(chain.dirty)
+            self._mark((self.streams[heappop(gaps)[1]],))
+        order: Iterable[StreamState] = sorted(chain.dirty, key=_RANK)
         chain.dirty.clear()
         if chain.woken:
-            order = merge(order, *[self._woken(a, chain) for a in sorted(chain.woken)])
+            order = merge(order, *[self._woken(a, chain) for a in sorted(chain.woken)], key=_RANK)
             chain.woken.clear()
-        for rank in order:
-            self._tick(ranked[rank], chain.k)
+        for st in order:
+            self._tick(st, chain.k)
         nxt = round(at + self.params.sample_period, 9)
         stops = chain.stops
         while stops and stops[0][0] < nxt:
-            st = ranked[heappop(stops)[1]]
+            st = heappop(stops)[2]
             self._settle(st, chain.k)
             self._unwait(st)
             st.chain = None
         if stops:
-            self._merge(chain, self._chain_at(nxt))  # a stream that started now may have made it
+            self._merge(chain, self._chain_at(nxt))  # streams that started since may have made it
             self._due[nxt] = chain
 
     # ------------------------------------------------------------------ failures

@@ -121,7 +121,7 @@ def expanded(period, streams):
     return sorted(rows, key=lambda row: (row[0], row[1]))
 
 
-def runs_of(sid, start, period, samples):
+def runs_of(sid, start, samples, period):
     """One stream's (stream id, start, n, runs), from its sample per instant."""
     runs, t = [], start
     for mbps in samples:
@@ -135,7 +135,7 @@ def runs_of(sid, start, period, samples):
 starts = st.sampled_from((0.0, 0.05, 0.1, 0.3, 0.25, 1.0, 0.30000000001))
 mbps_values = st.sampled_from((0.0, 0.2, 8.0, 11.0, 1e16, 5e-324))
 runs_streams = st.builds(
-    lambda period, streams: (period, [runs_of(sid, start, period, samples) for sid, (start, samples) in streams.items()]),
+    lambda period, streams: (period, [runs_of(sid, *stream, period) for sid, stream in streams.items()]),
     st.sampled_from((0.1, 0.25)),
     st.dictionaries(names, st.tuples(starts, st.lists(mbps_values, min_size=1, max_size=8)), max_size=5),
 )
@@ -157,7 +157,7 @@ def test_runs_backed_throughput_renders_the_bytes_of_its_rows(runs, report):
 
 def test_runs_spanning_several_batches_render_the_bytes_of_their_rows():
     period, n = 0.1, report_module._BATCH
-    streams = [runs_of(f"S{i}", start, period, [float(k // 50 % 3) for k in range(n)])
+    streams = [runs_of(f"S{i}", start, [float(k // 50 % 3) for k in range(n)], period)
                for i, start in enumerate((0.0, 0.05, 1.0))]
     throughput = Throughput(period, streams)
     assert len(throughput) == 3 * n > 2 * report_module._BATCH

@@ -462,7 +462,7 @@ class SampleCheckedWorld(World):
         self._count(st)
 
     def _sample(self, at):
-        due = [self._ranked[rank] for _, rank in self._due[at].stops]
+        due = [st for _, _, st in self._due[at].stops]
         self.ticked.clear()
         super()._sample(at)
         for st in due:
@@ -518,11 +518,18 @@ def test_generated_failure_schedules_run_to_completion():
         # an AP that fits a single 0.2 Mbps flow keeps flows waiting, so that
         # releases and adoptions wake waiters
         capacity=st.sampled_from(["11", "0.2"]),
+        # flows sampled on other chains of instants, one that meets the
+        # 0.5 chain by rounding, and one that joins it later
+        starts=st.lists(st.sampled_from(["0.05", "0.30000000001", "1.5", "2.25"]), max_size=3),
     )
-    def check(ap_failures, crashes, detection_delay, controllers, mode, capacity):
+    def check(ap_failures, crashes, detection_delay, controllers, mode, capacity, starts):
         lines = [f"fail ap AP{i} at={t}" for i, t in ap_failures]
         lines += [f"fail controller {name} at={t}" for name, t in crashes]
         text = fig5.replace("capacity=11 ", f"capacity={capacity} ")
+        text = text.replace("\n[traces]", "".join(
+            f"\nflow X{i} md=M{i + 1:03d} dst=CA type=sensor demand=0.2 tech=wifi start={t} end={float(t) + 7}"
+            for i, t in enumerate(starts)
+        ) + "\n[traces]", 1)
         sc = parse_scenario_text(text + "\n[failures]\n" + "\n".join(lines) + "\n", "fig5-fuzz")
         params = apply_overrides(
             sc.params, {"detection_delay": detection_delay, "controllers": controllers, "mode": mode}
@@ -836,6 +843,25 @@ def test_stream_starting_on_a_sampling_instant_gets_one_row_there_in_name_order(
     assert keys == [(0.0, "F0"), (0.0, "FA"), (0.25, "F0"), (0.25, "FA"), (0.25, "FB"), (0.5, "F0")] + [
         (t, n) for t in instants[2:] for n in ("FA", "FB")
     ]
+
+
+@pytest.mark.parametrize("start,winner", [("0.30000000001", "FA"), ("0.29999999999", "FB"), ("0.3", "FB")])
+def test_streams_that_meet_at_an_instant_rank_in_the_order_they_asked_for_it(start, winner):
+    # F0 frees AP1's one flow of room at 0.35, and FA and FB both retry at
+    # 0.4. FB's start rounds onto FA's chain of instants there: it asks for
+    # 0.4 after FA's sampler event at 0.3 did when it starts after 0.3,
+    # and before it otherwise; the stream that asked first wins the room.
+    flows = [
+        "F0 md=M3 dst=C1 type=tcp demand=1 tech=wifi start=0.0 end=0.35",
+        "FA md=M2 dst=C1 type=tcp demand=1 tech=wifi start=0.0",
+        f"FB md=M1 dst=C1 type=tcp demand=1 tech=wifi start={start}",
+    ]
+    aps = ["AP1 pos=0,0 radius=30 capacity=1 techs=wifi partition=C1"]
+    text = star(aps, ["M1 pos=1,1", "M2 pos=2,2", "M3 pos=3,3"], flows, params=["duration = 1.0"])
+    report = CheckedWorld(parse_scenario_text(text, "rounded-race")).run()
+    assert {f: first_nonzero_after(report.series(f), 0.0) for f in ("FA", "FB")} == {
+        f: 0.4 if f == winner else None for f in ("FA", "FB")
+    }
 
 
 def test_admission_retries_grow_with_releases_not_with_instants(monkeypatch):
