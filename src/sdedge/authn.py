@@ -18,7 +18,7 @@ re-authentication grace window after a rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 MODE_NONE = "None"
@@ -61,12 +61,6 @@ class WalletEntry:
     received_at: float
 
 
-@dataclass
-class KeyWallet:
-    md_id: str
-    held: dict[str, WalletEntry] = field(default_factory=dict)  # latest per AP
-
-
 @dataclass(slots=True)
 class AuthDecision:
     md_id: str
@@ -97,7 +91,7 @@ class AuthnService:
         self.rotated_at: dict[str, float] = {}
         self.ap_keys: dict[str, BeaconKey] = {}
         self.group_of: dict[str, str] = {}
-        self.wallets: dict[str, KeyWallet] = {}
+        self.wallets: dict[str, dict[str, WalletEntry]] = {}  # device -> latest entry per AP
         self.grants: dict[tuple[str, str], Grant] = {}
         self.auth_log: list[AuthDecision] = []
 
@@ -143,18 +137,12 @@ class AuthnService:
 
     # -- device side -----------------------------------------------------------
 
-    def wallet(self, md_id: str) -> KeyWallet:
-        w = self.wallets.get(md_id)
-        if w is None:
-            w = self.wallets[md_id] = KeyWallet(md_id)
-        return w
-
     def receive_beacon(self, md_id: str, ap: str, received_at: float) -> BeaconKey | None:
         """Hear `ap`'s current key: it replaces the wallet's entry for `ap`
         unless that entry holds a later epoch."""
         key = self.ap_keys.get(ap)
         if key is not None:
-            held = (self.wallets.get(md_id) or self.wallet(md_id)).held
+            held = self.wallets.setdefault(md_id, {})
             cur = held.get(ap)
             if cur is None or key.epoch >= cur.key.epoch:
                 held[ap] = WalletEntry(key, received_at)
@@ -175,7 +163,7 @@ class AuthnService:
             return decision
 
         epoch = self.epochs[group_id]
-        held = (self.wallets.get(md_id) or self.wallet(md_id)).held
+        held = self.wallets.get(md_id) or {}
         freshness = self.key_freshness
         reason = None
         for ap in group.ordered_members:
@@ -197,23 +185,21 @@ class AuthnService:
         self.auth_log.append(decision)
         return decision
 
-    def revoke(self, md_id: str, group_id: str | None = None) -> None:
-        if group_id is not None:
-            self.grants.pop((md_id, group_id), None)
-        else:
-            for key in [k for k in self.grants if k[0] == md_id]:
-                del self.grants[key]
+    def revoke(self, md_id: str, group_id: str) -> None:
+        self.grants.pop((md_id, group_id), None)
 
     def expire_stale_grants(self, now: float, grace: float) -> list[tuple[str, str]]:
-        """Revoke grants whose epoch lapsed longer than `grace` ago.
+        """Revoke grants whose epoch lapsed at least `grace` ago.
 
         This is the "missed re-authentication after rotation" rule: devices
         still in the area renew off the next beacon wave well inside the
-        grace window and never observe a gap.
+        grace window and never observe a gap. The deadline is rounded as
+        the simulation clock's instants are, so the expiry event scheduled
+        at it always finds it passed.
         """
         expired = []
         for (md, gid), grant in list(self.grants.items()):
-            if grant.epoch < self.epochs.get(gid, 0) and now > self.rotated_at.get(gid, 0.0) + grace:
+            if grant.epoch < self.epochs.get(gid, 0) and now >= round(self.rotated_at.get(gid, 0.0) + grace, 9):
                 expired.append((md, gid))
                 del self.grants[(md, gid)]
         return expired

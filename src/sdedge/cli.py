@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario and print/emit its metrics")
     run_p.add_argument("scenario", help="scenario file path or bundled name (fig2, fig5, fig5c, fig6)")
-    run_p.add_argument("--seed", type=int, default=None, help="override the run seed")
+    run_p.add_argument("--seed", type=int, default=None, help="label the run (no simulated choice is random)")
     run_p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a parameter")
     run_p.add_argument("--out", default=None, help="write the report to this path")
     run_p.add_argument("--format", choices=FORMATS, default="csv")

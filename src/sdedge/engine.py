@@ -2,16 +2,15 @@
 
 Events execute in (time, sequence) order; the sequence counter is assigned
 at scheduling time, so equal-time events run in the order they were
-scheduled. All stochastic choices in a simulation draw from the engine's
-single seeded generator, which makes (scenario, seed) fully determine the
-event trace. The engine keeps that trace, one (time, seq, kind, note) tuple
-per event, only when `record_trace` is set; otherwise nothing per event.
+scheduled. No simulated choice is random: the scenario and its parameters
+fully determine the event trace, and the run's `seed` only labels it. The
+engine keeps that trace, one (time, seq, kind, note) tuple per event, only
+when `record_trace` is set; otherwise nothing per event.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,18 +28,8 @@ EVENT_KINDS = (
 _KINDS = frozenset(EVENT_KINDS)
 
 
-@dataclass(slots=True)
-class EventHandle:
-    time: float
-    seq: int
-    kind: str
-    fn: Callable[[], None]
-    note: str = ""
-
-
 @dataclass
 class EventEngine:
-    seed: int = 0
     record_trace: bool = False
     now: float = 0.0
     executed: int = 0
@@ -48,19 +37,14 @@ class EventEngine:
     _heap: list = field(default_factory=list)
     trace: list[tuple[float, int, str, str]] = field(default_factory=list)
 
-    def __post_init__(self):
-        self.rng = random.Random(self.seed)
-
-    def schedule(self, at: float, kind: str, fn: Callable[[], None], note: str = "") -> EventHandle:
+    def schedule(self, at: float, kind: str, fn: Callable[[], None], note: str = "") -> None:
         """Enqueue `fn` to run at absolute sim-time `at`."""
         if at < self.now:
             raise CausalityViolation(f"cannot schedule {kind} at {at} < now {self.now}")
         if kind not in _KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        handle = EventHandle(at, self._seq, kind, fn, note)
+        heapq.heappush(self._heap, (at, self._seq, kind, fn, note))
         self._seq += 1
-        heapq.heappush(self._heap, (at, handle.seq, handle))
-        return handle
 
     def run_until(self, t_end: float) -> int:
         """Execute every event with time <= t_end in order; clock ends at t_end."""
@@ -70,18 +54,18 @@ class EventEngine:
         trace = self.trace if self.record_trace else None
         count = 0
         while heap and heap[0][0] <= t_end:
-            at, seq, handle = pop(heap)
+            at, seq, kind, fn, note = pop(heap)
             self.now = at
             if trace is not None:
-                trace.append((at, seq, handle.kind, handle.note))
+                trace.append((at, seq, kind, note))
             try:
-                handle.fn()
+                fn()
             except Exception as exc:
                 raise SimulationHalted(
-                    f"handler failed at t={at} ({handle.kind} {handle.note!r}): {exc}",
+                    f"handler failed at t={at} ({kind} {note!r}): {exc}",
                     time=at,
-                    kind=handle.kind,
-                    note=handle.note,
+                    kind=kind,
+                    note=note,
                 ) from exc
             count += 1
         self.now = t_end

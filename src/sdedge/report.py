@@ -24,7 +24,7 @@ equivalence against that `json.dumps` call on generated reports.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -37,7 +37,7 @@ SCHEMA_VERSION = "sdedge.metrics/1"
 FORMATS = ("csv", "json")
 
 
-class Throughput(Sequence):
+class Throughput:
     """Rows (t, stream id, Mbps) in (t, stream) order, kept as per-stream runs.
 
     A stream with `n` rows has them at its start and then each
@@ -53,9 +53,6 @@ class Throughput(Sequence):
 
     def __len__(self) -> int:
         return self._len
-
-    def __getitem__(self, i):
-        return list(self)[i]
 
     def __iter__(self) -> Iterator[tuple[float, str, float]]:
         runs, instants = self.expand()
@@ -96,13 +93,14 @@ class MetricsReport:
     duration: float
     personal_ap: bool = False
     # time, stream id, Mbps: a list, or a Throughput from a run
-    throughput: Sequence[tuple[float, str, float]] = field(default_factory=list)
+    throughput: list[tuple[float, str, float]] | Throughput = field(default_factory=list)
     # per association change / controller handover
     handovers: list[dict] = field(default_factory=list)
     packet_in: dict[str, int] = field(default_factory=dict)
     lookup_hops: dict[int, int] = field(default_factory=dict)
     auth_events: list[dict] = field(default_factory=list)
     record_losses: list[str] = field(default_factory=list)
+    _summary: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- derived ------------------------------------------------------------
 
@@ -133,24 +131,28 @@ class MetricsReport:
         return sum(lats) / len(lats)
 
     def summary(self) -> dict:
-        grants = sum(1 for e in self.auth_events if e["granted"])
-        delivered, last_t = self._delivered(None)
-        return {
-            "streams": len(last_t),
-            "delivered_mbit_total": round(delivered, 9),
-            "handover_count": len(self.handovers),
-            "mean_handover_latency": self.mean_handover_latency(),
-            "packet_in_total": sum(self.packet_in.values()),
-            "lookup_count": sum(self.lookup_hops.values()),
-            "mean_lookup_hops": (
-                sum(h * c for h, c in self.lookup_hops.items()) / sum(self.lookup_hops.values())
-                if self.lookup_hops
-                else None
-            ),
-            "auth_grants": grants,
-            "auth_denies": len(self.auth_events) - grants,
-            "records_lost": len(self.record_losses),
-        }
+        """The run's totals, worked out on the first call only: they read every
+        row, and a finished run's report does not change."""
+        if self._summary is None:
+            grants = sum(1 for e in self.auth_events if e["granted"])
+            delivered, last_t = self._delivered(None)
+            self._summary = {
+                "streams": len(last_t),
+                "delivered_mbit_total": round(delivered, 9),
+                "handover_count": len(self.handovers),
+                "mean_handover_latency": self.mean_handover_latency(),
+                "packet_in_total": sum(self.packet_in.values()),
+                "lookup_count": sum(self.lookup_hops.values()),
+                "mean_lookup_hops": (
+                    sum(h * c for h, c in self.lookup_hops.items()) / sum(self.lookup_hops.values())
+                    if self.lookup_hops
+                    else None
+                ),
+                "auth_grants": grants,
+                "auth_denies": len(self.auth_events) - grants,
+                "records_lost": len(self.record_losses),
+            }
+        return dict(self._summary)
 
     # -- serialization ----------------------------------------------------------
 
@@ -191,8 +193,8 @@ def _value(v) -> str:
     return json.dumps(v, sort_keys=True, indent=1).replace("\n", _ROW_INDENT)
 
 
-def _run_rows(rows: Sequence[tuple], head: Callable[[object], str], tail: Callable[[object, object], str],
-              sep: str) -> Iterator[str]:
+def _run_rows(rows: list[tuple] | Throughput, head: Callable[[object], str],
+              tail: Callable[[object, object], str], sep: str) -> Iterator[str]:
     """Throughput rows as text, one instant's rows to a chunk: `head(t)`
     joined to `tail(stream id, Mbps)`, each string made once per instant or
     run. A plain list of rows is one run per row, in list order."""
@@ -206,7 +208,7 @@ def _run_rows(rows: Sequence[tuple], head: Callable[[object], str], tail: Callab
         yield h + (sep + h).join(map(tails.__getitem__, ids))
 
 
-def _throughput_chunks(rows: Sequence[tuple]) -> Iterator[str]:
+def _throughput_chunks(rows: list[tuple] | Throughput) -> Iterator[str]:
     """Rows shaped (t, stream id, Mbps), each an array of three scalars."""
     return _run_rows(rows, lambda t: f"  [\n   {_value(t)},\n   ",
                      lambda sid, mbps: f"{_value(sid)},\n   {_value(mbps)}\n  ]", ",\n")
@@ -231,7 +233,7 @@ def _dict_chunks(rows: list[dict]) -> Iterator[str]:
 
 
 # the document's big lists, each with the writer of its chunks for its row shape
-_ROW_LISTS: dict[str, Callable[[Sequence], Iterator[str]]] = {
+_ROW_LISTS: dict[str, Callable[[list | Throughput], Iterator[str]]] = {
     "auth_events": _dict_chunks,
     "handovers": _dict_chunks,
     "throughput": _throughput_chunks,

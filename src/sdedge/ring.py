@@ -268,21 +268,21 @@ class OverlayRing:
 
         Strict mode: a dead next-hop is a routing failure (no fallback).
         """
-        return self._route(start, key, failed=frozenset(), strict=True)
+        return self._route(start, key, strict=True)
 
-    def route_with_fallback(self, start: int, key: int, failed=frozenset()) -> tuple[int, int]:
-        """Like find_successor, but skips failed nodes.
+    def route_with_fallback(self, start: int, key: int) -> tuple[int, int]:
+        """Like find_successor, but skips crashed nodes.
 
         Dead fingers are passed over for earlier ones; when none remain the
         lookup advances through the successor list, which reaches the
         successor's own finger table on the next step.
         """
-        return self._route(start, key, failed=frozenset(failed), strict=False)
+        return self._route(start, key, strict=False)
 
-    def _route(self, start: int, key: int, failed: frozenset, strict: bool) -> tuple[int, int]:
+    def _route(self, start: int, key: int, strict: bool) -> tuple[int, int]:
         if not 0 <= key < self.size:
             raise ValueError(f"key {key} outside [0, 2^{self.m})")
-        if not self._usable(start, failed):
+        if not self.is_live(start):
             raise NotAMember(f"start node {start} is not live")
 
         current = self.nodes[start]
@@ -293,7 +293,7 @@ class OverlayRing:
                 self._observe(hops)
                 return current.id, hops
             try:
-                succ_id = self._next_live_successor(current, failed, strict)
+                succ_id = self._next_live_successor(current, strict)
             except RoutingFailure:
                 succ_id = None  # successors dead; a live finger may still route
             if succ_id is not None and in_arc(current.id, succ_id, key):
@@ -301,36 +301,33 @@ class OverlayRing:
                     hops += 1
                 self._observe(hops)
                 return succ_id, hops
-            nxt = self._next_hop(current, key, failed, strict)
+            nxt = self._next_hop(current, key, strict)
             hops += 1
             current = self.nodes[nxt]
         raise RoutingFailure(f"lookup for key {key} from {start} did not converge")
 
-    def _next_hop(self, current: ControllerNode, key: int, failed: frozenset, strict: bool) -> int:
+    def _next_hop(self, current: ControllerNode, key: int, strict: bool) -> int:
         fid = self.closest_preceding_finger(current, key)
         if fid != current.id:
-            if self._usable(fid, failed):
+            if self.is_live(fid):
                 return fid
             if strict:
                 raise RoutingFailure(f"finger {fid} of node {current.id} is unreachable")
             for cand in reversed(current.fingers):
-                if in_open_arc(current.id, key, cand) and self._usable(cand, failed):
+                if in_open_arc(current.id, key, cand) and self.is_live(cand):
                     return cand
-        # no usable preceding finger: fall through to the successor list
-        return self._next_live_successor(current, failed, strict)
+        # no live preceding finger: fall through to the successor list
+        return self._next_live_successor(current, strict)
 
-    def _next_live_successor(self, node: ControllerNode, failed: frozenset, strict: bool) -> int:
-        if strict and not failed:
+    def _next_live_successor(self, node: ControllerNode, strict: bool) -> int:
+        if strict:
             if not self.is_live(node.successor):
                 raise RoutingFailure(f"successor {node.successor} of node {node.id} is dead")
             return node.successor
         for sid in node.successor_list:
-            if self._usable(sid, failed):
+            if self.is_live(sid):
                 return sid
         raise RoutingFailure(f"all successors of node {node.id} are unreachable")
-
-    def _usable(self, node_id: int, failed: frozenset) -> bool:
-        return self.is_live(node_id) and node_id not in failed
 
     def _observe(self, hops: int) -> None:
         if self.lookup_observer is not None:
@@ -345,12 +342,10 @@ class OverlayRing:
             raise NotAMember("empty ring")
         return RingView(live).owner(key % self.size)
 
-    def put_record(self, name: str, value: Any, key: int | None = None) -> int:
+    def put_record(self, name: str, value: Any, key: int | None = None) -> None:
         """Store a record at the owner of its key and in the owner's replicas."""
         key = self.hash_id(name) if key is None else key
-        owner = self.owner_of(key)
-        self.write_record(owner, StoredRecord(name=name, key=key, value=value))
-        return owner
+        self.write_record(self.owner_of(key), StoredRecord(name=name, key=key, value=value))
 
     # A crashed node's own store and control tables are out of reach: the
     # three writes below then change only its bundles on live holders.

@@ -34,7 +34,7 @@ MD_STATUSES = ("joining", "leaving", "staying")  # parsed and validated; no deci
 class Params:
     m: int = 16
     r: int = 2
-    seed: int = 0
+    seed: int = 0                  # labels the run in its report; no simulated choice is random
     layout_seed: int = 1
     duration: float = 10.0
     mode: str = "None"

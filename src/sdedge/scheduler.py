@@ -96,7 +96,7 @@ class Assignment:
         return sum(1 for ap in self.placements.values() if ap is not None)
 
 
-def update_partition_view(view: PartitionView, event: ViewEvent) -> PartitionView:
+def update_partition_view(view: PartitionView, event: ViewEvent) -> None:
     """Apply one flow event to the view, in place."""
     if event.kind == "flow-start":
         ap = view.ap_status.get(event.ap_id)
@@ -115,7 +115,6 @@ def update_partition_view(view: PartitionView, event: ViewEvent) -> PartitionVie
         view.ap_status[rec.ap_id].load -= rec.demand
     else:
         raise ValueError(f"unknown view event kind {event.kind!r}")
-    return view
 
 
 def best_ap(aps, hint: FlowRequest | None, position: tuple[float, float] | None) -> APStatus | None:

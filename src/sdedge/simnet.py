@@ -73,7 +73,7 @@ class StreamState:
     rank: int = 0  # its place in its chain's tick order
     started: bool = False
     ended: bool = False
-    placed: bool = False
+    placed_on: str | None = None  # the AP its flow holds room on
     gap_until: float = 0.0
     gate_blocked: bool = False
     chain: _Chain | None = None  # the instants it is still due at
@@ -111,7 +111,6 @@ class MDState:
     name: str
     position: tuple[float, float] | None = None
     connected: bool = False
-    partition: str | None = None  # controller name of current view
 
 
 class World:
@@ -121,7 +120,7 @@ class World:
         self.scenario = scenario
         self.params = params if params is not None else scenario.params
         p = self.params
-        self.engine = EventEngine(seed=p.seed)
+        self.engine = EventEngine()
 
         # --- controllers & overlay -------------------------------------
         declared = scenario.controllers
@@ -257,12 +256,9 @@ class World:
             ap = best_ap([self.aps[a] for a in self.coverage_set(md)], None, None)
             if ap is None:
                 continue
-            ap_name = ap.ap_id
-            controller = self.partition_of[ap_name]
-            self.mobility.establish_association(md, ap_name)
-            self.mobility.register_md(md, self.cid_of[controller])
+            self.mobility.establish_association(md, ap.ap_id)
+            self.mobility.register_md(md, self.cid_of[self.partition_of[ap.ap_id]])
             state.connected = True
-            state.partition = controller
 
     def _schedule_all(self) -> None:
         p = self.params
@@ -385,8 +381,11 @@ class World:
             return
         self._associate(md, ap.ap_id, reason)
 
+    def _running(self, md: str) -> list[StreamState]:
+        return [st for st in self._md_streams.get(md, ()) if st.started and not st.ended]
+
     def _largest_flow_hint(self, md: str) -> FlowRequest | None:
-        active = [st for st in self._md_streams.get(md, ()) if st.started and not st.ended]
+        active = self._running(md)
         if not active:
             return None
         lead = sorted(active, key=lambda st: (-st.decl.demand, st.name))[0]
@@ -400,7 +399,7 @@ class World:
             return
         self._mark(self._md_streams.get(md, ()))
         new_ctrl = self.partition_of[new_ap]
-        old_ctrl = state.partition
+        old_ctrl = self.partition_of.get(old_ap)
 
         registered = md in self.mobility.registered
         outcome = None
@@ -414,20 +413,15 @@ class World:
             # mobility state stays as it was, and the device's next move retries
             self._disconnect(md)
             return
-        if not registered:
-            self.mobility.establish_association(md, new_ap)
-            kind = "associate"
-            gap = self.params.reassociation_delay
-        elif self.params.personal_ap_enabled and old_ap is not None:
+        if registered and self.params.personal_ap_enabled and old_ap is not None:
             self.mobility.personal_ap_migrate(md, old_ap, new_ap)
             kind = "pap-migrate"
             gap = self.params.pap_migration_delay
-        else:
-            self.mobility.establish_association(md, new_ap)
-            kind = "reassociate"
+        else:  # a fresh association lists the flows already running
+            assoc = self.mobility.establish_association(md, new_ap)
+            assoc.flow_status.update(st.name for st in self._running(md))
+            kind = "reassociate" if registered else "associate"
             gap = self.params.reassociation_delay
-
-        state.partition = new_ctrl
         state.connected = True
 
         total = round(gap + (outcome.latency if outcome else 0.0), 9)
@@ -488,37 +482,30 @@ class World:
         if assoc is not None:
             assoc.flow_status.discard(st.name)
 
-    def _place_flow(self, st: StreamState, ap_name: str) -> bool:
-        """Admission control: the flow rides the association if it fits and
-        the AP's controller is up; a crashed controller admits nothing
-        until its partition is adopted."""
-        if st.placed or not st.started or st.ended:
-            return st.placed
+    def _admits(self, ap_name: str, demand: float) -> bool:
+        """Admission control: a flow rides the association if it fits and the
+        AP's controller is up; a crashed controller admits nothing until its
+        partition is adopted."""
+        return self.partition_of[ap_name] not in self._crashed and self.aps[ap_name].fits(demand)
+
+    def _place_flow(self, st: StreamState, ap_name: str) -> None:
+        if st.placed_on is not None or not st.started or st.ended or not self._admits(ap_name, st.decl.demand):
+            return
         controller = self.partition_of[ap_name]
-        if controller in self._crashed:
-            return False
-        view = self.views[controller]
-        ap = view.ap_status.get(ap_name)
-        if ap is None or not ap.fits(st.decl.demand):
-            return False
         update_partition_view(
-            view, ViewEvent("flow-start", ap_id=ap_name, flow_id=st.name, demand=st.decl.demand)
+            self.views[controller], ViewEvent("flow-start", ap_id=ap_name, flow_id=st.name, demand=st.decl.demand)
         )
-        st.placed = True
+        st.placed_on = ap_name
         self.packet_in[controller] = self.packet_in.get(controller, 0) + 1
-        return True
 
     def _unplace(self, st: StreamState) -> None:
         """Release the flow's room, and wake the streams waiting for room there."""
-        if not st.placed:
+        ap_name = st.placed_on
+        if ap_name is None:
             return
-        for view in self.views.values():
-            rec = view.open_flows.get(st.name)
-            if rec is not None:
-                update_partition_view(view, ViewEvent("flow-end", flow_id=st.name))
-                self._wake(rec.ap_id)
-                break
-        st.placed = False
+        update_partition_view(self.views[self.partition_of[ap_name]], ViewEvent("flow-end", flow_id=st.name))
+        st.placed_on = None
+        self._wake(ap_name)
 
     def _replace_flows(self, md: str, new_ap: str) -> None:
         for st in sorted(self._md_streams.get(md, ()), key=lambda s: s.name):
@@ -542,8 +529,8 @@ class World:
         if self.engine.now < st.gap_until:
             return 0.0, "gap"
         why = "placed"
-        if not st.placed:
-            if self.partition_of[serving] in self._crashed or not ap.fits(decl.demand):
+        if st.placed_on is None:
+            if not self._admits(serving, decl.demand):
                 return 0.0, "wait"
             why = "admit"
         return min(decl.demand, self.bottleneck(serving, decl.dst)), why
@@ -689,12 +676,15 @@ class World:
             raise NotAMember(f"cannot fail a {kind!r}")
 
     def _recover_controller(self, name: str, cid: int) -> None:
+        """The adopter takes the dead controller's partition: its APs, and its
+        view wholesale, open flows included. The view merge keeps one rule for
+        releases: a placed flow's record is in the view of its AP's current
+        controller."""
         report = self.mobility.recover_controller_failure(cid)
         self.record_losses.extend(report.lost)
         if report.adopter is None:
             return
         adopter_name = self.name_of[report.adopter]
-        # the adopter absorbs the dead controller's partition wholesale
         dead_view = self.views.pop(name)
         target = self.views[adopter_name]
         target.ap_status.update(dead_view.ap_status)
@@ -702,9 +692,6 @@ class World:
         for ap_name in dead_view.ap_status:
             self.partition_of[ap_name] = adopter_name
             self._wake(ap_name)  # its waiters may be admitted by a live controller now
-        for md_state in self.mds.values():
-            if md_state.partition == name:
-                md_state.partition = adopter_name
         self.cid_of.pop(name, None)
         self._pi_busy.pop(name, None)
         # devices a failed handover or registration cut off can attach again

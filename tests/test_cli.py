@@ -9,6 +9,7 @@ import pytest
 
 import sdedge
 from sdedge.cli import main
+from sdedge.report import Throughput
 from sdedge.scenario import bundled_scenario_path
 
 
@@ -43,6 +44,16 @@ def test_reports_are_reproducible_bytes(tmp_path):
     main(["run", "fig2", "--seed", "9", "--out", str(a), "--format", "json"])
     main(["run", "fig2", "--seed", "9", "--out", str(b), "--format", "json"])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_expands_the_throughput_rows_once_per_reader(tmp_path, monkeypatch):
+    # one expansion for the summary, which the JSON document and the printed
+    # line share, and one for the JSON rows
+    calls = []
+    expand = Throughput.expand
+    monkeypatch.setattr(Throughput, "expand", lambda self: calls.append(1) or expand(self))
+    assert main(["run", "fig5", "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 2
 
 
 def test_validate_ok(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sdedge.engine import EventEngine
@@ -56,11 +58,12 @@ def test_empty_queue_run_advances_clock():
 
 def test_identical_seeds_give_identical_traces():
     def build_and_run(seed):
-        eng = EventEngine(seed=seed, record_trace=True)
+        eng = EventEngine(record_trace=True)
+        rng = random.Random(seed)
 
         def chained(i):
             if i < 20:
-                delay = eng.rng.uniform(0.01, 0.5)
+                delay = rng.uniform(0.01, 0.5)
                 eng.schedule(eng.now + delay, "timer", lambda: chained(i + 1), note=f"step{i}")
 
         eng.schedule(0.0, "timer", lambda: chained(0), note="boot")

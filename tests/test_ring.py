@@ -255,7 +255,7 @@ def test_churn_preserves_records_and_ownership():
 def test_route_with_fallback_around_failed_finger():
     ring = make_ring([3, 10, 16, 24])
     ring.crash(16)
-    owner, _ = ring.route_with_fallback(3, 23, failed={16})
+    owner, _ = ring.route_with_fallback(3, 23)
     assert owner == 24  # oracle over live ids {3, 10, 24}
     with pytest.raises(RoutingFailure):
         ring.find_successor(3, 23)  # strict lookup hits the dead finger

@@ -51,6 +51,15 @@ move M1 1.0 3,3 staying
     assert world.mobility.association_ap["M1"] == "AP1"
 
 
+def test_fresh_association_lists_the_running_flows():
+    # the 22.1 s move is a plain re-association under mode None, with F1 running
+    sc, params = load("fig6", mode="None")
+    world = World(sc, params)
+    world.engine.run_until(22.1)
+    assert [h["kind"] for h in world.handover_rows] == ["reassociate"]
+    assert world.mobility.associations["M6"].flow_status == {"F1"}
+
+
 def test_same_partition_ap_change_has_no_controller_handover():
     sc, params = load("fig6", mode="None")
     world = World(sc, params)
@@ -147,9 +156,19 @@ def test_wallet_fills_after_one_beacon_period_dwell():
     sc, params = load("fig6", mode="LEDGE-LA")
     world = World(sc, params)
     world.engine.run_until(0.3)
-    wallet = world.authn.wallet("M6")
-    assert set(wallet.held) == {"AP1", "AP2", "AP3"}
+    assert set(world.authn.wallets["M6"]) == {"AP1", "AP2", "AP3"}
     assert world.authn.is_granted("M6", "G1")
+
+
+def test_stale_grant_expires_at_its_deadline_whatever_its_float_sum():
+    # 10.5 + 0.3 is exactly the expiry event's instant 10.8, while 5.1 + 0.3
+    # falls just short of its 5.4: both deadlines must revoke the grant that
+    # the 1 s beacon waves cannot renew within the grace window
+    for rotation, expiry in ((10.5, 10.8), (5.1, 5.4)):
+        sc, params = load("fig6", mode="LEDGE-LA", beacon_period=1.0, rotation_period=rotation)
+        by_t = dict(series_of(World(sc, params).run(), "F1"))
+        assert by_t[round(expiry - 0.1, 9)] == 8.0
+        assert by_t[expiry] == 0.0, f"grant outlived its deadline {expiry}"
 
 
 # --- transport model ------------------------------------------------------------
@@ -478,8 +497,24 @@ class SampleCheckedWorld(World):
         return report
 
 
-class CheckedWorld(CapacityCheckedWorld, RosterCheckedWorld, PacketInCheckedWorld, SampleCheckedWorld):
-    """The capacity, roster, packet-in and dense-sample checks."""
+class SupervisionCheckedWorld(World):
+    """Asserts after every adoption that each registered device's supervisory
+    record is servable, and names as its current and previous controller
+    only live ones or crashed ones still awaiting adoption. (Only live ones
+    would be too strict: crashes can overlap.)"""
+
+    def _recover_controller(self, name, cid):
+        super()._recover_controller(name, cid)
+        nodes = self.ring.nodes  # an adoption deletes the adopted node
+        for md in self.mobility.registered:
+            rec = self.mobility.get_supervisory(md)
+            assert rec.current in nodes and rec.previous in (None, *nodes), (self.engine.now, md, rec)
+
+
+class CheckedWorld(
+    CapacityCheckedWorld, RosterCheckedWorld, PacketInCheckedWorld, SampleCheckedWorld, SupervisionCheckedWorld
+):
+    """The capacity, roster, packet-in, dense-sample and supervision checks."""
 
 
 def test_roster_check_runs_on_a_grouped_failure_run():
@@ -514,6 +549,7 @@ def test_generated_failure_schedules_run_to_completion():
         crashes=st.lists(st.tuples(st.sampled_from(["CA", "CB", "CC"]), instant), max_size=3),
         detection_delay=st.sampled_from(["0", "0.5", "2"]),
         controllers=st.sampled_from(["0", "3"]),
+        r=st.sampled_from(["1", "2", "3"]),
         mode=st.sampled_from(["None", "LEDGE-PAP"]),
         # an AP that fits a single 0.2 Mbps flow keeps flows waiting, so that
         # releases and adoptions wake waiters
@@ -522,7 +558,7 @@ def test_generated_failure_schedules_run_to_completion():
         # 0.5 chain by rounding, and one that joins it later
         starts=st.lists(st.sampled_from(["0.05", "0.30000000001", "1.5", "2.25"]), max_size=3),
     )
-    def check(ap_failures, crashes, detection_delay, controllers, mode, capacity, starts):
+    def check(ap_failures, crashes, detection_delay, controllers, r, mode, capacity, starts):
         lines = [f"fail ap AP{i} at={t}" for i, t in ap_failures]
         lines += [f"fail controller {name} at={t}" for name, t in crashes]
         text = fig5.replace("capacity=11 ", f"capacity={capacity} ")
@@ -532,7 +568,7 @@ def test_generated_failure_schedules_run_to_completion():
         ) + "\n[traces]", 1)
         sc = parse_scenario_text(text + "\n[failures]\n" + "\n".join(lines) + "\n", "fig5-fuzz")
         params = apply_overrides(
-            sc.params, {"detection_delay": detection_delay, "controllers": controllers, "mode": mode}
+            sc.params, {"detection_delay": detection_delay, "controllers": controllers, "r": r, "mode": mode}
         )
         first = render_json(CheckedWorld(sc, params).run())
         assert render_json(World(sc, params).run()) == first
