@@ -188,18 +188,17 @@ class AuthnService:
     def revoke(self, md_id: str, group_id: str) -> None:
         self.grants.pop((md_id, group_id), None)
 
-    def expire_stale_grants(self, now: float, grace: float) -> list[tuple[str, str]]:
-        """Revoke grants whose epoch lapsed at least `grace` ago.
+    def expire_stale_grants(self, rotated_by: float) -> list[tuple[str, str]]:
+        """Revoke grants whose epoch a rotation at or before `rotated_by` ended.
 
-        This is the "missed re-authentication after rotation" rule: devices
-        still in the area renew off the next beacon wave well inside the
-        grace window and never observe a gap. The deadline is rounded as
-        the simulation clock's instants are, so the expiry event scheduled
-        at it always finds it passed.
+        This is the "missed re-authentication after rotation" rule: the
+        caller runs it once the grace window after that rotation is over, on
+        its own clock. Devices still in the area renew off the next beacon
+        wave well inside the window and never observe a gap.
         """
         expired = []
         for (md, gid), grant in list(self.grants.items()):
-            if grant.epoch < self.epochs.get(gid, 0) and now >= round(self.rotated_at.get(gid, 0.0) + grace, 9):
+            if grant.epoch < self.epochs.get(gid, 0) and self.rotated_at[gid] <= rotated_by:
                 expired.append((md, gid))
                 del self.grants[(md, gid)]
         return expired

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
@@ -84,6 +85,27 @@ class Throughput:
                 a = b
         return runs, sorted(rows_at.items())
 
+    @cached_property
+    def totals(self) -> tuple[float, int]:
+        """The delivered Mbit and the stream count, summed on the first read
+        only: the sum reads every row, and the runs do not change."""
+        return _delivered(self, None)
+
+
+def _delivered(rows: Iterable[tuple[float, str, float]], stream_id: str | None) -> tuple[float, int]:
+    """The delivered Mbit, and the number of streams, in one pass over the
+    rows: each sample covers one sample interval."""
+    total = 0.0
+    last_t: dict[str, float] = {}
+    for t, sid, mbps in rows:
+        if stream_id is not None and sid != stream_id:
+            continue
+        prev = last_t.get(sid)
+        dt = t - prev if prev is not None else 0.0
+        total += mbps * dt
+        last_t[sid] = t
+    return total, len(last_t)
+
 
 @dataclass
 class MetricsReport:
@@ -100,7 +122,6 @@ class MetricsReport:
     lookup_hops: dict[int, int] = field(default_factory=dict)
     auth_events: list[dict] = field(default_factory=list)
     record_losses: list[str] = field(default_factory=list)
-    _summary: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- derived ------------------------------------------------------------
 
@@ -109,20 +130,7 @@ class MetricsReport:
 
     def delivered_mbit(self, stream_id: str | None = None) -> float:
         """Trapezoid-free accounting: each sample covers one sample interval."""
-        return self._delivered(stream_id)[0]
-
-    def _delivered(self, stream_id: str | None) -> tuple[float, dict[str, float]]:
-        """The delivered Mbit, and each stream's last instant, in one pass over the rows."""
-        total = 0.0
-        last_t: dict[str, float] = {}
-        for t, sid, mbps in self.throughput:
-            if stream_id is not None and sid != stream_id:
-                continue
-            prev = last_t.get(sid)
-            dt = t - prev if prev is not None else 0.0
-            total += mbps * dt
-            last_t[sid] = t
-        return total, last_t
+        return _delivered(self.throughput, stream_id)[0]
 
     def mean_handover_latency(self) -> float | None:
         lats = [h["latency"] for h in self.handovers]
@@ -131,28 +139,25 @@ class MetricsReport:
         return sum(lats) / len(lats)
 
     def summary(self) -> dict:
-        """The run's totals, worked out on the first call only: they read every
-        row, and a finished run's report does not change."""
-        if self._summary is None:
-            grants = sum(1 for e in self.auth_events if e["granted"])
-            delivered, last_t = self._delivered(None)
-            self._summary = {
-                "streams": len(last_t),
-                "delivered_mbit_total": round(delivered, 9),
-                "handover_count": len(self.handovers),
-                "mean_handover_latency": self.mean_handover_latency(),
-                "packet_in_total": sum(self.packet_in.values()),
-                "lookup_count": sum(self.lookup_hops.values()),
-                "mean_lookup_hops": (
-                    sum(h * c for h, c in self.lookup_hops.items()) / sum(self.lookup_hops.values())
-                    if self.lookup_hops
-                    else None
-                ),
-                "auth_grants": grants,
-                "auth_denies": len(self.auth_events) - grants,
-                "records_lost": len(self.record_losses),
-            }
-        return dict(self._summary)
+        rows = self.throughput
+        grants = sum(1 for e in self.auth_events if e["granted"])
+        delivered, streams = rows.totals if isinstance(rows, Throughput) else _delivered(rows, None)
+        return {
+            "streams": streams,
+            "delivered_mbit_total": round(delivered, 9),
+            "handover_count": len(self.handovers),
+            "mean_handover_latency": self.mean_handover_latency(),
+            "packet_in_total": sum(self.packet_in.values()),
+            "lookup_count": sum(self.lookup_hops.values()),
+            "mean_lookup_hops": (
+                sum(h * c for h, c in self.lookup_hops.items()) / sum(self.lookup_hops.values())
+                if self.lookup_hops
+                else None
+            ),
+            "auth_grants": grants,
+            "auth_denies": len(self.auth_events) - grants,
+            "records_lost": len(self.record_losses),
+        }
 
     # -- serialization ----------------------------------------------------------
 

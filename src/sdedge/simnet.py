@@ -290,14 +290,14 @@ class World:
             down = {ap for ap in group.members if not self.aps[ap].alive}
             self.authn.rotate_group_keys(gid, now, down_aps=down)
         self.engine.schedule(
-            round(now + self.params.regrant_grace, 9), "timer", self._expire_grants, note="grant-expiry"
+            round(now + self.params.regrant_grace, 9), "timer", lambda: self._expire_grants(now), note="grant-expiry"
         )
         nxt = round(now + self.params.rotation_period, 9)
         if nxt <= self.params.duration:
             self.engine.schedule(nxt, "timer", self._rotate_all, note="rotate")
 
-    def _expire_grants(self) -> None:
-        for md, _gid in self.authn.expire_stale_grants(self.engine.now, self.params.regrant_grace):
+    def _expire_grants(self, rotated_by: float) -> None:
+        for md, _gid in self.authn.expire_stale_grants(rotated_by):
             self._mark(self._md_streams.get(md, ()))
 
     def _beacon_source(self, ap_name: str) -> tuple[Callable[[], None], str]:

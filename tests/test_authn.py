@@ -103,8 +103,8 @@ def test_grant_expiry_after_missed_rotation():
     svc.authenticate("M1", "G1", 0.2)
     svc.rotate_group_keys("G1", now=10.0)
     assert svc.is_granted("M1", "G1")  # grace: not yet revoked
-    assert svc.expire_stale_grants(now=10.1, grace=0.3) == []
-    assert svc.expire_stale_grants(now=10.4, grace=0.3) == [("M1", "G1")]
+    assert svc.expire_stale_grants(rotated_by=0.0) == []  # the grace after the epoch-1 rotation
+    assert svc.expire_stale_grants(rotated_by=10.0) == [("M1", "G1")]
     assert not svc.is_granted("M1", "G1")
 
 
