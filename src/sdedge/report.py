@@ -4,8 +4,8 @@ Reports are pure data derived from a finished run; emitting the same
 report twice (or a report from a repeated run with the same seed) must be
 byte-identical, so serialization sorts keys and uses repr-exact floats.
 
-The throughput series a run reports is a `Throughput`: per stream, the
-runs (first instant, Mbps) it changed value at, which the dense rows
+The throughput series a run reports is a `Throughput`: per stream, its
+start, stop and runs (first instant, Mbps), which the dense rows
 (t, stream, Mbps) are expanded from only when something reads them.
 
 The JSON document is exactly what `json.dumps(document, sort_keys=True,
@@ -24,6 +24,7 @@ equivalence against that `json.dumps` call on generated reports.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,15 +42,24 @@ FORMATS = ("csv", "json")
 class Throughput:
     """Rows (t, stream id, Mbps) in (t, stream) order, kept as per-stream runs.
 
-    A stream with `n` rows has them at its start and then each
-    round(t + period, 9), the instants `World` samples it at; each row
-    reads the value of the stream's latest run (first instant, Mbps) at or
-    before it. `len()` expands nothing; each reader expands the runs once.
+    A stream has a row at each of its instants up to its stop: its start
+    and then each round(t + period, 9), the instants `World` samples it at,
+    made once per start, up to the latest stop of the streams that start
+    then. Each row reads the value of the stream's latest run (first
+    instant, Mbps) at or before it. `len()` expands nothing; each reader
+    expands the runs once.
     """
 
-    def __init__(self, period: float, streams: Iterable[tuple[str, float, int, list[tuple[float, float]]]]):
-        self.period = period
-        self.streams = sorted(streams, key=itemgetter(0))  # (stream id, start, n, runs)
+    def __init__(self, period: float, streams: Iterable[tuple[str, float, float, list[tuple[float, float]]]]):
+        given = sorted(streams, key=itemgetter(0))
+        self.instants: dict[float, list[float]] = {}  # start -> its instants, to its streams' latest stop
+        for _, start, stop, _ in given:
+            ts = self.instants.setdefault(start, [start])
+            while (t := round(ts[-1] + period, 9)) <= stop:
+                ts.append(t)
+        # (stream id, start, row count, runs), from (stream id, start, stop, runs)
+        self.streams = [(sid, start, bisect_right(self.instants[start], stop), runs)
+                        for sid, start, stop, runs in given]
         self._len = sum(n for _, _, n, _ in self.streams)
 
     def __len__(self) -> int:
@@ -69,15 +79,11 @@ class Throughput:
         indices of the runs its rows read, in stream order."""
         runs: list[tuple[str, float]] = []
         rows_at: dict[float, list[int]] = {}
-        chains: dict[float, tuple[list[float], list[list[int]]]] = {}  # start -> instants, their row lists
+        slots_of = {start: [rows_at.setdefault(t, []) for t in ts] for start, ts in self.instants.items()}
         for sid, start, n, stream_runs in self.streams:
-            ts, slots = chains.setdefault(start, ([], []))
-            while len(ts) < n:
-                t = round(ts[-1] + self.period, 9) if ts else start
-                ts.append(t)
-                slots.append(rows_at.setdefault(t, []))
+            ts, slots = self.instants[start], slots_of[start]
             a = 0
-            for (_, mbps), b in zip(stream_runs, [ts.index(t) for t, _ in stream_runs[1:]] + [n]):
+            for (_, mbps), b in zip(stream_runs, [bisect_left(ts, t) for t, _ in stream_runs[1:]] + [n]):
                 rid = len(runs)
                 runs.append((sid, mbps))
                 for slot in slots[a:b]:

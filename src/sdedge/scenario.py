@@ -12,6 +12,7 @@ topology.
 from __future__ import annotations
 
 import fnmatch
+import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -60,19 +61,19 @@ class Params:
 
     def validate(self) -> list[tuple[str, str]]:
         """Range problems as (field, message), shared by scenario files and
-        `--set` overrides."""
+        `--set` overrides. Every float is finite; the horizon and the three
+        periods are positive, and every other float is >= 0."""
         problems = []
-        if not self.duration > 0:
-            problems.append(("duration", "duration must be positive"))
+        for f in fields(self):
+            value, positive = getattr(self, f.name), f.name in _POSITIVE_PARAMS
+            if f.type == "float" and not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                problems.append((f.name, f"{f.name} must be {'positive' if positive else '>= 0'} and finite"))
         if not 2 <= self.m <= 32:
             problems.append(("m", f"ring width m={self.m} outside [2, 32]"))
         if self.r < 1:
             problems.append(("r", "replication factor r must be >= 1"))
         if self.controllers < 0:
             problems.append(("controllers", "controllers must be >= 0 (0 = all declared)"))
-        for name in ("sample_period", "beacon_period", "rotation_period"):
-            if not getattr(self, name) > 0:
-                problems.append((name, f"{name} must be positive"))
         return problems
 
     def controllers_problem(self, declared: int) -> str | None:
@@ -86,6 +87,7 @@ class Params:
 
 _PARAM_TYPES = {f.name: f.type for f in fields(Params)}
 _INT_PARAMS = {f.name for f in fields(Params) if f.type == "int"}
+_POSITIVE_PARAMS = ("duration", "sample_period", "beacon_period", "rotation_period")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ that was not admitted, because its serving AP had no room or the AP's
 controller had crashed and its partition was not yet adopted, is admitted
 at the first of its sampling instants, once its gap has passed, at which
 that AP fits its demand under a live controller; until then it samples
-zero. A stream's samples are kept as runs, one per change of value.
+zero. A stream's samples are kept as runs, one per change of value; the
+report, not the world, counts a stream's instants, from its start to its stop.
 Streams due at the same instants form a chain. One sampler event per
 instant visits only the streams of its chain whose sample can differ from
 their last one; every other stream is parked, its run going on:
@@ -70,6 +71,7 @@ from .scheduler import APStatus, FlowRequest, PartitionView, ViewEvent, best_ap,
 @dataclass(eq=False)
 class StreamState:
     decl: StreamDecl
+    stop: float  # its end or the horizon, whichever is earlier: its last allowed instant
     rank: int = 0  # its place in its chain's tick order
     started: bool = False
     ended: bool = False
@@ -77,10 +79,7 @@ class StreamState:
     gap_until: float = 0.0
     gate_blocked: bool = False
     chain: _Chain | None = None  # the instants it is still due at
-    value: float = 0.0  # its latest sample
     runs: list[tuple[float, float]] = field(default_factory=list)  # (first instant, Mbps) per change
-    k0: int = 0  # chain index of its first instant
-    k: int = 0  # chain index of its last instant credited to frame_seq
     waiting_on: str | None = None  # the AP it waits on for room
 
     @property
@@ -91,10 +90,9 @@ class StreamState:
 @dataclass(eq=False)
 class _Chain:
     """The streams due at one sequence of instants, each round(t + sample_period, 9)
-    after the last. `k` counts its sampler events, so a stream's parked
-    instants are the difference of two chain indices."""
+    after the last. It counts no instants: a stream's rows are its instants
+    from its start to its stop, which the report regenerates."""
 
-    k: int = 0
     lo: int = 0  # the lowest and highest rank of its streams
     hi: int = -1
     # heap of (last allowed instant, name, stream), one entry per stream
@@ -185,7 +183,9 @@ class World:
         self.disc_roster: dict[str, set[str]] = {a: set() for a in self.aps}
         for state in self.mds.values():
             self._update_roster(state.name, state.position)
-        self.streams: dict[str, StreamState] = {s.name: StreamState(s) for s in scenario.streams}
+        self.streams: dict[str, StreamState] = {
+            s.name: StreamState(s, p.duration if s.end is None else min(s.end, p.duration)) for s in scenario.streams
+        }
         self._md_streams: dict[str, list[StreamState]] = {}
         for st in self.streams.values():
             self._md_streams.setdefault(st.decl.md, []).append(st)
@@ -463,15 +463,12 @@ class World:
         if serving is not None and self.mds[md].connected:
             self._place_flow(st, serving)
         # the first sample is taken now; the chain of the next instant carries it on
-        p, end = self.params, st.decl.end
-        nxt = round(self.engine.now + p.sample_period, 9)
-        stop = p.duration if end is None else min(end, p.duration)
-        if nxt <= stop:
+        nxt = round(self.engine.now + self.params.sample_period, 9)
+        if nxt <= st.stop:
             chain = st.chain = self._chain_at(nxt)
-            st.k0, st.rank = chain.k, chain.hi + 1  # it asked for `nxt` after the chain's streams
-            chain.hi += 1
-            heappush(chain.stops, (stop, st.name, st))
-        self._tick(st, st.k0)
+            st.rank = chain.hi = chain.hi + 1  # it asked for `nxt` after the chain's streams
+            heappush(chain.stops, (st.stop, st.name, st))
+        self._tick(st)
 
     def _flow_end(self, st: StreamState) -> None:
         st.ended = True
@@ -535,8 +532,8 @@ class World:
             why = "admit"
         return min(decl.demand, self.bottleneck(serving, decl.dst)), why
 
-    def _tick(self, st: StreamState, k: int) -> None:
-        """Sample `st` at this instant, its chain index `k`, and park it by its reason."""
+    def _tick(self, st: StreamState) -> None:
+        """Sample `st` at this instant, and park it by its reason."""
         self._unwait(st)
         value, why = self.sample_of(st)
         md = st.decl.md
@@ -548,27 +545,14 @@ class World:
             st.gate_blocked = True
         elif why == "gap":
             heappush(self._gaps, (st.gap_until, st.name))
-        self._settle(st, k - 1)
-        if value != st.value or not st.runs:
+        if not st.runs or value != st.runs[-1][1]:
             st.runs.append((self.engine.now, value))
-            st.value = value
-        self._settle(st, k)
-
-    def _settle(self, st: StreamState, k: int) -> None:
-        """Credit frame_seq with the instants after the last credited one, up to
-        chain index `k`, at which `st` sampled its current value, if positive."""
-        if st.value > 0 and k > st.k:
-            assoc = self.mobility.associations.get(st.decl.md)
-            if assoc is not None:
-                assoc.frame_seq += k - st.k
-        st.k = k
 
     def _mark(self, streams: Iterable[StreamState]) -> None:
-        """An input of each of `streams` changes now: credit its parked
-        instants, and tick it at its chain's next instant."""
+        """An input of each of `streams` changes now: tick it at its chain's
+        next instant. Until then its run goes on; nothing is counted."""
         for st in streams:
             if st.chain is not None:
-                self._settle(st, st.chain.k)
                 self._unwait(st)
                 st.chain.dirty.add(st)
 
@@ -609,12 +593,12 @@ class World:
     def _merge(self, a: _Chain, b: _Chain) -> None:
         """Chains `a` and `b` are due at the same instant, so one from then on:
         `a` takes `b`'s streams, which asked for the instant first and so rank first."""
-        shift, k_shift = a.lo - 1 - b.hi, a.k - b.k
+        shift = a.lo - 1 - b.hi
         a.lo = b.lo + shift
         for entry in b.stops:
             st, waiting_on = entry[2], entry[2].waiting_on
             self._unwait(st)  # its rank changes, and with it its place among the waiters
-            st.chain, st.rank, st.k0, st.k = a, st.rank + shift, st.k0 + k_shift, st.k + k_shift
+            st.chain, st.rank = a, st.rank + shift
             if waiting_on is not None:
                 self._wait(st, waiting_on)
             heappush(a.stops, entry)
@@ -625,7 +609,6 @@ class World:
         """The one sampler event of an instant: tick the chain's dirty streams and
         woken waiters in rank order, then carry the chain on to its next instant."""
         chain = self._due.pop(at)
-        chain.k += 1
         gaps = self._gaps
         while gaps and gaps[0][0] <= at:
             self._mark((self.streams[heappop(gaps)[1]],))
@@ -635,12 +618,11 @@ class World:
             order = merge(order, *[self._woken(a, chain) for a in sorted(chain.woken)], key=_RANK)
             chain.woken.clear()
         for st in order:
-            self._tick(st, chain.k)
+            self._tick(st)
         nxt = round(at + self.params.sample_period, 9)
         stops = chain.stops
         while stops and stops[0][0] < nxt:
             st = heappop(stops)[2]
-            self._settle(st, chain.k)
             self._unwait(st)
             st.chain = None
         if stops:
@@ -761,12 +743,7 @@ class World:
             }
             for d in self.authn.auth_log
         ]
-        streams = []
-        for st in self.streams.values():
-            if st.chain is not None:
-                self._settle(st, st.chain.k)
-            if st.runs:
-                streams.append((st.name, st.decl.start, st.k - st.k0 + 1, st.runs[:]))
+        streams = [(st.name, st.decl.start, st.stop, st.runs[:]) for st in self.streams.values() if st.runs]
         return MetricsReport(
             scenario=self.scenario.name,
             seed=self.params.seed,

@@ -3,14 +3,16 @@ import os
 import subprocess
 import sys
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import sdedge
+from sdedge.authn import MODES
 from sdedge.cli import main
 from sdedge.report import Throughput
-from sdedge.scenario import bundled_scenario_path
+from sdedge.scenario import PERSONAL_AP_CHOICES, Params, bundled_scenario_path
 
 
 def test_run_emits_csv(tmp_path, capsys):
@@ -139,3 +141,35 @@ def test_ring_width_override_is_checked_against_the_controllers(scenario, messag
     assert main(["run", scenario, "--set", "m=2"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_generated_overrides_run_or_are_usage_errors(capsys):
+    """Any `--set` pairs on a bundled scenario either run to completion or are
+    rejected as a usage error before t=0, each field drawn at its edges and
+    past them: negative, zero, nan and inf floats, and ints outside their range."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = {f.name: [-1, 0, "nan", "inf", f.default / 2, f.default, 2 * f.default]
+              for f in fields(Params) if f.type == "float"}
+    values.update(
+        duration=[-1, 0, "nan", "inf", 0.5, 2.0],  # short runs: the horizon is drawn on every run
+        m=[1, 2, 5, 16, 32, 33], r=[0, 1, 3], controllers=[-1, 0, 1, 9],
+        mode=list(MODES), personal_ap=list(PERSONAL_AP_CHOICES),
+    )
+    pair = st.sampled_from(sorted(values)).flatmap(lambda key: st.sampled_from(values[key]).map(f"{key}={{}}".format))
+
+    # most cases are rejected before t=0, which is cheap; one in eight runs
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        scenario=st.sampled_from(["fig2", "fig5", "fig5c", "fig6"]),
+        duration=st.sampled_from(values["duration"]),
+        pairs=st.lists(pair, max_size=4),
+    )
+    def run(scenario, duration, pairs):
+        argv = ["run", scenario, "--set", f"duration={duration}"]
+        for p in pairs:
+            argv += ["--set", p]
+        assert main(argv) in (0, 2), argv
+        assert "Traceback" not in capsys.readouterr().err
+
+    run()

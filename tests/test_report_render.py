@@ -112,32 +112,37 @@ def test_rows_spanning_several_batches_match_json_dumps():
 def expanded(period, streams):
     """The rows of `Throughput(period, streams)`, expanded by hand and sorted."""
     rows = []
-    for sid, start, n, runs in streams:
+    for sid, start, stop, runs in streams:
         firsts, t, mbps = dict(runs), start, None
-        for _ in range(n):
+        while t <= stop:
             mbps = firsts.get(t, mbps)
             rows.append((t, sid, mbps))
             t = round(t + period, 9)
     return sorted(rows, key=lambda row: (row[0], row[1]))
 
 
-def runs_of(sid, start, samples, period):
-    """One stream's (stream id, start, n, runs), from its sample per instant."""
+def runs_of(sid, start, samples, period, slack=0.0):
+    """One stream's (stream id, start, stop, runs), from its sample per
+    instant; its stop is `slack` after its last instant."""
     runs, t = [], start
     for mbps in samples:
         if not runs or runs[-1][1] != mbps:
             runs.append((t, mbps))
-        t = round(t + period, 9)
-    return sid, start, len(samples), runs
+        stop, t = t, round(t + period, 9)
+    return sid, start, stop + slack, runs
 
 
 # starts on different sampling chains, and later starts that join a chain
 starts = st.sampled_from((0.0, 0.05, 0.1, 0.3, 0.25, 1.0, 0.30000000001))
 mbps_values = st.sampled_from((0.0, 0.2, 8.0, 11.0, 1e16, 5e-324))
+# a stop on the stream's last instant, or between it and the next, as the horizon can fall
+slacks = st.sampled_from((0.0, 0.04))
 runs_streams = st.builds(
-    lambda period, streams: (period, [runs_of(sid, *stream, period) for sid, stream in streams.items()]),
+    lambda period, streams: (
+        period, [runs_of(sid, start, samples, period, slack) for sid, (start, samples, slack) in streams.items()]
+    ),
     st.sampled_from((0.1, 0.25)),
-    st.dictionaries(names, st.tuples(starts, st.lists(mbps_values, min_size=1, max_size=8)), max_size=5),
+    st.dictionaries(names, st.tuples(starts, st.lists(mbps_values, min_size=1, max_size=8), slacks), max_size=5),
 )
 
 

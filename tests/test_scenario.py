@@ -152,7 +152,9 @@ def test_override_unknown_key_is_usage_error():
 @pytest.mark.parametrize(
     "key,value",
     [("r", "0"), ("m", "1"), ("m", "33"), ("duration", "0"),
-     ("sample_period", "0"), ("beacon_period", "-1"), ("rotation_period", "0"), ("controllers", "-1")],
+     ("sample_period", "0"), ("beacon_period", "-1"), ("rotation_period", "0"), ("controllers", "-1"),
+     ("detection_delay", "-1"), ("regrant_grace", "-1"), ("link_latency", "-1"), ("duration", "inf"),
+     ("key_freshness", "nan")],
 )
 def test_out_of_range_param_is_rejected_from_file_and_override(key, value):
     sc = parse_scenario_text(MINI, "mini")

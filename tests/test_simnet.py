@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from sdedge.cli import main
@@ -102,7 +104,7 @@ def test_personal_ap_migration_preserves_md_visible_state():
     assert after.md_visible()[0] == before[0]          # md_mac
     assert after.md_visible()[1] == before[1]          # association_id
     assert after.ap_mac != ap_mac_before
-    assert after.frame_seq >= before[2]
+    assert after.md_visible()[2] == before[2]          # frame_seq, carried, not counted
     kinds = [h["kind"] for h in world.handover_rows]
     assert kinds == ["pap-migrate"]
 
@@ -460,25 +462,20 @@ class PacketInCheckedWorld(World):
 class SampleCheckedWorld(World):
     """A dense oracle of the sampler. After every sampler event, each stream
     due then that was not ticked would sample its run's value and could not
-    be admitted. At the end, each association's frame_seq counts every
-    positive sample of its device's streams while it held."""
+    be admitted. At the end, the report has a row per stream for its start
+    and for every sampler event whose chain still held it."""
 
     def _schedule_all(self):
-        self.ticked, self.positives = set(), {}  # id(association) -> [association, positive samples]
+        self.ticked, self.samples = set(), Counter()  # stream -> instants it was due at
         super()._schedule_all()
 
-    def _count(self, st):
-        assoc = self.mobility.associations.get(st.decl.md)
-        if st.value > 0 and assoc is not None:
-            self.positives.setdefault(id(assoc), [assoc, 0])[1] += 1
-
-    def _tick(self, st, k):
-        super()._tick(st, k)
+    def _tick(self, st):
+        super()._tick(st)
         self.ticked.add(st.name)
 
     def _flow_start(self, st):
         super()._flow_start(st)
-        self._count(st)
+        self.samples[st.name] += 1
 
     def _sample(self, at):
         due = [st for _, _, st in self._due[at].stops]
@@ -487,13 +484,13 @@ class SampleCheckedWorld(World):
         for st in due:
             if st.name not in self.ticked:
                 value, why = self.sample_of(st)
-                assert value == st.value and why != "admit", (at, st.name, value, why, st.value)
-            self._count(st)
+                last = st.runs[-1][1]
+                assert value == last and why != "admit", (at, st.name, value, why, last)
+            self.samples[st.name] += 1
 
     def run(self):
         report = super().run()
-        for assoc in self.mobility.associations.values():
-            assert assoc.frame_seq == self.positives.get(id(assoc), [assoc, 0])[1], assoc.md_id
+        assert Counter(sid for _, sid, _ in report.throughput) == self.samples
         return report
 
 
