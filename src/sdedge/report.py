@@ -15,15 +15,19 @@ three big lists (throughput, handovers, auth_events). The throughput
 writers, JSON and CSV, make one pass over the runs: each row is the
 string of its instant joined to the string of its run, so a scalar is
 encoded once per instant or run, not once per row, and one instant's rows
-are joined at a time. The dict writers encode each scalar by its type and
-join rows in bounded batches. Either way the peak is the report plus the
-text, in chunks and then joined. tests/test_report_render.py pins the
-equivalence against that `json.dumps` call on generated reports.
+are joined at a time. The handover writer encodes each scalar by its
+type, and the auth rows are rendered straight from the run's
+`AuthDecision`s with one fixed template; both join rows in bounded
+batches. `emit` writes the chunks straight to the file as they are made,
+so its peak is the report plus one chunk, not the report plus its text.
+tests/test_report_render.py pins the equivalence against that
+`json.dumps` call on generated reports.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -32,7 +36,9 @@ from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from pathlib import Path
+from typing import TextIO
 
+from .authn import AuthDecision
 from .errors import EmitError
 
 SCHEMA_VERSION = "sdedge.metrics/1"
@@ -126,7 +132,8 @@ class MetricsReport:
     handovers: list[dict] = field(default_factory=list)
     packet_in: dict[str, int] = field(default_factory=dict)
     lookup_hops: dict[int, int] = field(default_factory=dict)
-    auth_events: list[dict] = field(default_factory=list)
+    # every access decision of the run, in the order it was made
+    auth_events: list[AuthDecision] = field(default_factory=list)
     record_losses: list[str] = field(default_factory=list)
 
     # -- derived ------------------------------------------------------------
@@ -146,7 +153,7 @@ class MetricsReport:
 
     def summary(self) -> dict:
         rows = self.throughput
-        grants = sum(1 for e in self.auth_events if e["granted"])
+        grants = sum(1 for d in self.auth_events if d.granted)
         delivered, streams = rows.totals if isinstance(rows, Throughput) else _delivered(rows, None)
         return {
             "streams": streams,
@@ -236,17 +243,26 @@ def _dict_rows(rows: list[dict]) -> Iterator[str]:
         yield template % tuple([_value(row[k]) for k in keys])
 
 
-def _dict_chunks(rows: list[dict]) -> Iterator[str]:
-    """Dict rows, _BATCH to a chunk."""
-    lines = _dict_rows(rows)
-    for _ in range(0, len(rows), _BATCH):
-        yield ",\n".join(islice(lines, _BATCH))
+# an auth decision as its row in the document, keys sorted
+_DECISION_ROW = '  {\n   "granted": %s,\n   "group": %s,\n   "md": %s,\n   "reason": %s,\n   "t": %s\n  }'
+
+
+def _decision_rows(log: list[AuthDecision]) -> Iterator[str]:
+    """Auth decisions as the rows {t, md, group, granted, reason}."""
+    for d in log:
+        yield _DECISION_ROW % (_value(d.granted), _value(d.group_id), _value(d.md_id), _value(d.reason), _value(d.at))
+
+
+def _batched(rows: Iterator[str]) -> Iterator[str]:
+    """Rows, _BATCH to a chunk; a row is never empty."""
+    while chunk := ",\n".join(islice(rows, _BATCH)):
+        yield chunk
 
 
 # the document's big lists, each with the writer of its chunks for its row shape
 _ROW_LISTS: dict[str, Callable[[list | Throughput], Iterator[str]]] = {
-    "auth_events": _dict_chunks,
-    "handovers": _dict_chunks,
+    "auth_events": lambda log: _batched(_decision_rows(log)),
+    "handovers": lambda rows: _batched(_dict_rows(rows)),
     "throughput": _throughput_chunks,
 }
 
@@ -265,37 +281,67 @@ def _array(chunks: Iterator[str]) -> Iterator[str]:
     yield "\n ]"
 
 
-def render_json(report: MetricsReport) -> str:
-    """The full document, as json.dumps(document, sort_keys=True, indent=1) + "\\n" prints it."""
+def _json_chunks(report: MetricsReport) -> Iterator[str]:
     small = report.to_json_dict()
-    parts = ["{"]
+    yield "{"
     for i, key in enumerate(sorted([*small, *_ROW_LISTS])):
-        parts.append(f"{',' if i else ''}\n {_encode_str(key)}: ")
+        yield f"{',' if i else ''}\n {_encode_str(key)}: "
         if key in _ROW_LISTS:
-            parts.extend(_array(_ROW_LISTS[key](getattr(report, key))))
+            yield from _array(_ROW_LISTS[key](getattr(report, key)))
         else:
-            parts.append(json.dumps(small[key], sort_keys=True, indent=1).replace("\n", "\n "))
-    parts.append("\n}\n")
-    return "".join(parts)
+            yield json.dumps(small[key], sort_keys=True, indent=1).replace("\n", "\n ")
+    yield "\n}\n"
 
 
-def render_csv(report: MetricsReport) -> str:
-    """Throughput series only; the keyed document lives in the JSON format."""
-    parts = [f"# schema={SCHEMA_VERSION} scenario={report.scenario} seed={report.seed} mode={report.mode}\n"
-             "t,stream_id,mbps\n"]
-    parts.extend(_run_rows(report.throughput, lambda t: f"{t!r},", lambda sid, mbps: f"{sid},{mbps!r}\n", ""))
-    return "".join(parts)
+def _csv_chunks(report: MetricsReport) -> Iterator[str]:
+    yield (f"# schema={SCHEMA_VERSION} scenario={report.scenario} seed={report.seed} mode={report.mode}\n"
+           "t,stream_id,mbps\n")
+    yield from _run_rows(report.throughput, lambda t: f"{t!r},", lambda sid, mbps: f"{sid},{mbps!r}\n", "")
+
+
+def _render(chunks: Iterator[str], out: TextIO | None) -> str | None:
+    if out is None:
+        return "".join(chunks)
+    out.writelines(chunks)
+    return None
+
+
+def render_json(report: MetricsReport, out: TextIO | None = None) -> str | None:
+    """The full document, as json.dumps(document, sort_keys=True, indent=1) + "\\n" prints it:
+    returned, or written into `out` chunk by chunk."""
+    return _render(_json_chunks(report), out)
+
+
+def render_csv(report: MetricsReport, out: TextIO | None = None) -> str | None:
+    """Throughput series only, returned or written into `out`; the keyed
+    document lives in the JSON format."""
+    return _render(_csv_chunks(report), out)
 
 
 def emit(report: MetricsReport, fmt: str, path: str | Path) -> Path:
-    """Write the report; CSV carries the series rows, JSON the full document."""
+    """Write the report; CSV carries the series rows, JSON the full document.
+
+    The text goes to a temporary file beside `path`, which then replaces
+    `path` (a symlink there is replaced, not written through). A failure
+    removes the temporary file and leaves `path` as it was, so no truncated
+    report is left behind.
+    """
     if fmt not in FORMATS:
         raise EmitError(f"unknown format {fmt!r} (csv|json)")
-    text = render_csv(report) if fmt == "csv" else render_json(report)
     path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
+    created = False
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise EmitError(f"cannot write {path}: {exc}") from exc
+        with open(tmp, "x", encoding="utf-8", newline="\n") as out:
+            created = True
+            # by name, so a wrapper bound to the name times emit's rendering
+            (render_csv if fmt == "csv" else render_json)(report, out)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if created:
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise EmitError(f"cannot write {path}: {exc}") from exc
+        raise
     return path

@@ -733,16 +733,6 @@ class World:
         return self.record_metrics()
 
     def record_metrics(self) -> MetricsReport:
-        auth_events = [
-            {
-                "t": d.at,
-                "md": d.md_id,
-                "group": d.group_id,
-                "granted": d.granted,
-                "reason": d.reason,
-            }
-            for d in self.authn.auth_log
-        ]
         streams = [(st.name, st.decl.start, st.stop, st.runs[:]) for st in self.streams.values() if st.runs]
         return MetricsReport(
             scenario=self.scenario.name,
@@ -754,7 +744,7 @@ class World:
             handovers=self.handover_rows,
             packet_in=dict(sorted(self.packet_in.items())),
             lookup_hops=dict(sorted(self.lookup_hops.items())),
-            auth_events=auth_events,
+            auth_events=self.authn.auth_log[:],
             record_losses=list(self.record_losses),
         )
 

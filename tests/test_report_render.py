@@ -14,12 +14,18 @@ from __future__ import annotations
 import json
 import math
 import tempfile
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from sdedge import report as report_module
+from sdedge.authn import AuthDecision
+from sdedge.errors import EmitError
 from sdedge.report import SCHEMA_VERSION, MetricsReport, Throughput, emit, render_csv, render_json
+from sdedge.scenario import bundled_scenario_path, parse_scenario
+from sdedge.simnet import run_scenario
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,7 +53,11 @@ handover_rows = dict_rows({
     "t": numbers, "md": names, "kind": names, "from_ap": st.one_of(names, st.none()),
     "to_ap": names, "latency": numbers, "messages": st.integers(0, 9),
 })
-auth_rows = dict_rows({"t": numbers, "md": names, "group": names, "granted": values, "reason": names})
+# the decisions a run logs; `granted` takes any value, which `summary()` reads by its truth
+auth_rows = st.builds(
+    AuthDecision, md_id=names, group_id=names, granted=values,
+    reason=st.one_of(names, st.none()), epoch=st.integers(), at=numbers,
+)
 
 reports = st.builds(
     MetricsReport,
@@ -79,7 +89,8 @@ def reference_json(report: MetricsReport) -> str:
         "handovers": report.handovers,
         "packet_in": {k: report.packet_in[k] for k in sorted(report.packet_in)},
         "lookup_hops": {str(h): report.lookup_hops[h] for h in sorted(report.lookup_hops)},
-        "auth_events": report.auth_events,
+        "auth_events": [{"t": d.at, "md": d.md_id, "group": d.group_id, "granted": d.granted, "reason": d.reason}
+                        for d in report.auth_events],
         "record_losses": sorted(report.record_losses),
     }
     return json.dumps(document, sort_keys=True, indent=1) + "\n"
@@ -103,7 +114,7 @@ def test_rows_spanning_several_batches_match_json_dumps():
         throughput=[(i / 10, f"S{i % 3}", float(i % 7)) for i in range(2 * n + 1)],
         handovers=[{"t": float(i), "md": "M1", "latency": 0.5, "note": (None, math.nan, -math.inf)[i % 3]}
                    for i in range(n)],
-        auth_events=[{"t": float(i), "md": "M2", "group": "G1", "granted": i % 2 == 0, "reason": "ok"}
+        auth_events=[AuthDecision("M2é", "G1", i % 2 == 0, (None, "ok")[i % 2], 0, float(i))
                      for i in range(n + 1)],
     )
     assert render_json(report) == reference_json(report)
@@ -170,3 +181,44 @@ def test_runs_spanning_several_batches_render_the_bytes_of_their_rows():
     runs = MetricsReport(scenario="runs", seed=1, mode="None", duration=9.0, throughput=throughput)
     assert render_json(runs) == render_json(rows) == reference_json(rows)
     assert render_csv(runs) == render_csv(rows)
+
+
+def test_a_failed_emit_leaves_no_truncated_report(tmp_path, monkeypatch):
+    report = MetricsReport(scenario="cut", seed=1, mode="None", duration=9.0,
+                           throughput=[(i / 10, "S1", float(i % 3)) for i in range(90)])
+    kept = emit(report, "json", tmp_path / "kept.json").read_bytes()
+    full_run_rows = report_module._run_rows
+
+    def failing_run_rows(*args):
+        yield from islice(full_run_rows(*args), 40)
+        raise RuntimeError("row writer failed")
+
+    monkeypatch.setattr(report_module, "_run_rows", failing_run_rows)
+    for fmt, name in (("json", "kept.json"), ("csv", "new.csv"), ("json", "new.json")):
+        with pytest.raises(RuntimeError, match="row writer failed"):
+            emit(report, fmt, tmp_path / name)
+    monkeypatch.undo()
+    # an OSError at the final replace, onto a directory, is an EmitError and cleans up too
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "x").touch()
+    with pytest.raises(EmitError, match="cannot write"):
+        emit(report, "csv", tmp_path / "dir")
+    assert (tmp_path / "kept.json").read_bytes() == kept
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "kept.json"]
+
+
+def test_emit_holds_less_than_its_text_twice():
+    """Emit writes its chunks to the file as they are made. A report joined
+    whole before the write peaks above twice the file's size (2.05x for
+    JSON, 2.15x for CSV on fig5); streamed, the peak is the expanded runs
+    plus a chunk, 0.48x and 1.15x."""
+    report = run_scenario(parse_scenario(bundled_scenario_path("fig5")))
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, bound in (("json", 1.0), ("csv", 1.5)):
+            tracemalloc.start()
+            try:
+                path = emit(report, fmt, Path(tmp) / f"fig5.{fmt}")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * path.stat().st_size, (fmt, peak, path.stat().st_size)

@@ -521,7 +521,7 @@ def test_roster_check_runs_on_a_grouped_failure_run():
     sc = parse_scenario_text(text, "fig5-roster")
     report = RosterCheckedWorld(sc, apply_overrides(sc.params, {"mode": "LEDGE-PAP"})).run()
     assert any(h["kind"] == "ap-recovery" for h in report.handovers)
-    assert any(d["granted"] and d["t"] > 5.0 for d in report.auth_events)
+    assert any(d.granted and d.at > 5.0 for d in report.auth_events)
 
 
 def test_generated_failure_schedules_run_to_completion():
