@@ -28,6 +28,12 @@ EVENT_KINDS = (
 _KINDS = frozenset(EVENT_KINDS)
 
 
+def later(t: float, dt: float) -> float:
+    """The instant `dt` after `t`, on the 1e-9 s grid every scheduled instant
+    is rounded to. A period advances the clock only where `later(t, period) > t`."""
+    return round(t + dt, 9)
+
+
 @dataclass
 class EventEngine:
     record_trace: bool = False

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .authn import AuthDecision
+from .engine import later
 from .errors import EmitError
 
 SCHEMA_VERSION = "sdedge.metrics/1"
@@ -49,7 +50,7 @@ class Throughput:
     """Rows (t, stream id, Mbps) in (t, stream) order, kept as per-stream runs.
 
     A stream has a row at each of its instants up to its stop: its start
-    and then each round(t + period, 9), the instants `World` samples it at,
+    and then each `later(t, period)`, the instants `World` samples it at,
     made once per start, up to the latest stop of the streams that start
     then. Each row reads the value of the stream's latest run (first
     instant, Mbps) at or before it. `len()` expands nothing; each reader
@@ -61,7 +62,7 @@ class Throughput:
         self.instants: dict[float, list[float]] = {}  # start -> its instants, to its streams' latest stop
         for _, start, stop, _ in given:
             ts = self.instants.setdefault(start, [start])
-            while (t := round(ts[-1] + period, 9)) <= stop:
+            while (t := later(ts[-1], period)) <= stop:
                 ts.append(t)
         # (stream id, start, row count, runs), from (stream id, start, stop, runs)
         self.streams = [(sid, start, bisect_right(self.instants[start], stop), runs)

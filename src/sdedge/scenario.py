@@ -1,12 +1,14 @@
 """Declarative scenario files: parsing, validation, generation, writing.
 
 The format is line-oriented and diff-friendly: named sections in square
-brackets, one directive per line, `key=value` arguments. Generator
-directives (`mds`, `roam`, `flows`) expand at parse time using
-`layout_seed`, so a parsed scenario is always a concrete entity list and
-re-emitting then re-parsing it is structurally lossless. The run seed
-never influences layout; overriding it cannot silently reshape the
-topology.
+brackets, one directive per line, `key=value` arguments. Each directive is
+read through its row of the table `_DIRECTIVES`: its section, usage line,
+positional and `key=value` arguments with the converters that hold their
+domains, and the `_Parser` method that builds it. Generator directives
+(`mds`, `roam`, `flows`) expand at parse time using `layout_seed`, so a
+parsed scenario is always a concrete entity list and re-emitting then
+re-parsing it is structurally lossless. The run seed never influences
+layout; overriding it cannot silently reshape the topology.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from __future__ import annotations
 import fnmatch
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .authn import MODES
+from .engine import later
 from .errors import ScenarioError, UsageError
 from .ring import fnv1a64, hash_id
 
@@ -62,12 +66,16 @@ class Params:
     def validate(self) -> list[tuple[str, str]]:
         """Range problems as (field, message), shared by scenario files and
         `--set` overrides. Every float is finite; the horizon and the three
-        periods are positive, and every other float is >= 0."""
+        periods are positive, and every other float is >= 0. Each period must
+        move the clock at the horizon, or its events would repeat one instant."""
         problems = []
-        for f in fields(self):
-            value, positive = getattr(self, f.name), f.name in _POSITIVE_PARAMS
-            if f.type == "float" and not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-                problems.append((f.name, f"{f.name} must be {'positive' if positive else '>= 0'} and finite"))
+        for name in _FLOAT_PARAMS:
+            value, positive = getattr(self, name), name in _POSITIVE_PARAMS
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                problems.append((name, f"{name} must be {'positive' if positive else '>= 0'} and finite"))
+            elif name in _PERIODS and later(self.duration, value) <= self.duration < math.inf:
+                problems.append((name, f"{name} does not advance the clock at duration={self.duration} "
+                                       "(instants are rounded to 1e-9 s)"))
         if not 2 <= self.m <= 32:
             problems.append(("m", f"ring width m={self.m} outside [2, 32]"))
         if self.r < 1:
@@ -87,7 +95,9 @@ class Params:
 
 _PARAM_TYPES = {f.name: f.type for f in fields(Params)}
 _INT_PARAMS = {f.name for f in fields(Params) if f.type == "int"}
-_POSITIVE_PARAMS = ("duration", "sample_period", "beacon_period", "rotation_period")
+_FLOAT_PARAMS = tuple(f.name for f in fields(Params) if f.type == "float")
+_PERIODS = ("sample_period", "beacon_period", "rotation_period")
+_POSITIVE_PARAMS = ("duration", *_PERIODS)
 
 
 @dataclass(frozen=True)
@@ -169,11 +179,25 @@ class FailureDecl(_Directive):
 
 
 @dataclass(frozen=True)
-class WorkloadDecl:
+class WorkloadDecl(_Directive):
     rate_per_ap: float
     service_time: float
     start: float = 0.0
     until: float | None = None
+
+    def horizon(self, duration: float) -> float:
+        """The last instant an arrival may be served at."""
+        return min(self.until, duration) if self.until is not None else duration
+
+    def period_problem(self, duration: float) -> str | None:
+        """Arrival instants are 1/rate_per_ap apart up to the horizon, so that
+        period must move the clock there. The parser checks a file's own
+        `duration`; `World` checks the one it is given."""
+        horizon = self.horizon(duration)
+        if self.rate_per_ap > 0 and later(horizon, 1 / self.rate_per_ap) <= horizon:
+            return (f"packetin rate_per_ap={self.rate_per_ap!r} does not advance the clock at t={horizon} "
+                    "(instants are rounded to 1e-9 s)")
+        return None
 
 
 @dataclass
@@ -214,9 +238,12 @@ def _layout_rng(layout_seed: int, tag: str) -> random.Random:
     return random.Random(((layout_seed & 0xFFFFFFFF) << 32) ^ (fnv1a64(tag.encode()) & 0xFFFFFFFF))
 
 
+class _LineError(Exception):
+    """A directive line that does not fit its row's grammar."""
+
+
 class _Parser:
     def __init__(self, text: str, name: str):
-        self.name = name
         self.lines = text.splitlines()
         self.errors: list[tuple[int, int, str]] = []
         self.scenario = Scenario(name=name)
@@ -246,30 +273,6 @@ class _Parser:
                 continue
             self.raw[section].append((i, line))
 
-    def kv_args(self, line_no: int, tokens: list[str], required: dict, optional: dict | None = None):
-        """Parse key=value tokens against typed required/optional maps."""
-        optional = optional or {}
-        seen: dict[str, object] = {}
-        for tok in tokens:
-            if "=" not in tok:
-                self.fail(line_no, f"expected key=value, got {tok!r}")
-                return None
-            key, _, val = tok.partition("=")
-            conv = required.get(key) or optional.get(key)
-            if conv is None:
-                self.fail(line_no, f"unknown argument {key!r}")
-                return None
-            try:
-                seen[key] = conv(val)
-            except (ValueError, TypeError):
-                self.fail(line_no, f"bad value for {key}: {val!r}")
-                return None
-        missing = [k for k in required if k not in seen]
-        if missing:
-            self.fail(line_no, f"missing argument(s): {', '.join(missing)}")
-            return None
-        return seen
-
     # -- sections --------------------------------------------------------------
 
     def parse_params(self) -> None:
@@ -288,216 +291,132 @@ class _Parser:
             except ValueError as exc:
                 self.fail(line_no, str(exc))
             self.param_lines[key] = line_no
-        try:
-            self.scenario.params = replace(Params(), **values)
-        except (TypeError, ValueError) as exc:  # defensive
-            self.fail(0, f"bad parameters: {exc}")
+        self.scenario.params = Params(**values)  # each key is a field, each value converted
         for name, problem in self.scenario.params.validate():
             self.fail(self.param_lines.get(name, 0), problem)
 
-    def parse_topology(self) -> None:
+    def parse_section(self, section: str) -> None:
+        """Each line is `HEAD POSITIONAL... key=value...`, read by its head's
+        `_DIRECTIVES` row. A line with an error is reported and skipped, at
+        its first error, before its builder runs."""
+        for line_no, line in self.raw[section]:
+            head, *tokens = line.split()
+            row = _DIRECTIVES.get(head)
+            if row is None or row.section != section:
+                self.fail(line_no, f"unknown {section} directive {head!r}")
+                continue
+            n = len(row.positional)
+            if len(tokens) < n - row.optional_positional or (len(tokens) > n and not (row.required or row.optional)):
+                self.fail(line_no, f"expected: {row.usage}")
+                continue
+            try:
+                args = []
+                for (name, conv), text in zip(row.positional, tokens):
+                    args.append(conv(text))
+                keys = {}
+                for tok in tokens[n:]:
+                    name, eq, text = tok.partition("=")
+                    if not eq:
+                        raise _LineError(f"expected key=value, got {tok!r}")
+                    conv = row.required.get(name) or row.optional.get(name)
+                    if conv is None:
+                        raise _LineError(f"unknown argument {name!r}")
+                    keys[name] = conv(text)
+                if not row.required.keys() <= keys.keys():
+                    raise _LineError(f"missing argument(s): {', '.join(k for k in row.required if k not in keys)}")
+            except ValueError:  # from a converter
+                self.fail(line_no, f"bad value for {name}: {text!r}")
+                continue
+            except _LineError as exc:
+                self.fail(line_no, str(exc))
+                continue
+            row.build(self, line_no, *args, **keys)
+
+    # -- builders: one per directive, called with its converted arguments -------
+
+    def add_controller(self, line: int, name: str, key: int | None = None) -> None:
+        self.scenario.controllers.append(ControllerDecl(name, key, line=line))
+
+    def add_switch(self, line: int, name: str) -> None:
+        self.scenario.switches.append(SwitchDecl(name, line=line))
+
+    def add_ap(self, line: int, name: str, pos: tuple[float, float], radius: float, capacity: float,
+               techs: tuple[str, ...], partition: str) -> None:
+        self.scenario.aps.append(APDecl(name, *pos, radius, capacity, techs, partition, line=line))
+
+    def add_md(self, line: int, name: str, pos: tuple[float | None, float | None] = (None, None)) -> None:
+        self.scenario.mds.append(MDDecl(name, *pos, line=line))
+
+    def add_mds(self, line: int, prefix: str, count: int, area: tuple[float, float, float, float]) -> None:
         sc = self.scenario
-        for line_no, line in self.raw["topology"]:
-            tokens = line.split()
-            head = tokens[0]
-            if head == "controller":
-                if len(tokens) < 2:
-                    self.fail(line_no, "controller needs a name")
-                    continue
-                args = self.kv_args(line_no, tokens[2:], {}, {"key": int})
-                if args is None:
-                    continue
-                sc.controllers.append(ControllerDecl(tokens[1], args.get("key"), line=line_no))
-            elif head == "switch":
-                if len(tokens) != 2:
-                    self.fail(line_no, "switch takes exactly a name")
-                    continue
-                sc.switches.append(SwitchDecl(tokens[1], line=line_no))
-            elif head == "ap":
-                if len(tokens) < 2:
-                    self.fail(line_no, "ap needs a name")
-                    continue
-                args = self.kv_args(
-                    line_no,
-                    tokens[2:],
-                    {"pos": _point, "radius": float, "capacity": float, "techs": _csv, "partition": str},
-                )
-                if args is None:
-                    continue
-                x, y = args["pos"]
-                sc.aps.append(
-                    APDecl(tokens[1], x, y, args["radius"], args["capacity"], args["techs"], args["partition"],
-                           line=line_no)
-                )
-            elif head == "md":
-                if len(tokens) < 2:
-                    self.fail(line_no, "md needs a name")
-                    continue
-                args = self.kv_args(line_no, tokens[2:], {}, {"pos": _point})
-                if args is None:
-                    continue
-                pos = args.get("pos")
-                sc.mds.append(MDDecl(tokens[1], *(pos if pos else (None, None)), line=line_no))
-            elif head == "mds":
-                if len(tokens) < 3:
-                    self.fail(line_no, "mds needs a prefix and a count")
-                    continue
-                try:
-                    count = int(tokens[2])
-                except ValueError:
-                    self.fail(line_no, f"bad count {tokens[2]!r}")
-                    continue
-                args = self.kv_args(line_no, tokens[3:], {"area": _rect})
-                if args is None:
-                    continue
-                x0, y0, x1, y1 = args["area"]
-                width = max(3, len(str(count)))
-                for i in range(1, count + 1):
-                    name = f"{tokens[1]}{i:0{width}d}"
-                    rng = _layout_rng(sc.params.layout_seed, f"md:{name}")
-                    sc.mds.append(
-                        MDDecl(name, round(rng.uniform(x0, x1), 3), round(rng.uniform(y0, y1), 3), line=line_no)
-                    )
-            elif head == "link":
-                if len(tokens) < 3:
-                    self.fail(line_no, "link needs two endpoints")
-                    continue
-                args = self.kv_args(line_no, tokens[3:], {"latency": float, "rate": float})
-                if args is None:
-                    continue
-                sc.links.append(LinkDecl(tokens[1], tokens[2], args["latency"], args["rate"], line=line_no))
-            else:
-                self.fail(line_no, f"unknown topology directive {head!r}")
+        x0, y0, x1, y1 = area
+        width = max(3, len(str(count)))
+        for i in range(1, count + 1):
+            name = f"{prefix}{i:0{width}d}"
+            rng = _layout_rng(sc.params.layout_seed, f"md:{name}")
+            sc.mds.append(MDDecl(name, round(rng.uniform(x0, x1), 3), round(rng.uniform(y0, y1), 3), line=line))
 
-    def parse_groups(self) -> None:
-        for line_no, line in self.raw["groups"]:
-            tokens = line.split()
-            if tokens[0] != "group" or len(tokens) < 3:
-                self.fail(line_no, "expected: group NAME members=AP1,AP2,...")
-                continue
-            args = self.kv_args(line_no, tokens[2:], {"members": _csv})
-            if args is None:
-                continue
-            self.scenario.groups.append(GroupDecl(tokens[1], args["members"], line=line_no))
+    def add_link(self, line: int, a: str, b: str, latency: float, rate: float) -> None:
+        self.scenario.links.append(LinkDecl(a, b, latency, rate, line=line))
 
-    def parse_flows(self) -> None:
+    def add_group(self, line: int, name: str, members: tuple[str, ...]) -> None:
+        self.scenario.groups.append(GroupDecl(name, members, line=line))
+
+    def add_flow(self, line: int, name: str, md: str, dst: str, type: str, demand: float, tech: str,
+                 start: float, end: float | None = None) -> None:
+        self.scenario.streams.append(StreamDecl(name, md, dst, type, demand, tech, start, end, line=line))
+
+    def add_flows(self, line: int, prefix: str, md: str, dst: str, type: str, demand: float, tech: str,
+                  start: float, end: float | None = None) -> None:
+        matched = [m.name for m in self.scenario.mds if fnmatch.fnmatchcase(m.name, md)]
+        if not matched:
+            self.fail(line, f"flows pattern {md!r} matches no MD")
+        for name in matched:
+            self.add_flow(line, f"{prefix}-{name}", name, dst, type, demand, tech, start, end)
+
+    def add_move(self, line: int, md: str, t: float, pos: tuple[float, float], status: str = "staying") -> None:
+        if status not in MD_STATUSES:
+            self.fail(line, f"unknown MD status {status!r}")
+            return
+        self.scenario.waypoints.append(WaypointDecl(md, t, *pos, status, line=line))
+
+    def add_roam(self, line: int, pattern: str, interval: float, until: float | None = None,
+                 area: tuple[float, float, float, float] | None = None) -> None:
         sc = self.scenario
-        spec = {"md": str, "dst": str, "type": str, "demand": float, "tech": str, "start": float}
-        for line_no, line in self.raw["flows"]:
-            tokens = line.split()
-            head = tokens[0]
-            if head not in ("flow", "flows") or len(tokens) < 2:
-                self.fail(line_no, f"unknown flows directive {head!r}")
-                continue
-            args = self.kv_args(line_no, tokens[2:], spec, {"end": float})
-            if args is None:
-                continue
-            if head == "flow":
-                sc.streams.append(
-                    StreamDecl(tokens[1], args["md"], args["dst"], args["type"],
-                               args["demand"], args["tech"], args["start"], args.get("end"), line=line_no)
+        if area is None and sc.aps:  # the bounding box of the APs' discs
+            area = (min(a.x - a.radius for a in sc.aps), min(a.y - a.radius for a in sc.aps),
+                    max(a.x + a.radius for a in sc.aps), max(a.y + a.radius for a in sc.aps))
+        if area is None:
+            self.fail(line, "roam needs area= (no APs to infer one from)")
+            return
+        until = sc.params.duration if until is None else until
+        matched = [m.name for m in sc.mds if fnmatch.fnmatchcase(m.name, pattern)]
+        if not matched:
+            self.fail(line, f"roam pattern {pattern!r} matches no MD")
+            return
+        x0, y0, x1, y1 = area
+        for md in matched:
+            rng = _layout_rng(sc.params.layout_seed, f"roam:{md}")
+            t = interval
+            while t <= until:
+                sc.waypoints.append(
+                    WaypointDecl(md, round(t, 6),
+                                 round(rng.uniform(x0, x1), 3), round(rng.uniform(y0, y1), 3), line=line)
                 )
-            else:
-                matched = [m.name for m in sc.mds if fnmatch.fnmatchcase(m.name, args["md"])]
-                if not matched:
-                    self.fail(line_no, f"flows pattern {args['md']!r} matches no MD")
-                    continue
-                for md in matched:
-                    sc.streams.append(
-                        StreamDecl(f"{tokens[1]}-{md}", md, args["dst"], args["type"],
-                                   args["demand"], args["tech"], args["start"], args.get("end"), line=line_no)
-                    )
+                t += interval
 
-    def parse_traces(self) -> None:
-        sc = self.scenario
-        for line_no, line in self.raw["traces"]:
-            tokens = line.split()
-            head = tokens[0]
-            if head == "move":
-                if len(tokens) not in (4, 5):
-                    self.fail(line_no, "expected: move MD T X,Y [STATUS]")
-                    continue
-                try:
-                    t = float(tokens[2])
-                    x, y = _point(tokens[3])
-                except ValueError:
-                    self.fail(line_no, f"bad waypoint in {line!r}")
-                    continue
-                status = tokens[4] if len(tokens) == 5 else "staying"
-                if status not in MD_STATUSES:
-                    self.fail(line_no, f"unknown MD status {status!r}")
-                    continue
-                sc.waypoints.append(WaypointDecl(tokens[1], t, x, y, status, line=line_no))
-            elif head == "roam":
-                if len(tokens) < 3:
-                    self.fail(line_no, "expected: roam GLOB interval=S [until=T] [area=...]")
-                    continue
-                args = self.kv_args(line_no, tokens[2:], {"interval": float}, {"until": float, "area": _rect})
-                if args is None:
-                    continue
-                area = args.get("area") or self._default_area()
-                if area is None:
-                    self.fail(line_no, "roam needs area= (no APs to infer one from)")
-                    continue
-                until = args.get("until", sc.params.duration)
-                matched = [m.name for m in sc.mds if fnmatch.fnmatchcase(m.name, tokens[1])]
-                if not matched:
-                    self.fail(line_no, f"roam pattern {tokens[1]!r} matches no MD")
-                    continue
-                x0, y0, x1, y1 = area
-                for md in matched:
-                    rng = _layout_rng(sc.params.layout_seed, f"roam:{md}")
-                    t = args["interval"]
-                    while t <= until:
-                        sc.waypoints.append(
-                            WaypointDecl(md, round(t, 6),
-                                         round(rng.uniform(x0, x1), 3), round(rng.uniform(y0, y1), 3), line=line_no)
-                        )
-                        t += args["interval"]
-            else:
-                self.fail(line_no, f"unknown traces directive {head!r}")
+    def add_failure(self, line: int, kind: str, name: str, at: float) -> None:
+        if kind not in ("controller", "ap"):
+            self.fail(line, f"cannot fail a {kind!r} (controller|ap)")
+            return
+        self.scenario.failures.append(FailureDecl(kind, name, at, line=line))
 
-    def _default_area(self):
-        if not self.scenario.aps:
-            return None
-        xs0 = min(a.x - a.radius for a in self.scenario.aps)
-        ys0 = min(a.y - a.radius for a in self.scenario.aps)
-        xs1 = max(a.x + a.radius for a in self.scenario.aps)
-        ys1 = max(a.y + a.radius for a in self.scenario.aps)
-        return (xs0, ys0, xs1, ys1)
-
-    def parse_failures(self) -> None:
-        for line_no, line in self.raw["failures"]:
-            tokens = line.split()
-            if tokens[0] != "fail" or len(tokens) < 3:
-                self.fail(line_no, "expected: fail controller|ap NAME at=T")
-                continue
-            if tokens[1] not in ("controller", "ap"):
-                self.fail(line_no, f"cannot fail a {tokens[1]!r} (controller|ap)")
-                continue
-            args = self.kv_args(line_no, tokens[3:], {"at": float})
-            if args is None:
-                continue
-            self.scenario.failures.append(FailureDecl(tokens[1], tokens[2], args["at"], line=line_no))
-
-    def parse_workload(self) -> None:
-        for line_no, line in self.raw["workload"]:
-            tokens = line.split()
-            if tokens[0] != "packetin":
-                self.fail(line_no, f"unknown workload directive {tokens[0]!r}")
-                continue
-            args = self.kv_args(
-                line_no, tokens[1:], {"rate_per_ap": float, "service_time": float},
-                {"start": float, "until": float},
-            )
-            if args is None:
-                continue
-            if self.scenario.workload is not None:
-                self.fail(line_no, "duplicate packetin workload")
-                continue
-            self.scenario.workload = WorkloadDecl(
-                args["rate_per_ap"], args["service_time"], args.get("start", 0.0), args.get("until")
-            )
+    def add_packetin(self, line: int, rate_per_ap: float, service_time: float, start: float = 0.0,
+                     until: float | None = None) -> None:
+        if self.scenario.workload is not None:
+            self.fail(line, "duplicate packetin workload")
+            return
+        self.scenario.workload = WorkloadDecl(rate_per_ap, service_time, start, until, line=line)
 
     # -- cross validation ---------------------------------------------------------
 
@@ -523,10 +442,14 @@ class _Parser:
         problem = sc.params.controllers_problem(len(sc.controllers))
         if problem:
             self.fail(self.param_lines.get("controllers", 0), problem)
-        if not any(name == "m" for name, _ in sc.params.validate()):
+        flagged = {name for name, _ in sc.params.validate()}
+        if "m" not in flagged:
             active = sc.controllers[: sc.params.controllers] if sc.params.controllers else sc.controllers
             for line, msg in ring_keys(active, sc.params.m)[1]:
                 self.fail(line, msg)
+        w = sc.workload
+        if w is not None and "duration" not in flagged and (problem := w.period_problem(sc.params.duration)):
+            self.fail(w.line, problem)
 
         for ap in sc.aps:
             if ap.partition not in controller_names:
@@ -578,18 +501,101 @@ class _Parser:
     def run(self) -> Scenario:
         self.split_sections()
         self.parse_params()
-        self.parse_topology()
-        self.parse_groups()
-        self.parse_flows()
-        self.parse_traces()
-        self.parse_failures()
-        self.parse_workload()
+        for section in SECTIONS[1:]:
+            self.parse_section(section)
         self.validate()
         if self.errors:
             raise ScenarioError(sorted(set(self.errors)))
         # stable ordering regardless of file layout
         self.scenario.waypoints.sort(key=lambda w: (w.t, w.md))
         return self.scenario
+
+
+Converter = Callable[[str], object]
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One directive's grammar, `HEAD POSITIONAL... key=value...`, and the
+    `_Parser` method that appends what it declares."""
+
+    section: str
+    usage: str
+    build: Callable[..., None]  # (parser, line, *positional, **keys)
+    positional: tuple[tuple[str, Converter], ...]
+    required: dict[str, Converter] = field(default_factory=dict)
+    optional: dict[str, Converter] = field(default_factory=dict)
+    optional_positional: int = 0  # how many trailing positionals may be left out
+
+
+def _number(low: float = -math.inf) -> Converter:
+    """A converter to a finite float that is at least `low`."""
+
+    def convert(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value >= low):
+            raise ValueError(text)
+        return value
+
+    return convert
+
+
+_float = _number()
+_time = _number(0.0)  # an instant of the run
+_interval = _number(1e-6)  # roam's step: its waypoint times are rounded to 1e-6 s
+
+
+def _point(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(text)
+    return _float(parts[0]), _float(parts[1])
+
+
+def _rect(text: str) -> tuple[float, float, float, float]:
+    parts = [_float(p) for p in text.split(",")]
+    if len(parts) != 4:
+        raise ValueError(text)
+    return tuple(parts)  # type: ignore[return-value]
+
+
+def _csv(text: str) -> tuple[str, ...]:
+    items = tuple(p for p in text.split(",") if p)
+    if not items:
+        raise ValueError(text)
+    return items
+
+
+_NAME = (("NAME", str),)
+_FLOW_KEYS = {"md": str, "dst": str, "type": str, "demand": _float, "tech": str, "start": _time}
+
+# head -> its row; `parse_section` reads every directive line through this table
+_DIRECTIVES = {
+    "controller": _Row("topology", "controller NAME [key=INT]", _Parser.add_controller, _NAME, optional={"key": int}),
+    "switch": _Row("topology", "switch NAME", _Parser.add_switch, _NAME),
+    "ap": _Row(
+        "topology", "ap NAME pos=X,Y radius=R capacity=MBPS techs=TECH,... partition=CONTROLLER", _Parser.add_ap,
+        _NAME, {"pos": _point, "radius": _float, "capacity": _float, "techs": _csv, "partition": str},
+    ),
+    "md": _Row("topology", "md NAME [pos=X,Y]", _Parser.add_md, _NAME, optional={"pos": _point}),
+    "mds": _Row("topology", "mds PREFIX COUNT area=X0,Y0,X1,Y1", _Parser.add_mds,
+                (("PREFIX", str), ("COUNT", int)), {"area": _rect}),
+    "link": _Row("topology", "link A B latency=S rate=MBPS", _Parser.add_link, (("A", str), ("B", str)),
+                 {"latency": _float, "rate": _float}),
+    "group": _Row("groups", "group NAME members=AP1,AP2,...", _Parser.add_group, _NAME, {"members": _csv}),
+    "flow": _Row("flows", "flow NAME md=MD dst=NODE type=TYPE demand=MBPS tech=TECH start=T [end=T]",
+                 _Parser.add_flow, _NAME, _FLOW_KEYS, {"end": _time}),
+    "flows": _Row("flows", "flows PREFIX md=GLOB dst=NODE type=TYPE demand=MBPS tech=TECH start=T [end=T]",
+                  _Parser.add_flows, (("PREFIX", str),), _FLOW_KEYS, {"end": _time}),
+    "move": _Row("traces", "move MD T X,Y [STATUS]", _Parser.add_move,
+                 (("MD", str), ("T", _time), ("X,Y", _point), ("STATUS", str)), optional_positional=1),
+    "roam": _Row("traces", "roam GLOB interval=S [until=T] [area=X0,Y0,X1,Y1]", _Parser.add_roam,
+                 (("GLOB", str),), {"interval": _interval}, {"until": _time, "area": _rect}),
+    "fail": _Row("failures", "fail controller|ap NAME at=T", _Parser.add_failure,
+                 (("controller|ap", str), ("NAME", str)), {"at": _time}),
+    "packetin": _Row("workload", "packetin rate_per_ap=HZ service_time=S [start=T] [until=T]", _Parser.add_packetin,
+                     (), {"rate_per_ap": _float, "service_time": _float}, {"start": _time, "until": _time}),
+}
 
 
 def _convert_param(key: str, val: str):
@@ -604,27 +610,6 @@ def _convert_param(key: str, val: str):
     if key in _INT_PARAMS:
         return int(val)
     return float(val)
-
-
-def _point(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(text)
-    return float(parts[0]), float(parts[1])
-
-
-def _rect(text: str) -> tuple[float, float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(text)
-    return tuple(parts)  # type: ignore[return-value]
-
-
-def _csv(text: str) -> tuple[str, ...]:
-    items = tuple(p for p in text.split(",") if p)
-    if not items:
-        raise ValueError(text)
-    return items
 
 
 def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:

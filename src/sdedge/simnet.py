@@ -59,7 +59,7 @@ from heapq import heappop, heappush, merge
 from operator import attrgetter
 
 from .authn import AuthnService, LocationGroup
-from .engine import EventEngine
+from .engine import EventEngine, later
 from .errors import HandoverFailure, NotAMember, UsageError
 from .mobility import MobilityManager
 from .report import MetricsReport, Throughput
@@ -89,9 +89,9 @@ class StreamState:
 
 @dataclass(eq=False)
 class _Chain:
-    """The streams due at one sequence of instants, each round(t + sample_period, 9)
-    after the last. It counts no instants: a stream's rows are its instants
-    from its start to its stop, which the report regenerates."""
+    """The streams due at one sequence of instants, each `later(t, sample_period)`
+    of the instant t before it. It counts no instants: a stream's rows are its
+    instants from its start to its stop, which the report regenerates."""
 
     lo: int = 0  # the lowest and highest rank of its streams
     hi: int = -1
@@ -129,6 +129,9 @@ class World:
         keys, problems = ring_keys(active, p.m)
         if problems:
             raise UsageError("; ".join(f"{scenario.name}:{line}: {msg}" for line, msg in problems))
+        w = scenario.workload
+        if w is not None and (problem := w.period_problem(p.duration)):
+            raise UsageError(f"{scenario.name}:{w.line}: {problem}")
         self.ring = OverlayRing(m=p.m, replication=p.r)
         self.cid_of: dict[str, int] = keys
         self.name_of: dict[int, str] = {cid: name for name, cid in keys.items()}
@@ -290,9 +293,9 @@ class World:
             down = {ap for ap in group.members if not self.aps[ap].alive}
             self.authn.rotate_group_keys(gid, now, down_aps=down)
         self.engine.schedule(
-            round(now + self.params.regrant_grace, 9), "timer", lambda: self._expire_grants(now), note="grant-expiry"
+            later(now, self.params.regrant_grace), "timer", lambda: self._expire_grants(now), note="grant-expiry"
         )
-        nxt = round(now + self.params.rotation_period, 9)
+        nxt = later(now, self.params.rotation_period)
         if nxt <= self.params.duration:
             self.engine.schedule(nxt, "timer", self._rotate_all, note="rotate")
 
@@ -309,8 +312,8 @@ class World:
         def beacon() -> None:
             now = eng.now
             if ap.alive and authn.current_key(ap_name) is not None:
-                eng.schedule(round(now + p.wireless_latency, 9), "message-delivery", deliver, deliver_note)
-            nxt = round(now + p.beacon_period, 9)
+                eng.schedule(later(now, p.wireless_latency), "message-delivery", deliver, deliver_note)
+            nxt = later(now, p.beacon_period)
             if nxt <= p.duration and ap.alive:
                 eng.schedule(nxt, "beacon", beacon, note)
 
@@ -347,7 +350,7 @@ class World:
         for st in self._md_streams.get(md, ()):
             if st.gate_blocked:
                 self._mark((st,))
-                st.gap_until = max(st.gap_until, round(now + self.params.recovery_lag, 9))
+                st.gap_until = max(st.gap_until, later(now, self.params.recovery_lag))
                 st.gate_blocked = False
 
     # ------------------------------------------------------------------ movement
@@ -426,7 +429,7 @@ class World:
 
         total = round(gap + (outcome.latency if outcome else 0.0), 9)
         for st in self._md_streams.get(md, ()):
-            st.gap_until = max(st.gap_until, round(now + total, 9))
+            st.gap_until = max(st.gap_until, later(now, total))
         self._replace_flows(md, new_ap)
         self.handover_rows.append(
             {
@@ -463,7 +466,7 @@ class World:
         if serving is not None and self.mds[md].connected:
             self._place_flow(st, serving)
         # the first sample is taken now; the chain of the next instant carries it on
-        nxt = round(self.engine.now + self.params.sample_period, 9)
+        nxt = later(self.engine.now, self.params.sample_period)
         if nxt <= st.stop:
             chain = st.chain = self._chain_at(nxt)
             st.rank = chain.hi = chain.hi + 1  # it asked for `nxt` after the chain's streams
@@ -619,7 +622,7 @@ class World:
             chain.woken.clear()
         for st in order:
             self._tick(st)
-        nxt = round(at + self.params.sample_period, 9)
+        nxt = later(at, self.params.sample_period)
         stops = chain.stops
         while stops and stops[0][0] < nxt:
             st = heappop(stops)[2]
@@ -641,7 +644,7 @@ class World:
             self.ring.crash(cid)
             self._crashed.add(name)
             self.engine.schedule(
-                round(now + delay, 9), "failure", lambda: self._recover_controller(name, cid),
+                later(now, delay), "failure", lambda: self._recover_controller(name, cid),
                 note=f"recover:{name}",
             )
         elif kind == "ap":
@@ -652,7 +655,7 @@ class World:
             serving_of = self.mobility.association_ap
             self._mark([st for md, a in serving_of.items() if a == name for st in self._md_streams.get(md, ())])
             self.engine.schedule(
-                round(now + delay, 9), "failure", lambda: self._recover_ap(name), note=f"recover:{name}"
+                later(now, delay), "failure", lambda: self._recover_ap(name), note=f"recover:{name}"
             )
         else:
             raise NotAMember(f"cannot fail a {kind!r}")
@@ -702,7 +705,7 @@ class World:
         """
         eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
         partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
-        horizon = min(w.until, p.duration) if w.until is not None else p.duration
+        horizon = w.horizon(p.duration)
         period, service_time = 1.0 / w.rate_per_ap, w.service_time
         due = sorted(aps)
 
@@ -718,7 +721,7 @@ class World:
                 if done <= horizon:
                     busy_of[controller] = done
                     served[controller] += 1
-            nxt = round(now + period, 9)
+            nxt = later(now, period)
             if nxt <= horizon:
                 due = [a for a in due if aps[a].alive]
                 if due:

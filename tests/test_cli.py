@@ -146,10 +146,11 @@ def test_ring_width_override_is_checked_against_the_controllers(scenario, messag
 def test_generated_overrides_run_or_are_usage_errors(capsys):
     """Any `--set` pairs on a bundled scenario either run to completion or are
     rejected as a usage error before t=0, each field drawn at its edges and
-    past them: negative, zero, nan and inf floats, and ints outside their range."""
+    past them: negative, zero, nan, inf and sub-grid (1e-12) floats, and ints
+    outside their range."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    values = {f.name: [-1, 0, "nan", "inf", f.default / 2, f.default, 2 * f.default]
+    values = {f.name: [-1, 0, "nan", "inf", 1e-12, f.default / 2, f.default, 2 * f.default]
               for f in fields(Params) if f.type == "float"}
     values.update(
         duration=[-1, 0, "nan", "inf", 0.5, 2.0],  # short runs: the horizon is drawn on every run

@@ -1,13 +1,37 @@
+import os
+import resource
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+import sdedge
+from sdedge.cli import main
 from sdedge.errors import ScenarioError, UsageError
 from sdedge.scenario import (
+    MD_STATUSES,
+    APDecl,
+    ControllerDecl,
+    FailureDecl,
+    GroupDecl,
+    LinkDecl,
+    MDDecl,
+    Params,
+    Scenario,
+    StreamDecl,
+    SwitchDecl,
+    WaypointDecl,
+    WorkloadDecl,
     apply_overrides,
     bundled_scenario_path,
     format_scenario,
     parse_scenario,
     parse_scenario_text,
+    ring_keys,
 )
+from sdedge.simnet import World
 
 MINI = """
 [params]
@@ -196,3 +220,193 @@ def test_cross_check_errors_carry_their_line(old, new, mark, wording):
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(text, "bad")
     assert [ln for ln, _, msg in err.value.errors if wording in msg] == [line]
+
+
+# every section, each open for one inserted line right below its header
+GRAMMAR_BASE = """\
+[topology]
+controller C1
+switch SW1
+ap AP1 pos=0,0 radius=10 capacity=11 techs=wifi partition=C1
+ap AP2 pos=5,0 radius=10 capacity=11 techs=wifi partition=C1
+md M1 pos=1,1
+link SW1 C1 latency=0.001 rate=100
+
+[groups]
+
+[flows]
+
+[traces]
+
+[failures]
+
+[workload]
+"""
+
+_FLOW_ARGS = "md=M1 dst=C1 type=tcp demand=2 tech=wifi start=0"
+# directive -> (section, a missing positional or required argument, a bad value,
+# an unknown key, a bare token with no `=`); a switch's only argument is its
+# name, and any token is a name, so it has no bad value
+BAD_LINES = {
+    "controller": ("topology", "controller", "controller C2 key=x", "controller C2 colour=red", "controller C2 red"),
+    "switch": ("topology", "switch", None, "switch SW2 colour=red", "switch SW2 red"),
+    "ap": ("topology", "ap pos=0,0 radius=10 capacity=11 techs=wifi partition=C1",
+           "ap AP3 pos=0,x radius=10 capacity=11 techs=wifi partition=C1",
+           "ap AP3 pos=0,0 radius=10 capacity=11 techs=wifi partition=C1 colour=red",
+           "ap AP3 pos=0,0 radius=10 capacity=11 techs=wifi partition=C1 red"),
+    "md": ("topology", "md", "md M2 pos=1", "md M2 speed=1", "md M2 1,1"),
+    "mds": ("topology", "mds M area=0,0,1,1", "mds M 3 area=0,0,1", "mds M 3 area=0,0,1,1 shape=disc",
+            "mds M 3 0,0,1,1"),
+    "link": ("topology", "link SW1 latency=0.001 rate=100", "link AP1 SW1 latency=fast rate=100",
+             "link AP1 SW1 latency=0.001 rate=100 loss=0", "link AP1 SW1 0.001 rate=100"),
+    "group": ("groups", "group members=AP1,AP2", "group G1 members=,", "group G1 members=AP1,AP2 colour=red",
+              "group G1 AP1,AP2"),
+    "flow": ("flows", f"flow {_FLOW_ARGS}", f"flow F1 {_FLOW_ARGS.replace('demand=2', 'demand=lots')}",
+             f"flow F1 {_FLOW_ARGS} prio=1", f"flow F1 {_FLOW_ARGS} urgent"),
+    "flows": ("flows", f"flows {_FLOW_ARGS.replace('M1', 'M*')}",
+              f"flows F {_FLOW_ARGS.replace('start=0', 'start=soon')}",
+              f"flows F {_FLOW_ARGS} prio=1", f"flows F {_FLOW_ARGS} urgent"),
+    "move": ("traces", "move M1 2,2", "move M1 soon 2,2", "move M1 2.0 2,2 speed=1", "move M1 2.0 2,2 staying extra"),
+    "roam": ("traces", "roam interval=1", "roam M* interval=x", "roam M* interval=1 speed=2",
+             "roam M* interval=1 fast"),
+    "fail": ("failures", "fail ap at=1", "fail ap AP1 at=later", "fail ap AP1 at=1 for=2", "fail ap AP1 1"),
+    "packetin": ("workload", "packetin service_time=0.001", "packetin rate_per_ap=x service_time=0.001",
+                 "packetin rate_per_ap=1 service_time=0.001 burst=2", "packetin rate_per_ap=1 service_time=0.001 2"),
+}
+GRAMMAR_CASES = [
+    pytest.param(section, bad, id=f"{head}-{kind}")
+    for head, (section, *bad_lines) in BAD_LINES.items()
+    for kind, bad in zip(("missing", "bad-value", "unknown-key", "bare-token"), bad_lines)
+    if bad is not None
+]
+
+
+def _with_line(section, bad, tmp_path):
+    """GRAMMAR_BASE with `bad` below the header of `section`, written to a
+    file, and the number of that line."""
+    text = GRAMMAR_BASE.replace(f"[{section}]\n", f"[{section}]\n{bad}\n", 1)
+    path = tmp_path / "grammar.scenario"
+    path.write_text(text)
+    return text, path, text.splitlines().index(bad) + 1
+
+
+@pytest.mark.parametrize("section,bad", GRAMMAR_CASES + [
+    pytest.param(section, bad, id=bad) for section, bad in [
+        ("flows", "flow F1 md=M1 dst=C1 type=tcp demand=2 tech=wifi start=-1"),
+        ("flows", "flow F1 md=M1 dst=C1 type=tcp demand=2 tech=wifi start=nan"),
+        ("flows", "flow F1 md=M1 dst=C1 type=tcp demand=inf tech=wifi start=0"),
+        ("flows", "flows F md=M* dst=C1 type=tcp demand=2 tech=wifi start=0 end=inf"),
+        ("traces", "move M1 -3 2,2"),
+        ("traces", "move M1 1 2,nan"),
+        ("traces", "roam M* interval=1e-7 until=1e-5"),  # waypoint times are rounded to 1e-6 s
+        ("topology", "md M2 pos=inf,1"),
+        ("topology", "ap AP3 pos=0,0 radius=nan capacity=11 techs=wifi partition=C1"),
+        ("topology", "mds M 3 area=0,0,inf,1"),
+        ("topology", "link AP1 SW1 latency=nan rate=100"),
+        ("failures", "fail ap AP1 at=-2"),
+        ("workload", "packetin rate_per_ap=1 service_time=0.001 start=-1"),
+        ("workload", "packetin rate_per_ap=1 service_time=nan until=5"),
+    ]
+])
+def test_each_bad_directive_line_is_rejected_at_its_line(section, bad, tmp_path, capsys):
+    """Each bad line, in the grammar or out of an argument's domain (every
+    float is finite, every time >= 0), is rejected at its own line."""
+    text, path, line = _with_line(section, bad, tmp_path)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text, "grammar")
+    assert {ln for ln, _, _ in err.value.errors} == {line}
+    assert main(["validate", str(path)]) == 1
+    stderr = capsys.readouterr().err
+    assert f"{path}:{line}:" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("bad", ["roam M* interval=0", "roam M* interval=-1", "roam M* interval=1 until=inf"])
+def test_roam_steps_that_never_reach_the_end_are_rejected_in_time(bad, tmp_path):
+    # each of these generates waypoints without end unless it is rejected:
+    # the parse runs in a child with a time and memory limit
+    _, path, line = _with_line("traces", bad, tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdedge.cli", "validate", str(path)], capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(Path(sdedge.__file__).parents[1])),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert proc.returncode == 1 and f"{path}:{line}:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key,value", [("sample_period", "4e-10"), ("sample_period", "1e-12"),
+                                       ("beacon_period", "1e-12"), ("rotation_period", "1e-12")])
+def test_a_period_that_cannot_move_the_clock_is_rejected(key, value):
+    # instants are rounded to 1e-9 s: such a period would repeat one instant
+    fig6 = parse_scenario(bundled_scenario_path("fig6")).params
+    with pytest.raises(UsageError, match=key):
+        apply_overrides(fig6, {"mode": "LEDGE-LA", key: value})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(MINI.replace("duration = 5.0\n", f"duration = 5.0\n{key} = {value}\n"), "bad")
+    assert [ln for ln, _, _ in err.value.errors] == [5]  # the line that set it
+
+
+def test_a_packetin_period_that_cannot_move_the_clock_is_rejected():
+    text = bundled_scenario_path("fig5c").read_text()
+    line = text.splitlines().index("packetin rate_per_ap=400 service_time=0.002") + 1
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text.replace("rate_per_ap=400", "rate_per_ap=1e12"), "fig5c")
+    assert [ln for ln, _, _ in err.value.errors] == [line]
+    # a period of 6e-10 s moves the clock at the file's 10 s, not at 1e7 s
+    sc = parse_scenario_text(text.replace("rate_per_ap=400", f"rate_per_ap={1 / 6e-10!r}"), "fig5c")
+    World(sc)
+    with pytest.raises(UsageError, match=f"fig5c:{line}: packetin"):
+        World(sc, replace(sc.params, duration=1e7))
+
+
+def test_formatted_scenarios_parse_back_equal():
+    """`format_scenario` then `parse_scenario_text` gives back the scenario,
+    over generated concrete scenarios that use every concrete directive, each
+    optional argument left at its default or set (`key=`, `md` without `pos`,
+    `end=`, STATUS, `packetin` `start=` and `until=`)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    positive = st.floats(1e-3, 1e6)
+    time = st.floats(0, 1e6)
+
+    @st.composite
+    def scenarios(draw):
+        controllers = [ControllerDecl(f"C{i}", draw(st.none() | st.integers(0, 2**16 - 1)))
+                       for i in range(draw(st.integers(1, 3)))]
+        hypothesis.assume(not ring_keys(controllers, 16)[1])
+        switches = [SwitchDecl(f"SW{i}") for i in range(draw(st.integers(0, 2)))]
+        aps = [APDecl(f"AP{i}", draw(number), draw(number), draw(positive), draw(positive),
+                      tuple(draw(st.lists(st.sampled_from(["wifi", "lte"]), min_size=1, max_size=2))),
+                      draw(st.sampled_from(controllers)).name)
+               for i in range(draw(st.integers(1, 3)))]
+        mds = [MDDecl(f"M{i}", *draw(st.none() | st.tuples(number, number)) or (None, None))
+               for i in range(draw(st.integers(1, 3)))]
+        infra = [d.name for d in controllers + switches + aps]
+        links = [LinkDecl(draw(st.sampled_from(infra)), draw(st.sampled_from(infra + [m.name for m in mds])),
+                          draw(number), draw(number))
+                 for _ in range(draw(st.integers(0, 2)))]
+        groups = [GroupDecl("G1", tuple(a.name for a in aps))] if len(aps) > 1 and draw(st.booleans()) else []
+        streams = []
+        for i in range(draw(st.integers(0, 2))):
+            start = draw(time)
+            end = draw(st.none() | st.floats(start, 2e6, exclude_min=True))
+            streams.append(StreamDecl(f"F{i}", draw(st.sampled_from(mds)).name, draw(st.sampled_from(infra)),
+                                      draw(st.sampled_from(["tcp", "udp"])), draw(positive), "wifi", start, end))
+        waypoints = sorted(
+            (WaypointDecl(m.name, t, draw(number), draw(number), draw(st.sampled_from(MD_STATUSES)))
+             for m in mds for t in draw(st.sets(time, max_size=2))),
+            key=lambda w: (w.t, w.md),
+        )
+        failures = [FailureDecl(kind, draw(st.sampled_from(controllers if kind == "controller" else aps)).name,
+                                draw(time))
+                    for kind in draw(st.lists(st.sampled_from(["controller", "ap"]), max_size=2))]
+        workload = draw(st.none() | st.builds(WorkloadDecl, st.floats(0.1, 1e3), positive, time, st.none() | time))
+        return Scenario("gen", Params(), controllers, switches, aps, mds, links, groups, streams, waypoints,
+                        failures, workload)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(sc=scenarios())
+    def roundtrip(sc):
+        assert parse_scenario_text(format_scenario(sc), "gen") == sc
+
+    roundtrip()
