@@ -6,7 +6,8 @@ byte-identical, so serialization sorts keys and uses repr-exact floats.
 
 The throughput series a run reports is a `Throughput`: per stream, its
 start, stop and runs (first instant, Mbps), which the dense rows
-(t, stream, Mbps) are expanded from only when something reads them.
+(t, stream, Mbps) are expanded from only when something reads them, one
+instant at a time, so a reader never holds every row's run index at once.
 
 The JSON document is exactly what `json.dumps(document, sort_keys=True,
 indent=1)` prints. That call cannot use the C encoder, because it indents,
@@ -32,7 +33,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, repeat
+from heapq import heapify, heappop, heappush, merge
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from pathlib import Path
@@ -81,22 +83,19 @@ class Throughput:
     def __eq__(self, other) -> bool:
         return isinstance(other, (list, Throughput)) and list(self) == list(other)
 
-    def expand(self) -> tuple[list[tuple[str, float]], list[tuple[float, list[int]]]]:
-        """Every run as (stream id, Mbps), and per instant in time order the
-        indices of the runs its rows read, in stream order."""
+    def expand(self) -> tuple[list[tuple[str, float]], Iterator[tuple[float, list[int]]]]:
+        """Every run as (stream id, Mbps), numbered in stream order, and an
+        iterator that yields, per instant in time order, the indices of the
+        runs its rows read, in stream order. Each start's instants are walked
+        one at a time (see `_start_rows`), and starts are merged only at the
+        instants they share, so no reader holds more than one instant's rows."""
         runs: list[tuple[str, float]] = []
-        rows_at: dict[float, list[int]] = {}
-        slots_of = {start: [rows_at.setdefault(t, []) for t in ts] for start, ts in self.instants.items()}
+        groups: dict[float, list[tuple[int, int, list[tuple[float, float]]]]] = {}
         for sid, start, n, stream_runs in self.streams:
-            ts, slots = self.instants[start], slots_of[start]
-            a = 0
-            for (_, mbps), b in zip(stream_runs, [bisect_left(ts, t) for t, _ in stream_runs[1:]] + [n]):
-                rid = len(runs)
-                runs.append((sid, mbps))
-                for slot in slots[a:b]:
-                    slot.append(rid)
-                a = b
-        return runs, sorted(rows_at.items())
+            groups.setdefault(start, []).append((len(runs), n, stream_runs))
+            runs += [(sid, mbps) for _, mbps in stream_runs]
+        passes = [_start_rows(self.instants[start], group) for start, group in groups.items()]
+        return runs, _merged(passes)
 
     @cached_property
     def totals(self) -> tuple[float, int]:
@@ -105,18 +104,68 @@ class Throughput:
         return _delivered(self, None)
 
 
-def _delivered(rows: Iterable[tuple[float, str, float]], stream_id: str | None) -> tuple[float, int]:
+def _start_rows(ts: list[float], group: list[tuple[int, int, list[tuple[float, float]]]]
+                ) -> Iterator[tuple[float, list[int]]]:
+    """Per instant of one start, the run ids its streams read, in stream order.
+
+    `group` holds each stream's (first run id, row count, runs). The list of
+    current run ids, one entry per stream, changes only at an instant where
+    a stream's next run begins or its rows stop; between such instants every
+    instant yields the same list. A heap holds each stream's next change as
+    (instant index, position, index of its next run, which is len(runs) for its stop)."""
+    cur = [rid if runs else None for rid, _, runs in group]
+    changes = [(_next_change(ts, runs, 1, n), j, 1) for j, (_, n, runs) in enumerate(group) if runs]
+    heapify(changes)
+    ids = None
+    for i, t in enumerate(ts):
+        if ids is None or (changes and changes[0][0] <= i):
+            while changes and changes[0][0] <= i:
+                _, j, k = heappop(changes)
+                rid, n, runs = group[j]
+                if k < len(runs):
+                    cur[j] = rid + k
+                    heappush(changes, (_next_change(ts, runs, k + 1, n), j, k + 1))
+                else:
+                    cur[j] = None
+            ids = [rid for rid in cur if rid is not None]
+        yield t, ids
+
+
+def _next_change(ts: list[float], runs: list[tuple[float, float]], k: int, n: int) -> int:
+    """The index of the instant where run k begins, or the row count once no run is left."""
+    return bisect_left(ts, runs[k][0]) if k < len(runs) else n
+
+
+def _merged(passes: list[Iterator[tuple[float, list[int]]]]) -> Iterator[tuple[float, list[int]]]:
+    """The starts' instants in time order; at an instant several starts
+    share, their run ids are merged, and run ids follow stream order."""
+    for t, same in groupby(merge(*passes, key=itemgetter(0)), key=itemgetter(0)):
+        lists = [ids for _, ids in same]
+        yield t, lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+
+
+def _expanded(rows: list[tuple] | Throughput) -> tuple[list[tuple[str, float]], Iterable[tuple[float, list[int]]]]:
+    """`Throughput.expand` of the rows; a plain list of rows is one run and
+    one instant per row, in list order."""
+    if isinstance(rows, Throughput):
+        return rows.expand()
+    return [(sid, mbps) for _, sid, mbps in rows], ((row[0], [i]) for i, row in enumerate(rows))
+
+
+def _delivered(rows: list[tuple] | Throughput, stream_id: str | None) -> tuple[float, int]:
     """The delivered Mbit, and the number of streams, in one pass over the
-    rows: each sample covers one sample interval."""
+    rows in (t, stream) order: each sample covers one sample interval."""
+    runs, instants = _expanded(rows)
     total = 0.0
     last_t: dict[str, float] = {}
-    for t, sid, mbps in rows:
-        if stream_id is not None and sid != stream_id:
-            continue
-        prev = last_t.get(sid)
-        dt = t - prev if prev is not None else 0.0
-        total += mbps * dt
-        last_t[sid] = t
+    for t, ids in instants:
+        for sid, mbps in map(runs.__getitem__, ids):
+            if stream_id is not None and sid != stream_id:
+                continue
+            prev = last_t.get(sid)
+            dt = t - prev if prev is not None else 0.0
+            total += mbps * dt
+            last_t[sid] = t
     return total, len(last_t)
 
 
@@ -217,10 +266,7 @@ def _run_rows(rows: list[tuple] | Throughput, head: Callable[[object], str],
     """Throughput rows as text, one instant's rows to a chunk: `head(t)`
     joined to `tail(stream id, Mbps)`, each string made once per instant or
     run. A plain list of rows is one run per row, in list order."""
-    if isinstance(rows, Throughput):
-        runs, instants = rows.expand()
-    else:
-        runs, instants = [(sid, mbps) for _, sid, mbps in rows], [(row[0], [i]) for i, row in enumerate(rows)]
+    runs, instants = _expanded(rows)
     tails = [tail(sid, mbps) for sid, mbps in runs]
     for t, ids in instants:
         h = head(t)

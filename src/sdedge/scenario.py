@@ -100,25 +100,25 @@ _PERIODS = ("sample_period", "beacon_period", "rotation_period")
 _POSITIVE_PARAMS = ("duration", *_PERIODS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Directive:
     """A declaration's line in its scenario file: 0 when it was built in code."""
 
     line: int = field(default=0, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControllerDecl(_Directive):
     name: str
     key: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwitchDecl(_Directive):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class APDecl(_Directive):
     name: str
     x: float
@@ -129,14 +129,14 @@ class APDecl(_Directive):
     partition: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MDDecl(_Directive):
     name: str
     x: float | None = None
     y: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkDecl(_Directive):
     a: str
     b: str
@@ -144,13 +144,13 @@ class LinkDecl(_Directive):
     rate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupDecl(_Directive):
     name: str
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamDecl(_Directive):
     name: str
     md: str
@@ -162,7 +162,7 @@ class StreamDecl(_Directive):
     end: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaypointDecl(_Directive):
     md: str
     t: float
@@ -171,14 +171,14 @@ class WaypointDecl(_Directive):
     status: str = "staying"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailureDecl(_Directive):
     kind: str  # controller | ap
     name: str
     at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkloadDecl(_Directive):
     rate_per_ap: float
     service_time: float

@@ -45,7 +45,9 @@ the AP's roster in name order instead of every device.
 A packet-in workload offers one packet-in per AP per period. The arrivals
 of one instant are one event, which serves the APs due then in name order,
 each at its controller's single server, and schedules the next instant
-once; a handler failure there names the instant, not the AP.
+once; a handler failure there names the instant, not the AP. Moves are
+batched the same way: the waypoints of one instant are one md-move event,
+which applies them in waypoint order, and a failure there names the instant.
 """
 
 from __future__ import annotations
@@ -271,8 +273,13 @@ class World:
             for ap_name in sorted(self.aps):
                 if self.authn.group_of.get(ap_name):
                     eng.schedule(0.0, "beacon", *self._beacon_source(ap_name))
+        # every move is scheduled here, together, so no other event can fall
+        # between two moves of one instant: they are one event
+        moves: dict[float, list[WaypointDecl]] = {}  # instant -> its waypoints, in list order
         for wp in self.scenario.waypoints:
-            eng.schedule(wp.t, "md-move", lambda w=wp: self.apply_move(w.md, w), note=f"move:{wp.md}")
+            moves.setdefault(wp.t, []).append(wp)
+        for t, wps in moves.items():
+            eng.schedule(t, "md-move", lambda w=wps: self._apply_moves(w), note="move")
         for st in self.streams.values():
             eng.schedule(st.decl.start, "flow-start", lambda s=st: self._flow_start(s), note=f"start:{st.name}")
             end = st.decl.end
@@ -354,6 +361,11 @@ class World:
                 st.gate_blocked = False
 
     # ------------------------------------------------------------------ movement
+
+    def _apply_moves(self, wps: list[WaypointDecl]) -> None:
+        """The moves of one instant, in waypoint order."""
+        for wp in wps:
+            self.apply_move(wp.md, wp)
 
     def apply_move(self, md: str, wp: WaypointDecl) -> None:
         state = self.mds[md]

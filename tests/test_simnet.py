@@ -3,9 +3,11 @@ from collections import Counter
 import pytest
 
 from sdedge.cli import main
-from sdedge.errors import UsageError
+from sdedge.errors import SimulationHalted, UsageError
 from sdedge.report import render_csv, render_json
-from sdedge.scenario import apply_overrides, bundled_scenario_path, parse_scenario, parse_scenario_text
+from sdedge.scenario import (
+    WaypointDecl, apply_overrides, bundled_scenario_path, parse_scenario, parse_scenario_text,
+)
 from sdedge.scheduler import APStatus
 from sdedge.simnet import World
 
@@ -571,6 +573,140 @@ def test_generated_failure_schedules_run_to_completion():
         assert render_json(World(sc, params).run()) == first
 
     check()
+
+
+class PerWaypointWorld(World):
+    """The oracle of move batching: one md-move event per waypoint, in list
+    order, scheduled where moves were scheduled before they were batched,
+    after the t=0 rotation and beacons and before every stream, failure and
+    workload event. The world's own md-move events are dropped."""
+
+    def _schedule_all(self):
+        eng, schedule = self.engine, self.engine.schedule
+        waypoints = list(self.scenario.waypoints)
+
+        def one_per_waypoint(at, kind, fn, note=""):
+            if kind not in ("timer", "beacon"):
+                for wp in waypoints:
+                    schedule(wp.t, "md-move", lambda w=wp: self.apply_move(w.md, w), f"move:{wp.md}")
+                waypoints.clear()
+            if kind != "md-move":
+                schedule(at, kind, fn, note)
+
+        eng.schedule = one_per_waypoint
+        try:
+            super()._schedule_all()
+        finally:
+            del eng.schedule
+
+
+def check_moves_batched_per_instant(sc, params):
+    """The world and its per-waypoint oracle emit the same bytes, and differ
+    only by the md-move events that batching saves."""
+    batched, oracle = World(sc, params), PerWaypointWorld(sc, params)
+    reports = batched.run(), oracle.run()
+    assert render_json(reports[0]) == render_json(reports[1])
+    assert render_csv(reports[0]) == render_csv(reports[1])
+    moves = [wp.t for wp in sc.waypoints if wp.t <= params.duration]
+    assert oracle.engine.executed - batched.engine.executed == len(moves) - len(set(moves))
+    return reports[0]
+
+
+# AP2 fits two of the six 1 Mbps flows; G1's presence proof needs the
+# overlap of AP1 and AP2, so a move out of it revokes a grant in LEDGE-LA
+BATCHED_MOVES = """
+[params]
+m = 5
+duration = 4.0
+sample_period = 0.25
+rotation_period = 1.5
+recovery_lag = 0.5
+[topology]
+controller C1 key=3
+controller C2 key=20
+switch SW1
+ap AP1 pos=0,0 radius=20 capacity=11 techs=wifi partition=C1
+ap AP2 pos=20,0 radius=20 capacity=2 techs=wifi partition=C2
+ap AP3 pos=60,0 radius=10 capacity=11 techs=wifi partition=C1
+md M1 pos=-3,1
+md M2 pos=0,2
+md M3 pos=3,0
+md M4 pos=6,1
+md M5 pos=9,2
+md M6 pos=12,0
+link AP1 SW1 latency=0.001 rate=100
+link AP2 SW1 latency=0.001 rate=100
+link AP3 SW1 latency=0.001 rate=100
+link SW1 C1 latency=0.001 rate=100
+link SW1 C2 latency=0.001 rate=100
+[groups]
+group G1 members=AP1,AP2
+[flows]
+flows F md=M* dst=C1 type=tcp demand=1 tech=wifi start={start}
+[traces]
+{moves}
+[failures]
+{failures}
+"""
+# inside AP1 and AP2, AP1 only, AP2 only, AP3, and no AP at all
+SPOTS = ("10,0", "-15,0", "35,0", "60,0", "100,100")
+MOVE_INSTANTS = (1.0, 1.5, 2.0, 3.0)
+
+
+def batched_moves_scenario(batch, moves, start, failures):
+    """`batch` (instant, movers) sends every mover into AP2 at one instant;
+    `moves` are (MD index, instant, spot index); a later duplicate of an
+    MD's instant is dropped, so each MD's waypoints increase."""
+    instant, movers = batch
+    chosen = {}
+    for md, t, spot in [(md, instant, 2) for md in movers] + moves:
+        chosen.setdefault((md, t), f"move M{md} {t} {SPOTS[spot]}")
+    text = BATCHED_MOVES.format(
+        start=start, moves="\n".join(chosen.values()),
+        failures="\n".join(f"fail ap AP{i} at={t}" for i, t in failures),
+    )
+    return parse_scenario_text(text, "batched-moves")
+
+
+def test_moves_batched_per_instant_match_one_event_per_waypoint():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    instants = st.sampled_from(MOVE_INSTANTS)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        # three to six MDs enter AP2, which fits two flows, at one instant
+        batch=st.tuples(instants, st.lists(st.integers(1, 6), min_size=3, max_size=6, unique=True)),
+        moves=st.lists(st.tuples(st.integers(1, 6), instants, st.integers(0, len(SPOTS) - 1)), max_size=8),
+        mode=st.sampled_from(["None", "LEDGE-LA"]),
+        # a flows start and an AP failure may land on a move instant
+        start=st.sampled_from(["0.0", "1.0", "1.5", "2.25"]),
+        failures=st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1.0, 2.0, 2.5))), max_size=2),
+    )
+    def check(batch, moves, mode, start, failures):
+        sc = batched_moves_scenario(batch, moves, start, failures)
+        check_moves_batched_per_instant(sc, apply_overrides(sc.params, {"mode": mode}))
+
+    check()
+
+
+def test_unsorted_waypoints_built_in_code_move_in_list_order():
+    # a Scenario built in code keeps its waypoints in the order given: an
+    # instant's moves run in that order, interleaved with other instants
+    sc = batched_moves_scenario(
+        (2.0, [1, 2, 3, 4]), [(1, 1.0, 1), (5, 1.0, 3), (2, 3.0, 0), (6, 2.0, 1), (4, 1.5, 4)], "1.0", [(2, 3.0)]
+    )
+    sc.waypoints = sc.waypoints[::-1][1::2] + sc.waypoints[::-1][::2]
+    assert sorted(sc.waypoints, key=lambda w: w.t) != sc.waypoints
+    report = check_moves_batched_per_instant(sc, apply_overrides(sc.params, {"mode": "LEDGE-LA"}))
+    assert any(h["to_ap"] == "AP2" for h in report.handovers)
+
+
+def test_a_failed_move_names_its_instant():
+    sc = batched_moves_scenario((1.0, [1, 2, 3]), [], "0.0", [])
+    sc.waypoints.append(WaypointDecl("GHOST", 2.0, 0.0, 0.0))
+    with pytest.raises(SimulationHalted, match=r"t=2\.0 \(md-move 'move'\)"):
+        World(sc).run()
 
 
 CTRL_FAIL = """
