@@ -14,10 +14,19 @@ clock skew within a wave, and anything outside the area fails it.
 Grants persist between checks and are revoked by: a failed
 re-authentication, a change of serving AP, or missing the
 re-authentication grace window after a rotation.
+
+Every check is logged in a `DecisionLog`: each distinct (md, group,
+granted, reason, epoch) is kept once as a row, each decision as that row's
+index, and each instant's time once. A gated run's 200k checks fall on a
+few hundred instants and about a thousand rows, so the log holds about five
+bytes per decision; its `AuthDecision`s are made only when something
+iterates it.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,6 +80,61 @@ class AuthDecision:
     at: float
 
 
+class DecisionLog:
+    """Access decisions in the order made, each distinct (md, group, granted,
+    reason, epoch) kept once.
+
+    `rows` holds the distinct rows in order of first use, and `index` the
+    row of each decision. A decision's instant is kept once per instant: a
+    new one starts wherever its rendered `t` would differ from the previous
+    decision's. `grants` counts the granted decisions as they are appended.
+    Iterating yields the same `AuthDecision`s, in decision order, made on
+    demand.
+    """
+
+    def __init__(self):
+        self.rows: list[tuple[str, str, bool, str | None, int]] = []
+        self._row_of: dict[tuple, int] = {}
+        self.index = array("I")
+        self.starts = array("I")  # the first decision of each instant
+        self.times: list[float] = []  # each instant's `at`
+        self._at: float | None = None  # the latest decision's `at`
+        self.grants = 0
+
+    def append(self, md_id: str, group_id: str, granted: bool, reason: str | None, epoch: int, at: float) -> None:
+        key = (md_id, group_id, granted, reason, epoch)
+        row = self._row_of.get(key)
+        if row is None:
+            row = self._row_of[key] = len(self.rows)
+            self.rows.append(key)
+        if at is not self._at:  # an instant's decisions mostly share one object
+            if at != self._at or repr(at) != repr(self._at):
+                self.starts.append(len(self.index))
+                self.times.append(at)
+            self._at = at
+        self.index.append(row)
+        if granted:
+            self.grants += 1
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def instants(self) -> Iterator[tuple[float, array]]:
+        """Per instant, in decision order, its `at` and its decisions' row indices."""
+        index, starts = self.index, self.starts
+        for at, lo, hi in zip(self.times, starts, [*starts[1:], len(index)]):
+            yield at, index[lo:hi]
+
+    def __iter__(self) -> Iterator[AuthDecision]:
+        rows = self.rows
+        for at, ids in self.instants():
+            for row in ids:
+                yield AuthDecision(*rows[row], at)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (list, DecisionLog)) and list(self) == list(other)
+
+
 @dataclass(slots=True)
 class Grant:
     epoch: int
@@ -93,7 +157,7 @@ class AuthnService:
         self.group_of: dict[str, str] = {}
         self.wallets: dict[str, dict[str, WalletEntry]] = {}  # device -> latest entry per AP
         self.grants: dict[tuple[str, str], Grant] = {}
-        self.auth_log: list[AuthDecision] = []
+        self.auth_log = DecisionLog()
 
     # -- controller side -----------------------------------------------------
 
@@ -158,9 +222,8 @@ class AuthnService:
         """
         group = self.groups.get(group_id)
         if group is None:
-            decision = AuthDecision(md_id, group_id, False, DENY_UNKNOWN_GROUP, -1, now)
-            self.auth_log.append(decision)
-            return decision
+            self.auth_log.append(md_id, group_id, False, DENY_UNKNOWN_GROUP, -1, now)
+            return AuthDecision(md_id, group_id, False, DENY_UNKNOWN_GROUP, -1, now)
 
         epoch = self.epochs[group_id]
         held = self.wallets.get(md_id) or {}
@@ -181,9 +244,8 @@ class AuthnService:
             self.grants[(md_id, group_id)] = Grant(epoch, now)
         else:
             self.grants.pop((md_id, group_id), None)
-        decision = AuthDecision(md_id, group_id, granted, reason, epoch, now)
-        self.auth_log.append(decision)
-        return decision
+        self.auth_log.append(md_id, group_id, granted, reason, epoch, now)
+        return AuthDecision(md_id, group_id, granted, reason, epoch, now)
 
     def revoke(self, md_id: str, group_id: str) -> None:
         self.grants.pop((md_id, group_id), None)

@@ -17,9 +17,11 @@ writers, JSON and CSV, make one pass over the runs: each row is the
 string of its instant joined to the string of its run, so a scalar is
 encoded once per instant or run, not once per row, and one instant's rows
 are joined at a time. The handover writer encodes each scalar by its
-type, and the auth rows are rendered straight from the run's
-`AuthDecision`s with one fixed template; both join rows in bounded
-batches. `emit` writes the chunks straight to the file as they are made,
+type and joins rows in bounded batches. The auth rows are rendered from
+the run's `DecisionLog`, its distinct rows plus one row index per decision:
+each row's head (granted, group, md, reason) is encoded once, each
+instant's `t` once, and one instant's rows, at most a batch, are joined at
+a time. `emit` writes the chunks straight to the file as they are made,
 so its peak is the report plus one chunk, not the report plus its text.
 tests/test_report_render.py pins the equivalence against that
 `json.dumps` call on generated reports.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush, merge
@@ -40,7 +42,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
-from .authn import AuthDecision
+from .authn import AuthDecision, DecisionLog
 from .engine import later
 from .errors import EmitError
 
@@ -182,8 +184,9 @@ class MetricsReport:
     handovers: list[dict] = field(default_factory=list)
     packet_in: dict[str, int] = field(default_factory=dict)
     lookup_hops: dict[int, int] = field(default_factory=dict)
-    # every access decision of the run, in the order it was made
-    auth_events: list[AuthDecision] = field(default_factory=list)
+    # every access decision of the run, in the order it was made: a list,
+    # or the run's own DecisionLog
+    auth_events: list[AuthDecision] | DecisionLog = field(default_factory=list)
     record_losses: list[str] = field(default_factory=list)
 
     # -- derived ------------------------------------------------------------
@@ -196,14 +199,20 @@ class MetricsReport:
         return _delivered(self.throughput, stream_id)[0]
 
     def mean_handover_latency(self) -> float | None:
-        lats = [h["latency"] for h in self.handovers]
-        if not lats:
+        """The mean, summed left to right: the built-in `sum()` compensates
+        float rounding from Python 3.12 on, which would change the report
+        with the interpreter."""
+        if not self.handovers:
             return None
-        return sum(lats) / len(lats)
+        total = 0
+        for h in self.handovers:
+            total += h["latency"]
+        return total / len(self.handovers)
 
     def summary(self) -> dict:
         rows = self.throughput
-        grants = sum(1 for d in self.auth_events if d.granted)
+        log = self.auth_events
+        grants = log.grants if isinstance(log, DecisionLog) else sum(1 for d in log if d.granted)
         delivered, streams = rows.totals if isinstance(rows, Throughput) else _delivered(rows, None)
         return {
             "streams": streams,
@@ -218,7 +227,7 @@ class MetricsReport:
                 else None
             ),
             "auth_grants": grants,
-            "auth_denies": len(self.auth_events) - grants,
+            "auth_denies": len(log) - grants,
             "records_lost": len(self.record_losses),
         }
 
@@ -290,14 +299,31 @@ def _dict_rows(rows: list[dict]) -> Iterator[str]:
         yield template % tuple([_value(row[k]) for k in keys])
 
 
-# an auth decision as its row in the document, keys sorted
-_DECISION_ROW = '  {\n   "granted": %s,\n   "group": %s,\n   "md": %s,\n   "reason": %s,\n   "t": %s\n  }'
+# an auth decision's row in the document, keys sorted: its head, then its `t`
+_DECISION_HEAD = '  {\n   "granted": %s,\n   "group": %s,\n   "md": %s,\n   "reason": %s,\n   "t": '
 
 
-def _decision_rows(log: list[AuthDecision]) -> Iterator[str]:
-    """Auth decisions as the rows {t, md, group, granted, reason}."""
-    for d in log:
-        yield _DECISION_ROW % (_value(d.granted), _value(d.group_id), _value(d.md_id), _value(d.reason), _value(d.at))
+def _decisions(log: list[AuthDecision] | DecisionLog) -> tuple[list[tuple], Iterable[tuple[object, Sequence[int]]]]:
+    """The log's distinct rows (md, group, granted, reason, epoch) and, per
+    instant, its `at` and its decisions' row indices; a plain list of
+    decisions is one row and one instant per decision, in list order."""
+    if isinstance(log, DecisionLog):
+        return log.rows, log.instants()
+    return ([(d.md_id, d.group_id, d.granted, d.reason, d.epoch) for d in log],
+            ((d.at, (i,)) for i, d in enumerate(log)))
+
+
+def _decision_rows(log: list[AuthDecision] | DecisionLog) -> Iterator[str]:
+    """Auth decisions as the rows {t, md, group, granted, reason}: one
+    instant's rows, at most _BATCH of them, to a chunk."""
+    rows, instants = _decisions(log)
+    heads = [_DECISION_HEAD % (_value(granted), _value(group), _value(md), _value(reason))
+             for md, group, granted, reason, _ in rows]
+    for at, ids in instants:
+        tail = _value(at) + "\n  }"
+        sep = tail + ",\n"
+        for i in range(0, len(ids), _BATCH):
+            yield sep.join(map(heads.__getitem__, ids[i:i + _BATCH])) + tail
 
 
 def _batched(rows: Iterator[str]) -> Iterator[str]:
@@ -307,8 +333,8 @@ def _batched(rows: Iterator[str]) -> Iterator[str]:
 
 
 # the document's big lists, each with the writer of its chunks for its row shape
-_ROW_LISTS: dict[str, Callable[[list | Throughput], Iterator[str]]] = {
-    "auth_events": lambda log: _batched(_decision_rows(log)),
+_ROW_LISTS: dict[str, Callable[[list | Throughput | DecisionLog], Iterator[str]]] = {
+    "auth_events": _decision_rows,
     "handovers": lambda rows: _batched(_dict_rows(rows)),
     "throughput": _throughput_chunks,
 }

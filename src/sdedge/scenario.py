@@ -390,6 +390,9 @@ class _Parser:
             self.fail(line, "roam needs area= (no APs to infer one from)")
             return
         until = sc.params.duration if until is None else until
+        if until + interval <= until:  # `t += interval` would stop moving short of `until`
+            self.fail(line, f"roam interval={interval!r} does not advance the clock at until={until!r}")
+            return
         matched = [m.name for m in sc.mds if fnmatch.fnmatchcase(m.name, pattern)]
         if not matched:
             self.fail(line, f"roam pattern {pattern!r} matches no MD")

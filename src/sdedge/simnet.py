@@ -759,7 +759,7 @@ class World:
             handovers=self.handover_rows,
             packet_in=dict(sorted(self.packet_in.items())),
             lookup_hops=dict(sorted(self.lookup_hops.items())),
-            auth_events=self.authn.auth_log[:],
+            auth_events=self.authn.auth_log,
             record_losses=list(self.record_losses),
         )
 

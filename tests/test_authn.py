@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from sdedge.authn import (
@@ -6,6 +9,7 @@ from sdedge.authn import (
     DENY_UNKNOWN_GROUP,
     MODE_LA,
     MODE_NONE,
+    MODE_PAP,
     AuthnService,
     LocationGroup,
 )
@@ -135,3 +139,30 @@ def test_key_delivery_deferred_for_down_ap():
     keys = svc.rotate_group_keys("G1", now=0.0, down_aps={"AP2"})
     assert len(keys) == 3
     assert svc.current_key("AP2") is None
+
+
+def test_the_decision_log_holds_a_few_bytes_per_decision():
+    # 200k denials over 250 devices and 800 instants, four epochs, so 1000
+    # distinct rows: a gated run's shape. A list of one object per decision
+    # holds about 88 bytes each; rows plus one index each hold about 5.
+    svc = AuthnService(MODE_PAP)
+    svc.register_group(LocationGroup("G1", frozenset({"AP1", "AP2"})))
+    mds = [f"M{i:03d}" for i in range(250)]
+    instants = [round(k * 0.05 + 0.002, 9) for k in range(800)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k, now in enumerate(instants):
+            if k % 200 == 0:
+                svc.rotate_group_keys("G1", now)
+            for md in mds:
+                svc.authenticate(md, "G1", now)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    log = svc.auth_log
+    assert len(log) == 200_000 and not any(d.granted for d in log)
+    assert len({(d.md_id, d.epoch) for d in log}) == 1000
+    assert held / len(log) < 8, held / len(log)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from sdedge import report as report_module
-from sdedge.authn import AuthDecision
+from sdedge.authn import AuthDecision, DecisionLog
 from sdedge.errors import EmitError
 from sdedge.report import SCHEMA_VERSION, MetricsReport, Throughput, emit, render_csv, render_json
 from sdedge.scenario import bundled_scenario_path, parse_scenario
@@ -181,6 +181,53 @@ def test_runs_spanning_several_batches_render_the_bytes_of_their_rows():
     runs = MetricsReport(scenario="runs", seed=1, mode="None", duration=9.0, throughput=throughput)
     assert render_json(runs) == render_json(rows) == reference_json(rows)
     assert render_csv(runs) == render_csv(rows)
+
+
+# decisions as a run makes them, one type per field, so that equal rows are
+# the same row; instants repeat as the same object, as an equal object, and
+# as values that are equal but print apart (-0.0 and 0.0, 1 and 1.0 and True)
+logged_decisions = st.lists(st.builds(
+    AuthDecision, md_id=st.sampled_from(("M1", "M2", "é")), group_id=st.sampled_from(("G1", "G%")),
+    granted=st.booleans(), reason=st.sampled_from((None, "missing-keys", "stale-epoch")), epoch=st.integers(-1, 2),
+    at=st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1, 1.0, True, math.nan)), st.just(0.5).map(lambda x: x * 1.0),
+                 numbers),
+), max_size=12)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(logged_decisions, reports)
+def test_a_decision_log_renders_the_bytes_of_its_decisions(decisions, report):
+    log = DecisionLog()
+    for d in decisions:
+        log.append(d.md_id, d.group_id, d.granted, d.reason, d.epoch, d.at)
+    assert log == decisions and len(log) == len(decisions)
+    assert log.grants == sum(d.granted for d in decisions)
+    report.auth_events = decisions
+    as_list = render_json(report)
+    report.auth_events = log
+    assert render_json(report) == as_list == reference_json(report)
+
+
+def test_an_instant_of_several_batches_of_decisions_renders_their_bytes():
+    n = report_module._BATCH
+    decisions = [AuthDecision(f"M{i % 7}", "G1", i % 5 == 0, (None, "missing-keys")[i % 5 > 0], 1, t)
+                 for i, t in enumerate([0.5] * (2 * n + 1) + [1.0] * 3)]
+    log = DecisionLog()
+    for d in decisions:
+        log.append(d.md_id, d.group_id, d.granted, d.reason, d.epoch, d.at)
+    assert len(log.rows) == 14 and len(log.times) == 2
+    listed = MetricsReport(scenario="decisions", seed=1, mode="LEDGE-LA", duration=2.0, auth_events=decisions)
+    logged = MetricsReport(scenario="decisions", seed=1, mode="LEDGE-LA", duration=2.0, auth_events=log)
+    assert render_json(logged) == render_json(listed) == reference_json(listed)
+
+
+def test_mean_handover_latency_sums_left_to_right():
+    # the built-in sum() compensates rounding from Python 3.12 on: it would
+    # read 1/3 here, and reports would differ across interpreters
+    report = MetricsReport(scenario="fold", seed=1, mode="None", duration=1.0,
+                           handovers=[{"latency": x} for x in (1e16, 1.0, -1e16)])
+    assert report.mean_handover_latency() == 0.0
+    assert report.summary()["mean_handover_latency"] == 0.0
 
 
 def test_a_failed_emit_leaves_no_truncated_report(tmp_path, monkeypatch):

@@ -320,7 +320,8 @@ def test_each_bad_directive_line_is_rejected_at_its_line(section, bad, tmp_path,
     assert f"{path}:{line}:" in stderr and "Traceback" not in stderr
 
 
-@pytest.mark.parametrize("bad", ["roam M* interval=0", "roam M* interval=-1", "roam M* interval=1 until=inf"])
+@pytest.mark.parametrize("bad", ["roam M* interval=0", "roam M* interval=-1", "roam M* interval=1 until=inf",
+                                 "roam M* interval=1e-6 until=1e11"])
 def test_roam_steps_that_never_reach_the_end_are_rejected_in_time(bad, tmp_path):
     # each of these generates waypoints without end unless it is rejected:
     # the parse runs in a child with a time and memory limit

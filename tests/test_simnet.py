@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -707,6 +708,59 @@ def test_a_failed_move_names_its_instant():
     sc.waypoints.append(WaypointDecl("GHOST", 2.0, 0.0, 0.0))
     with pytest.raises(SimulationHalted, match=r"t=2\.0 \(md-move 'move'\)"):
         World(sc).run()
+
+
+class EveryDecisionWorld(World):
+    """The oracle of the decision log: one `AuthDecision` kept per
+    `authenticate` call, as that call returned it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.decisions = []
+        authenticate = self.authn.authenticate
+
+        def kept(md, gid, now):
+            decision = authenticate(md, gid, now)
+            self.decisions.append(decision)
+            return decision
+
+        self.authn.authenticate = kept
+
+
+def test_the_decision_log_matches_one_decision_per_authenticate_call():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    instants = st.sampled_from(MOVE_INSTANTS)
+    seen = Counter()
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        batch=st.tuples(instants, st.lists(st.integers(1, 6), min_size=3, max_size=6, unique=True)),
+        # moves into G1's overlap and out of it, to one member, or away
+        moves=st.lists(st.tuples(st.integers(1, 6), instants, st.integers(0, len(SPOTS) - 1)), max_size=8),
+        mode=st.sampled_from(["LEDGE-LA", "LEDGE-PAP"]),
+        start=st.sampled_from(["0.0", "1.0", "2.25"]),
+        # AP1 and AP2 are G1's members; rotations fall at 1.5 and 3.0
+        failures=st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1.0, 2.0, 2.5, 3.0))), max_size=2),
+    )
+    def check(batch, moves, mode, start, failures):
+        sc = batched_moves_scenario(batch, moves, start, failures)
+        world = EveryDecisionWorld(sc, apply_overrides(sc.params, {"mode": mode}))
+        report = world.run()
+        log, decisions = report.auth_events, world.decisions
+        assert log is world.authn.auth_log
+        assert list(log) == decisions  # all six fields, in decision order
+        assert len(log) == len(decisions)
+        grants = sum(d.granted for d in decisions)
+        assert log.grants == grants == report.summary()["auth_grants"]
+        listed = replace(report, auth_events=decisions)
+        assert render_json(report) == render_json(listed)
+        assert render_csv(report) == render_csv(listed)
+        seen.update(grants=grants > 0, failed_member=any(i < 3 for i, _ in failures),
+                    rotated=len({d.epoch for d in decisions}) > 1, denied=len(decisions) > grants)
+
+    check()
+    assert all(seen[k] for k in ("grants", "failed_member", "rotated", "denied")), seen
 
 
 CTRL_FAIL = """
