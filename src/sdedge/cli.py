@@ -88,6 +88,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     for path in files:
         try:
             report = run_one(str(path), args.seed, args.set or [])
+        except UsageError:
+            raise  # the command line's fault, not the file's: one usage error, exit 2
         except SdedgeError as err:
             print(f"{path.name}: FAILED: {err}", file=sys.stderr)
             status = EXIT_FAILURE

@@ -4,27 +4,25 @@ Reports are pure data derived from a finished run; emitting the same
 report twice (or a report from a repeated run with the same seed) must be
 byte-identical, so serialization sorts keys and uses repr-exact floats.
 
-The throughput series a run reports is a `Throughput`: per stream, its
-start, stop and runs (first instant, Mbps), which the dense rows
-(t, stream, Mbps) are expanded from only when something reads them, one
-instant at a time, so a reader never holds every row's run index at once.
+A report holds each of its two big lists in one form. Its throughput is a
+`Throughput`: per stream, its start, stop and runs (first instant, Mbps),
+which the dense rows (t, stream, Mbps) are expanded from only when
+something reads them, one instant at a time, so a reader never holds every
+row's run index at once. Its auth log is the run's `DecisionLog`: its
+distinct rows plus one row index per decision and one `at` per instant.
 
 The JSON document is exactly what `json.dumps(document, sort_keys=True,
 indent=1)` prints. That call cannot use the C encoder, because it indents,
 so it renders only the small part of the document. Row writers own the
-three big lists (throughput, handovers, auth_events). The throughput
-writers, JSON and CSV, make one pass over the runs: each row is the
-string of its instant joined to the string of its run, so a scalar is
-encoded once per instant or run, not once per row, and one instant's rows
-are joined at a time. The handover writer encodes each scalar by its
-type and joins rows in bounded batches. The auth rows are rendered from
-the run's `DecisionLog`, its distinct rows plus one row index per decision:
-each row's head (granted, group, md, reason) is encoded once, each
-instant's `t` once, and one instant's rows, at most a batch, are joined at
-a time. `emit` writes the chunks straight to the file as they are made,
-so its peak is the report plus one chunk, not the report plus its text.
-tests/test_report_render.py pins the equivalence against that
-`json.dumps` call on generated reports.
+three big lists (throughput, handovers, auth_events). Throughput, as JSON
+or CSV, and the auth rows share one writer, `_instant_rows`: the text of
+each distinct row (a run, or a decision's granted, group, md and reason)
+is made once, the text of each instant once, and one instant's rows, at
+most a batch, are joined at a time. The handover writer encodes each
+scalar by its type and joins rows in bounded batches. `emit` writes the
+chunks straight to the file as they are made, so its peak is the report
+plus one chunk, not the report plus its text. tests/test_report_render.py
+pins the equivalence against that `json.dumps` call on generated reports.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
-from .authn import AuthDecision, DecisionLog
+from .authn import DecisionLog
 from .engine import later
 from .errors import EmitError
 
@@ -146,18 +144,10 @@ def _merged(passes: list[Iterator[tuple[float, list[int]]]]) -> Iterator[tuple[f
         yield t, lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
 
 
-def _expanded(rows: list[tuple] | Throughput) -> tuple[list[tuple[str, float]], Iterable[tuple[float, list[int]]]]:
-    """`Throughput.expand` of the rows; a plain list of rows is one run and
-    one instant per row, in list order."""
-    if isinstance(rows, Throughput):
-        return rows.expand()
-    return [(sid, mbps) for _, sid, mbps in rows], ((row[0], [i]) for i, row in enumerate(rows))
-
-
-def _delivered(rows: list[tuple] | Throughput, stream_id: str | None) -> tuple[float, int]:
+def _delivered(rows: Throughput, stream_id: str | None) -> tuple[float, int]:
     """The delivered Mbit, and the number of streams, in one pass over the
     rows in (t, stream) order: each sample covers one sample interval."""
-    runs, instants = _expanded(rows)
+    runs, instants = rows.expand()
     total = 0.0
     last_t: dict[str, float] = {}
     for t, ids in instants:
@@ -178,15 +168,13 @@ class MetricsReport:
     mode: str
     duration: float
     personal_ap: bool = False
-    # time, stream id, Mbps: a list, or a Throughput from a run
-    throughput: list[tuple[float, str, float]] | Throughput = field(default_factory=list)
+    throughput: Throughput = field(default_factory=lambda: Throughput(1.0, ()))
     # per association change / controller handover
     handovers: list[dict] = field(default_factory=list)
     packet_in: dict[str, int] = field(default_factory=dict)
     lookup_hops: dict[int, int] = field(default_factory=dict)
-    # every access decision of the run, in the order it was made: a list,
-    # or the run's own DecisionLog
-    auth_events: list[AuthDecision] | DecisionLog = field(default_factory=list)
+    # every access decision of the run, in the order it was made
+    auth_events: DecisionLog = field(default_factory=DecisionLog)
     record_losses: list[str] = field(default_factory=list)
 
     # -- derived ------------------------------------------------------------
@@ -210,10 +198,8 @@ class MetricsReport:
         return total / len(self.handovers)
 
     def summary(self) -> dict:
-        rows = self.throughput
         log = self.auth_events
-        grants = log.grants if isinstance(log, DecisionLog) else sum(1 for d in log if d.granted)
-        delivered, streams = rows.totals if isinstance(rows, Throughput) else _delivered(rows, None)
+        delivered, streams = self.throughput.totals
         return {
             "streams": streams,
             "delivered_mbit_total": round(delivered, 9),
@@ -226,8 +212,8 @@ class MetricsReport:
                 if self.lookup_hops
                 else None
             ),
-            "auth_grants": grants,
-            "auth_denies": len(log) - grants,
+            "auth_grants": log.grants,
+            "auth_denies": len(log) - log.grants,
             "records_lost": len(self.record_losses),
         }
 
@@ -270,22 +256,24 @@ def _value(v) -> str:
     return json.dumps(v, sort_keys=True, indent=1).replace("\n", _ROW_INDENT)
 
 
-def _run_rows(rows: list[tuple] | Throughput, head: Callable[[object], str],
-              tail: Callable[[object, object], str], sep: str) -> Iterator[str]:
-    """Throughput rows as text, one instant's rows to a chunk: `head(t)`
-    joined to `tail(stream id, Mbps)`, each string made once per instant or
-    run. A plain list of rows is one run per row, in list order."""
-    runs, instants = _expanded(rows)
-    tails = [tail(sid, mbps) for sid, mbps in runs]
+def _instant_rows(texts: list[str], instants: Iterable[tuple[object, Sequence[int]]],
+                  pre: Callable[[object], str], post: Callable[[object], str], sep: str) -> Iterator[str]:
+    """Rows as text: per instant t, each of its row indices i is the row
+    `pre(t) + texts[i] + post(t)`, and its rows, at most _BATCH of them, are
+    joined by `sep` to a chunk. `pre` and `post` run once per instant."""
     for t, ids in instants:
-        h = head(t)
-        yield h + (sep + h).join(map(tails.__getitem__, ids))
+        head, tail = pre(t), post(t)
+        glue = tail + sep + head
+        for i in range(0, len(ids), _BATCH):
+            rows = glue.join(map(texts.__getitem__, ids[i:i + _BATCH]))
+            yield f"{head}{rows}{tail}"  # one copy of the rows, where each `+` would make one
 
 
-def _throughput_chunks(rows: list[tuple] | Throughput) -> Iterator[str]:
+def _throughput_chunks(throughput: Throughput) -> Iterator[str]:
     """Rows shaped (t, stream id, Mbps), each an array of three scalars."""
-    return _run_rows(rows, lambda t: f"  [\n   {_value(t)},\n   ",
-                     lambda sid, mbps: f"{_value(sid)},\n   {_value(mbps)}\n  ]", ",\n")
+    runs, instants = throughput.expand()
+    return _instant_rows([f"{_value(sid)},\n   {_value(mbps)}" for sid, mbps in runs], instants,
+                         lambda t: f"  [\n   {_value(t)},\n   ", lambda t: "\n  ]", ",\n")
 
 
 def _dict_rows(rows: list[dict]) -> Iterator[str]:
@@ -299,31 +287,15 @@ def _dict_rows(rows: list[dict]) -> Iterator[str]:
         yield template % tuple([_value(row[k]) for k in keys])
 
 
-# an auth decision's row in the document, keys sorted: its head, then its `t`
-_DECISION_HEAD = '  {\n   "granted": %s,\n   "group": %s,\n   "md": %s,\n   "reason": %s,\n   "t": '
+# an auth decision's fields in the document, keys sorted, up to its `t`
+_DECISION_HEAD = '   "granted": %s,\n   "group": %s,\n   "md": %s,\n   "reason": %s,\n   "t": '
 
 
-def _decisions(log: list[AuthDecision] | DecisionLog) -> tuple[list[tuple], Iterable[tuple[object, Sequence[int]]]]:
-    """The log's distinct rows (md, group, granted, reason, epoch) and, per
-    instant, its `at` and its decisions' row indices; a plain list of
-    decisions is one row and one instant per decision, in list order."""
-    if isinstance(log, DecisionLog):
-        return log.rows, log.instants()
-    return ([(d.md_id, d.group_id, d.granted, d.reason, d.epoch) for d in log],
-            ((d.at, (i,)) for i, d in enumerate(log)))
-
-
-def _decision_rows(log: list[AuthDecision] | DecisionLog) -> Iterator[str]:
-    """Auth decisions as the rows {t, md, group, granted, reason}: one
-    instant's rows, at most _BATCH of them, to a chunk."""
-    rows, instants = _decisions(log)
+def _decision_chunks(log: DecisionLog) -> Iterator[str]:
+    """Auth decisions as the rows {t, md, group, granted, reason}."""
     heads = [_DECISION_HEAD % (_value(granted), _value(group), _value(md), _value(reason))
-             for md, group, granted, reason, _ in rows]
-    for at, ids in instants:
-        tail = _value(at) + "\n  }"
-        sep = tail + ",\n"
-        for i in range(0, len(ids), _BATCH):
-            yield sep.join(map(heads.__getitem__, ids[i:i + _BATCH])) + tail
+             for md, group, granted, reason, _ in log.rows]
+    return _instant_rows(heads, log.instants(), lambda at: "  {\n", lambda at: _value(at) + "\n  }", ",\n")
 
 
 def _batched(rows: Iterator[str]) -> Iterator[str]:
@@ -334,7 +306,7 @@ def _batched(rows: Iterator[str]) -> Iterator[str]:
 
 # the document's big lists, each with the writer of its chunks for its row shape
 _ROW_LISTS: dict[str, Callable[[list | Throughput | DecisionLog], Iterator[str]]] = {
-    "auth_events": _decision_rows,
+    "auth_events": _decision_chunks,
     "handovers": lambda rows: _batched(_dict_rows(rows)),
     "throughput": _throughput_chunks,
 }
@@ -369,7 +341,9 @@ def _json_chunks(report: MetricsReport) -> Iterator[str]:
 def _csv_chunks(report: MetricsReport) -> Iterator[str]:
     yield (f"# schema={SCHEMA_VERSION} scenario={report.scenario} seed={report.seed} mode={report.mode}\n"
            "t,stream_id,mbps\n")
-    yield from _run_rows(report.throughput, lambda t: f"{t!r},", lambda sid, mbps: f"{sid},{mbps!r}\n", "")
+    runs, instants = report.throughput.expand()
+    yield from _instant_rows([f"{sid},{mbps!r}" for sid, mbps in runs], instants,
+                             lambda t: f"{t!r},", lambda t: "\n", "")
 
 
 def _render(chunks: Iterator[str], out: TextIO | None) -> str | None:

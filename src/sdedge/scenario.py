@@ -457,8 +457,6 @@ class _Parser:
         for ap in sc.aps:
             if ap.partition not in controller_names:
                 self.fail(ap.line, f"ap {ap.name} references undeclared controller {ap.partition!r}")
-            if ap.radius <= 0 or ap.capacity <= 0:
-                self.fail(ap.line, f"ap {ap.name} needs positive radius and capacity")
         for link in sc.links:
             for end in (link.a, link.b):
                 if end not in names:
@@ -483,8 +481,6 @@ class _Parser:
                 self.fail(s.line, f"flow {s.name} references undeclared MD {s.md!r}")
             if s.dst not in names or names[s.dst] == "md":
                 self.fail(s.line, f"flow {s.name} destination {s.dst!r} is not a declared infrastructure node")
-            if s.demand <= 0:
-                self.fail(s.line, f"flow {s.name} demand must be positive")
             if s.end is not None and s.end <= s.start:
                 self.fail(s.line, f"flow {s.name} ends before it starts")
         per_md_times: dict[str, float] = {}
@@ -544,8 +540,16 @@ def _number(low: float = -math.inf) -> Converter:
 
 
 _float = _number()
-_time = _number(0.0)  # an instant of the run
+_nonnegative = _number(0.0)  # an instant of the run, a latency, a rate or a service time
+_positive = _number(math.nextafter(0.0, 1.0))  # at least the least float above 0
 _interval = _number(1e-6)  # roam's step: its waypoint times are rounded to 1e-6 s
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def _point(text: str) -> tuple[float, float]:
@@ -570,7 +574,7 @@ def _csv(text: str) -> tuple[str, ...]:
 
 
 _NAME = (("NAME", str),)
-_FLOW_KEYS = {"md": str, "dst": str, "type": str, "demand": _float, "tech": str, "start": _time}
+_FLOW_KEYS = {"md": str, "dst": str, "type": str, "demand": _positive, "tech": str, "start": _nonnegative}
 
 # head -> its row; `parse_section` reads every directive line through this table
 _DIRECTIVES = {
@@ -578,26 +582,27 @@ _DIRECTIVES = {
     "switch": _Row("topology", "switch NAME", _Parser.add_switch, _NAME),
     "ap": _Row(
         "topology", "ap NAME pos=X,Y radius=R capacity=MBPS techs=TECH,... partition=CONTROLLER", _Parser.add_ap,
-        _NAME, {"pos": _point, "radius": _float, "capacity": _float, "techs": _csv, "partition": str},
+        _NAME, {"pos": _point, "radius": _positive, "capacity": _positive, "techs": _csv, "partition": str},
     ),
     "md": _Row("topology", "md NAME [pos=X,Y]", _Parser.add_md, _NAME, optional={"pos": _point}),
     "mds": _Row("topology", "mds PREFIX COUNT area=X0,Y0,X1,Y1", _Parser.add_mds,
-                (("PREFIX", str), ("COUNT", int)), {"area": _rect}),
+                (("PREFIX", str), ("COUNT", _count)), {"area": _rect}),
     "link": _Row("topology", "link A B latency=S rate=MBPS", _Parser.add_link, (("A", str), ("B", str)),
-                 {"latency": _float, "rate": _float}),
+                 {"latency": _nonnegative, "rate": _nonnegative}),
     "group": _Row("groups", "group NAME members=AP1,AP2,...", _Parser.add_group, _NAME, {"members": _csv}),
     "flow": _Row("flows", "flow NAME md=MD dst=NODE type=TYPE demand=MBPS tech=TECH start=T [end=T]",
-                 _Parser.add_flow, _NAME, _FLOW_KEYS, {"end": _time}),
+                 _Parser.add_flow, _NAME, _FLOW_KEYS, {"end": _nonnegative}),
     "flows": _Row("flows", "flows PREFIX md=GLOB dst=NODE type=TYPE demand=MBPS tech=TECH start=T [end=T]",
-                  _Parser.add_flows, (("PREFIX", str),), _FLOW_KEYS, {"end": _time}),
+                  _Parser.add_flows, (("PREFIX", str),), _FLOW_KEYS, {"end": _nonnegative}),
     "move": _Row("traces", "move MD T X,Y [STATUS]", _Parser.add_move,
-                 (("MD", str), ("T", _time), ("X,Y", _point), ("STATUS", str)), optional_positional=1),
+                 (("MD", str), ("T", _nonnegative), ("X,Y", _point), ("STATUS", str)), optional_positional=1),
     "roam": _Row("traces", "roam GLOB interval=S [until=T] [area=X0,Y0,X1,Y1]", _Parser.add_roam,
-                 (("GLOB", str),), {"interval": _interval}, {"until": _time, "area": _rect}),
+                 (("GLOB", str),), {"interval": _interval}, {"until": _nonnegative, "area": _rect}),
     "fail": _Row("failures", "fail controller|ap NAME at=T", _Parser.add_failure,
-                 (("controller|ap", str), ("NAME", str)), {"at": _time}),
+                 (("controller|ap", str), ("NAME", str)), {"at": _nonnegative}),
     "packetin": _Row("workload", "packetin rate_per_ap=HZ service_time=S [start=T] [until=T]", _Parser.add_packetin,
-                     (), {"rate_per_ap": _float, "service_time": _float}, {"start": _time, "until": _time}),
+                     (), {"rate_per_ap": _nonnegative, "service_time": _nonnegative},
+                     {"start": _nonnegative, "until": _nonnegative}),
 }
 
 

@@ -111,6 +111,27 @@ def test_batch_runs_directory(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == ["one.json", "two.json"]
 
 
+@pytest.mark.parametrize("pair", ["bogus=1", "duration=soon", "mode"])
+def test_batch_with_a_bad_override_is_one_usage_error(pair, tmp_path, capsys):
+    # a bad `--set` is the command line's fault, not each file's: it exits 2
+    # with one usage error, as `run` does, not one FAILED line per file
+    src = bundled_scenario_path("fig2").read_text()
+    (tmp_path / "one.scenario").write_text(src)
+    (tmp_path / "two.scenario").write_text(src)
+    assert main(["batch", str(tmp_path), "--set", pair]) == 2
+    err = capsys.readouterr().err
+    assert err.count("usage error:") == 1 and "FAILED" not in err and "Traceback" not in err
+
+
+def test_batch_fails_only_the_file_at_fault(tmp_path, capsys):
+    (tmp_path / "bad.scenario").write_text("[topology]\nap AP1 pos=0,0\n")
+    (tmp_path / "good.scenario").write_text(bundled_scenario_path("fig2").read_text())
+    assert main(["batch", str(tmp_path), "--set", "duration=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("FAILED") == 1 and "bad.scenario: FAILED" in captured.err
+    assert captured.out.startswith("good.scenario: delivered=")
+
+
 def test_validate_reads_bundled_scenarios_from_a_zipped_package(tmp_path):
     # a package imported from a zip has no scenario files on disk: the
     # bundled text must be read from the archive, not from a temporary copy

@@ -2,9 +2,10 @@
 
 `render_json` writes the big row lists with its own row writers; these tests
 pin its output, byte for byte, to `json.dumps(document, sort_keys=True,
-indent=1) + "\\n"` over generated reports, and pin a runs-backed
-`Throughput` to the same rows given as a plain list. The generators favour the values
-where the two could part: signed zero, subnormal and large floats, the
+indent=1) + "\\n"` over generated reports, whose throughput is a runs-backed
+`Throughput` and whose auth log is a `DecisionLog`, as a run makes them, and
+pin the CSV rows to their plain `repr` spelling. The generators favour the
+values where the two could part: signed zero, subnormal and large floats, the
 non-finite floats json spells its own way, ints and bools where floats are
 expected, None, names that need escaping, and empty lists and tables.
 """
@@ -53,11 +54,64 @@ handover_rows = dict_rows({
     "t": numbers, "md": names, "kind": names, "from_ap": st.one_of(names, st.none()),
     "to_ap": names, "latency": numbers, "messages": st.integers(0, 9),
 })
-# the decisions a run logs; `granted` takes any value, which `summary()` reads by its truth
-auth_rows = st.builds(
-    AuthDecision, md_id=names, group_id=names, granted=values,
-    reason=st.one_of(names, st.none()), epoch=st.integers(), at=numbers,
+
+
+def runs_of(sid, start, samples, period, slack=0.0):
+    """One stream's (stream id, start, stop, runs), from its sample per
+    instant; its stop is `slack` after its last instant."""
+    runs, t = [], start
+    for mbps in samples:
+        if not runs or runs[-1][1] != mbps:
+            runs.append((t, mbps))
+        stop, t = t, round(t + period, 9)
+    return sid, start, stop + slack, runs
+
+
+def expanded(period, streams):
+    """The rows of `Throughput(period, streams)`, expanded by hand and sorted."""
+    rows = []
+    for sid, start, stop, runs in streams:
+        firsts, t, mbps = dict(runs), start, None
+        while t <= stop:
+            mbps = firsts.get(t, mbps)
+            rows.append((t, sid, mbps))
+            t = round(t + period, 9)
+    return sorted(rows, key=lambda row: (row[0], row[1]))
+
+
+# starts on different sampling chains, and later starts that join a chain
+starts = st.sampled_from((0.0, 0.05, 0.1, 0.3, 0.25, 1.0, 0.30000000001))
+# a few values that repeat into runs, and any number, SPECIAL_FLOATS included
+mbps_values = st.one_of(st.sampled_from((0.0, 0.2, 8.0)), numbers)
+# a stop on the stream's last instant, or between it and the next, as the horizon can fall
+slacks = st.sampled_from((0.0, 0.04))
+# (period, streams) as `Throughput` takes them, on any stream id `names` draws
+runs_streams = st.builds(
+    lambda period, streams: (
+        period, [runs_of(sid, start, samples, period, slack) for sid, (start, samples, slack) in streams.items()]
+    ),
+    st.sampled_from((0.1, 0.25)),
+    st.dictionaries(names, st.tuples(starts, st.lists(mbps_values, min_size=1, max_size=8), slacks), max_size=5),
 )
+
+# decisions as a run makes them, one type per field, so that equal rows are
+# the same row; instants repeat as the same object, as an equal object, and
+# as values that are equal but print apart (-0.0 and 0.0, 1 and 1.0 and True)
+logged_decisions = st.lists(st.builds(
+    AuthDecision, md_id=st.one_of(st.sampled_from(("M1", "M2")), names),
+    group_id=st.one_of(st.sampled_from(("G1", "G%")), names), granted=st.booleans(),
+    reason=st.one_of(st.sampled_from((None, "missing-keys", "stale-epoch")), names), epoch=st.integers(-1, 2),
+    at=st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1, 1.0, True, math.nan)), st.just(0.5).map(lambda x: x * 1.0),
+                 numbers),
+), max_size=12)
+
+
+def decision_log(decisions) -> DecisionLog:
+    log = DecisionLog()
+    for d in decisions:
+        log.append(d.md_id, d.group_id, d.granted, d.reason, d.epoch, d.at)
+    return log
+
 
 reports = st.builds(
     MetricsReport,
@@ -66,11 +120,11 @@ reports = st.builds(
     mode=names,
     duration=numbers,
     personal_ap=st.booleans(),
-    throughput=st.lists(st.tuples(numbers, names, numbers), max_size=6),
+    throughput=runs_streams.map(lambda runs: Throughput(*runs)),
     handovers=st.lists(handover_rows, max_size=4),
     packet_in=st.dictionaries(names, st.integers(0, 99), max_size=3),
     lookup_hops=st.dictionaries(st.integers(0, 40), st.integers(1, 99), max_size=3),
-    auth_events=st.lists(auth_rows, max_size=4),
+    auth_events=logged_decisions.map(decision_log),
     record_losses=st.lists(names, max_size=3),
 )
 
@@ -96,11 +150,28 @@ def reference_json(report: MetricsReport) -> str:
     return json.dumps(document, sort_keys=True, indent=1) + "\n"
 
 
+def reference_csv(report: MetricsReport) -> str:
+    """The CSV text, each throughput row's numbers spelled by `repr`."""
+    return (f"# schema={SCHEMA_VERSION} scenario={report.scenario} seed={report.seed} mode={report.mode}\n"
+            "t,stream_id,mbps\n" + "".join(f"{t!r},{sid},{mbps!r}\n" for t, sid, mbps in report.throughput))
+
+
+def first_difference(text: str, reference: str) -> tuple | None:
+    """None if the texts are equal, else the first line where they part, in
+    each: pytest's own diff of two texts of megabytes takes minutes."""
+    if text == reference:
+        return None
+    a, b = text.splitlines(), reference.splitlines()
+    i = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+    return i, a[i:i + 1], b[i:i + 1]
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(reports)
 def test_render_json_matches_json_dumps_and_emit_writes_its_bytes(report):
     text = render_json(report)
     assert text == reference_json(report)
+    assert render_csv(report) == reference_csv(report)
     with tempfile.TemporaryDirectory() as tmp:
         for fmt, render in (("json", render_json), ("csv", render_csv)):
             path = emit(report, fmt, Path(tmp) / f"report.{fmt}")
@@ -108,53 +179,21 @@ def test_render_json_matches_json_dumps_and_emit_writes_its_bytes(report):
 
 
 def test_rows_spanning_several_batches_match_json_dumps():
+    # one instant's throughput rows, and one instant's decisions, each span three batches
     n = report_module._BATCH
+    streams = [runs_of(f"S{i}", 0.0, [float(i % 7)] * 2, 0.1) for i in range(2 * n + 1)]
+    decisions = [AuthDecision("M2é", "G1", i % 2 == 0, (None, "ok")[i % 2], 0, float(i // (2 * n + 1)))
+                 for i in range(2 * n + 2)]
     report = MetricsReport(
         scenario="batches", seed=1, mode="None", duration=2.0,
-        throughput=[(i / 10, f"S{i % 3}", float(i % 7)) for i in range(2 * n + 1)],
+        throughput=Throughput(0.1, streams),
         handovers=[{"t": float(i), "md": "M1", "latency": 0.5, "note": (None, math.nan, -math.inf)[i % 3]}
                    for i in range(n)],
-        auth_events=[AuthDecision("M2é", "G1", i % 2 == 0, (None, "ok")[i % 2], 0, float(i))
-                     for i in range(n + 1)],
+        auth_events=decision_log(decisions),
     )
-    assert render_json(report) == reference_json(report)
-
-
-def expanded(period, streams):
-    """The rows of `Throughput(period, streams)`, expanded by hand and sorted."""
-    rows = []
-    for sid, start, stop, runs in streams:
-        firsts, t, mbps = dict(runs), start, None
-        while t <= stop:
-            mbps = firsts.get(t, mbps)
-            rows.append((t, sid, mbps))
-            t = round(t + period, 9)
-    return sorted(rows, key=lambda row: (row[0], row[1]))
-
-
-def runs_of(sid, start, samples, period, slack=0.0):
-    """One stream's (stream id, start, stop, runs), from its sample per
-    instant; its stop is `slack` after its last instant."""
-    runs, t = [], start
-    for mbps in samples:
-        if not runs or runs[-1][1] != mbps:
-            runs.append((t, mbps))
-        stop, t = t, round(t + period, 9)
-    return sid, start, stop + slack, runs
-
-
-# starts on different sampling chains, and later starts that join a chain
-starts = st.sampled_from((0.0, 0.05, 0.1, 0.3, 0.25, 1.0, 0.30000000001))
-mbps_values = st.sampled_from((0.0, 0.2, 8.0, 11.0, 1e16, 5e-324))
-# a stop on the stream's last instant, or between it and the next, as the horizon can fall
-slacks = st.sampled_from((0.0, 0.04))
-runs_streams = st.builds(
-    lambda period, streams: (
-        period, [runs_of(sid, start, samples, period, slack) for sid, (start, samples, slack) in streams.items()]
-    ),
-    st.sampled_from((0.1, 0.25)),
-    st.dictionaries(names, st.tuples(starts, st.lists(mbps_values, min_size=1, max_size=8), slacks), max_size=5),
-)
+    assert report.throughput == expanded(0.1, streams) and report.auth_events == decisions
+    assert first_difference(render_json(report), reference_json(report)) is None
+    assert first_difference(render_csv(report), reference_csv(report)) is None
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -164,11 +203,9 @@ def test_runs_backed_throughput_renders_the_bytes_of_its_rows(runs, report):
     throughput = Throughput(period, streams)
     rows = expanded(period, streams)
     assert throughput == rows and len(throughput) == len(rows)
-    report.throughput = rows
-    as_list = render_json(report), render_csv(report)
     report.throughput = throughput
-    assert (render_json(report), render_csv(report)) == as_list
-    assert as_list[0] == reference_json(report)
+    assert render_json(report) == reference_json(report)
+    assert render_csv(report) == reference_csv(report)
 
 
 def test_runs_spanning_several_batches_render_the_bytes_of_their_rows():
@@ -177,48 +214,31 @@ def test_runs_spanning_several_batches_render_the_bytes_of_their_rows():
                for i, start in enumerate((0.0, 0.05, 1.0))]
     throughput = Throughput(period, streams)
     assert len(throughput) == 3 * n > 2 * report_module._BATCH
-    rows = MetricsReport(scenario="runs", seed=1, mode="None", duration=9.0, throughput=expanded(period, streams))
-    runs = MetricsReport(scenario="runs", seed=1, mode="None", duration=9.0, throughput=throughput)
-    assert render_json(runs) == render_json(rows) == reference_json(rows)
-    assert render_csv(runs) == render_csv(rows)
-
-
-# decisions as a run makes them, one type per field, so that equal rows are
-# the same row; instants repeat as the same object, as an equal object, and
-# as values that are equal but print apart (-0.0 and 0.0, 1 and 1.0 and True)
-logged_decisions = st.lists(st.builds(
-    AuthDecision, md_id=st.sampled_from(("M1", "M2", "é")), group_id=st.sampled_from(("G1", "G%")),
-    granted=st.booleans(), reason=st.sampled_from((None, "missing-keys", "stale-epoch")), epoch=st.integers(-1, 2),
-    at=st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1, 1.0, True, math.nan)), st.just(0.5).map(lambda x: x * 1.0),
-                 numbers),
-), max_size=12)
+    assert throughput == expanded(period, streams)
+    report = MetricsReport(scenario="runs", seed=1, mode="None", duration=9.0, throughput=throughput)
+    assert first_difference(render_json(report), reference_json(report)) is None
+    assert first_difference(render_csv(report), reference_csv(report)) is None
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(logged_decisions, reports)
 def test_a_decision_log_renders_the_bytes_of_its_decisions(decisions, report):
-    log = DecisionLog()
-    for d in decisions:
-        log.append(d.md_id, d.group_id, d.granted, d.reason, d.epoch, d.at)
-    assert log == decisions and len(log) == len(decisions)
+    log = decision_log(decisions)
+    # every field as given, spelled by repr, so instants that are equal but print apart stay apart
+    assert list(map(repr, log)) == list(map(repr, decisions)) and len(log) == len(decisions)
     assert log.grants == sum(d.granted for d in decisions)
-    report.auth_events = decisions
-    as_list = render_json(report)
     report.auth_events = log
-    assert render_json(report) == as_list == reference_json(report)
+    assert render_json(report) == reference_json(report)
 
 
 def test_an_instant_of_several_batches_of_decisions_renders_their_bytes():
     n = report_module._BATCH
     decisions = [AuthDecision(f"M{i % 7}", "G1", i % 5 == 0, (None, "missing-keys")[i % 5 > 0], 1, t)
                  for i, t in enumerate([0.5] * (2 * n + 1) + [1.0] * 3)]
-    log = DecisionLog()
-    for d in decisions:
-        log.append(d.md_id, d.group_id, d.granted, d.reason, d.epoch, d.at)
-    assert len(log.rows) == 14 and len(log.times) == 2
-    listed = MetricsReport(scenario="decisions", seed=1, mode="LEDGE-LA", duration=2.0, auth_events=decisions)
-    logged = MetricsReport(scenario="decisions", seed=1, mode="LEDGE-LA", duration=2.0, auth_events=log)
-    assert render_json(logged) == render_json(listed) == reference_json(listed)
+    log = decision_log(decisions)
+    assert len(log.rows) == 14 and len(log.times) == 2 and log == decisions
+    report = MetricsReport(scenario="decisions", seed=1, mode="LEDGE-LA", duration=2.0, auth_events=log)
+    assert first_difference(render_json(report), reference_json(report)) is None
 
 
 def test_mean_handover_latency_sums_left_to_right():
@@ -232,15 +252,18 @@ def test_mean_handover_latency_sums_left_to_right():
 
 def test_a_failed_emit_leaves_no_truncated_report(tmp_path, monkeypatch):
     report = MetricsReport(scenario="cut", seed=1, mode="None", duration=9.0,
-                           throughput=[(i / 10, "S1", float(i % 3)) for i in range(90)])
+                           throughput=Throughput(0.1, [runs_of("S1", 0.0, [float(i % 3) for i in range(90)], 0.1)]))
     kept = emit(report, "json", tmp_path / "kept.json").read_bytes()
-    full_run_rows = report_module._run_rows
+    full_instant_rows = report_module._instant_rows
 
-    def failing_run_rows(*args):
-        yield from islice(full_run_rows(*args), 40)
-        raise RuntimeError("row writer failed")
+    def failing_instant_rows(*args):
+        # the 90 throughput rows are one chunk per instant: fail after 40 of them
+        chunks = full_instant_rows(*args)
+        yield from islice(chunks, 40)
+        if next(chunks, None) is not None:
+            raise RuntimeError("row writer failed")
 
-    monkeypatch.setattr(report_module, "_run_rows", failing_run_rows)
+    monkeypatch.setattr(report_module, "_instant_rows", failing_instant_rows)
     for fmt, name in (("json", "kept.json"), ("csv", "new.csv"), ("json", "new.json")):
         with pytest.raises(RuntimeError, match="row writer failed"):
             emit(report, fmt, tmp_path / name)

@@ -197,7 +197,7 @@ CROSS_CHECKS = [
     ("md M1 pos=1,1\n", "md M1 pos=1,1\nmd AP1 pos=2,2\n", "md AP1", "duplicate node name 'AP1'"),
     ("m = 5\n", "m = 5\ncontrollers = 9\n", "controllers = 9", "controllers=9 but only 1 declared"),
     ("partition=C1", "partition=C9", "partition=C9", "undeclared controller 'C9'"),
-    ("pos=5,0 radius=10", "pos=5,0 radius=0", "radius=0", "needs positive radius"),
+    ("pos=5,0 radius=10", "pos=5,0 radius=0", "radius=0", "bad value for radius: '0'"),
     ("link SW1 C1", "link AP1 GHOST latency=0.001 rate=10\nlink SW1 C1", "GHOST", "undeclared node 'GHOST'"),
     ("members=AP1,AP2", "members=AP1", "group G1", "needs at least 2 member APs"),
     ("members=AP1,AP2", "members=AP1,AP9", "group G1", "undeclared AP 'AP9'"),
@@ -205,7 +205,8 @@ CROSS_CHECKS = [
     (FLOW, FLOW + "flow F1 md=M1 dst=SW1 type=udp demand=1 tech=wifi start=0\n", "type=udp", "duplicate stream"),
     (FLOW, FLOW + "flow F2 md=M9 dst=C1 type=t demand=1 tech=wifi start=0\n", "md=M9", "undeclared MD 'M9'"),
     (FLOW, FLOW + "flow F2 md=M1 dst=M1 type=t demand=1 tech=wifi start=0\n", "dst=M1", "infrastructure node"),
-    (FLOW, FLOW + "flow F2 md=M1 dst=C1 type=t demand=-1 tech=wifi start=0\n", "demand=-1", "demand must be positive"),
+    (FLOW, FLOW + "flow F2 md=M1 dst=C1 type=t demand=-1 tech=wifi start=0\n", "demand=-1",
+     "bad value for demand: '-1'"),
     (FLOW, FLOW + "flow F2 md=M1 dst=C1 type=t demand=1 tech=wifi start=2 end=1\n", "end=1", "ends before"),
     ("move M1 1.0 2,2 staying\n", "move M1 1.0 2,2 staying\nmove M9 2.0 1,1\n", "move M9", "undeclared MD 'M9'"),
     ("move M1 1.0 2,2 staying\n", "move M1 1.0 2,2 staying\nmove M1 1.0 3,3\n", "3,3", "not strictly increasing"),
@@ -303,14 +304,23 @@ def _with_line(section, bad, tmp_path):
         ("topology", "ap AP3 pos=0,0 radius=nan capacity=11 techs=wifi partition=C1"),
         ("topology", "mds M 3 area=0,0,inf,1"),
         ("topology", "link AP1 SW1 latency=nan rate=100"),
+        ("topology", "link AP1 SW1 latency=-0.001 rate=100"),
+        ("topology", "link AP1 SW1 latency=0.001 rate=-1"),
+        ("topology", "mds M -5 area=0,0,1,1"),
+        ("topology", "mds M 2.5 area=0,0,1,1"),
+        ("topology", "ap AP3 pos=0,0 radius=10 capacity=-0.0 techs=wifi partition=C1"),
+        ("flows", "flow F1 md=M1 dst=C1 type=tcp demand=0 tech=wifi start=0"),
         ("failures", "fail ap AP1 at=-2"),
         ("workload", "packetin rate_per_ap=1 service_time=0.001 start=-1"),
         ("workload", "packetin rate_per_ap=1 service_time=nan until=5"),
+        ("workload", "packetin rate_per_ap=-1 service_time=0.001"),
+        ("workload", "packetin rate_per_ap=1 service_time=-0.5"),
     ]
 ])
 def test_each_bad_directive_line_is_rejected_at_its_line(section, bad, tmp_path, capsys):
     """Each bad line, in the grammar or out of an argument's domain (every
-    float is finite, every time >= 0), is rejected at its own line."""
+    float is finite; every time, latency, rate, service time and COUNT
+    >= 0; radius, capacity and demand > 0), is rejected at its own line."""
     text, path, line = _with_line(section, bad, tmp_path)
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(text, "grammar")
@@ -384,7 +394,7 @@ def test_formatted_scenarios_parse_back_equal():
                for i in range(draw(st.integers(1, 3)))]
         infra = [d.name for d in controllers + switches + aps]
         links = [LinkDecl(draw(st.sampled_from(infra)), draw(st.sampled_from(infra + [m.name for m in mds])),
-                          draw(number), draw(number))
+                          draw(time), draw(time))
                  for _ in range(draw(st.integers(0, 2)))]
         groups = [GroupDecl("G1", tuple(a.name for a in aps))] if len(aps) > 1 and draw(st.booleans()) else []
         streams = []
