@@ -15,6 +15,15 @@ Grants persist between checks and are revoked by: a failed
 re-authentication, a change of serving AP, or missing the
 re-authentication grace window after a rotation.
 
+A beacon delivery is one batch: `hear` stores one shared `WalletEntry` for
+all of its recipients, and `reauthenticate` decides, in recipient order, each
+recipient that holds no grant of its serving group's current epoch. Most of
+those decisions repeat a `missing-keys` denial: a denied pair keeps its
+epoch, its log row and the member AP whose key was missing or stale, and
+while the epoch is current and that member's key is still missing or stale
+at `now`, the decision is that same row, with no wallet scan. Any other
+decision scans the wallet through `authenticate`.
+
 Every check is logged in a `DecisionLog`: each distinct (md, group,
 granted, reason, epoch) is kept once as a row, each decision as that row's
 index, and each instant's time once. A gated run's 200k checks fall on a
@@ -64,8 +73,11 @@ class BeaconKey:
     issued_at: float
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class WalletEntry:
+    """A key as heard at `received_at`; frozen, so that one delivery's entry
+    can be shared by all of its recipients."""
+
     key: BeaconKey
     received_at: float
 
@@ -101,20 +113,33 @@ class DecisionLog:
         self._at: float | None = None  # the latest decision's `at`
         self.grants = 0
 
-    def append(self, md_id: str, group_id: str, granted: bool, reason: str | None, epoch: int, at: float) -> None:
+    def append(self, md_id: str, group_id: str, granted: bool, reason: str | None, epoch: int, at: float) -> int:
+        """Log one decision; returns its row."""
         key = (md_id, group_id, granted, reason, epoch)
         row = self._row_of.get(key)
         if row is None:
             row = self._row_of[key] = len(self.rows)
             self.rows.append(key)
         if at is not self._at:  # an instant's decisions mostly share one object
-            if at != self._at or repr(at) != repr(self._at):
-                self.starts.append(len(self.index))
-                self.times.append(at)
-            self._at = at
+            self._instant(at)
         self.index.append(row)
         if granted:
             self.grants += 1
+        return row
+
+    def extend_rows(self, rows: list[int], at: float) -> None:
+        """Log decisions at `at` that repeat denied rows already in the log, in order."""
+        if rows:
+            if at is not self._at:
+                self._instant(at)
+            self.index.extend(rows)
+
+    def _instant(self, at: float) -> None:
+        """The next decision is at `at`: a new instant, unless it renders as the latest one."""
+        if at != self._at or repr(at) != repr(self._at):
+            self.starts.append(len(self.index))
+            self.times.append(at)
+        self._at = at
 
     def __len__(self) -> int:
         return len(self.index)
@@ -158,6 +183,9 @@ class AuthnService:
         self.wallets: dict[str, dict[str, WalletEntry]] = {}  # device -> latest entry per AP
         self.grants: dict[tuple[str, str], Grant] = {}
         self.auth_log = DecisionLog()
+        # (device, group) -> (epoch, log row, member AP whose key was missing
+        # or stale) of its latest `missing-keys` denial that named a member
+        self.denials: dict[tuple[str, str], tuple[int, int, str]] = {}
 
     # -- controller side -----------------------------------------------------
 
@@ -212,6 +240,21 @@ class AuthnService:
                 held[ap] = WalletEntry(key, received_at)
         return key
 
+    def hear(self, ap: str, recipients: list[str], now: float) -> BeaconKey | None:
+        """One delivery of `ap`'s current key to each of `recipients`, as
+        `receive_beacon` for each, with one wallet entry shared by all."""
+        key = self.ap_keys.get(ap)
+        if key is not None:
+            entry, epoch, wallets = WalletEntry(key, now), key.epoch, self.wallets
+            for md in recipients:
+                held = wallets.get(md)
+                if held is None:
+                    held = wallets[md] = {}
+                cur = held.get(ap)
+                if cur is None or epoch >= cur.key.epoch:
+                    held[ap] = entry
+        return key
+
     # -- decisions ----------------------------------------------------------------
 
     def authenticate(self, md_id: str, group_id: str, now: float) -> AuthDecision:
@@ -228,11 +271,11 @@ class AuthnService:
         epoch = self.epochs[group_id]
         held = self.wallets.get(md_id) or {}
         freshness = self.key_freshness
-        reason = None
+        reason = witness = None
         for ap in group.ordered_members:
             entry = held.get(ap)
             if entry is None or now - entry.received_at > freshness:
-                reason = DENY_MISSING
+                reason, witness = DENY_MISSING, ap
                 break
             if entry.key.epoch != epoch:
                 reason = reason or DENY_STALE
@@ -240,12 +283,54 @@ class AuthnService:
             reason = DENY_MISSING  # no keys ever distributed
 
         granted = reason is None
+        pair = (md_id, group_id)
         if granted:
-            self.grants[(md_id, group_id)] = Grant(epoch, now)
+            self.grants[pair] = Grant(epoch, now)
         else:
-            self.grants.pop((md_id, group_id), None)
-        self.auth_log.append(md_id, group_id, granted, reason, epoch, now)
+            self.grants.pop(pair, None)
+        row = self.auth_log.append(md_id, group_id, granted, reason, epoch, now)
+        if witness is not None:
+            self.denials[pair] = (epoch, row, witness)
         return AuthDecision(md_id, group_id, granted, reason, epoch, now)
+
+    def reauthenticate(self, recipients: list[str], serving_of: dict[str, str],
+                       now: float) -> list[tuple[str, bool, bool]]:
+        """Decide, in order, each of `recipients` whose serving AP (`serving_of`)
+        is grouped and that holds no grant of that group's current epoch, as
+        `authenticate` would. Returns (md, gate flipped, granted) for each
+        decision that flipped the gate or granted.
+
+        A pair that holds no grant, whose latest `missing-keys` denial is of
+        the current epoch, and whose member named by it is still missing or
+        stale at `now`, is denied again without a scan: any missing or stale
+        member gives that row, whatever the member order.
+        """
+        group_of, grants, epochs, denials = self.group_of, self.grants, self.epochs, self.denials
+        wallets, freshness, log = self.wallets, self.key_freshness, self.auth_log
+        changed, repeats = [], []  # repeats: the rows of denials not yet logged
+        for md in recipients:
+            gid = group_of.get(serving_of.get(md))
+            if gid is None:
+                continue
+            pair = (md, gid)
+            grant = grants.get(pair)
+            epoch = epochs[gid]
+            if grant is None:
+                denial = denials.get(pair)
+                if denial is not None and denial[0] == epoch:
+                    entry = (wallets.get(md) or {}).get(denial[2])
+                    if entry is None or now - entry.received_at > freshness:
+                        repeats.append(denial[1])
+                        continue
+            elif grant.epoch == epoch:
+                continue
+            log.extend_rows(repeats, now)
+            repeats.clear()
+            granted = self.authenticate(md, gid, now).granted
+            if granted or grant is not None:
+                changed.append((md, granted != (grant is not None), granted))
+        log.extend_rows(repeats, now)
+        return changed
 
     def revoke(self, md_id: str, group_id: str) -> None:
         self.grants.pop((md_id, group_id), None)

@@ -41,7 +41,10 @@ Coverage is kept, not recomputed: each AP has a roster of the devices whose
 position lies in its disc, which `apply_move` updates on every position
 change; that is the only disc test the world makes. A device is covered by
 an AP that is alive and has it on its roster, and a beacon delivery visits
-the AP's roster in name order instead of every device.
+the AP's roster in name order instead of every device. A delivery is one
+batch: the whole roster hears the key, then each recipient re-authenticates
+as needed, in name order, and a repeated denial is logged without a wallet
+scan (see `authn`).
 A packet-in workload offers one packet-in per AP per period. The arrivals
 of one instant are one event, which serves the APs due then in name order,
 each at its controller's single server, and schedules the next instant
@@ -313,7 +316,7 @@ class World:
     def _beacon_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
         """One AP's beacon handler and note, and its key delivery's, built once."""
         eng, p, authn, ap = self.engine, self.params, self.authn, self.aps[ap_name]
-        roster, mobility = self.disc_roster[ap_name], self.mobility
+        roster = self.disc_roster[ap_name]
         note, deliver_note = f"beacon:{ap_name}", f"key:{ap_name}"
 
         def beacon() -> None:
@@ -325,31 +328,25 @@ class World:
                 eng.schedule(nxt, "beacon", beacon, note)
 
         def deliver() -> None:
-            # recipients are the AP's roster at delivery time, in name order;
-            # each re-authenticates off its fresh wallet when it is served by
-            # a grouped AP and holds no grant of that group's current epoch
-            now = eng.now
-            if authn.current_key(ap_name) is None or not ap.alive:
-                return
-            active, serving_of = authn.active, mobility.association_ap
-            group_of, grants, epochs = authn.group_of, authn.grants, authn.epochs
-            for md in sorted(roster):
-                authn.receive_beacon(md, ap_name, now)
-                if not active:
-                    continue
-                gid = group_of.get(serving_of.get(md))
-                if gid is None:
-                    continue
-                grant = grants.get((md, gid))
-                if grant is not None and grant.epoch == epochs.get(gid):
-                    continue
-                granted = authn.authenticate(md, gid, now).granted
-                if granted != (grant is not None):  # the gate flips
+            if authn.current_key(ap_name) is not None and ap.alive:
+                self._deliver_key(ap_name, sorted(roster))
+
+        return beacon, note
+
+    def _deliver_key(self, ap_name: str, recipients: list[str]) -> None:
+        """`ap_name`'s key reaches `recipients`, its roster in name order, as
+        one batch: all hear it, then each re-authenticates off its wallet, in
+        order, when it is served by a grouped AP and holds no grant of that
+        group's current epoch. A decision reads only its own device's wallet,
+        so hearing first decides as hearing and deciding device by device."""
+        authn, now = self.authn, self.engine.now
+        authn.hear(ap_name, recipients, now)
+        if authn.active:
+            for md, flipped, granted in authn.reauthenticate(recipients, self.mobility.association_ap, now):
+                if flipped:  # the gate flips
                     self._mark(self._md_streams.get(md, ()))
                 if granted:
                     self._readmit_streams(md)
-
-        return beacon, note
 
     def _readmit_streams(self, md: str) -> None:
         """A grant after a gate block costs the transport recovery lag."""

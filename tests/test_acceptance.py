@@ -24,6 +24,8 @@ from sdedge.scheduler import (
 )
 from sdedge.simnet import World
 
+from textdiff import first_difference
+
 SAMPLE = 0.1
 
 
@@ -384,16 +386,16 @@ def _auth_world(seed):
     moves = "\n".join(f"move M1 {t} {x},{y} staying" for t, x, y in pts)
     sc = parse_scenario_text(AUTH_ARENA.format(seed=seed, x0=x0, y0=y0, moves=moves), f"auth{seed}")
     world = World(sc)
-    deliveries = []  # (t, md, ap, epoch) per key a beacon delivered
-    receive = world.authn.receive_beacon
+    deliveries = []  # (t, md, ap, epoch) per key a beacon delivered, per recipient
+    hear = world.authn.hear
 
-    def recording_receive(md, ap, now):
-        key = receive(md, ap, now)
+    def recording_hear(ap, recipients, now):
+        key = hear(ap, recipients, now)
         if key is not None:
-            deliveries.append((now, md, ap, key.epoch))
+            deliveries.extend((now, md, ap, key.epoch) for md in recipients)
         return key
 
-    world.authn.receive_beacon = recording_receive
+    world.authn.hear = recording_hear
     world.run()
     return world, [(0.0, x0, y0)] + pts, deliveries
 
@@ -471,7 +473,7 @@ def test_a10_metrics_files_are_byte_identical():
     for name, overrides in cases:
         _, r1 = run_bundled(name, **overrides)
         _, r2 = run_bundled(name, **overrides)
-        assert render_csv(r1) == render_csv(r2), f"{name} {overrides}: csv drifted"
-        assert render_json(r1) == render_json(r2), f"{name} {overrides}: json drifted"
+        assert first_difference(render_csv(r1), render_csv(r2)) is None, f"{name} {overrides}: csv drifted"
+        assert first_difference(render_json(r1), render_json(r2)) is None, f"{name} {overrides}: json drifted"
     elapsed = time.time() - t0
     print(f"[A10] PASS determinism: {len(cases)} scenario runs byte-identical on repeat ({elapsed:.2f}s)")

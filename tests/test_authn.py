@@ -11,6 +11,7 @@ from sdedge.authn import (
     MODE_NONE,
     MODE_PAP,
     AuthnService,
+    Grant,
     LocationGroup,
 )
 
@@ -139,6 +140,85 @@ def test_key_delivery_deferred_for_down_ap():
     keys = svc.rotate_group_keys("G1", now=0.0, down_aps={"AP2"})
     assert len(keys) == 3
     assert svc.current_key("AP2") is None
+
+
+def test_hearing_a_delivery_is_receive_beacon_per_recipient_with_one_shared_entry():
+    batch, single = make_service(), make_service()
+    for svc in (batch, single):
+        old = svc.rotate_group_keys("G1", now=0.0)
+        svc.rotate_group_keys("G1", now=1.0)
+        svc.receive_beacon("M2", "AP1", 1.1)  # an epoch-2 entry
+        svc.ap_keys["AP1"] = old[0]  # AP1 broadcasts its epoch-1 key again
+    key = batch.hear("AP1", ["M1", "M2", "M3"], 1.2)
+    assert key.epoch == 1
+    assert [single.receive_beacon(md, "AP1", 1.2) for md in ("M1", "M2", "M3")] == [key] * 3
+    assert batch.wallets == single.wallets
+    assert batch.wallets["M2"]["AP1"].key.epoch == 2  # a later epoch is kept
+    assert batch.wallets["M1"]["AP1"] is batch.wallets["M3"]["AP1"]
+    assert batch.hear("AP9", ["M4"], 1.2) is None and "M4" not in batch.wallets
+
+
+def test_a_repeated_denial_is_its_logged_row_until_its_missing_key_arrives():
+    svc = make_service(freshness=0.25)
+    svc.rotate_group_keys("G1", now=0.0)
+    scans = []
+    authenticate = svc.authenticate
+
+    def scan(md, gid, now):
+        scans.append(now)
+        return authenticate(md, gid, now)
+
+    svc.authenticate = scan
+    serving = {"M1": "AP1", "M2": "AP9"}  # AP9 is in no group
+
+    def wave(ap, now):
+        svc.hear(ap, ["M1", "M2"], now)
+        return svc.reauthenticate(["M1", "M2"], serving, now)
+
+    assert wave("AP1", 0.0) == []
+    assert svc.denials[("M1", "G1")] == (1, 0, "AP2")  # epoch, row, the first missing member
+    assert wave("AP1", 0.1) == []  # AP2 still missing: no scan
+    assert wave("AP2", 0.2) == []  # AP2 arrives: a scan finds AP3 missing
+    assert svc.denials[("M1", "G1")] == (1, 0, "AP3")
+    assert wave("AP1", 0.3) == []
+    assert wave("AP3", 0.4) == [("M1", True, True)]  # AP1 at 0.3 and AP2 at 0.2 are fresh
+    assert scans == [0.0, 0.2, 0.4]
+    assert [(d.md_id, d.granted, d.reason, d.epoch, d.at) for d in svc.auth_log] == [
+        ("M1", False, DENY_MISSING, 1, 0.0), ("M1", False, DENY_MISSING, 1, 0.1),
+        ("M1", False, DENY_MISSING, 1, 0.2), ("M1", False, DENY_MISSING, 1, 0.3), ("M1", True, None, 1, 0.4),
+    ]
+    assert list(svc.auth_log.index) == [0, 0, 0, 0, 1] and svc.auth_log.grants == 1
+    # after a rotation the old denial proves nothing: a scan denies, with a new witness
+    svc.rotate_group_keys("G1", now=0.5)
+    assert wave("AP1", 0.6) == [("M1", True, False)]  # the epoch-1 grant is revoked
+    assert svc.denials[("M1", "G1")] == (2, 2, "AP2") and scans[-1] == 0.6
+    # a pair that holds a grant is scanned, whatever its denials
+    svc.grants[("M1", "G1")] = Grant(1, 0.4)
+    assert wave("AP1", 0.7) == [("M1", True, False)]
+    assert scans[-1] == 0.7 and not svc.is_granted("M1", "G1")
+
+
+def test_a_cached_denial_holds_a_few_hundred_bytes():
+    # one `missing-keys` denial per device: the cache holds one entry per
+    # (device, group) pair, and a gated run holds about a thousand pairs
+    svc = AuthnService(MODE_PAP)
+    svc.register_group(LocationGroup("G1", frozenset({"AP1", "AP2"})))
+    svc.rotate_group_keys("G1", 0.0)
+    mds = [f"M{i:04d}" for i in range(5000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for md in mds:
+            svc.authenticate(md, "G1", 0.0)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(svc.denials) == len(mds)
+        svc.denials.clear()
+        gc.collect()
+        held = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(mds) < 256, held / len(mds)
 
 
 def test_the_decision_log_holds_a_few_bytes_per_decision():

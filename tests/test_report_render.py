@@ -28,6 +28,8 @@ from sdedge.report import SCHEMA_VERSION, MetricsReport, Throughput, emit, rende
 from sdedge.scenario import bundled_scenario_path, parse_scenario
 from sdedge.simnet import run_scenario
 
+from textdiff import first_difference
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -154,16 +156,6 @@ def reference_csv(report: MetricsReport) -> str:
     """The CSV text, each throughput row's numbers spelled by `repr`."""
     return (f"# schema={SCHEMA_VERSION} scenario={report.scenario} seed={report.seed} mode={report.mode}\n"
             "t,stream_id,mbps\n" + "".join(f"{t!r},{sid},{mbps!r}\n" for t, sid, mbps in report.throughput))
-
-
-def first_difference(text: str, reference: str) -> tuple | None:
-    """None if the texts are equal, else the first line where they part, in
-    each: pytest's own diff of two texts of megabytes takes minutes."""
-    if text == reference:
-        return None
-    a, b = text.splitlines(), reference.splitlines()
-    i = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
-    return i, a[i:i + 1], b[i:i + 1]
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
