@@ -4,37 +4,41 @@ Reports are pure data derived from a finished run; emitting the same
 report twice (or a report from a repeated run with the same seed) must be
 byte-identical, so serialization sorts keys and uses repr-exact floats.
 
-A report holds each of its two big lists in one form. Its throughput is a
-`Throughput`: per stream, its start, stop and runs (first instant, Mbps),
+A report holds each of its three big lists in one form. Its throughput is
+a `Throughput`: per stream, its start, stop and runs (first instant, Mbps),
 which the dense rows (t, stream, Mbps) are expanded from only when
 something reads them, one instant at a time, so a reader never holds every
-row's run index at once. Its auth log is the run's `DecisionLog`: its
-distinct rows plus one row index per decision and one `at` per instant.
+row's run index at once. Its handovers are a `HandoverLog` and its auth
+log is the run's `DecisionLog`: each holds its distinct rows once, plus
+one row index per entry and one time per instant.
 
 The JSON document is exactly what `json.dumps(document, sort_keys=True,
 indent=1)` prints. That call cannot use the C encoder, because it indents,
 so it renders only the small part of the document. Row writers own the
-three big lists (throughput, handovers, auth_events). Throughput, as JSON
-or CSV, and the auth rows share one writer, `_instant_rows`: the text of
-each distinct row (a run, or a decision's granted, group, md and reason)
-is made once, the text of each instant once, and one instant's rows, at
-most a batch, are joined at a time. The handover writer encodes each
-scalar by its type and joins rows in bounded batches. `emit` writes the
-chunks straight to the file as they are made, so its peak is the report
-plus one chunk, not the report plus its text. tests/test_report_render.py
-pins the equivalence against that `json.dumps` call on generated reports.
+three big lists (throughput, handovers, auth_events). Each makes the text
+of each distinct row (a run, a decision's granted, group, md and reason,
+or a handover's fields but its md and t) once and the text of each
+instant once, and joins one instant's rows, at most a batch, at a time.
+Throughput, as JSON or CSV, and the auth rows share `_instant_rows`; a
+handover's md and t sit between its row's fields, so `_handover_chunks`
+writes the handovers beside it and makes each md's text once too. `emit`
+writes the chunks straight to the file as they are made, so its peak is
+the report plus one chunk, not the report plus its text.
+tests/test_report_render.py pins the equivalence against that
+`json.dumps` call on generated reports.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush, merge
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from pathlib import Path
@@ -161,6 +165,65 @@ def _delivered(rows: Throughput, stream_id: str | None) -> tuple[float, int]:
     return total, len(last_t)
 
 
+class HandoverLog:
+    """Handovers in the order made, each distinct (kind, from_ap, to_ap,
+    from_controller, to_controller, latency, messages) kept once.
+
+    `rows` holds the distinct rows in order of first use; per handover,
+    `mds` holds its device and `index` its row. A handover's `t` is kept
+    once per instant: a new one starts wherever its rendered `t` would
+    differ from the previous handover's. A row is interned only with rows
+    that print the same: latency and messages are keyed by their repr too,
+    so 0.0 and -0.0, and 1, 1.0 and True, stay apart. Iterating yields the
+    same nine-key dicts, in handover order, made on demand.
+    """
+
+    def __init__(self):
+        self.rows: list[tuple[str, str | None, str, str | None, str, float, int]] = []
+        self._row_of: dict[tuple, int] = {}
+        self.mds: list[str] = []
+        self.index = array("I")
+        self.starts = array("I")  # the first handover of each instant
+        self.times: list[float] = []  # each instant's `t`
+        self._t: float | None = None  # the latest handover's `t`
+
+    def append(self, t: float, md: str, kind: str, from_ap: str | None, to_ap: str,
+               from_controller: str | None, to_controller: str, latency: float, messages: int) -> None:
+        row = (kind, from_ap, to_ap, from_controller, to_controller, latency, messages)
+        key = (row, repr(latency), repr(messages))
+        i = self._row_of.get(key)
+        if i is None:
+            i = self._row_of[key] = len(self.rows)
+            self.rows.append(row)
+        if t is not self._t and (t != self._t or repr(t) != repr(self._t)):
+            self.starts.append(len(self.index))
+            self.times.append(t)
+        self._t = t
+        self.mds.append(md)
+        self.index.append(i)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def instants(self) -> Iterator[tuple[float, array, list[str]]]:
+        """Per instant, in handover order, its `t` and its handovers' row indices and mds."""
+        index, mds, starts = self.index, self.mds, self.starts
+        for t, lo, hi in zip(self.times, starts, [*starts[1:], len(index)]):
+            yield t, index[lo:hi], mds[lo:hi]
+
+    def __iter__(self) -> Iterator[dict]:
+        rows = self.rows
+        for t, ids, mds in self.instants():
+            for row, md in zip(ids, mds):
+                kind, from_ap, to_ap, from_controller, to_controller, latency, messages = rows[row]
+                yield {"t": t, "md": md, "kind": kind, "from_ap": from_ap, "to_ap": to_ap,
+                       "from_controller": from_controller, "to_controller": to_controller,
+                       "latency": latency, "messages": messages}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (list, HandoverLog)) and list(self) == list(other)
+
+
 @dataclass
 class MetricsReport:
     scenario: str
@@ -169,8 +232,8 @@ class MetricsReport:
     duration: float
     personal_ap: bool = False
     throughput: Throughput = field(default_factory=lambda: Throughput(1.0, ()))
-    # per association change / controller handover
-    handovers: list[dict] = field(default_factory=list)
+    # every association change / controller handover, in the order made
+    handovers: HandoverLog = field(default_factory=HandoverLog)
     packet_in: dict[str, int] = field(default_factory=dict)
     lookup_hops: dict[int, int] = field(default_factory=dict)
     # every access decision of the run, in the order it was made
@@ -190,12 +253,14 @@ class MetricsReport:
         """The mean, summed left to right: the built-in `sum()` compensates
         float rounding from Python 3.12 on, which would change the report
         with the interpreter."""
-        if not self.handovers:
+        log = self.handovers
+        if not log:
             return None
+        latencies = [row[5] for row in log.rows]
         total = 0
-        for h in self.handovers:
-            total += h["latency"]
-        return total / len(self.handovers)
+        for row in log.index:
+            total += latencies[row]
+        return total / len(log)
 
     def summary(self) -> dict:
         log = self.auth_events
@@ -236,7 +301,6 @@ class MetricsReport:
 
 
 _BATCH = 4096  # rows per joined chunk: bounds the short-lived row strings
-_ROW_INDENT = "\n   "  # a row's values sit three levels deep: document, list, row
 
 
 def _value(v) -> str:
@@ -253,7 +317,7 @@ def _value(v) -> str:
         return "null"
     elif kind is int:
         return int.__repr__(v)
-    return json.dumps(v, sort_keys=True, indent=1).replace("\n", _ROW_INDENT)
+    return json.dumps(v)
 
 
 def _instant_rows(texts: list[str], instants: Iterable[tuple[object, Sequence[int]]],
@@ -276,15 +340,28 @@ def _throughput_chunks(throughput: Throughput) -> Iterator[str]:
                          lambda t: f"  [\n   {_value(t)},\n   ", lambda t: "\n  ]", ",\n")
 
 
-def _dict_rows(rows: list[dict]) -> Iterator[str]:
-    """Flat dict rows; the sorted key layout is worked out once per key set."""
-    layout = keys = template = None
-    for row in rows:
-        if row.keys() != layout:
-            layout, keys = row.keys(), sorted(row)
-            fields = ",\n".join("   " + _encode_str(k).replace("%", "%%") + ": %s" for k in keys)
-            template = "  {\n" + fields + "\n  }"
-        yield template % tuple([_value(row[k]) for k in keys])
+# a handover's fields in the document, keys sorted: its row's head, its md,
+# its row's middle, its instant's `t` and its row's tail
+_HANDOVER_HEAD = '  {\n   "from_ap": %s,\n   "from_controller": %s,\n   "kind": %s,\n   "latency": %s,\n   "md": '
+_HANDOVER_MID = ',\n   "messages": %s,\n   "t": '
+_HANDOVER_TAIL = ',\n   "to_ap": %s,\n   "to_controller": %s\n  }'
+
+
+def _handover_chunks(log: HandoverLog) -> Iterator[str]:
+    """Handovers as rows of their nine fields. The texts of each distinct
+    row, of each md and of each instant's `t` are made once, and one
+    instant's rows, at most _BATCH of them, are joined to a chunk."""
+    heads, mids, tails = [], [], []
+    for kind, from_ap, to_ap, from_controller, to_controller, latency, messages in log.rows:
+        heads.append(_HANDOVER_HEAD % (_value(from_ap), _value(from_controller), _value(kind), _value(latency)))
+        mids.append(_HANDOVER_MID % _value(messages))
+        tails.append(_HANDOVER_TAIL % (_value(to_ap), _value(to_controller)))
+    md_texts = {md: _value(md) for md in set(log.mds)}
+    for t, ids, mds in log.instants():
+        t = _value(t)
+        for i in range(0, len(ids), _BATCH):
+            yield ",\n".join([f"{heads[row]}{md_texts[md]}{mids[row]}{t}{tails[row]}"
+                              for row, md in zip(ids[i:i + _BATCH], mds[i:i + _BATCH])])
 
 
 # an auth decision's fields in the document, keys sorted, up to its `t`
@@ -298,16 +375,10 @@ def _decision_chunks(log: DecisionLog) -> Iterator[str]:
     return _instant_rows(heads, log.instants(), lambda at: "  {\n", lambda at: _value(at) + "\n  }", ",\n")
 
 
-def _batched(rows: Iterator[str]) -> Iterator[str]:
-    """Rows, _BATCH to a chunk; a row is never empty."""
-    while chunk := ",\n".join(islice(rows, _BATCH)):
-        yield chunk
-
-
 # the document's big lists, each with the writer of its chunks for its row shape
-_ROW_LISTS: dict[str, Callable[[list | Throughput | DecisionLog], Iterator[str]]] = {
+_ROW_LISTS: dict[str, Callable[[Throughput | HandoverLog | DecisionLog], Iterator[str]]] = {
     "auth_events": _decision_chunks,
-    "handovers": lambda rows: _batched(_dict_rows(rows)),
+    "handovers": _handover_chunks,
     "throughput": _throughput_chunks,
 }
 

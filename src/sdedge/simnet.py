@@ -67,7 +67,7 @@ from .authn import AuthnService, LocationGroup
 from .engine import EventEngine, later
 from .errors import HandoverFailure, NotAMember, UsageError
 from .mobility import MobilityManager
-from .report import MetricsReport, Throughput
+from .report import HandoverLog, MetricsReport, Throughput
 from .ring import OverlayRing
 from .scenario import Params, Scenario, StreamDecl, WaypointDecl, ring_keys
 from .scheduler import APStatus, FlowRequest, PartitionView, ViewEvent, best_ap, update_partition_view
@@ -194,8 +194,8 @@ class World:
         self.streams: dict[str, StreamState] = {
             s.name: StreamState(s, p.duration if s.end is None else min(s.end, p.duration)) for s in scenario.streams
         }
-        self._md_streams: dict[str, list[StreamState]] = {}
-        for st in self.streams.values():
+        self._md_streams: dict[str, list[StreamState]] = {}  # device -> its streams, by name
+        for st in sorted(self.streams.values(), key=lambda s: s.name):
             self._md_streams.setdefault(st.decl.md, []).append(st)
         # the sampler's state: see `_sample`
         self._due: dict[float, _Chain] = {}  # sample instant -> the chain due then
@@ -204,7 +204,7 @@ class World:
         self._min_demand = min((s.demand for s in scenario.streams), default=0.0)
 
         # --- metrics ------------------------------------------------------------
-        self.handover_rows: list[dict] = []
+        self.handover_rows = HandoverLog()
         self.packet_in: dict[str, int] = {c.name: 0 for c in active}
         self.lookup_hops: dict[int, int] = {}
         self.record_losses: list[str] = []
@@ -400,7 +400,7 @@ class World:
         active = self._running(md)
         if not active:
             return None
-        lead = sorted(active, key=lambda st: (-st.decl.demand, st.name))[0]
+        lead = min(active, key=lambda st: (-st.decl.demand, st.name))
         return FlowRequest(md, lead.decl.flow_type, lead.decl.demand, lead.decl.tech)
 
     def _associate(self, md: str, new_ap: str, reason: str) -> None:
@@ -440,19 +440,8 @@ class World:
         for st in self._md_streams.get(md, ()):
             st.gap_until = max(st.gap_until, later(now, total))
         self._replace_flows(md, new_ap)
-        self.handover_rows.append(
-            {
-                "t": now,
-                "md": md,
-                "kind": reason if reason == "ap-recovery" else kind,
-                "from_ap": old_ap,
-                "to_ap": new_ap,
-                "from_controller": old_ctrl,
-                "to_controller": new_ctrl,
-                "latency": total,
-                "messages": outcome.messages if outcome else 0,
-            }
-        )
+        self.handover_rows.append(now, md, reason if reason == "ap-recovery" else kind, old_ap, new_ap,
+                                  old_ctrl, new_ctrl, total, outcome.messages if outcome else 0)
 
     def _disconnect(self, md: str) -> None:
         state = self.mds[md]
@@ -517,7 +506,7 @@ class World:
         self._wake(ap_name)
 
     def _replace_flows(self, md: str, new_ap: str) -> None:
-        for st in sorted(self._md_streams.get(md, ()), key=lambda s: s.name):
+        for st in self._md_streams.get(md, ()):
             self._unplace(st)
             self._place_flow(st, new_ap)
 

@@ -3,8 +3,9 @@
 `render_json` writes the big row lists with its own row writers; these tests
 pin its output, byte for byte, to `json.dumps(document, sort_keys=True,
 indent=1) + "\\n"` over generated reports, whose throughput is a runs-backed
-`Throughput` and whose auth log is a `DecisionLog`, as a run makes them, and
-pin the CSV rows to their plain `repr` spelling. The generators favour the
+`Throughput`, whose handovers are a `HandoverLog` and whose auth log is a
+`DecisionLog`, as a run makes them, and pin the CSV rows to their plain
+`repr` spelling. The generators favour the
 values where the two could part: signed zero, subnormal and large floats, the
 non-finite floats json spells its own way, ints and bools where floats are
 expected, None, names that need escaping, and empty lists and tables.
@@ -12,6 +13,7 @@ expected, None, names that need escaping, and empty lists and tables.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import tempfile
@@ -24,7 +26,7 @@ import pytest
 from sdedge import report as report_module
 from sdedge.authn import AuthDecision, DecisionLog
 from sdedge.errors import EmitError
-from sdedge.report import SCHEMA_VERSION, MetricsReport, Throughput, emit, render_csv, render_json
+from sdedge.report import SCHEMA_VERSION, HandoverLog, MetricsReport, Throughput, emit, render_csv, render_json
 from sdedge.scenario import bundled_scenario_path, parse_scenario
 from sdedge.simnet import run_scenario
 
@@ -39,23 +41,8 @@ names = st.one_of(
     st.sampled_from(("M1", "é", " ", "😀", '"', "\\", "\x00\n\t\x1f", "%s", "%")),
     st.text(st.characters(codec="utf-8"), max_size=6),
 )
-scalars = st.one_of(numbers, names, st.none())
-values = st.one_of(scalars, st.lists(scalars, max_size=2), st.dictionaries(names, scalars, max_size=2))
-
-
-def dict_rows(required: dict) -> st.SearchStrategy:
-    """Rows with the keys `summary()` reads, plus extra keys that change the layout."""
-    return st.builds(
-        lambda base, extra: {**extra, **base},
-        st.fixed_dictionaries(required),
-        st.dictionaries(names, values, max_size=2),
-    )
-
-
-handover_rows = dict_rows({
-    "t": numbers, "md": names, "kind": names, "from_ap": st.one_of(names, st.none()),
-    "to_ap": names, "latency": numbers, "messages": st.integers(0, 9),
-})
+# values that are equal but print apart, and a NaN
+APART = (0.0, -0.0, 1, 1.0, True, math.nan)
 
 
 def runs_of(sid, start, samples, period, slack=0.0):
@@ -115,6 +102,37 @@ def decision_log(decisions) -> DecisionLog:
     return log
 
 
+HANDOVER_KEYS = ("t", "md", "kind", "from_ap", "to_ap", "from_controller", "to_controller", "latency", "messages")
+
+
+def handover(*fields) -> dict:
+    """A handover as the dict a log yields for it, keys in its order."""
+    return dict(zip(HANDOVER_KEYS, fields))
+
+
+# handovers as a run appends them. Names come from small pools as often as
+# from `names`, so that rows repeat and are interned; `t` and `latency` draw
+# APART as often as any number, so that equal rows that print apart, and
+# instants that print apart, fall within one example
+pooled_names = st.one_of(st.sampled_from(("AP1", "C1")), names)
+logged_handovers = st.lists(st.builds(
+    handover,
+    st.one_of(st.sampled_from(APART), st.just(0.5).map(lambda x: x * 1.0), numbers),
+    st.one_of(st.sampled_from(("M1", "M2")), names),
+    st.one_of(st.sampled_from(("associate", "pap-migrate")), names),
+    st.one_of(pooled_names, st.none()), pooled_names, st.one_of(pooled_names, st.none()), pooled_names,
+    st.one_of(st.sampled_from(APART), numbers),
+    st.one_of(st.sampled_from((0, 1, True)), st.integers()),
+), max_size=12)
+
+
+def handover_log(handovers) -> HandoverLog:
+    log = HandoverLog()
+    for h in handovers:
+        log.append(*h.values())
+    return log
+
+
 reports = st.builds(
     MetricsReport,
     scenario=names,
@@ -123,7 +141,7 @@ reports = st.builds(
     duration=numbers,
     personal_ap=st.booleans(),
     throughput=runs_streams.map(lambda runs: Throughput(*runs)),
-    handovers=st.lists(handover_rows, max_size=4),
+    handovers=logged_handovers.map(handover_log),
     packet_in=st.dictionaries(names, st.integers(0, 99), max_size=3),
     lookup_hops=st.dictionaries(st.integers(0, 40), st.integers(1, 99), max_size=3),
     auth_events=logged_decisions.map(decision_log),
@@ -142,7 +160,7 @@ def reference_json(report: MetricsReport) -> str:
         "duration": report.duration,
         "summary": report.summary(),
         "throughput": [[t, sid, mbps] for t, sid, mbps in report.throughput],
-        "handovers": report.handovers,
+        "handovers": list(report.handovers),
         "packet_in": {k: report.packet_in[k] for k in sorted(report.packet_in)},
         "lookup_hops": {str(h): report.lookup_hops[h] for h in sorted(report.lookup_hops)},
         "auth_events": [{"t": d.at, "md": d.md_id, "group": d.group_id, "granted": d.granted, "reason": d.reason}
@@ -171,19 +189,22 @@ def test_render_json_matches_json_dumps_and_emit_writes_its_bytes(report):
 
 
 def test_rows_spanning_several_batches_match_json_dumps():
-    # one instant's throughput rows, and one instant's decisions, each span three batches
+    # one instant's throughput rows, decisions and handovers each span three batches
     n = report_module._BATCH
     streams = [runs_of(f"S{i}", 0.0, [float(i % 7)] * 2, 0.1) for i in range(2 * n + 1)]
     decisions = [AuthDecision("M2é", "G1", i % 2 == 0, (None, "ok")[i % 2], 0, float(i // (2 * n + 1)))
                  for i in range(2 * n + 2)]
+    handovers = [handover(float(i // (2 * n + 1)), f"M{i % 5}é", "reassociate", "AP1", "AP2", None, "C1",
+                          (0.5, math.nan, -math.inf)[i % 3], 0) for i in range(2 * n + 2)]
     report = MetricsReport(
         scenario="batches", seed=1, mode="None", duration=2.0,
         throughput=Throughput(0.1, streams),
-        handovers=[{"t": float(i), "md": "M1", "latency": 0.5, "note": (None, math.nan, -math.inf)[i % 3]}
-                   for i in range(n)],
+        handovers=handover_log(handovers),
         auth_events=decision_log(decisions),
     )
     assert report.throughput == expanded(0.1, streams) and report.auth_events == decisions
+    assert list(map(repr, report.handovers)) == list(map(repr, handovers))
+    assert len(report.handovers.rows) == 3 and len(report.handovers.times) == 2
     assert first_difference(render_json(report), reference_json(report)) is None
     assert first_difference(render_csv(report), reference_csv(report)) is None
 
@@ -223,6 +244,34 @@ def test_a_decision_log_renders_the_bytes_of_its_decisions(decisions, report):
     assert render_json(report) == reference_json(report)
 
 
+def left_to_right_mean(latencies):
+    total = 0
+    for x in latencies:
+        total += x
+    return total / len(latencies)
+
+
+# every pair of APART values as (t, latency), one row apart from the next,
+# and messages 1 and True on otherwise equal rows
+APART_HANDOVERS = [handover(t, "M1", "associate", None, "AP1", None, "C1", latency, 0)
+                   for t in APART for latency in APART]
+APART_HANDOVERS += [handover(True, "M1", "associate", None, "AP1", None, "C1", 1, m) for m in (1, True)]
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.example(APART_HANDOVERS, MetricsReport(scenario="apart", seed=1, mode="None", duration=1.0))
+@hypothesis.given(logged_handovers, reports)
+def test_a_handover_log_renders_the_bytes_of_its_dicts(handovers, report):
+    log = handover_log(handovers)
+    # every field as given, spelled by repr, so values that are equal but print apart stay apart
+    assert list(map(repr, log)) == list(map(repr, handovers)) and len(log) == len(handovers)
+    report.handovers = log
+    if handovers:
+        mean = left_to_right_mean([h["latency"] for h in handovers])
+        assert repr(report.mean_handover_latency()) == repr(mean)
+    assert render_json(report) == reference_json(report)
+
+
 def test_an_instant_of_several_batches_of_decisions_renders_their_bytes():
     n = report_module._BATCH
     decisions = [AuthDecision(f"M{i % 7}", "G1", i % 5 == 0, (None, "missing-keys")[i % 5 > 0], 1, t)
@@ -236,10 +285,34 @@ def test_an_instant_of_several_batches_of_decisions_renders_their_bytes():
 def test_mean_handover_latency_sums_left_to_right():
     # the built-in sum() compensates rounding from Python 3.12 on: it would
     # read 1/3 here, and reports would differ across interpreters
-    report = MetricsReport(scenario="fold", seed=1, mode="None", duration=1.0,
-                           handovers=[{"latency": x} for x in (1e16, 1.0, -1e16)])
+    handovers = [handover(0.0, "M1", "reassociate", "AP1", "AP2", "C1", "C1", x, 0) for x in (1e16, 1.0, -1e16)]
+    report = MetricsReport(scenario="fold", seed=1, mode="None", duration=1.0, handovers=handover_log(handovers))
     assert report.mean_handover_latency() == 0.0
     assert report.summary()["mean_handover_latency"] == 0.0
+
+
+def test_the_handover_log_holds_a_few_bytes_per_handover():
+    # 20k handovers over 3000 devices, 2000 instants and 100 distinct rows: a
+    # roam's shape. A list of one nine-key dict per handover holds about 280
+    # bytes each; rows plus one md reference and one row index each hold about 16.
+    mds = [f"M{i:04d}" for i in range(3000)]
+    instants = [round(k * 0.01, 9) for k in range(2000)]
+    rows = [("reassociate", f"AP{k % 10}", f"AP{(k + 1) % 10}", "C1", f"C{k // 10}", round(0.1 + k * 1e-3, 9), k)
+            for k in range(100)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = HandoverLog()
+        for i in range(20_000):
+            log.append(instants[i // 10], mds[i * 7 % 3000], *rows[i * 13 % 100])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 20_000 and len(log.rows) == 100 and len(log.times) == 2000
+    assert len(set(log.mds)) == 3000
+    assert held / len(log) < 32, held / len(log)
 
 
 def test_a_failed_emit_leaves_no_truncated_report(tmp_path, monkeypatch):

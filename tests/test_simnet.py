@@ -72,11 +72,12 @@ def test_same_partition_ap_change_has_no_controller_handover():
     steps = []
     world.mobility.step_observer = lambda step, md: steps.append(step)
     world.run()
-    kinds = [h["kind"] for h in world.handover_rows]
+    rows = list(world.handover_rows)
+    kinds = [h["kind"] for h in rows]
     assert kinds == ["reassociate"]
-    assert world.handover_rows[0]["from_ap"] == "AP1"
-    assert world.handover_rows[0]["to_ap"] == "AP3"
-    assert world.handover_rows[0]["messages"] == 0  # no controller protocol ran
+    assert rows[0]["from_ap"] == "AP1"
+    assert rows[0]["to_ap"] == "AP3"
+    assert rows[0]["messages"] == 0  # no controller protocol ran
     assert steps == []
 
 
