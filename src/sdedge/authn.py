@@ -22,22 +22,16 @@ those decisions repeat a `missing-keys` denial: a denied pair keeps its
 epoch, its log row and the member AP whose key was missing or stale, and
 while the epoch is current and that member's key is still missing or stale
 at `now`, the decision is that same row, with no wallet scan. Any other
-decision scans the wallet through `authenticate`.
-
-Every check is logged in a `DecisionLog`: each distinct (md, group,
-granted, reason, epoch) is kept once as a row, each decision as that row's
-index, and each instant's time once. A gated run's 200k checks fall on a
-few hundred instants and about a thousand rows, so the log holds about five
-bytes per decision; its `AuthDecision`s are made only when something
-iterates it.
+decision scans the wallet through `authenticate`. Every decision is
+logged in `auth_log`, a `report.DecisionLog`.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+
+from .report import AuthDecision, DecisionLog
 
 MODE_NONE = "None"
 MODE_LA = "LEDGE-LA"
@@ -80,84 +74,6 @@ class WalletEntry:
 
     key: BeaconKey
     received_at: float
-
-
-@dataclass(slots=True)
-class AuthDecision:
-    md_id: str
-    group_id: str
-    granted: bool
-    reason: str | None
-    epoch: int
-    at: float
-
-
-class DecisionLog:
-    """Access decisions in the order made, each distinct (md, group, granted,
-    reason, epoch) kept once.
-
-    `rows` holds the distinct rows in order of first use, and `index` the
-    row of each decision. A decision's instant is kept once per instant: a
-    new one starts wherever its rendered `t` would differ from the previous
-    decision's. `grants` counts the granted decisions as they are appended.
-    Iterating yields the same `AuthDecision`s, in decision order, made on
-    demand.
-    """
-
-    def __init__(self):
-        self.rows: list[tuple[str, str, bool, str | None, int]] = []
-        self._row_of: dict[tuple, int] = {}
-        self.index = array("I")
-        self.starts = array("I")  # the first decision of each instant
-        self.times: list[float] = []  # each instant's `at`
-        self._at: float | None = None  # the latest decision's `at`
-        self.grants = 0
-
-    def append(self, md_id: str, group_id: str, granted: bool, reason: str | None, epoch: int, at: float) -> int:
-        """Log one decision; returns its row."""
-        key = (md_id, group_id, granted, reason, epoch)
-        row = self._row_of.get(key)
-        if row is None:
-            row = self._row_of[key] = len(self.rows)
-            self.rows.append(key)
-        if at is not self._at:  # an instant's decisions mostly share one object
-            self._instant(at)
-        self.index.append(row)
-        if granted:
-            self.grants += 1
-        return row
-
-    def extend_rows(self, rows: list[int], at: float) -> None:
-        """Log decisions at `at` that repeat denied rows already in the log, in order."""
-        if rows:
-            if at is not self._at:
-                self._instant(at)
-            self.index.extend(rows)
-
-    def _instant(self, at: float) -> None:
-        """The next decision is at `at`: a new instant, unless it renders as the latest one."""
-        if at != self._at or repr(at) != repr(self._at):
-            self.starts.append(len(self.index))
-            self.times.append(at)
-        self._at = at
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def instants(self) -> Iterator[tuple[float, array]]:
-        """Per instant, in decision order, its `at` and its decisions' row indices."""
-        index, starts = self.index, self.starts
-        for at, lo, hi in zip(self.times, starts, [*starts[1:], len(index)]):
-            yield at, index[lo:hi]
-
-    def __iter__(self) -> Iterator[AuthDecision]:
-        rows = self.rows
-        for at, ids in self.instants():
-            for row in ids:
-                yield AuthDecision(*rows[row], at)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (list, DecisionLog)) and list(self) == list(other)
 
 
 @dataclass(slots=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ScenarioError, SdedgeError, UsageError
 from .report import FORMATS, MetricsReport, emit
-from .scenario import Scenario, apply_overrides, parse_scenario, resolve_scenario
+from .scenario import Params, Scenario, apply_overrides, parse_scenario, resolve_scenario
 from .simnet import World
 
 EXIT_OK = 0
@@ -33,7 +33,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def load_scenario(spec: str, seed: int | None, sets: list[str]) -> tuple[Scenario, "object"]:
+def load_scenario(spec: str, seed: int | None, sets: list[str]) -> tuple[Scenario, Params]:
     scenario = parse_scenario(resolve_scenario(spec))
     overrides = _parse_overrides(sets)
     if seed is not None:
@@ -64,12 +64,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = parse_scenario(resolve_scenario(args.scenario))
-    except ScenarioError as err:
-        for line, col, msg in err.errors:
-            print(f"{args.scenario}:{line}:{col}: {msg}", file=sys.stderr)
-        return EXIT_FAILURE
+    scenario = parse_scenario(resolve_scenario(args.scenario))
     print(
         f"{scenario.name}: ok ({len(scenario.controllers)} controllers, "
         f"{len(scenario.aps)} APs, {len(scenario.mds)} MDs, {len(scenario.streams)} streams)"

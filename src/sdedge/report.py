@@ -8,8 +8,8 @@ A report holds each of its three big lists in one form. Its throughput is
 a `Throughput`: per stream, its start, stop and runs (first instant, Mbps),
 which the dense rows (t, stream, Mbps) are expanded from only when
 something reads them, one instant at a time, so a reader never holds every
-row's run index at once. Its handovers are a `HandoverLog` and its auth
-log is the run's `DecisionLog`: each holds its distinct rows once, plus
+row's run index at once. Its handovers (a `HandoverLog`) and its auth
+decisions (a `DecisionLog`) are each a `RowLog`: its distinct rows once,
 one row index per entry and one time per instant.
 
 The JSON document is exactly what `json.dumps(document, sort_keys=True,
@@ -44,7 +44,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
-from .authn import DecisionLog
 from .engine import later
 from .errors import EmitError
 
@@ -165,63 +164,127 @@ def _delivered(rows: Throughput, stream_id: str | None) -> tuple[float, int]:
     return total, len(last_t)
 
 
-class HandoverLog:
-    """Handovers in the order made, each distinct (kind, from_ap, to_ap,
-    from_controller, to_controller, latency, messages) kept once.
+class RowLog:
+    """Entries in the order made, each distinct row kept once.
 
-    `rows` holds the distinct rows in order of first use; per handover,
-    `mds` holds its device and `index` its row. A handover's `t` is kept
-    once per instant: a new one starts wherever its rendered `t` would
-    differ from the previous handover's. A row is interned only with rows
-    that print the same: latency and messages are keyed by their repr too,
-    so 0.0 and -0.0, and 1, 1.0 and True, stay apart. Iterating yields the
-    same nine-key dicts, in handover order, made on demand.
+    `rows` holds the distinct rows in order of first use, and `index` the
+    row of each entry. An entry's time is kept once per instant: `times`
+    holds each instant's time and `starts` its first entry, and a new
+    instant starts wherever an entry's rendered time would differ from the
+    previous entry's, so 0.0 and -0.0, or 1 and 1.0, stay apart. A subclass
+    keeps the rest of an entry and makes its entries on demand.
     """
 
     def __init__(self):
-        self.rows: list[tuple[str, str | None, str, str | None, str, float, int]] = []
+        self.rows: list[tuple] = []
         self._row_of: dict[tuple, int] = {}
-        self.mds: list[str] = []
         self.index = array("I")
-        self.starts = array("I")  # the first handover of each instant
-        self.times: list[float] = []  # each instant's `t`
-        self._t: float | None = None  # the latest handover's `t`
+        self.starts = array("I")  # the first entry of each instant
+        self.times: list[float] = []  # each instant's time
+        self._t: float | None = None  # the latest entry's time
 
-    def append(self, t: float, md: str, kind: str, from_ap: str | None, to_ap: str,
-               from_controller: str | None, to_controller: str, latency: float, messages: int) -> None:
-        row = (kind, from_ap, to_ap, from_controller, to_controller, latency, messages)
-        key = (row, repr(latency), repr(messages))
+    def _append(self, key: tuple, row: tuple, t: float) -> int:
+        """Log one entry of `row`, interned under `key`, at `t`; returns its row."""
         i = self._row_of.get(key)
         if i is None:
             i = self._row_of[key] = len(self.rows)
             self.rows.append(row)
-        if t is not self._t and (t != self._t or repr(t) != repr(self._t)):
+        if t is not self._t:  # an instant's entries mostly share one object
+            self._instant(t)
+        self.index.append(i)
+        return i
+
+    def extend_rows(self, rows: list[int], t: float) -> None:
+        """Log entries at `t` that repeat rows already in the log, in order:
+        for a log whose entry is only its row and time, as a `DecisionLog`'s."""
+        if rows:
+            if t is not self._t:
+                self._instant(t)
+            self.index.extend(rows)
+
+    def _instant(self, t: float) -> None:
+        """The next entry is at `t`: a new instant, unless it renders as the latest one."""
+        if t != self._t or repr(t) != repr(self._t):
             self.starts.append(len(self.index))
             self.times.append(t)
         self._t = t
-        self.mds.append(md)
-        self.index.append(i)
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def instants(self) -> Iterator[tuple[float, array, list[str]]]:
-        """Per instant, in handover order, its `t` and its handovers' row indices and mds."""
-        index, mds, starts = self.index, self.mds, self.starts
-        for t, lo, hi in zip(self.times, starts, [*starts[1:], len(index)]):
-            yield t, index[lo:hi], mds[lo:hi]
+    def spans(self) -> Iterator[tuple[float, int, int]]:
+        """Per instant, in entry order, its time and the bounds [lo, hi) of its entries."""
+        starts = self.starts
+        return zip(self.times, starts, [*starts[1:], len(self.index)])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (list, type(self))) and list(self) == list(other)
+
+
+@dataclass(slots=True)
+class AuthDecision:
+    md_id: str
+    group_id: str
+    granted: bool
+    reason: str | None
+    epoch: int
+    at: float
+
+
+class DecisionLog(RowLog):
+    """Access decisions, each distinct (md, group, granted, reason, epoch)
+    kept once as a row. A gated run's 200k checks fall on a few hundred
+    instants and about a thousand rows, so the log holds about five bytes
+    per decision. `grants` counts the granted decisions as they are
+    appended; `extend_rows` repeats denied rows only. Iterating yields the
+    `AuthDecision`s in decision order.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.grants = 0
+
+    def append(self, md_id: str, group_id: str, granted: bool, reason: str | None, epoch: int, at: float) -> int:
+        """Log one decision; returns its row."""
+        key = (md_id, group_id, granted, reason, epoch)
+        if granted:
+            self.grants += 1
+        return self._append(key, key, at)
+
+    def __iter__(self) -> Iterator[AuthDecision]:
+        rows, index = self.rows, self.index
+        for at, lo, hi in self.spans():
+            for row in index[lo:hi]:
+                yield AuthDecision(*rows[row], at)
+
+
+class HandoverLog(RowLog):
+    """Handovers, each distinct (kind, from_ap, to_ap, from_controller,
+    to_controller, latency, messages) kept once as a row, and each
+    handover's md in `mds`. A row is interned only with rows that print the
+    same: latency and messages are keyed by their repr too, so 0.0 and
+    -0.0, and 1, 1.0 and True, stay apart. Iterating yields one nine-key
+    dict per handover, in handover order.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.mds: list[str] = []
+
+    def append(self, t: float, md: str, kind: str, from_ap: str | None, to_ap: str,
+               from_controller: str | None, to_controller: str, latency: float, messages: int) -> None:
+        row = (kind, from_ap, to_ap, from_controller, to_controller, latency, messages)
+        self._append((row, repr(latency), repr(messages)), row, t)
+        self.mds.append(md)
 
     def __iter__(self) -> Iterator[dict]:
-        rows = self.rows
-        for t, ids, mds in self.instants():
-            for row, md in zip(ids, mds):
+        rows, index, mds = self.rows, self.index, self.mds
+        for t, lo, hi in self.spans():
+            for row, md in zip(index[lo:hi], mds[lo:hi]):
                 kind, from_ap, to_ap, from_controller, to_controller, latency, messages = rows[row]
                 yield {"t": t, "md": md, "kind": kind, "from_ap": from_ap, "to_ap": to_ap,
                        "from_controller": from_controller, "to_controller": to_controller,
                        "latency": latency, "messages": messages}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (list, HandoverLog)) and list(self) == list(other)
 
 
 @dataclass
@@ -357,11 +420,13 @@ def _handover_chunks(log: HandoverLog) -> Iterator[str]:
         mids.append(_HANDOVER_MID % _value(messages))
         tails.append(_HANDOVER_TAIL % (_value(to_ap), _value(to_controller)))
     md_texts = {md: _value(md) for md in set(log.mds)}
-    for t, ids, mds in log.instants():
+    index, mds = log.index, log.mds
+    for t, lo, hi in log.spans():
         t = _value(t)
-        for i in range(0, len(ids), _BATCH):
+        for i in range(lo, hi, _BATCH):
+            j = min(i + _BATCH, hi)
             yield ",\n".join([f"{heads[row]}{md_texts[md]}{mids[row]}{t}{tails[row]}"
-                              for row, md in zip(ids[i:i + _BATCH], mds[i:i + _BATCH])])
+                              for row, md in zip(index[i:j], mds[i:j])])
 
 
 # an auth decision's fields in the document, keys sorted, up to its `t`
@@ -372,7 +437,8 @@ def _decision_chunks(log: DecisionLog) -> Iterator[str]:
     """Auth decisions as the rows {t, md, group, granted, reason}."""
     heads = [_DECISION_HEAD % (_value(granted), _value(group), _value(md), _value(reason))
              for md, group, granted, reason, _ in log.rows]
-    return _instant_rows(heads, log.instants(), lambda at: "  {\n", lambda at: _value(at) + "\n  }", ",\n")
+    spans = ((at, log.index[lo:hi]) for at, lo, hi in log.spans())
+    return _instant_rows(heads, spans, lambda at: "  {\n", lambda at: _value(at) + "\n  }", ",\n")
 
 
 # the document's big lists, each with the writer of its chunks for its row shape

@@ -24,9 +24,18 @@ from pathlib import Path
 import pytest
 
 from sdedge import report as report_module
-from sdedge.authn import AuthDecision, DecisionLog
 from sdedge.errors import EmitError
-from sdedge.report import SCHEMA_VERSION, HandoverLog, MetricsReport, Throughput, emit, render_csv, render_json
+from sdedge.report import (
+    SCHEMA_VERSION,
+    AuthDecision,
+    DecisionLog,
+    HandoverLog,
+    MetricsReport,
+    Throughput,
+    emit,
+    render_csv,
+    render_json,
+)
 from sdedge.scenario import bundled_scenario_path, parse_scenario
 from sdedge.simnet import run_scenario
 
@@ -96,9 +105,24 @@ logged_decisions = st.lists(st.builds(
 
 
 def decision_log(decisions) -> DecisionLog:
-    log = DecisionLog()
+    """The log of `decisions`, made as a run makes it. A denial whose row is
+    already logged is replayed by `extend_rows`, in one list with the
+    replays before it at the same `at` object, as `reauthenticate` batches
+    them; any other decision is appended. The list is flushed, empty or
+    not, before each append and wherever `at` changes."""
+    log, row_of, replays, at = DecisionLog(), {}, [], None
     for d in decisions:
-        log.append(d.md_id, d.group_id, d.granted, d.reason, d.epoch, d.at)
+        key = (d.md_id, d.group_id, d.granted, d.reason, d.epoch)
+        if d.at is not at:
+            log.extend_rows(replays, at)
+            replays, at = [], d.at
+        if not d.granted and key in row_of:
+            replays.append(row_of[key])
+        else:
+            log.extend_rows(replays, at)
+            replays = []
+            row_of[key] = log.append(*key, d.at)
+    log.extend_rows(replays, at)
     return log
 
 
@@ -240,6 +264,14 @@ def test_a_decision_log_renders_the_bytes_of_its_decisions(decisions, report):
     # every field as given, spelled by repr, so instants that are equal but print apart stay apart
     assert list(map(repr, log)) == list(map(repr, decisions)) and len(log) == len(decisions)
     assert log.grants == sum(d.granted for d in decisions)
+    # replayed rows, and empty lists, open the instants that appends open; an
+    # empty list at a time no decision has opens none
+    appended = DecisionLog()
+    for d in decisions:
+        appended.append(d.md_id, d.group_id, d.granted, d.reason, d.epoch, d.at)
+    assert log.starts == appended.starts and list(map(repr, log.times)) == list(map(repr, appended.times))
+    log.extend_rows([], object())
+    assert len(log.times) == len(appended.times) and log == decisions
     report.auth_events = log
     assert render_json(report) == reference_json(report)
 
