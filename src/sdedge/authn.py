@@ -15,19 +15,49 @@ Grants persist between checks and are revoked by: a failed
 re-authentication, a change of serving AP, or missing the
 re-authentication grace window after a rotation.
 
-A beacon delivery is one batch: `hear` stores one shared `WalletEntry` for
-all of its recipients, and `reauthenticate` decides, in recipient order, each
-recipient that holds no grant of its serving group's current epoch. Most of
-those decisions repeat a `missing-keys` denial: a denied pair keeps its
-epoch, its log row and the member AP whose key was missing or stale, and
-while the epoch is current and that member's key is still missing or stale
-at `now`, the decision is that same row, with no wallet scan. Any other
-decision scans the wallet through `authenticate`. Every decision is
-logged in `auth_log`, a `report.DecisionLog`.
+A beacon delivery is one batch, `AuthnService.deliver`: `hear` gives all of
+its recipients one shared `WalletEntry`, and `reauthenticate` decides, in
+recipient order, each recipient that holds no grant of its serving group's
+current epoch. Most of those decisions repeat a `missing-keys` denial: a
+denied pair keeps its epoch, its log row and the member AP whose key was
+missing or stale, and while the epoch is current and that member's key is
+still missing or stale at `now`, the decision is that same row, with no
+wallet scan. Any other decision scans the wallet through `authenticate`.
+Every decision is logged in `auth_log`, a `report.DecisionLog`.
+
+Most deliveries change nothing, and cost one log extend and one re-stamp:
+- `hear` re-stamps its AP's latest entry, `received_at = now`, when the
+  AP's key is the same object, the recipients the same tuple, and no
+  `receive_beacon` has run since. Only this AP's deliveries and
+  `receive_beacon` write this AP's wallet slot, so each of those recipients
+  still holds that entry, unless it holds a later epoch's, which the key
+  does not replace: the re-stamp is a fresh `WalletEntry(key, now)` written
+  to each of them.
+- `deliver` replays the AP's previous wave, extending the log by its rows
+  with no decision made, when `version` is what it was at that wave's
+  start, the recipients are the same tuple and their serving APs are equal.
+  `version` counts every write a decision reads: `authenticate` (grants,
+  denials), `revoke`, each expiry, `rotate_group_keys`, `register_group`
+  and `receive_beacon`. An equal version means the previous wave made no
+  scan, so each of its recipients was skipped or repeated a denial:
+  - skipped: its serving AP is ungrouped, or it holds a grant of the
+    current epoch; both still hold;
+  - repeated: it repeated a `missing-keys` denial whose named member's key
+    was missing or stale. Time only ages an entry, so the key stays so
+    unless that member's delivery reaches the device. In that delivery
+    (exact, by induction over deliveries) the device is served as in both
+    waves of this AP and holds no grant, so it is decided, and the fresh
+    key sends it to a scan, which moves `version`.
+  "Served as in both waves" holds because every AP delivers in each wave,
+  and the deliveries of one wave follow each other with no change of
+  serving AP among them (`simnet`). Writes made straight into `grants`,
+  `ap_keys` or `wallets` move no `version`: they are outside this contract,
+  and code that makes them calls `hear` and `reauthenticate`, not `deliver`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,10 +97,11 @@ class BeaconKey:
     issued_at: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WalletEntry:
-    """A key as heard at `received_at`; frozen, so that one delivery's entry
-    can be shared by all of its recipients."""
+    """A key as heard at `received_at`. An entry is shared by exactly the
+    recipients of its AP's latest delivery that took it, and only that AP's
+    next identical delivery re-stamps it (`AuthnService.hear`)."""
 
     key: BeaconKey
     received_at: float
@@ -102,6 +133,12 @@ class AuthnService:
         # (device, group) -> (epoch, log row, member AP whose key was missing
         # or stale) of its latest `missing-keys` denial that named a member
         self.denials: dict[tuple[str, str], tuple[int, int, str]] = {}
+        self.version = 0  # moved by every write a decision reads
+        self.receipts = 0  # `receive_beacon` calls
+        # AP -> (entry, recipients, receipts) of its latest delivery
+        self._heard: dict[str, tuple[WalletEntry, tuple[str, ...], int]] = {}
+        # AP -> (version at its start, recipients, their serving APs, log rows) of its latest wave
+        self._waves: dict[str, tuple[int, tuple[str, ...], list, array]] = {}
 
     # -- controller side -----------------------------------------------------
 
@@ -110,6 +147,7 @@ class AuthnService:
             other = self.group_of.get(ap)
             if other is not None and other != group.group_id:
                 raise ValueError(f"AP {ap} already belongs to group {other}")
+        self.version += 1
         self.groups[group.group_id] = group
         self.epochs.setdefault(group.group_id, 0)
         for ap in group.members:
@@ -122,6 +160,7 @@ class AuthnService:
         does not return.
         """
         group = self.groups[group_id]
+        self.version += 1
         epoch = self.epochs[group_id] + 1
         self.epochs[group_id] = epoch
         self.rotated_at[group_id] = now
@@ -148,6 +187,8 @@ class AuthnService:
     def receive_beacon(self, md_id: str, ap: str, received_at: float) -> BeaconKey | None:
         """Hear `ap`'s current key: it replaces the wallet's entry for `ap`
         unless that entry holds a later epoch."""
+        self.version += 1
+        self.receipts += 1
         key = self.ap_keys.get(ap)
         if key is not None:
             held = self.wallets.setdefault(md_id, {})
@@ -156,11 +197,17 @@ class AuthnService:
                 held[ap] = WalletEntry(key, received_at)
         return key
 
-    def hear(self, ap: str, recipients: list[str], now: float) -> BeaconKey | None:
+    def hear(self, ap: str, recipients: tuple[str, ...], now: float) -> BeaconKey | None:
         """One delivery of `ap`'s current key to each of `recipients`, as
-        `receive_beacon` for each, with one wallet entry shared by all."""
+        `receive_beacon` for each, with one wallet entry shared by all. A
+        delivery of the same key to the same tuple, with no `receive_beacon`
+        since, re-stamps the previous delivery's entry instead."""
         key = self.ap_keys.get(ap)
         if key is not None:
+            last = self._heard.get(ap)
+            if last is not None and last[0].key is key and last[1] is recipients and last[2] == self.receipts:
+                last[0].received_at = now
+                return key
             entry, epoch, wallets = WalletEntry(key, now), key.epoch, self.wallets
             for md in recipients:
                 held = wallets.get(md)
@@ -169,7 +216,27 @@ class AuthnService:
                 cur = held.get(ap)
                 if cur is None or epoch >= cur.key.epoch:
                     held[ap] = entry
+            self._heard[ap] = (entry, recipients, self.receipts)
         return key
+
+    def deliver(self, ap: str, recipients: tuple[str, ...], serving_of: dict[str, str],
+                now: float) -> list[tuple[str, bool, bool]]:
+        """`ap`'s key reaches `recipients`, its roster in name order: `hear`,
+        then `reauthenticate`, or a replay of `ap`'s previous wave when
+        nothing it read has changed (see the module docstring). Returns what
+        `reauthenticate` returns; a replay returns nothing."""
+        self.hear(ap, recipients, now)
+        if not self.active:
+            return []
+        serving = list(map(serving_of.get, recipients))
+        log, version, last = self.auth_log, self.version, self._waves.get(ap)
+        if last is not None and last[0] == version and last[1] is recipients and last[2] == serving:
+            log.extend_rows(last[3], now)
+            return []
+        start = len(log)
+        changed = self.reauthenticate(recipients, serving_of, now)
+        self._waves[ap] = (version, recipients, serving, log.index[start:])
+        return changed
 
     # -- decisions ----------------------------------------------------------------
 
@@ -179,6 +246,7 @@ class AuthnService:
         A denial revokes any standing grant (a failed re-authentication is
         exactly the revocation trigger after rotations).
         """
+        self.version += 1
         group = self.groups.get(group_id)
         if group is None:
             self.auth_log.append(md_id, group_id, False, DENY_UNKNOWN_GROUP, -1, now)
@@ -249,6 +317,7 @@ class AuthnService:
         return changed
 
     def revoke(self, md_id: str, group_id: str) -> None:
+        self.version += 1
         self.grants.pop((md_id, group_id), None)
 
     def expire_stale_grants(self, rotated_by: float) -> list[tuple[str, str]]:
@@ -264,6 +333,7 @@ class AuthnService:
             if grant.epoch < self.epochs.get(gid, 0) and self.rotated_at[gid] <= rotated_by:
                 expired.append((md, gid))
                 del self.grants[(md, gid)]
+                self.version += 1
         return expired
 
     def is_granted(self, md_id: str, group_id: str) -> bool:

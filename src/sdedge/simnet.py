@@ -41,10 +41,17 @@ Coverage is kept, not recomputed: each AP has a roster of the devices whose
 position lies in its disc, which `apply_move` updates on every position
 change; that is the only disc test the world makes. A device is covered by
 an AP that is alive and has it on its roster, and a beacon delivery visits
-the AP's roster in name order instead of every device. A delivery is one
-batch: the whole roster hears the key, then each recipient re-authenticates
-as needed, in name order, and a repeated denial is logged without a wallet
-scan (see `authn`).
+the AP's roster in name order instead of every device. That order is kept too,
+as a tuple per AP that a move drops only when it adds the device to that
+roster or takes it off, so an unchanged roster is the same tuple. A
+delivery is one batch (`AuthnService.deliver`): the whole roster hears the
+key, then each recipient re-authenticates as needed, in name order, and a
+repeated denial is logged without a wallet scan; a delivery to the same
+tuple re-stamps the previous one's wallet entry, and a wave in which no
+input of a decision changed replays the previous wave's log rows (see
+`authn`). That replay leans on two facts of the world: every grouped AP
+delivers at the same instants, and the deliveries of one instant are
+consecutive events that change no serving AP.
 A packet-in workload offers one packet-in per AP per period. The arrivals
 of one instant are one event, which serves the APs due then in name order,
 each at its controller's single server, and schedules the next instant
@@ -189,6 +196,7 @@ class World:
         # AP -> devices whose position lies in its disc, dead or alive;
         # kept by `_update_roster` on every position change
         self.disc_roster: dict[str, set[str]] = {a: set() for a in self.aps}
+        self._recipients: dict[str, tuple[str, ...]] = {}  # AP -> its roster in name order, while unchanged
         for state in self.mds.values():
             self._update_roster(state.name, state.position)
         self.streams: dict[str, StreamState] = {
@@ -222,13 +230,25 @@ class World:
         self.lookup_hops[hops] = self.lookup_hops.get(hops, 0) + 1
 
     def _update_roster(self, md: str, position: tuple[float, float] | None) -> None:
-        """Record `md` at `position` in the roster of every AP: the one disc test."""
-        roster = self.disc_roster
+        """Record `md` at `position` in the roster of every AP: the one disc test.
+        A roster that gains or loses `md` drops its recipients tuple."""
+        roster, recipients = self.disc_roster, self._recipients
         for ap_name, ap in self.aps.items():
-            if position is not None and ap.covers(position):
-                roster[ap_name].add(md)
-            else:
-                roster[ap_name].discard(md)
+            members = roster[ap_name]
+            if md in members:
+                if position is None or not ap.covers(position):
+                    members.discard(md)
+                    recipients.pop(ap_name, None)
+            elif position is not None and ap.covers(position):
+                members.add(md)
+                recipients.pop(ap_name, None)
+
+    def _recipients_of(self, ap_name: str) -> tuple[str, ...]:
+        """`ap_name`'s roster in name order, one tuple while the roster is unchanged."""
+        kept = self._recipients.get(ap_name)
+        if kept is None:
+            kept = self._recipients[ap_name] = tuple(sorted(self.disc_roster[ap_name]))
+        return kept
 
     def _covers(self, md: str, ap_name: str) -> bool:
         return self.aps[ap_name].alive and md in self.disc_roster[ap_name]
@@ -316,7 +336,6 @@ class World:
     def _beacon_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
         """One AP's beacon handler and note, and its key delivery's, built once."""
         eng, p, authn, ap = self.engine, self.params, self.authn, self.aps[ap_name]
-        roster = self.disc_roster[ap_name]
         note, deliver_note = f"beacon:{ap_name}", f"key:{ap_name}"
 
         def beacon() -> None:
@@ -329,24 +348,22 @@ class World:
 
         def deliver() -> None:
             if authn.current_key(ap_name) is not None and ap.alive:
-                self._deliver_key(ap_name, sorted(roster))
+                self._deliver_key(ap_name, self._recipients_of(ap_name))
 
         return beacon, note
 
-    def _deliver_key(self, ap_name: str, recipients: list[str]) -> None:
+    def _deliver_key(self, ap_name: str, recipients: tuple[str, ...]) -> None:
         """`ap_name`'s key reaches `recipients`, its roster in name order, as
         one batch: all hear it, then each re-authenticates off its wallet, in
         order, when it is served by a grouped AP and holds no grant of that
         group's current epoch. A decision reads only its own device's wallet,
         so hearing first decides as hearing and deciding device by device."""
-        authn, now = self.authn, self.engine.now
-        authn.hear(ap_name, recipients, now)
-        if authn.active:
-            for md, flipped, granted in authn.reauthenticate(recipients, self.mobility.association_ap, now):
-                if flipped:  # the gate flips
-                    self._mark(self._md_streams.get(md, ()))
-                if granted:
-                    self._readmit_streams(md)
+        now, serving_of = self.engine.now, self.mobility.association_ap
+        for md, flipped, granted in self.authn.deliver(ap_name, recipients, serving_of, now):
+            if flipped:  # the gate flips
+                self._mark(self._md_streams.get(md, ()))
+            if granted:
+                self._readmit_streams(md)
 
     def _readmit_streams(self, md: str) -> None:
         """A grant after a gate block costs the transport recovery lag."""

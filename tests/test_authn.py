@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -246,3 +247,111 @@ def test_the_decision_log_holds_a_few_bytes_per_decision():
     assert len(log) == 200_000 and not any(d.granted for d in log)
     assert len({(d.md_id, d.epoch) for d in log}) == 1000
     assert held / len(log) < 8, held / len(log)
+
+
+RECIPIENTS = ("M1", "M2", "M3")
+
+
+def counted(svc):
+    """Count the service's `authenticate` and `reauthenticate` calls."""
+    calls = Counter()
+    for name in ("authenticate", "reauthenticate"):
+        def call(*args, _method=getattr(svc, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+        setattr(svc, name, call)
+    return calls
+
+
+def three_deliveries(change=None, by_deliver=True):
+    """AP1's key reaches M1-M3 at 0.0, 0.1 and 0.2, with `change(svc, serving)`
+    between the second and the third; it may return a new recipients tuple.
+    `by_deliver=False` runs each delivery as `hear` then `reauthenticate`."""
+    svc = make_service()
+    svc.rotate_group_keys("G1", now=0.0)
+    calls = counted(svc)
+    serving = {"M1": "AP1", "M2": "AP9", "M3": "AP2"}  # AP9 is in no group
+    recipients = RECIPIENTS
+    for now in (0.0, 0.1, 0.2):
+        if now == 0.2 and change is not None:
+            recipients = change(svc, serving) or recipients
+        if by_deliver:
+            svc.deliver("AP1", recipients, serving, now)
+        else:
+            svc.hear("AP1", recipients, now)
+            svc.reauthenticate(recipients, serving, now)
+    return svc, calls
+
+
+def test_an_unchanged_delivery_replays_its_previous_wave():
+    svc, calls = three_deliveries()
+    oracle, _ = three_deliveries(by_deliver=False)
+    # 0.0 scans M1 and M3, whose AP2 key is missing; 0.1 repeats both
+    # denials without a scan; 0.2 replays 0.1's rows without a pass
+    assert calls == {"authenticate": 2, "reauthenticate": 2}
+    assert list(svc.auth_log) == list(oracle.auth_log)
+    assert [(d.md_id, d.granted, d.at) for d in svc.auth_log][-2:] == [("M1", False, 0.2), ("M3", False, 0.2)]
+    assert list(svc.auth_log.index) == [0, 1] * 3 and svc.auth_log.times == [0.0, 0.1, 0.2]
+
+
+def grant_another(svc, serving):
+    for ap in ("AP1", "AP2", "AP3"):
+        svc.hear(ap, ("M4",), 0.15)
+    assert svc.authenticate("M4", "G1", 0.15).granted
+
+
+def revoke(svc, serving):
+    svc.revoke("M4", "G1")
+
+
+def rotate(svc, serving):
+    svc.rotate_group_keys("G1", now=0.15)
+
+
+def receive_one(svc, serving):
+    svc.receive_beacon("M4", "AP3", 0.15)
+
+
+def move_m3(svc, serving):
+    serving["M3"] = "AP3"  # from one member to another, as a PAP migration
+
+
+def copy_recipients(svc, serving):
+    return tuple(sorted(RECIPIENTS))  # equal, but not the same tuple
+
+
+@pytest.mark.parametrize("change", [grant_another, revoke, rotate, receive_one, move_m3, copy_recipients],
+                         ids=["grant", "revoke", "rotation", "receive_beacon", "serving-ap", "recipients-tuple"])
+def test_a_change_that_a_decision_reads_forces_a_full_pass(change):
+    svc, calls = three_deliveries(change)
+    oracle, _ = three_deliveries(change, by_deliver=False)
+    assert calls["reauthenticate"] == 3
+    assert [d.md_id for d in svc.auth_log if d.at == 0.2] == ["M1", "M3"]
+    assert list(svc.auth_log) == list(oracle.auth_log)
+    assert svc.wallets == oracle.wallets
+
+
+def test_a_repeated_delivery_restamps_its_shared_entry():
+    svc, oracle = make_service(), make_service()
+    for s in (svc, oracle):
+        s.rotate_group_keys("G1", now=0.0)
+    serving = {}
+
+    def both(recipients, now):
+        svc.deliver("AP1", recipients, serving, now)
+        for md in recipients:
+            oracle.receive_beacon(md, "AP1", now)
+        assert svc.wallets == oracle.wallets
+
+    both(RECIPIENTS, 0.0)
+    entry = svc.wallets["M1"]["AP1"]
+    both(RECIPIENTS, 0.1)
+    assert all(svc.wallets[md]["AP1"] is entry for md in RECIPIENTS) and entry.received_at == 0.1
+    # a new tuple, or a `receive_beacon` since, writes a fresh entry
+    both(RECIPIENTS + ("M4",), 0.2)
+    assert entry.received_at == 0.1 and svc.wallets["M4"]["AP1"].received_at == 0.2
+    entry = svc.wallets["M4"]["AP1"]
+    svc.receive_beacon("M9", "AP2", 0.25)
+    oracle.receive_beacon("M9", "AP2", 0.25)
+    both(RECIPIENTS, 0.3)
+    assert entry.received_at == 0.2 and svc.wallets["M1"]["AP1"] is not entry

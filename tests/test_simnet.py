@@ -423,13 +423,16 @@ GROUP_G1 = "[groups]\ngroup G1 members=AP3,AP4,AP5,AP6\n\n"  # fig5's middle APs
 
 class RosterCheckedWorld(World):
     """Asserts after every move and at the end of the run that each AP's
-    roster holds exactly the devices whose position lies in its disc."""
+    roster holds exactly the devices whose position lies in its disc, and
+    that each kept recipients tuple is its AP's roster in name order."""
 
     def check_roster(self):
         for ap_name, ap in self.aps.items():
             for md, state in self.mds.items():
                 inside = state.position is not None and ap.covers(state.position)
                 assert (md in self.disc_roster[ap_name]) == inside, (self.engine.now, ap_name, md)
+        for ap_name, kept in self._recipients.items():
+            assert kept == tuple(sorted(self.disc_roster[ap_name])), (self.engine.now, ap_name)
 
     def apply_move(self, md, wp):
         super().apply_move(md, wp)
@@ -630,7 +633,7 @@ controller C2 key=20
 switch SW1
 ap AP1 pos=0,0 radius=20 capacity=11 techs=wifi partition=C1
 ap AP2 pos=20,0 radius=20 capacity=2 techs=wifi partition=C2
-ap AP3 pos=60,0 radius=10 capacity=11 techs=wifi partition=C1
+ap AP3 pos={ap3} radius=10 capacity=11 techs=wifi partition=C1
 md M1 pos=-3,1
 md M2 pos=0,2
 md M3 pos=3,0
@@ -656,16 +659,17 @@ SPOTS = ("10,0", "-15,0", "35,0", "60,0", "100,100")
 MOVE_INSTANTS = (1.0, 1.5, 2.0, 3.0)
 
 
-def batched_moves_scenario(batch, moves, start, failures):
+def batched_moves_scenario(batch, moves, start, failures, ap3="60,0"):
     """`batch` (instant, movers) sends every mover into AP2 at one instant;
     `moves` are (MD index, instant, spot index); a later duplicate of an
-    MD's instant is dropped, so each MD's waypoints increase."""
+    MD's instant is dropped, so each MD's waypoints increase. AP3 sits at
+    `ap3`: at "45,0" its disc holds AP2's spot too."""
     instant, movers = batch
     chosen = {}
     for md, t, spot in [(md, instant, 2) for md in movers] + moves:
         chosen.setdefault((md, t), f"move M{md} {t} {SPOTS[spot]}")
     text = BATCHED_MOVES.format(
-        start=start, moves="\n".join(chosen.values()),
+        ap3=ap3, start=start, moves="\n".join(chosen.values()),
         failures="\n".join(f"fail ap AP{i} at={t}" for i, t in failures),
     )
     return parse_scenario_text(text, "batched-moves")
@@ -741,11 +745,36 @@ def check_beacons_batched_per_delivery(sc, params):
     """The world and its per-call oracle make the same decisions, in the same
     order, and emit the same bytes. Returns the world's decision log and a
     count of its full scans (`all`), of those that a current-epoch denial's
-    key, refreshed since, sent to a scan (`refreshed`), and of those that
-    granted on a refreshed key and a key an earlier wave brought (`later_wave`)."""
+    key, refreshed since, sent to a scan (`refreshed`), of those that
+    granted on a refreshed key and a key an earlier wave brought (`later_wave`),
+    of waves replayed (`replayed`), of deliveries that re-stamped their AP's
+    previous entry (`restamped`), and of deliveries to the AP's previous
+    recipients tuple in which a recipient's serving AP moved from one grouped
+    AP to another (`serving_moved`)."""
     batched, oracle = World(sc, params), PerCallBeaconWorld(sc, params)
     authn, scans = batched.authn, Counter()
-    authenticate = authn.authenticate
+    authenticate, deliver, hear, reauthenticate = authn.authenticate, authn.deliver, authn.hear, authn.reauthenticate
+
+    def counted_deliver(ap, recipients, serving_of, now):
+        last, group_of, passes = authn._waves.get(ap), authn.group_of, scans["passes"]
+        if last is not None and last[1] is recipients:
+            scans.update(serving_moved=any(a != b and a in group_of and b in group_of
+                                           for a, b in zip(last[2], map(serving_of.get, recipients))))
+        changed = deliver(ap, recipients, serving_of, now)
+        scans.update(replayed=authn.active and scans["passes"] == passes)
+        return changed
+
+    def counted_hear(ap, recipients, now):
+        last = authn._heard.get(ap)
+        key = hear(ap, recipients, now)
+        scans.update(restamped=last is not None and authn._heard[ap][0] is last[0])
+        return key
+
+    def counted_reauthenticate(*args):
+        scans.update(passes=1)
+        return reauthenticate(*args)
+
+    authn.deliver, authn.hear, authn.reauthenticate = counted_deliver, counted_hear, counted_reauthenticate
 
     def scan(md, gid, now):
         denial = authn.denials.get((md, gid))
@@ -773,6 +802,10 @@ def test_beacons_batched_per_delivery_match_one_call_per_recipient():
     seen = Counter()
 
     @hypothesis.settings(max_examples=60, deadline=None)
+    # M1-M3 enter AP2's spot and are served by AP3; when AP3 fails they move
+    # to AP2, whose roster does not change: its next wave must decide them
+    @hypothesis.example(batch=(1.0, [1, 2, 3]), moves=[], mode="LEDGE-LA", start="0.0", failures=[(3, 2.0)],
+                        key_freshness="0.05", ap3="45,0")
     @hypothesis.given(
         batch=st.tuples(instants, st.lists(st.integers(1, 6), min_size=3, max_size=6, unique=True)),
         # moves into G1's overlap and out of it, to one member, or away
@@ -785,19 +818,25 @@ def test_beacons_batched_per_delivery_match_one_call_per_recipient():
         # fresh after its device has left the AP, so a key that a later wave
         # brings can turn a denial into a grant inside the window
         key_freshness=st.sampled_from(["0.05", "0.35", "2.0"]),
+        # with ungrouped AP3 over AP2's spot, a device can change between a
+        # grouped and an ungrouped serving AP and stay on AP2's roster
+        ap3=st.sampled_from(["60,0", "45,0"]),
     )
-    def check(batch, moves, mode, start, failures, key_freshness):
-        sc = batched_moves_scenario(batch, moves, start, failures)
+    def check(batch, moves, mode, start, failures, key_freshness, ap3):
+        sc = batched_moves_scenario(batch, moves, start, failures, ap3)
         params = apply_overrides(sc.params, {"mode": mode, "key_freshness": key_freshness})
         log, scans = check_beacons_batched_per_delivery(sc, params)
         seen.update({mode: 1, "skipped_scans": len(log) > scans["all"], "refreshed": scans["refreshed"] > 0,
                      "later_wave": scans["later_wave"] > 0, "rotated": len({d.epoch for d in log}) > 1,
                      "failed_member": any(i < 3 for i, _ in failures),
-                     "long_window": float(key_freshness) > params.beacon_period})
+                     "long_window": float(key_freshness) > params.beacon_period,
+                     "replayed": scans["replayed"] > 0, "restamped": scans["restamped"] > 0,
+                     "serving_moved": scans["serving_moved"] > 0})
 
     check()
     assert all(seen[k] for k in ("LEDGE-LA", "LEDGE-PAP", "skipped_scans", "refreshed", "later_wave",
-                                 "rotated", "failed_member", "long_window")), seen
+                                 "rotated", "failed_member", "long_window", "replayed", "restamped",
+                                 "serving_moved")), seen
 
 
 class EveryDecisionWorld(PerCallBeaconWorld):
