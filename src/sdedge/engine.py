@@ -6,6 +6,13 @@ scheduled. No simulated choice is random: the scenario and its parameters
 fully determine the event trace, and the run's `seed` only labels it. The
 engine keeps that trace, one (time, seq, kind, note) tuple per event, only
 when `record_trace` is set; otherwise nothing per event.
+
+A handler may do the work of later instants itself, without an event each,
+for as long as nothing else can happen in between: `quiet(t)` tells it
+whether instant `t` lies in its quiet stretch, before the next pending
+event and not after the end of the running `run_until`. Such a handler is
+one trace entry per stretch, and a failure in it names the stretch's first
+instant.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ class EventEngine:
     now: float = 0.0
     executed: int = 0
     _seq: int = 0
+    _t_end: float = 0.0  # the end of the running (or last) run_until
     _heap: list = field(default_factory=list)
     trace: list[tuple[float, int, str, str]] = field(default_factory=list)
 
@@ -56,6 +64,7 @@ class EventEngine:
         """Execute every event with time <= t_end in order; clock ends at t_end."""
         if t_end < self.now:
             raise CausalityViolation(f"cannot run backwards to {t_end} from {self.now}")
+        self._t_end = t_end
         heap, pop = self._heap, heapq.heappop
         trace = self.trace if self.record_trace else None
         count = 0
@@ -78,11 +87,11 @@ class EventEngine:
         self.executed += count
         return count
 
-    def trace_digest(self) -> str:
-        """Stable fingerprint of the recorded trace (determinism checks)."""
-        import hashlib
-
-        h = hashlib.sha256()
-        for time_, seq, kind, note in self.trace:
-            h.update(f"{time_!r}|{seq}|{kind}|{note}\n".encode())
-        return h.hexdigest()
+    def quiet(self, t: float) -> bool:
+        """Whether instant `t` lies in the running handler's quiet stretch:
+        before the next pending event's time and not after the run's end.
+        Nothing but the handler itself can act at such an instant, so it may
+        act there without an event. An instant equal to a pending event's
+        time is not quiet: that event was scheduled first, and runs first."""
+        heap = self._heap
+        return t <= self._t_end and not (heap and heap[0][0] <= t)

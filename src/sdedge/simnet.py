@@ -52,10 +52,14 @@ input of a decision changed replays the previous wave's log rows (see
 `authn`). That replay leans on two facts of the world: every grouped AP
 delivers at the same instants, and the deliveries of one instant are
 consecutive events that change no serving AP.
-A packet-in workload offers one packet-in per AP per period. The arrivals
-of one instant are one event, which serves the APs due then in name order,
-each at its controller's single server, and schedules the next instant
-once; a handler failure there names the instant, not the AP. Moves are
+A packet-in workload offers one packet-in per AP per period, each served
+at its controller's single server. One arrival event serves its own
+instant's APs, and then every later instant of its quiet stretch, up to
+the next pending event or the end of the running `run_until`, without an
+event each; it schedules the first instant after the stretch once, and
+nothing more once no controller can serve again (see
+`_packet_in_arrivals`). A handler failure there names the stretch's first
+instant, not the AP. Moves are
 batched the same way: the waypoints of one instant are one md-move event,
 which applies them in waypoint order, and a failure there names the instant.
 """
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, merge
@@ -710,37 +714,70 @@ class World:
         """The handler of a packet-in arrival instant, built once.
 
         Every AP offers one packet-in per period from the workload's start,
-        so the arrivals of one instant are one event: it serves the APs due
-        then in name order, each at its AP's current controller, and then
-        schedules the next instant once, for the APs still alive, if that
-        instant is inside the horizon. An AP that fails is served at the
-        instant already scheduled for it and at none after. A crashed
-        controller serves nothing: arrivals for it are lost until its
-        partition is adopted. A handler failure names the instant, not an AP.
+        each served at its AP's current controller, a single server: an
+        arrival at `t` is served, and counted, iff it is done, at
+        max(busy, t) + service_time, by the horizon, and only a served
+        arrival moves the controller's busy time. A crashed controller
+        serves nothing: arrivals for it are lost until its partition is
+        adopted. The arrival event serves its own instant (an AP that failed
+        since the instant was scheduled is still served there, and at none
+        after), and then every later instant of its quiet stretch
+        (`EventEngine.quiet`) without an event; it schedules the first
+        instant outside the stretch, if that is inside the horizon and some
+        AP is still alive. An instant equal to a pending event's time is
+        that event's: the event was scheduled first, and runs first.
+
+        Serving per controller is exact. Between events nothing but the
+        arrivals writes `partition_of`, `_crashed`, AP liveness or
+        `_pi_busy`, and one AP's arrival reads and writes only its own
+        controller's busy time and count. So the live controllers' due APs
+        are counted once, k per controller, and each instant applies k
+        updates to each controller, in any order of controllers and APs.
+
+        The arrivals stop once every controller in `_pi_busy`, crashed ones
+        included, has busy + service_time past the horizon: busy time and
+        the clock only grow, and an adoption moves APs onto a controller
+        already there, so no arrival could be served after that. (A crashed
+        controller's APs go to its adopter later, so the controllers with
+        due APs alone do not decide it.) Only a refused arrival can show
+        that point, so only an instant that refused one checks for it. A
+        handler failure names the first instant of its stretch, not an AP.
         """
         eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
         partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
         horizon = w.horizon(p.duration)
         period, service_time = 1.0 / w.rate_per_ap, w.service_time
+        quiet = eng.quiet
         due = sorted(aps)
+
+        def per_controller(ap_names: list[str]) -> Iterable[tuple[str, int]]:
+            return Counter(partition_of[a] for a in ap_names if partition_of[a] not in crashed).items()
 
         def arrivals() -> None:
             nonlocal due
-            now = eng.now
-            for ap_name in due:
-                controller = partition_of[ap_name]
-                if controller in crashed:
-                    continue
-                busy = busy_of[controller]
-                done = (busy if busy > now else now) + service_time
-                if done <= horizon:
-                    busy_of[controller] = done
-                    served[controller] += 1
-            nxt = later(now, period)
-            if nxt <= horizon:
-                due = [a for a in due if aps[a].alive]
-                if due:
-                    eng.schedule(nxt, "message-delivery", arrivals, "packetin")
+            t, load = eng.now, per_controller(due)
+            due = [a for a in due if aps[a].alive]
+            live = per_controller(due)
+            while True:
+                refused = False
+                for controller, k in load:
+                    busy, n = busy_of[controller], 0
+                    while n < k:
+                        done = (busy if busy > t else t) + service_time
+                        if done > horizon:
+                            refused = True
+                            break
+                        busy, n = done, n + 1
+                    if n:
+                        busy_of[controller] = busy
+                        served[controller] += n
+                t = later(t, period)
+                if t > horizon or not due or refused and all(b + service_time > horizon for b in busy_of.values()):
+                    return
+                if not quiet(t):
+                    eng.schedule(t, "message-delivery", arrivals, "packetin")
+                    return
+                load = live
 
         return arrivals
 

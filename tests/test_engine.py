@@ -5,6 +5,8 @@ import pytest
 from sdedge.engine import EventEngine
 from sdedge.errors import CausalityViolation, SimulationHalted
 
+from oracles import trace_digest
+
 
 def test_events_run_in_time_order():
     eng = EventEngine()
@@ -68,7 +70,7 @@ def test_identical_seeds_give_identical_traces():
 
         eng.schedule(0.0, "timer", lambda: chained(0), note="boot")
         eng.run_until(100.0)
-        return eng.trace_digest()
+        return trace_digest(eng.trace)
 
     assert build_and_run(42) == build_and_run(42)
     assert build_and_run(42) != build_and_run(43)
@@ -86,3 +88,29 @@ def test_handler_error_carries_event_context():
     assert err.value.time == 1.5
     assert err.value.kind == "failure"
     assert err.value.note == "inject"
+
+
+def test_quiet_stretch_ends_at_the_next_pending_event_or_the_run_end():
+    eng = EventEngine()
+    grid = [i * 0.5 for i in range(25)]  # 0 .. 12
+    seen = []
+
+    def probe():
+        later = [t for t in grid if t > eng.now]
+        quiet = [t for t in later if eng.quiet(t)]
+        assert quiet == later[:len(quiet)]  # a stretch has no holes
+        seen.append((eng.now, quiet[-1] if quiet else None, later[len(quiet)]))
+
+    eng.schedule(1.0, "timer", probe)
+    eng.schedule(4.0, "timer", probe)  # before the timer at its own time
+    eng.schedule(4.0, "timer", lambda: None)
+    eng.schedule(4.0, "timer", probe)
+    eng.schedule(7.0, "timer", probe)
+    eng.run_until(2.5)
+    assert seen == [(1.0, 2.5, 3.0)]  # the run ends before the next event
+    eng.run_until(10.0)
+    assert seen[1:] == [
+        (4.0, None, 4.5),  # an event pending at its own time: no stretch
+        (4.0, 6.5, 7.0),  # the next event, not the run's end, bounds it
+        (7.0, 10.0, 10.5),  # nothing pending: the run's end, inclusive
+    ]

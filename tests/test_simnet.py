@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from sdedge.cli import main
+from sdedge.engine import EventEngine, later
 from sdedge.errors import SimulationHalted, UsageError
 from sdedge.report import render_csv, render_json
 from sdedge.scenario import (
@@ -11,6 +12,7 @@ from sdedge.scenario import (
 from sdedge.scheduler import APStatus
 from sdedge.simnet import World
 
+from oracles import trace_digest
 from textdiff import first_difference
 
 
@@ -961,14 +963,16 @@ def test_crashed_controller_serves_no_packet_ins_before_adoption(delay):
     assert report.packet_in == {"C1": 4401, "C2": 2400, "C3": 4999, "C4": 4999}
 
 
-def fig5c_world(failures=(), service_time="0.002", window="", **overrides):
-    """Bundled fig5c, with its workload's service time and window edited and `failures` appended."""
+def fig5c_world(failures=(), service_time="0.002", window="", rate="400", world=World, **overrides):
+    """Bundled fig5c as a `world`, with its workload's rate, service time and
+    window edited and `failures` appended."""
     text = bundled_scenario_path("fig5c").read_text()
-    text = text.replace("service_time=0.002", f"service_time={service_time}{window}", 1)
+    workload = f"rate_per_ap={rate} service_time={service_time}{window}"
+    text = text.replace("rate_per_ap=400 service_time=0.002", workload, 1)
     if failures:
         text += "\n[failures]\n" + "".join(f"{f}\n" for f in failures)
     sc = parse_scenario_text(text, "fig5c-variant")
-    return World(sc, apply_overrides(sc.params, {k: str(v) for k, v in overrides.items()}))
+    return world(sc, apply_overrides(sc.params, {k: str(v) for k, v in overrides.items()}))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1018,15 +1022,156 @@ def test_saturated_packet_in_counts_hide_the_detection_window(delay):
     assert world.run().packet_in == {"C1": 1600, "C2": 4999, "C3": 4801, "C4": 4999}
 
 
-def test_fig5c_runs_one_event_per_arrival_instant():
-    # 10 s at 400 arrivals/s per AP: 4001 instants, each one event for all 8 APs
-    world = fig5c_world()
-    world.engine.record_trace = True
-    world.run()
-    assert world.engine.executed == 4001
-    instants = [t for t, _, kind, note in world.engine.trace if kind == "message-delivery" and note == "packetin"]
+class PerInstantPacketInWorld(World):
+    """The oracle of packet-in stretches: one arrival event per instant, which
+    serves the APs due then in name order and schedules the next instant, as
+    arrivals ran before an event served its quiet stretch."""
+
+    def _packet_in_arrivals(self):
+        eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
+        partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
+        horizon = w.horizon(p.duration)
+        period, service_time = 1.0 / w.rate_per_ap, w.service_time
+        due = sorted(aps)
+
+        def arrivals():
+            nonlocal due
+            now = eng.now
+            for ap_name in due:
+                controller = partition_of[ap_name]
+                if controller in crashed:
+                    continue
+                busy = busy_of[controller]
+                done = (busy if busy > now else now) + service_time
+                if done <= horizon:
+                    busy_of[controller] = done
+                    served[controller] += 1
+            nxt = later(now, period)
+            if nxt <= horizon:
+                due = [a for a in due if aps[a].alive]
+                if due:
+                    eng.schedule(nxt, "message-delivery", arrivals, "packetin")
+
+        return arrivals
+
+
+def test_fig5c_serves_its_arrival_instants_in_one_event():
+    # 10 s at 400 arrivals/s per AP: 4001 instants, one event each for all 8
+    # APs in the oracle; with no other event pending, the world's first
+    # arrival event serves them all, and the counts do not move
+    oracle = fig5c_world(world=PerInstantPacketInWorld)
+    oracle.engine.record_trace = True
+    expected = oracle.run().packet_in
+    assert oracle.engine.executed == 4001
+    instants = [t for t, _, kind, note in oracle.engine.trace if kind == "message-delivery" and note == "packetin"]
     assert len(instants) == len(set(instants)) == 4001
     assert instants[:3] == [0.0, 0.0025, 0.005] and instants[-1] == 10.0
+    world = fig5c_world()
+    world.engine.record_trace = True
+    assert world.run().packet_in == expected == {f"C{i}": 4999 for i in range(1, 5)}
+    assert world.engine.executed == 1
+    assert world.engine.trace == [(0.0, 0, "message-delivery", "packetin")]
+    assert world._pi_busy == oracle._pi_busy
+
+
+def test_packet_in_arrivals_stop_once_no_controller_can_serve():
+    # packetin-4c's shape: each controller serves 500 of its 800 arrivals/s
+    # until its busy time reaches the horizon, about t=75 s; the one event
+    # serves up to then and schedules nothing more
+    world = fig5c_world(controllers=4, duration=120)
+    assert world.run().packet_in == {f"C{i}": 60000 for i in range(1, 5)}
+    assert world.engine.executed == 1
+    assert all(busy > 120 - 0.002 for busy in world._pi_busy.values()), world._pi_busy
+
+
+class StretchWatchedEngine(EventEngine):
+    """Counts the quiet instants, and why each stretch ended: the kind of the
+    pending event it met, or "run end"."""
+
+    def __init__(self):
+        super().__init__()
+        self.quiet_instants, self.cut_by = 0, Counter()
+
+    def quiet(self, t):
+        if super().quiet(t):
+            self.quiet_instants += 1
+            return True
+        self.cut_by["run end" if t > self._t_end else self._heap[0][2]] += 1
+        return False
+
+
+class StretchWatchedWorld(World):
+    def _schedule_all(self):
+        self.engine = StretchWatchedEngine()  # nothing is scheduled before this
+        super()._schedule_all()
+
+
+def check_packet_in_stretches(failures, service_time, window, rate, cuts, **overrides):
+    """The world and its per-instant oracle agree on `packet_in`, `_pi_busy`
+    and the JSON report at each `run_until` cut and at the end. Returns the
+    world and the oracle."""
+    world = fig5c_world(failures, service_time, window, rate, StretchWatchedWorld, **overrides)
+    oracle = fig5c_world(failures, service_time, window, rate, PerInstantPacketInWorld, **overrides)
+    for cut in [*cuts, None]:
+        if cut is None:
+            reports = world.run(), oracle.run()
+        else:
+            world.engine.run_until(cut)
+            oracle.engine.run_until(cut)
+            reports = world.record_metrics(), oracle.record_metrics()
+        assert world.packet_in == oracle.packet_in, cut
+        assert world._pi_busy == oracle._pi_busy, cut
+        assert first_difference(render_json(reports[0]), render_json(reports[1])) is None, cut
+    return world, oracle
+
+
+FAILABLE = [f"ap AP{i}" for i in range(1, 9)] + [f"controller C{i}" for i in range(1, 5)]
+
+
+def test_packet_in_stretches_match_one_event_per_arrival_instant():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = Counter()
+    # the 3 s run's arrival instants at 400/s, or 1 ms after one
+    at = st.builds(lambda i, offset: round(i * 0.0025 + offset, 9),
+                   st.integers(0, 1199), st.sampled_from([0.0, 0.0, 0.001]))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    # C1 is C4's predecessor on the ring: C4 has lost its APs, and C2 and C3
+    # are past the horizon before C1 crashes, so only C4 can still serve,
+    # and only once it has adopted AP1 and AP5
+    @hypothesis.example(
+        failures=[("ap AP4", 0.25), ("ap AP8", 0.25), ("controller C1", 2.0)], service_time="0.002", rate="400",
+        window="", cuts=[], controllers=4, detection_delay="0.3",
+    )
+    # unsaturated: each controller idles before the horizon's last arrivals,
+    # which it refuses; C2 crashes on an arrival instant, and C3 adopts its
+    # APs one arrival period later, while a cut falls between
+    @hypothesis.example(
+        failures=[("controller C2", 1.0)], service_time="0.0005", rate="400", window=" until=2.2",
+        cuts=[0.5, 1.001], controllers=0, detection_delay="0.0025",
+    )
+    @hypothesis.given(
+        failures=st.lists(st.tuples(st.sampled_from(FAILABLE), at), max_size=4),
+        # saturated at 0.002 s and over (800 arrivals/s per controller at 400/s per AP), unsaturated below
+        service_time=st.sampled_from(["0.002", "0.004", "0.0005", "0.00125"]),
+        rate=st.sampled_from(["400", "250", "1000"]),
+        window=st.sampled_from(["", " start=0.5", " until=2.2", " start=0.3 until=1.7"]),
+        cuts=st.lists(at, max_size=3).map(sorted),
+        controllers=st.integers(0, 4),
+        detection_delay=st.sampled_from(["0", "0.0025", "0.004", "0.3"]),  # 0.0025 s: one period at 400/s
+    )
+    def check(failures, service_time, rate, window, cuts, controllers, detection_delay):
+        lines = [f"fail {what} at={t}" for what, t in failures]
+        world, oracle = check_packet_in_stretches(lines, service_time, window, rate, cuts, controllers=controllers,
+                                                  detection_delay=detection_delay, duration="3.0")
+        eng = world.engine
+        seen.update(cut_by_failure=eng.cut_by["failure"] > 0, cut_by_run_end=eng.cut_by["run end"] > 0,
+                    adopted=len(world._pi_busy) < len(world.packet_in),
+                    early_stop=eng.executed + eng.quiet_instants < oracle.engine.executed)
+
+    check()
+    assert all(seen[k] for k in ("cut_by_failure", "cut_by_run_end", "adopted", "early_stop")), seen
 
 
 def test_packet_in_events_stop_when_every_ap_has_failed():
@@ -1077,7 +1222,7 @@ def test_identical_seed_runs_are_identical():
     w1.engine.record_trace = w2.engine.record_trace = True
     r1, r2 = w1.run(), w2.run()
     assert w1.engine.trace and len(w1.engine.trace) == w1.engine.executed
-    assert w1.engine.trace_digest() == w2.engine.trace_digest()
+    assert trace_digest(w1.engine.trace) == trace_digest(w2.engine.trace)
     assert first_difference(render_csv(r1), render_csv(r2)) is None
     assert first_difference(render_json(r1), render_json(r2)) is None
 
