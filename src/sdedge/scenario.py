@@ -4,11 +4,14 @@ The format is line-oriented and diff-friendly: named sections in square
 brackets, one directive per line, `key=value` arguments. Each directive is
 read through its row of the table `_DIRECTIVES`: its section, usage line,
 positional and `key=value` arguments with the converters that hold their
-domains, and the `_Parser` method that builds it. Generator directives
-(`mds`, `roam`, `flows`) expand at parse time using `layout_seed`, so a
-parsed scenario is always a concrete entity list and re-emitting then
-re-parsing it is structurally lossless. The run seed never influences
-layout; overriding it cannot silently reshape the topology.
+domains, and the `_Parser` method that builds it. The generators `mds`
+and `flows` expand at parse time using `layout_seed` into concrete
+entities. A `roam` line stays a declaration, a `RoamDecl` with its matched
+MDs, `until` and `area` resolved; `World` draws its waypoints, also from
+`layout_seed`, and the parser computes a roam's instants only to check
+them against another trace on the same MD. Re-emitting then re-parsing a
+scenario is structurally lossless. The run seed never influences layout;
+overriding it cannot silently reshape the topology.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import fnmatch
 import math
 import random
-from collections.abc import Callable
+from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -172,6 +176,38 @@ class WaypointDecl(_Directive):
 
 
 @dataclass(frozen=True, slots=True)
+class RoamDecl(_Directive):
+    """Each of `mds` moves at every one of `instants()` to a point of `area`,
+    drawn by `points` from `layout_seed`: one declaration, not one waypoint
+    per device and instant."""
+
+    pattern: str
+    mds: tuple[str, ...]  # the MDs `pattern` matched, in declaration order
+    interval: float
+    until: float
+    area: tuple[float, float, float, float]
+
+    def instants(self) -> array:
+        """`interval`, then `t += interval` while t <= until, each rounded to
+        1e-6 s. They increase: the parser rejects an interval below 1e-6 s
+        or one that does not move the clock at `until`."""
+        out, t = array("d"), self.interval
+        while t <= self.until:
+            out.append(round(t, 6))
+            t += self.interval
+        return out
+
+    def points(self, layout_seed: int, md: str, count: int) -> Iterator[tuple[float, float]]:
+        """`md`'s point (x, y) at each of the first `count` instants, each
+        coordinate rounded to 1e-3."""
+        rand = _layout_rng(layout_seed, f"roam:{md}").random
+        x0, y0, x1, y1 = self.area
+        dx, dy = x1 - x0, y1 - y0  # `uniform(a, b)` is a + (b - a) * random(), as documented
+        for _ in range(count):
+            yield round(x0 + dx * rand(), 3), round(y0 + dy * rand(), 3)
+
+
+@dataclass(frozen=True, slots=True)
 class FailureDecl(_Directive):
     kind: str  # controller | ap
     name: str
@@ -214,6 +250,7 @@ class Scenario:
     waypoints: list[WaypointDecl] = field(default_factory=list)
     failures: list[FailureDecl] = field(default_factory=list)
     workload: WorkloadDecl | None = None
+    roams: list[RoamDecl] = field(default_factory=list)  # `waypoints` holds the explicit moves only
 
 
 def ring_keys(controllers: list[ControllerDecl], m: int) -> tuple[dict[str, int], list[tuple[int, str]]]:
@@ -393,20 +430,11 @@ class _Parser:
         if until + interval <= until:  # `t += interval` would stop moving short of `until`
             self.fail(line, f"roam interval={interval!r} does not advance the clock at until={until!r}")
             return
-        matched = [m.name for m in sc.mds if fnmatch.fnmatchcase(m.name, pattern)]
+        matched = tuple(m.name for m in sc.mds if fnmatch.fnmatchcase(m.name, pattern))
         if not matched:
             self.fail(line, f"roam pattern {pattern!r} matches no MD")
             return
-        x0, y0, x1, y1 = area
-        for md in matched:
-            rng = _layout_rng(sc.params.layout_seed, f"roam:{md}")
-            t = interval
-            while t <= until:
-                sc.waypoints.append(
-                    WaypointDecl(md, round(t, 6),
-                                 round(rng.uniform(x0, x1), 3), round(rng.uniform(y0, y1), 3), line=line)
-                )
-                t += interval
+        sc.roams.append(RoamDecl(pattern, matched, interval, until, area, line=line))
 
     def add_failure(self, line: int, kind: str, name: str, at: float) -> None:
         if kind not in ("controller", "ap"):
@@ -483,19 +511,35 @@ class _Parser:
                 self.fail(s.line, f"flow {s.name} destination {s.dst!r} is not a declared infrastructure node")
             if s.end is not None and s.end <= s.start:
                 self.fail(s.line, f"flow {s.name} ends before it starts")
-        per_md_times: dict[str, float] = {}
-        for wp in sorted(sc.waypoints, key=lambda w: (w.md, w.t)):
-            if wp.md not in md_names:
-                self.fail(wp.line, f"trace references undeclared MD {wp.md!r}")
-                continue
-            last = per_md_times.get(wp.md)
-            if last is not None and wp.t <= last:
-                self.fail(wp.line, f"waypoints for {wp.md} are not strictly increasing at t={wp.t}")
-            per_md_times[wp.md] = wp.t
+        self.check_traces(md_names)
         for f in sc.failures:
             pool = controller_names if f.kind == "controller" else ap_names
             if f.name not in pool:
                 self.fail(f.line, f"failure targets undeclared {f.kind} {f.name!r}")
+
+    def check_traces(self, md_names: set[str]) -> None:
+        """Each MD's waypoint times, from its moves and its roams together,
+        strictly increase; a time that repeats is reported at the later line.
+        One roam's own instants increase, so only an MD with more than one
+        trace is checked."""
+        sc = self.scenario
+        traces: dict[str, list[WaypointDecl | RoamDecl]] = {}
+        for wp in sc.waypoints:
+            if wp.md in md_names:
+                traces.setdefault(wp.md, []).append(wp)
+            else:
+                self.fail(wp.line, f"trace references undeclared MD {wp.md!r}")
+        for roam in sc.roams:
+            for md in roam.mds:
+                traces.setdefault(md, []).append(roam)
+        for md, decls in traces.items():
+            if len(decls) < 2:
+                continue
+            # of equal times, the earlier line's sorts first
+            times = sorted((t, d.line) for d in decls for t in (d.instants() if isinstance(d, RoamDecl) else (d.t,)))
+            for (last, _), (t, line) in zip(times, times[1:]):
+                if t == last:
+                    self.fail(line, f"waypoints for {md} are not strictly increasing at t={t}")
 
     def run(self) -> Scenario:
         self.split_sections()
@@ -711,11 +755,14 @@ def format_scenario(sc: Scenario) -> str:
                 f"flow {s.name} md={s.md} dst={s.dst} type={s.flow_type} "
                 f"demand={s.demand!r} tech={s.tech} start={s.start!r}{end}"
             )
-    if sc.waypoints:
+    if sc.waypoints or sc.roams:
         out.append("")
         out.append("[traces]")
         for w in sc.waypoints:
             out.append(f"move {w.md} {w.t!r} {w.x!r},{w.y!r} {w.status}")
+        for r in sc.roams:
+            area = ",".join(repr(v) for v in r.area)
+            out.append(f"roam {r.pattern} interval={r.interval!r} until={r.until!r} area={area}")
     if sc.failures:
         out.append("")
         out.append("[failures]")

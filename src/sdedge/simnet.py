@@ -60,19 +60,24 @@ event each; it schedules the first instant after the stretch once, and
 nothing more once no controller can serve again (see
 `_packet_in_arrivals`). A handler failure there names the stretch's first
 instant, not the AP. Moves are
-batched the same way: the waypoints of one instant are one md-move event,
-which applies them in waypoint order, and a failure there names the instant.
+batched the same way: the moves of one instant are one md-move event, and a
+failure there names the instant. A `roam` is drawn here, not at parse: its
+instants once, and per device one array of points, so no object is made
+per waypoint. An instant's event moves the roams' devices in name order,
+merged by name with the scenario's waypoints, which a parsed scenario
+holds in (instant, device) order and one built in code in any order.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import insort
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, merge
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .authn import AuthnService, LocationGroup
 from .engine import EventEngine, later
@@ -80,7 +85,7 @@ from .errors import HandoverFailure, NotAMember, UsageError
 from .mobility import MobilityManager
 from .report import HandoverLog, MetricsReport, Throughput
 from .ring import OverlayRing
-from .scenario import Params, Scenario, StreamDecl, WaypointDecl, ring_keys
+from .scenario import Params, RoamDecl, Scenario, StreamDecl, WaypointDecl, ring_keys
 from .scheduler import APStatus, FlowRequest, PartitionView, ViewEvent, best_ap, update_partition_view
 
 
@@ -118,6 +123,22 @@ class _Chain:
 
 
 _RANK = attrgetter("rank")
+_MD = itemgetter(0)
+
+
+class _RoamPaths:
+    """One roam, drawn: its devices in name order, and per device one array
+    of its points, x then y per instant of the roam."""
+
+    def __init__(self, roam: RoamDecl, layout_seed: int, count: int):
+        self.mds = sorted(roam.mds)
+        self.paths = [array("d", [v for xy in roam.points(layout_seed, md, count) for v in xy]) for md in self.mds]
+
+    def moves(self, k: int) -> Iterator[tuple[str, float, float]]:
+        """(device, x, y) at the roam's k-th instant, in device name order."""
+        i = 2 * k
+        for md, path in zip(self.mds, self.paths):
+            yield md, path[i], path[i + 1]
 
 
 @dataclass
@@ -302,11 +323,8 @@ class World:
                     eng.schedule(0.0, "beacon", *self._beacon_source(ap_name))
         # every move is scheduled here, together, so no other event can fall
         # between two moves of one instant: they are one event
-        moves: dict[float, list[WaypointDecl]] = {}  # instant -> its waypoints, in list order
-        for wp in self.scenario.waypoints:
-            moves.setdefault(wp.t, []).append(wp)
-        for t, wps in moves.items():
-            eng.schedule(t, "md-move", lambda w=wps: self._apply_moves(w), note="move")
+        for t, (wps, roams) in sorted(self._moves_by_instant().items()):
+            eng.schedule(t, "md-move", lambda w=wps, r=roams: self._apply_moves(w, r), note="move")
         for st in self.streams.values():
             eng.schedule(st.decl.start, "flow-start", lambda s=st: self._flow_start(s), note=f"start:{st.name}")
             end = st.decl.end
@@ -380,14 +398,34 @@ class World:
 
     # ------------------------------------------------------------------ movement
 
-    def _apply_moves(self, wps: list[WaypointDecl]) -> None:
-        """The moves of one instant, in waypoint order."""
-        for wp in wps:
-            self.apply_move(wp.md, wp)
+    def _moves_by_instant(self) -> dict[float, tuple[list[WaypointDecl], list[tuple[_RoamPaths, int]]]]:
+        """Instant -> its waypoints in list order, and each roam due then with
+        the index of that instant among the roam's. A roam's instants are
+        computed once for all its devices, and its points are drawn into one
+        array per device, from the layout seed the scenario was parsed with:
+        like the `mds` it placed, a `--set layout_seed=` moves no roam."""
+        moves: dict[float, tuple[list[WaypointDecl], list[tuple[_RoamPaths, int]]]] = {}
+        for wp in self.scenario.waypoints:
+            moves.setdefault(wp.t, ([], []))[0].append(wp)
+        for roam in self.scenario.roams:
+            instants = roam.instants()
+            paths = _RoamPaths(roam, self.scenario.params.layout_seed, len(instants))
+            for k, t in enumerate(instants):
+                moves.setdefault(t, ([], []))[1].append((paths, k))
+        return moves
 
-    def apply_move(self, md: str, wp: WaypointDecl) -> None:
+    def _apply_moves(self, wps: list[WaypointDecl], roams: list[tuple[_RoamPaths, int]]) -> None:
+        """The moves of one instant: its waypoints in list order, merged by
+        device name with each roam's devices, which are in name order."""
+        sources: list[Iterable[tuple[str, float, float]]] = [r.moves(k) for r, k in roams]
+        if wps:
+            sources.append((wp.md, wp.x, wp.y) for wp in wps)
+        for md, x, y in merge(*sources, key=_MD):
+            self.apply_move(md, x, y)
+
+    def apply_move(self, md: str, x: float, y: float) -> None:
         state = self.mds[md]
-        state.position = (wp.x, wp.y)
+        state.position = (x, y)
         self._update_roster(md, state.position)
 
         # presence proof breaks as soon as any member AP's coverage is gone
@@ -734,13 +772,14 @@ class World:
         are counted once, k per controller, and each instant applies k
         updates to each controller, in any order of controllers and APs.
 
-        The arrivals stop once every controller in `_pi_busy`, crashed ones
-        included, has busy + service_time past the horizon: busy time and
-        the clock only grow, and an adoption moves APs onto a controller
-        already there, so no arrival could be served after that. (A crashed
-        controller's APs go to its adopter later, so the controllers with
-        due APs alone do not decide it.) Only a refused arrival can show
-        that point, so only an instant that refused one checks for it. A
+        The arrivals stop once every live controller has busy + service_time
+        past the horizon, at once if none is live: busy time and the clock
+        only grow, a crashed controller serves nothing again, and an
+        adoption moves APs only onto a live controller, so no arrival could
+        be served after that. (A crashed controller's APs go to its adopter
+        later, so the controllers with due APs alone do not decide it.) Only
+        a refused arrival, or an instant with no AP of a live controller
+        due, can show that point, so only such an instant checks for it. A
         handler failure names the first instant of its stretch, not an AP.
         """
         eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
@@ -772,7 +811,8 @@ class World:
                         busy_of[controller] = busy
                         served[controller] += n
                 t = later(t, period)
-                if t > horizon or not due or refused and all(b + service_time > horizon for b in busy_of.values()):
+                if t > horizon or not due or (refused or not load) and all(
+                        busy_of[c] + service_time > horizon for c in busy_of if c not in crashed):
                     return
                 if not quiet(t):
                     eng.schedule(t, "message-delivery", arrivals, "packetin")

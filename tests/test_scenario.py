@@ -1,3 +1,4 @@
+import fnmatch
 import os
 import resource
 import subprocess
@@ -19,6 +20,7 @@ from sdedge.scenario import (
     LinkDecl,
     MDDecl,
     Params,
+    RoamDecl,
     Scenario,
     StreamDecl,
     SwitchDecl,
@@ -138,6 +140,70 @@ def test_waypoints_must_increase_per_md():
     bad = MINI + "move M1 1.0 3,3 staying\n"
     with pytest.raises(ScenarioError):
         parse_scenario_text(bad, "bad")
+
+
+ROAMS = """\
+[params]
+duration = 6.0
+
+[topology]
+controller C1
+ap AP1 pos=0,0 radius=10 capacity=11 techs=wifi partition=C1
+md M2 pos=1,1
+md M1 pos=2,2
+
+[traces]
+"""
+
+
+def _trace_errors(*lines):
+    """The errors of ROAMS with `lines` in [traces], as {(line, message)}, and
+    the line number of each of `lines`."""
+    at = [ROAMS.count("\n") + 1 + i for i in range(len(lines))]
+    try:
+        parse_scenario_text(ROAMS + "".join(f"{line}\n" for line in lines), "roams")
+    except ScenarioError as err:
+        return {(ln, msg) for ln, _, msg in err.errors}, at
+    return set(), at
+
+
+def test_a_move_between_a_roams_instants_is_accepted():
+    errors, _ = _trace_errors("roam M* interval=2.0", "move M1 3.0 5,5")
+    assert errors == set()
+
+
+@pytest.mark.parametrize("move_first", [False, True])
+def test_a_move_on_a_roam_instant_is_rejected_at_the_later_line(move_first):
+    lines = ["roam M* interval=2.0", "move M1 4.0 5,5"]
+    errors, at = _trace_errors(*(lines[::-1] if move_first else lines))
+    assert errors == {(at[1], "waypoints for M1 are not strictly increasing at t=4.0")}
+
+
+def test_two_roams_on_one_md_are_accepted_while_their_instants_never_meet():
+    errors, _ = _trace_errors("roam M* interval=2.0", "roam M1 interval=3.0 until=5.0")
+    assert errors == set()
+
+
+def test_two_roams_on_one_md_are_rejected_at_the_later_line_where_they_meet():
+    errors, at = _trace_errors("roam M1 interval=3.0", "roam M* interval=2.0")
+    assert errors == {(at[1], "waypoints for M1 are not strictly increasing at t=6.0")}
+    # instants are accumulated, `t += interval`, then rounded to 1e-6 s:
+    # 0.1 + 0.1 + 0.1 meets 0.3 once both are rounded
+    errors, at = _trace_errors("roam M2 interval=0.1 until=1.0", "move M1 0.5 1,1", "roam M* interval=0.3 until=1.0")
+    assert errors == {(at[2], f"waypoints for M2 are not strictly increasing at t={t}") for t in (0.3, 0.6, 0.9)}
+
+
+def test_a_roam_over_an_md_declared_twice_collides_with_itself():
+    errors, at = _trace_errors("roam M1 interval=2.0")
+    assert errors == set()
+    text = ROAMS.replace("md M1 pos=2,2\n", "md M1 pos=2,2\nmd M1 pos=3,3\n") + "roam M1 interval=2.0\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text, "roams")
+    line = text.count("\n")
+    assert {(ln, msg) for ln, _, msg in err.value.errors} == {
+        (9, "duplicate node name 'M1' (md and md)"),
+        *((line, f"waypoints for M1 are not strictly increasing at t={t}") for t in (2.0, 4.0, 6.0)),
+    }
 
 
 def test_roundtrip_is_structurally_lossless():
@@ -333,7 +399,7 @@ def test_each_bad_directive_line_is_rejected_at_its_line(section, bad, tmp_path,
 @pytest.mark.parametrize("bad", ["roam M* interval=0", "roam M* interval=-1", "roam M* interval=1 until=inf",
                                  "roam M* interval=1e-6 until=1e11"])
 def test_roam_steps_that_never_reach_the_end_are_rejected_in_time(bad, tmp_path):
-    # each of these generates waypoints without end unless it is rejected:
+    # each of these would step its instants without end unless it is rejected:
     # the parse runs in a child with a time and memory limit
     _, path, line = _with_line("traces", bad, tmp_path)
     proc = subprocess.run(
@@ -412,8 +478,18 @@ def test_formatted_scenarios_parse_back_equal():
                                 draw(time))
                     for kind in draw(st.lists(st.sampled_from(["controller", "ap"]), max_size=2))]
         workload = draw(st.none() | st.builds(WorkloadDecl, st.floats(0.1, 1e3), positive, time, st.none() | time))
+        names = [m.name for m in mds]
+        patterns = [p for p in ("M*", "*", "M0", "M1", "M[12]") if fnmatch.filter(names, p)]
+        roams = []
+        for _ in range(draw(st.integers(0, 2))):
+            pattern, interval = draw(st.sampled_from(patterns)), draw(st.floats(1e-3, 1e3))
+            roams.append(RoamDecl(pattern, tuple(fnmatch.filter(names, pattern)), interval,
+                                  draw(st.floats(0, 20 * interval)), tuple(draw(number) for _ in range(4))))
+        for md in names:  # a parsed MD's waypoint times never repeat
+            times = [w.t for w in waypoints if w.md == md] + [t for r in roams if md in r.mds for t in r.instants()]
+            hypothesis.assume(len(times) == len(set(times)))
         return Scenario("gen", Params(), controllers, switches, aps, mds, links, groups, streams, waypoints,
-                        failures, workload)
+                        failures, workload, roams)
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(sc=scenarios())

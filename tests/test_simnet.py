@@ -1,4 +1,6 @@
+import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +9,7 @@ from sdedge.engine import EventEngine, later
 from sdedge.errors import SimulationHalted, UsageError
 from sdedge.report import render_csv, render_json
 from sdedge.scenario import (
-    WaypointDecl, apply_overrides, bundled_scenario_path, parse_scenario, parse_scenario_text,
+    WaypointDecl, _layout_rng, apply_overrides, bundled_scenario_path, parse_scenario, parse_scenario_text,
 )
 from sdedge.scheduler import APStatus
 from sdedge.simnet import World
@@ -436,8 +438,8 @@ class RosterCheckedWorld(World):
         for ap_name, kept in self._recipients.items():
             assert kept == tuple(sorted(self.disc_roster[ap_name])), (self.engine.now, ap_name)
 
-    def apply_move(self, md, wp):
-        super().apply_move(md, wp)
+    def apply_move(self, md, x, y):
+        super().apply_move(md, x, y)
         self.check_roster()
 
     def run(self):
@@ -596,7 +598,7 @@ class PerWaypointWorld(World):
         def one_per_waypoint(at, kind, fn, note=""):
             if kind not in ("timer", "beacon"):
                 for wp in waypoints:
-                    schedule(wp.t, "md-move", lambda w=wp: self.apply_move(w.md, w), f"move:{wp.md}")
+                    schedule(wp.t, "md-move", lambda w=wp: self.apply_move(w.md, w.x, w.y), f"move:{wp.md}")
                 waypoints.clear()
             if kind != "md-move":
                 schedule(at, kind, fn, note)
@@ -709,6 +711,92 @@ def test_unsorted_waypoints_built_in_code_move_in_list_order():
     assert sorted(sc.waypoints, key=lambda w: w.t) != sc.waypoints
     report = check_moves_batched_per_instant(sc, apply_overrides(sc.params, {"mode": "LEDGE-LA"}))
     assert any(h["to_ap"] == "AP2" for h in report.handovers)
+
+
+class MoveLogWorld(World):
+    """Logs (instant, device, position) after every move."""
+
+    def __init__(self, *args, **kwargs):
+        self.moved = []
+        super().__init__(*args, **kwargs)
+
+    def apply_move(self, md, *position):
+        super().apply_move(md, *position)
+        self.moved.append((self.engine.now, md, self.mds[md].position))
+
+
+# four devices declared out of name order roam over two small APs, so that
+# the order of an instant's moves decides which flows fit; M3 also moves
+# between the roam's instants
+ROAM_ORDER = star(
+    ["AP1 pos=0,0 radius=20 capacity=3 techs=wifi partition=C1",
+     "AP2 pos=30,0 radius=20 capacity=3 techs=wifi partition=C2"],
+    ["M4 pos=1,0", "M2 pos=2,0", "M3 pos=29,0", "M1 pos=31,0"],
+    [f"F{i} md=M{i} dst=C1 type=tcp demand=1.5 tech=wifi start=0.0" for i in range(1, 5)],
+    controllers=("C1 key=3", "C2 key=20"), params=("sample_period = 0.25",),
+    tail="[traces]\nroam M* interval=0.5 until=5.0 area=-20,-10,50,10\nmove M3 1.25 31,1\n",
+)
+
+
+def test_a_roam_moves_its_devices_in_name_order_within_an_instant():
+    world = MoveLogWorld(parse_scenario_text(ROAM_ORDER, "roam-order"))
+    report = world.run()
+    instants = [round(0.5 * i, 6) for i in range(1, 11)]
+    assert [(t, md) for t, md, _ in world.moved] == [
+        *((t, f"M{i}") for t in instants[:2] for i in range(1, 5)), (1.25, "M3"),
+        *((t, f"M{i}") for t in instants[2:] for i in range(1, 5)),
+    ]
+    assert (1.25, "M3", (31.0, 1.0)) in world.moved
+    assert report.handovers
+    # pinned from a build whose parser expanded each roam into one waypoint per device and instant
+    assert hashlib.sha256(render_json(report).encode()).hexdigest() == ROAM_ORDER_JSON
+    assert hashlib.sha256(render_csv(report).encode()).hexdigest() == ROAM_ORDER_CSV
+
+
+ROAM_ORDER_JSON = "bfdfab798aba32a461ca3df2bca8458aa4de404996fcd775d3cb827ff22af7b4"
+ROAM_ORDER_CSV = "2869d618daab7f5ec45fcf26f6879f60e6afa059b96fba4c5728b1e8029464a7"
+
+
+# two roams over disjoint devices and a move on a third device, due at the
+# same instants: each instant moves its devices in name order across them
+ROAM_MERGE = ROAM_ORDER.replace(
+    "roam M* interval=0.5 until=5.0 area=-20,-10,50,10\nmove M3 1.25 31,1\n",
+    "roam M[24] interval=0.5 until=2.0 area=-20,-10,50,10\n"
+    "roam M[13] interval=1.0 until=2.0 area=-20,-10,50,10\nmove M3 1.5 31,1\n",
+)
+
+
+def with_roams_expanded(sc):
+    """`sc` with each roam expanded into one waypoint per device and instant,
+    sorted by (instant, device), as the parser once expanded roams."""
+    waypoints = list(sc.waypoints)
+    for roam in sc.roams:
+        x0, y0, x1, y1 = roam.area
+        for md in roam.mds:
+            rng, t = _layout_rng(sc.params.layout_seed, f"roam:{md}"), roam.interval
+            while t <= roam.until:
+                waypoints.append(WaypointDecl(md, round(t, 6), round(rng.uniform(x0, x1), 3),
+                                              round(rng.uniform(y0, y1), 3), line=roam.line))
+                t += roam.interval
+    return replace(sc, waypoints=sorted(waypoints, key=lambda w: (w.t, w.md)), roams=[])
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("roam-order", {}),
+    ("roam-merge", {}),
+    ("fig5", {"duration": "8.0", "layout_seed": "7"}),  # a roam keeps the layout seed it was parsed with
+    ("fig5", {"mode": "LEDGE-PAP"}),
+])
+def test_roams_drawn_by_the_world_match_their_waypoints_expanded(name, overrides):
+    texts = {"roam-order": ROAM_ORDER, "roam-merge": ROAM_MERGE}
+    sc = parse_scenario_text(texts[name], name) if name in texts else parse_scenario(bundled_scenario_path(name))
+    assert sc.roams and not any(wp.line == sc.roams[0].line for wp in sc.waypoints)
+    params = apply_overrides(sc.params, overrides)
+    drawn, expanded = World(sc, params), World(with_roams_expanded(sc), params)
+    reports = drawn.run(), expanded.run()
+    assert first_difference(render_json(reports[0]), render_json(reports[1])) is None
+    assert first_difference(render_csv(reports[0]), render_csv(reports[1])) is None
+    assert drawn.engine.executed == expanded.engine.executed
 
 
 def test_a_failed_move_names_its_instant():
@@ -1172,6 +1260,19 @@ def test_packet_in_stretches_match_one_event_per_arrival_instant():
 
     check()
     assert all(seen[k] for k in ("cut_by_failure", "cut_by_run_end", "adopted", "early_stop")), seen
+
+
+def test_packet_in_arrivals_stop_at_once_when_no_controller_is_live():
+    # the only controller crashes at t=1.0 and nothing can adopt its APs: the
+    # arrival event then serves nothing and schedules nothing more, where the
+    # per-instant oracle goes on through the 47,600 instants left to 120 s
+    world, oracle = check_packet_in_stretches(["fail controller C1 at=1.0"], "0.002", "", "400", [],
+                                              controllers=1, duration=120)
+    assert world.packet_in == {"C1": 3200}  # 400 instants of 8 APs, queued up to t=6.4
+    assert oracle.engine.executed == 48001 + 2
+    # the first arrival event serves the 399 quiet instants before the failure;
+    # then the failure, the arrivals at t=1.0, and the recovery that finds no adopter
+    assert (world.engine.quiet_instants, world.engine.executed) == (399, 4)
 
 
 def test_packet_in_events_stop_when_every_ap_has_failed():
