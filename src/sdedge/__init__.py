@@ -12,7 +12,7 @@ from .mobility import MobilityManager
 from .report import MetricsReport, emit
 from .ring import OverlayRing, RingView, hash_id
 from .scenario import Scenario, apply_overrides, bundled_scenario_path, parse_scenario
-from .simnet import World, run_scenario
+from .simnet import World
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,5 @@ __all__ = [
     "emit",
     "hash_id",
     "parse_scenario",
-    "run_scenario",
     "__version__",
 ]

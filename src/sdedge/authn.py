@@ -30,9 +30,8 @@ Most deliveries change nothing, and cost one log extend and one re-stamp:
   AP's key is the same object, the recipients the same tuple, and no
   `receive_beacon` has run since. Only this AP's deliveries and
   `receive_beacon` write this AP's wallet slot, so each of those recipients
-  still holds that entry, unless it holds a later epoch's, which the key
-  does not replace: the re-stamp is a fresh `WalletEntry(key, now)` written
-  to each of them.
+  still holds that entry: the re-stamp is a fresh `WalletEntry(key, now)`
+  written to each of them.
 - `deliver` replays the AP's previous wave, extending the log by its rows
   with no decision made, when `version` is what it was at that wave's
   start, the recipients are the same tuple and their serving APs are equal.
@@ -99,9 +98,9 @@ class BeaconKey:
 
 @dataclass(slots=True)
 class WalletEntry:
-    """A key as heard at `received_at`. An entry is shared by exactly the
-    recipients of its AP's latest delivery that took it, and only that AP's
-    next identical delivery re-stamps it (`AuthnService.hear`)."""
+    """A key as heard at `received_at`. An entry is shared by the recipients
+    of its AP's latest delivery, and only that AP's next identical delivery
+    re-stamps it (`AuthnService.hear`)."""
 
     key: BeaconKey
     received_at: float
@@ -185,16 +184,14 @@ class AuthnService:
     # -- device side -----------------------------------------------------------
 
     def receive_beacon(self, md_id: str, ap: str, received_at: float) -> BeaconKey | None:
-        """Hear `ap`'s current key: it replaces the wallet's entry for `ap`
-        unless that entry holds a later epoch."""
+        """Hear `ap`'s current key: it replaces the wallet's entry for `ap`.
+        Only `rotate_group_keys` installs a key, at a rising epoch, so no held
+        entry is of a later epoch than it."""
         self.version += 1
         self.receipts += 1
         key = self.ap_keys.get(ap)
         if key is not None:
-            held = self.wallets.setdefault(md_id, {})
-            cur = held.get(ap)
-            if cur is None or key.epoch >= cur.key.epoch:
-                held[ap] = WalletEntry(key, received_at)
+            self.wallets.setdefault(md_id, {})[ap] = WalletEntry(key, received_at)
         return key
 
     def hear(self, ap: str, recipients: tuple[str, ...], now: float) -> BeaconKey | None:
@@ -208,14 +205,12 @@ class AuthnService:
             if last is not None and last[0].key is key and last[1] is recipients and last[2] == self.receipts:
                 last[0].received_at = now
                 return key
-            entry, epoch, wallets = WalletEntry(key, now), key.epoch, self.wallets
+            entry, wallets = WalletEntry(key, now), self.wallets
             for md in recipients:
                 held = wallets.get(md)
                 if held is None:
                     held = wallets[md] = {}
-                cur = held.get(ap)
-                if cur is None or epoch >= cur.key.epoch:
-                    held[ap] = entry
+                held[ap] = entry
             self._heard[ap] = (entry, recipients, self.receipts)
         return key
 

@@ -41,12 +41,10 @@ class NotAssociated(MobilityError):
     pass
 
 
-class MigrationRefused(MobilityError):
-    """Target AP cannot host the association (out of coverage)."""
-
-
 class HandoverFailure(MobilityError):
-    """Supervisor and session sources dead beyond the replication factor."""
+    """A handover cannot complete: its target controller is dead, the
+    supervisor cannot be reached, or the supervisory record or session is
+    lost beyond the replication factor."""
 
 
 # --- scheduler ---

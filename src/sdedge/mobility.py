@@ -27,7 +27,6 @@ from typing import Callable
 from .errors import (
     AlreadyRegistered,
     HandoverFailure,
-    MigrationRefused,
     NotAMember,
     NotAssociated,
     RoutingFailure,
@@ -97,15 +96,9 @@ class RecoveryReport:
 class MobilityManager:
     """Registration, supervisory tracking, handover, and recovery paths."""
 
-    def __init__(
-        self,
-        ring: OverlayRing,
-        link_latency: float = 0.001,
-        coverage_check: Callable[[str, str], bool] | None = None,
-    ):
+    def __init__(self, ring: OverlayRing, link_latency: float = 0.001):
         self.ring = ring
         self.link_latency = link_latency
-        self.coverage_check = coverage_check
         self.registered: dict[str, int] = {}          # md id -> ring key
         self.associations: dict[str, AssociationRecord] = {}
         self.association_ap: dict[str, str] = {}      # md id -> serving AP id
@@ -232,8 +225,6 @@ class MobilityManager:
             raise NotAssociated(f"{md_id} holds no live association at {ap_old}")
         if ap_new == ap_old:
             return record
-        if self.coverage_check is not None and not self.coverage_check(md_id, ap_new):
-            raise MigrationRefused(f"{ap_new} does not cover {md_id}")
         record.ap_mac = mac_of(ap_new)
         self.association_ap[md_id] = ap_new
         return record

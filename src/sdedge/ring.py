@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from .errors import MembershipConflict, NotAMember, RingError, RoutingFailure
 
@@ -112,7 +112,8 @@ class ControllerNode:
 
 
 class RingView:
-    """Brute-force ownership oracle over a plain sorted id set (test oracle)."""
+    """Ownership over a plain sorted id set, by bisection: the ring's owner
+    index for its live ids, and the oracle routed lookups are checked against."""
 
     def __init__(self, ids):
         self.ids = sorted(set(ids))
@@ -136,9 +137,7 @@ class OverlayRing:
         self.size = 1 << m
         self.replication = replication
         self.nodes: dict[int, ControllerNode] = {}
-        # observer(hops) called on every routed lookup; the simulation wires
-        # this to its hop histogram
-        self.lookup_observer: Callable[[int], None] | None = None
+        self.lookup_hops: dict[int, int] = {}  # hops -> routed lookups that took that many
 
     # -- identity ---------------------------------------------------------
 
@@ -263,23 +262,14 @@ class OverlayRing:
                 return fid
         return node.id
 
-    def find_successor(self, start: int, key: int) -> tuple[int, int]:
+    def route_with_fallback(self, start: int, key: int) -> tuple[int, int]:
         """Route from `start` to the owner of `key`; returns (owner, hops).
 
-        Strict mode: a dead next-hop is a routing failure (no fallback).
+        Crashed nodes are skipped: dead fingers are passed over for earlier
+        ones; when none remain the lookup advances through the successor
+        list, which reaches the successor's own finger table on the next
+        step. Each lookup counts its hops in `lookup_hops`.
         """
-        return self._route(start, key, strict=True)
-
-    def route_with_fallback(self, start: int, key: int) -> tuple[int, int]:
-        """Like find_successor, but skips crashed nodes.
-
-        Dead fingers are passed over for earlier ones; when none remain the
-        lookup advances through the successor list, which reaches the
-        successor's own finger table on the next step.
-        """
-        return self._route(start, key, strict=False)
-
-    def _route(self, start: int, key: int, strict: bool) -> tuple[int, int]:
         if not 0 <= key < self.size:
             raise ValueError(f"key {key} outside [0, 2^{self.m})")
         if not self.is_live(start):
@@ -290,48 +280,43 @@ class OverlayRing:
         limit = 2 * max(len(self.nodes), self.m) + 4  # routing must terminate well before this
         for _ in range(limit):
             if current.id == key:
-                self._observe(hops)
-                return current.id, hops
-            try:
-                succ_id = self._next_live_successor(current, strict)
-            except RoutingFailure:
-                succ_id = None  # successors dead; a live finger may still route
+                owner = current.id
+                break
+            succ_id = self._next_live_successor(current)  # None: a live finger may still route
             if succ_id is not None and in_arc(current.id, succ_id, key):
                 if succ_id != current.id:
                     hops += 1
-                self._observe(hops)
-                return succ_id, hops
-            nxt = self._next_hop(current, key, strict)
+                owner = succ_id
+                break
+            nxt = self._next_hop(current, key)
             hops += 1
             current = self.nodes[nxt]
-        raise RoutingFailure(f"lookup for key {key} from {start} did not converge")
+        else:
+            raise RoutingFailure(f"lookup for key {key} from {start} did not converge")
+        self.lookup_hops[hops] = self.lookup_hops.get(hops, 0) + 1
+        return owner, hops
 
-    def _next_hop(self, current: ControllerNode, key: int, strict: bool) -> int:
+    find_successor = route_with_fallback  # Chord's name for the same lookup
+
+    def _next_hop(self, current: ControllerNode, key: int) -> int:
         fid = self.closest_preceding_finger(current, key)
         if fid != current.id:
             if self.is_live(fid):
                 return fid
-            if strict:
-                raise RoutingFailure(f"finger {fid} of node {current.id} is unreachable")
             for cand in reversed(current.fingers):
                 if in_open_arc(current.id, key, cand) and self.is_live(cand):
                     return cand
         # no live preceding finger: fall through to the successor list
-        return self._next_live_successor(current, strict)
+        succ_id = self._next_live_successor(current)
+        if succ_id is None:
+            raise RoutingFailure(f"all successors of node {current.id} are unreachable")
+        return succ_id
 
-    def _next_live_successor(self, node: ControllerNode, strict: bool) -> int:
-        if strict:
-            if not self.is_live(node.successor):
-                raise RoutingFailure(f"successor {node.successor} of node {node.id} is dead")
-            return node.successor
+    def _next_live_successor(self, node: ControllerNode) -> int | None:
         for sid in node.successor_list:
             if self.is_live(sid):
                 return sid
-        raise RoutingFailure(f"all successors of node {node.id} are unreachable")
-
-    def _observe(self, hops: int) -> None:
-        if self.lookup_observer is not None:
-            self.lookup_observer(hops)
+        return None
 
     # -- storage ----------------------------------------------------------
 

@@ -669,10 +669,15 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
 
 
 def parse_scenario(path: str | Path | Traversable) -> Scenario:
-    """Parse a scenario file, or a bundled one's package resource."""
+    """Parse a scenario file, or a bundled one's package resource, as UTF-8.
+    One that cannot be read is a `ScenarioError` at line 0."""
     if isinstance(path, str):
         path = Path(path)
-    return parse_scenario_text(path.read_text(), name=Path(path.name).stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError([(0, 1, f"cannot read: {exc}")]) from None
+    return parse_scenario_text(text, name=Path(path.name).stem)
 
 
 def bundled_scenario_path(name: str) -> Traversable:

@@ -5,6 +5,8 @@ per-partition scheduler views, and the authentication service, and drives
 them from a parsed scenario. Mobiles follow their traces; coverage deltas
 trigger AP association changes (Personal-AP migration or plain
 re-association) and, across partitions, the controller handover protocol.
+A device only ever moves to an AP that covers it, and never to the AP that
+already serves it while it is connected.
 An AP failure is such a delta for each device it served, so they take the
 same path, after the detection delay. A handover or first registration
 that fails, because its target controller is down, leaves the device
@@ -174,10 +176,9 @@ class World:
         self.name_of: dict[int, str] = {cid: name for name, cid in keys.items()}
         for cid in keys.values():
             self.ring.join(cid)
+        self.ring.lookup_hops.clear()  # the report counts the run's lookups, not the joins'
 
-        self.mobility = MobilityManager(
-            self.ring, link_latency=p.link_latency, coverage_check=self._covers
-        )
+        self.mobility = MobilityManager(self.ring, link_latency=p.link_latency)
 
         # --- partitions --------------------------------------------------
         self.partition_of: dict[str, str] = {}
@@ -239,20 +240,14 @@ class World:
         # --- metrics ------------------------------------------------------------
         self.handover_rows = HandoverLog()
         self.packet_in: dict[str, int] = {c.name: 0 for c in active}
-        self.lookup_hops: dict[int, int] = {}
         self.record_losses: list[str] = []
         self._pi_busy: dict[str, float] = {c.name: 0.0 for c in active}
         self._crashed: set[str] = set()  # controllers that crashed, adopted or not
-
-        self.ring.lookup_observer = self._on_lookup
 
         self._bootstrap()
         self._schedule_all()
 
     # ------------------------------------------------------------------ wiring
-
-    def _on_lookup(self, hops: int) -> None:
-        self.lookup_hops[hops] = self.lookup_hops.get(hops, 0) + 1
 
     def _update_roster(self, md: str, position: tuple[float, float] | None) -> None:
         """Record `md` at `position` in the roster of every AP: the one disc test.
@@ -463,11 +458,11 @@ class World:
         return FlowRequest(md, lead.decl.flow_type, lead.decl.demand, lead.decl.tech)
 
     def _associate(self, md: str, new_ap: str, reason: str) -> None:
+        """Attach `md` to `new_ap`, which `_reattach` chose among the APs
+        covering it, and which is not its AP while it is connected."""
         now = self.engine.now
         state = self.mds[md]
         old_ap = self.mobility.association_ap.get(md)
-        if old_ap == new_ap and state.connected:
-            return
         self._mark(self._md_streams.get(md, ()))
         new_ctrl = self.partition_of[new_ap]
         old_ctrl = self.partition_of.get(old_ap)
@@ -838,11 +833,7 @@ class World:
             throughput=Throughput(self.params.sample_period, streams),
             handovers=self.handover_rows,
             packet_in=dict(sorted(self.packet_in.items())),
-            lookup_hops=dict(sorted(self.lookup_hops.items())),
+            lookup_hops=dict(sorted(self.ring.lookup_hops.items())),
             auth_events=self.authn.auth_log,
             record_losses=list(self.record_losses),
         )
-
-
-def run_scenario(scenario: Scenario, overrides: Params | None = None) -> MetricsReport:
-    return World(scenario, params=overrides).run()

@@ -146,17 +146,54 @@ def test_key_delivery_deferred_for_down_ap():
 def test_hearing_a_delivery_is_receive_beacon_per_recipient_with_one_shared_entry():
     batch, single = make_service(), make_service()
     for svc in (batch, single):
-        old = svc.rotate_group_keys("G1", now=0.0)
+        svc.rotate_group_keys("G1", now=0.0)
+        svc.receive_beacon("M2", "AP1", 0.1)  # an epoch-1 entry
         svc.rotate_group_keys("G1", now=1.0)
-        svc.receive_beacon("M2", "AP1", 1.1)  # an epoch-2 entry
-        svc.ap_keys["AP1"] = old[0]  # AP1 broadcasts its epoch-1 key again
     key = batch.hear("AP1", ["M1", "M2", "M3"], 1.2)
-    assert key.epoch == 1
+    assert key.epoch == 2
     assert [single.receive_beacon(md, "AP1", 1.2) for md in ("M1", "M2", "M3")] == [key] * 3
     assert batch.wallets == single.wallets
-    assert batch.wallets["M2"]["AP1"].key.epoch == 2  # a later epoch is kept
-    assert batch.wallets["M1"]["AP1"] is batch.wallets["M3"]["AP1"]
+    assert batch.wallets["M1"]["AP1"] is batch.wallets["M2"]["AP1"] is batch.wallets["M3"]["AP1"]
     assert batch.hear("AP9", ["M4"], 1.2) is None and "M4" not in batch.wallets
+
+
+def test_no_wallet_holds_a_later_epoch_than_its_ap_installed():
+    """`hear` and `receive_beacon` store an AP's installed key whatever the
+    wallet holds, which is exact because an AP's installed epoch never falls:
+    only `rotate_group_keys` installs a key, at its group's next epoch, and a
+    down AP keeps its older key."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    aps = ("AP1", "AP2", "AP3", "AP4", "AP5")
+    mds = ("M1", "M2", "M3")
+    rosters = (("M1",), ("M1", "M2"), ("M2", "M3"), mds)  # reused tuples, so that deliveries re-stamp
+    step = st.one_of(
+        st.tuples(st.just("rotate"), st.sampled_from(["G1", "G2"]), st.frozensets(st.sampled_from(aps))),
+        st.tuples(st.just("hear"), st.sampled_from(aps), st.sampled_from(rosters)),
+        st.tuples(st.just("receive"), st.sampled_from(aps), st.sampled_from(mds)),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.lists(step, max_size=30))
+    def check(steps):
+        svc = make_service()
+        svc.register_group(LocationGroup("G2", frozenset({"AP4", "AP5"})))
+        installed = {}
+        for now, (op, arg, who) in enumerate(steps):
+            if op == "rotate":
+                svc.rotate_group_keys(arg, float(now), down_aps=who)
+            elif op == "hear":
+                svc.hear(arg, who, float(now))
+            else:
+                svc.receive_beacon(who, arg, float(now))
+            for ap, key in svc.ap_keys.items():
+                assert key.epoch >= installed.get(ap, 0), (ap, key)
+                installed[ap] = key.epoch
+            for held in svc.wallets.values():
+                for ap, entry in held.items():
+                    assert entry.key.epoch <= svc.ap_keys[ap].epoch, (ap, entry)
+
+    check()
 
 
 def test_a_repeated_denial_is_its_logged_row_until_its_missing_key_arrives():

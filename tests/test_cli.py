@@ -101,6 +101,32 @@ def test_missing_scenario(capsys):
     assert main(["validate", "no-such-scenario"]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_directory_is_one_read_error(command, tmp_path, capsys):
+    assert main([command, str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{tmp_path}:0:1: cannot read: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_file_that_is_not_utf8_is_one_read_error(command, tmp_path, capsys):
+    path = tmp_path / "latin-1.scenario"
+    path.write_bytes(b"[topology]\ncontroller C\xe9\n")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:0:1: cannot read: ") and "utf-8" in err and err.count("\n") == 1
+
+
+def test_batch_reports_an_unreadable_entry_and_goes_on(tmp_path, capsys):
+    (tmp_path / "a.scenario").mkdir()
+    (tmp_path / "b.scenario").write_text(bundled_scenario_path("fig2").read_text())
+    assert main(["batch", str(tmp_path), "--set", "duration=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("a.scenario: FAILED: line 0, col 1: cannot read: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out.startswith("b.scenario: delivered=")
+
+
 def test_batch_runs_directory(tmp_path, capsys):
     src = bundled_scenario_path("fig2").read_text()
     (tmp_path / "one.scenario").write_text(src)

@@ -1,4 +1,5 @@
-"""Every name a `sdedge` module imports is used there, or exported in its `__all__`.
+"""Every name a `sdedge` module imports is used there, or exported in its
+`__all__`, and every name the package's `__all__` exports resolves.
 
 A name that a refactor stops using, but leaves imported, is caught here
 rather than left for a linter this project does not run.
@@ -37,6 +38,10 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in sdedge.__all__ if not hasattr(sdedge, name)] == []
 
 
 def test_an_unused_import_is_found():

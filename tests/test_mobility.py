@@ -5,7 +5,6 @@ import pytest
 from sdedge.errors import (
     AlreadyRegistered,
     HandoverFailure,
-    MigrationRefused,
     NoApAvailable,
     NotAssociated,
     RoutingFailure,
@@ -175,15 +174,6 @@ def test_migration_without_association():
     _, mgr = cluster()
     with pytest.raises(NotAssociated):
         mgr.personal_ap_migrate(MD, "AP1", "AP2")
-
-
-def test_migration_refused_out_of_coverage():
-    ring = OverlayRing(m=5)
-    ring.join(3)
-    mgr = MobilityManager(ring, coverage_check=lambda md, ap: ap != "APX")
-    mgr.establish_association(MD, "AP1")
-    with pytest.raises(MigrationRefused):
-        mgr.personal_ap_migrate(MD, "AP1", "APX")
 
 
 def test_plain_reassociation_is_visible_to_the_md():

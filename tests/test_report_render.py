@@ -37,7 +37,7 @@ from sdedge.report import (
     render_json,
 )
 from sdedge.scenario import bundled_scenario_path, parse_scenario
-from sdedge.simnet import run_scenario
+from sdedge.simnet import World
 
 from textdiff import first_difference
 
@@ -380,7 +380,7 @@ def test_emit_holds_less_than_its_text_twice():
     JSON, 2.15x for CSV on fig5). Streamed, with every row's run index
     expanded before the first row, the peak was 0.48x and 1.15x; expanded
     one instant at a time, it is 0.38x and 0.53x."""
-    report = run_scenario(parse_scenario(bundled_scenario_path("fig5")))
+    report = World(parse_scenario(bundled_scenario_path("fig5"))).run()
     with tempfile.TemporaryDirectory() as tmp:
         for fmt, bound in (("json", 0.45), ("csv", 0.75)):
             tracemalloc.start()

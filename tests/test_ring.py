@@ -77,6 +77,14 @@ def test_find_successor_examples():
     assert solo.find_successor(7, 23) == (7, 0)
 
 
+def test_every_lookup_counts_its_hops():
+    ring = make_ring([3, 10, 16, 24])
+    ring.lookup_hops.clear()  # the joins routed too
+    hops = [ring.route_with_fallback(3, key)[1] for key in range(32)]
+    assert ring.lookup_hops == {h: hops.count(h) for h in set(hops)}
+    assert len(ring.lookup_hops) > 1  # short and long routes both
+
+
 def test_find_successor_matches_oracle_from_every_start():
     rng = random.Random(99)
     m = 6
@@ -255,21 +263,9 @@ def test_churn_preserves_records_and_ownership():
 def test_route_with_fallback_around_failed_finger():
     ring = make_ring([3, 10, 16, 24])
     ring.crash(16)
-    owner, _ = ring.route_with_fallback(3, 23)
+    owner, hops = ring.route_with_fallback(3, 23)
     assert owner == 24  # oracle over live ids {3, 10, 24}
-    with pytest.raises(RoutingFailure):
-        ring.find_successor(3, 23)  # strict lookup hits the dead finger
-
-
-def test_fallback_with_empty_failed_set_matches_strict():
-    rng = random.Random(77)
-    m = 8
-    ids = sorted(rng.sample(range(1 << m), 12))
-    ring = make_ring(ids, m=m)
-    for _ in range(300):
-        start = rng.choice(ids)
-        key = rng.randrange(1 << m)
-        assert ring.find_successor(start, key) == ring.route_with_fallback(start, key)
+    assert ring.find_successor(3, 23) == (24, hops)  # one lookup under both names
 
 
 def test_fallback_sweep_single_failure_32_nodes():

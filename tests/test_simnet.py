@@ -428,7 +428,9 @@ GROUP_G1 = "[groups]\ngroup G1 members=AP3,AP4,AP5,AP6\n\n"  # fig5's middle APs
 class RosterCheckedWorld(World):
     """Asserts after every move and at the end of the run that each AP's
     roster holds exactly the devices whose position lies in its disc, and
-    that each kept recipients tuple is its AP's roster in name order."""
+    that each kept recipients tuple is its AP's roster in name order; and on
+    every association that its AP covers the device and is not the AP of a
+    device still connected."""
 
     def check_roster(self):
         for ap_name, ap in self.aps.items():
@@ -441,6 +443,12 @@ class RosterCheckedWorld(World):
     def apply_move(self, md, x, y):
         super().apply_move(md, x, y)
         self.check_roster()
+
+    def _associate(self, md, new_ap, reason):
+        assert self._covers(md, new_ap), (self.engine.now, md, new_ap)
+        connected_at = self.mobility.association_ap.get(md) if self.mds[md].connected else None
+        assert new_ap != connected_at, (self.engine.now, md, new_ap)
+        super()._associate(md, new_ap, reason)
 
     def run(self):
         report = super().run()
