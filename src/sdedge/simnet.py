@@ -59,7 +59,10 @@ at its controller's single server. One arrival event serves its own
 instant's APs, and then every later instant of its quiet stretch, up to
 the next pending event or the end of the running `run_until`, without an
 event each; it schedules the first instant after the stretch once, and
-nothing more once no controller can serve again (see
+nothing more once no controller can serve again. A stretch in which every
+loaded controller stays ahead of the clock is served in one jump: each
+one's busy time is advanced through the same float additions, a binade at
+a time (`busy_chain`), to the instant the arrivals stop (see
 `_packet_in_arrivals`). A handler failure there names the stretch's first
 instant, not the AP. Moves are
 batched the same way: the moves of one instant are one md-move event, and a
@@ -141,6 +144,35 @@ class _RoamPaths:
         i = 2 * k
         for md, path in zip(self.mds, self.paths):
             yield md, path[i], path[i + 1]
+
+
+def busy_chain(b: float, step: float, limit: float) -> tuple[float, int]:
+    """`(b, n)` after `n = 0; while b + step <= limit: b += step; n += 1`, for
+    `b >= 0` and `step > ulp(limit) / 2`, so that every addition moves `b`,
+    bit for bit, in O(binades) passes, not O(n).
+
+    In the binade [top/2, top) of `b`, whose floats are the multiples of its
+    ulp `u`, an addition whose exact sum stays below `top` adds `d`, the
+    multiple of `u` nearest `step`, unless `step` lies halfway between two
+    (a tie, rounded to even, so the step is not constant). So `m` such additions
+    give the one exact `b + m * d`. A pass jumps to within a step of the
+    binade's top or `limit`, and adds one by one from there, across the top,
+    in a tie binade and from 0.
+    """
+    assert step > math.ulp(limit) / 2, "an addition that leaves b as it is never ends the chain"
+    n = 0
+    while (nxt := b + step) <= limit:
+        d = nxt - b  # the rounded step, exact while nxt lies in b's binade or at its top
+        m = 0
+        if b > 0 and step % (u := math.ulp(b)) * 2 != u:
+            top = math.ldexp(1.0, math.frexp(b)[1])
+            # fewer than the additions that stay below top and limit: the float quotients are off by under one
+            m = int(min(top - b - step, limit - b) / d) - 1
+        if m > 1:
+            b, n = b + m * d, n + m
+        else:
+            b, n = nxt, n + 1
+    return b, n
 
 
 @dataclass
@@ -767,34 +799,58 @@ class World:
         are counted once, k per controller, and each instant applies k
         updates to each controller, in any order of controllers and APs.
 
-        The arrivals stop once every live controller has busy + service_time
-        past the horizon, at once if none is live: busy time and the clock
-        only grow, a crashed controller serves nothing again, and an
-        adoption moves APs only onto a live controller, so no arrival could
-        be served after that. (A crashed controller's APs go to its adopter
-        later, so the controllers with due APs alone do not decide it.) Only
-        a refused arrival, or an instant with no AP of a live controller
-        due, can show that point, so only such an instant checks for it. A
-        handler failure names the first instant of its stretch, not an AP.
+        The arrivals stop once every live controller that may still serve
+        has busy + service_time past the horizon, at once if none may: busy
+        time and the clock only grow, a crashed controller serves nothing
+        again, and an adoption moves APs only onto a live controller, so no
+        arrival could be served after that. A live controller with no AP
+        due may serve only what an adoption gives it, so it counts only
+        while a crashed controller awaits adoption or a failure, of an AP
+        too, is still to come before the horizon; counting it then only holds
+        the stop until that failure's event. Only a refused arrival, or an
+        instant with no AP of a live controller due, can show that point, so
+        only such an instant checks for it.
+
+        A saturated stretch is served in one jump. A controller with k due
+        APs whose busy time is at or past the stretch's first quiet instant
+        t, and with k * (service_time - ulp(horizon)) >= period + 2e-9,
+        stays ahead of the clock: a served arrival adds at least
+        service_time - ulp(horizon), and an instant moves the clock by at
+        most period + 2e-9 (0.5e-9 of rounding to the 1e-9 grid, and at
+        most 1e-9 of float rounding while ulp(2 * horizon + period) <=
+        1e-9). Its busy time is then the chain busy <- busy + service_time,
+        whatever the clock, and `busy_chain` runs that chain to the horizon
+        exactly, a binade at a time. If every loaded controller is so, and
+        every other counted one is full, the chains' lengths give the
+        instant j at which the loop would stop, the first after which every
+        counted controller is full and one refused. The jump serves up to
+        it if its clock, at most t + j * (period + 2e-9), is still quiet
+        and inside the horizon. Otherwise, and for an unsaturated load, the
+        stretch steps instant by instant as above. A handler failure names
+        the first instant of its stretch, not an AP.
         """
         eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
         partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
         horizon = w.horizon(p.duration)
+        last_failure = max((f.at for f in self.scenario.failures if f.at <= horizon), default=-math.inf)
         period, service_time = 1.0 / w.rate_per_ap, w.service_time
         quiet = eng.quiet
         due = sorted(aps)
 
-        def per_controller(ap_names: list[str]) -> Iterable[tuple[str, int]]:
-            return Counter(partition_of[a] for a in ap_names if partition_of[a] not in crashed).items()
+        def per_controller(ap_names: list[str]) -> Counter[str]:
+            return Counter(partition_of[a] for a in ap_names if partition_of[a] not in crashed)
 
         def arrivals() -> None:
             nonlocal due
             t, load = eng.now, per_controller(due)
             due = [a for a in due if aps[a].alive]
             live = per_controller(due)
+            may_gain = any(c in busy_of for c in crashed) or t < last_failure
+            counted = [c for c in busy_of if c not in crashed and (may_gain or c in live)]
+            jump = True
             while True:
                 refused = False
-                for controller, k in load:
+                for controller, k in load.items():
                     busy, n = busy_of[controller], 0
                     while n < k:
                         done = (busy if busy > t else t) + service_time
@@ -807,12 +863,26 @@ class World:
                         served[controller] += n
                 t = later(t, period)
                 if t > horizon or not due or (refused or not load) and all(
-                        busy_of[c] + service_time > horizon for c in busy_of if c not in crashed):
+                        busy_of[c] + service_time > horizon for c in counted):
                     return
                 if not quiet(t):
                     eng.schedule(t, "message-delivery", arrivals, "packetin")
                     return
                 load = live
+                if jump:  # once per stretch, at its first quiet instant
+                    jump = False
+                    slack, least = period + 2e-9, service_time - math.ulp(horizon)
+                    if load and math.ulp(2 * horizon + period) <= 1e-9 and all(
+                            busy_of[c] >= t and k * least >= slack for c, k in load.items()) and all(
+                            busy_of[c] + service_time > horizon for c in counted if c not in load):
+                        chains = [(c, k, *busy_chain(busy_of[c], service_time, horizon)) for c, k in load.items()]
+                        # instant j serves arrivals j*k+1 to (j+1)*k: the first to refuse, and the last to fill
+                        stop = max(min(n // k for _, k, _, n in chains), max(-(-n // k) - 1 for _, k, _, n in chains))
+                        if t + stop * slack <= horizon and quiet(t + stop * slack):
+                            for c, _, busy, n in chains:
+                                busy_of[c] = busy
+                                served[c] += n
+                            return
 
         return arrivals
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from sdedge.scenario import (
     WaypointDecl, _layout_rng, apply_overrides, bundled_scenario_path, parse_scenario, parse_scenario_text,
 )
 from sdedge.scheduler import APStatus
-from sdedge.simnet import World
+from sdedge.simnet import World, busy_chain
 
 from oracles import trace_digest
 from textdiff import first_difference
@@ -1118,6 +1119,69 @@ def test_saturated_packet_in_counts_hide_the_detection_window(delay):
     assert world.run().packet_in == {"C1": 1600, "C2": 4999, "C3": 4801, "C4": 4999}
 
 
+def plain_chain(b, step, limit):
+    """`busy_chain`'s oracle: the additions one by one."""
+    n = 0
+    while b + step <= limit:
+        b += step
+        n += 1
+    return b, n
+
+
+@pytest.mark.parametrize("b,step,limit", [
+    # dyadic steps add exactly while they are whole ulps, here up to and
+    # across a binade's top, where 0.25 and 2**-7 become one ulp
+    (2.0**50 - 100, 0.25, 2.0**50 + 100),
+    (2.0**45 - 1, 2.0**-7, 2.0**45 + 1),
+    # one and a half ulps is a tie: the sum rounds to even, so a step from an
+    # odd multiple of the ulp adds one ulp and one from an even multiple two,
+    # and the helper adds one by one
+    (2.0**46 - 0.5, 3 * 2.0**-7, 2.0**46 + 10),
+    (2.0**50 + 0.25, 0.375, 2.0**50 + 300),
+    (2.0 - 2.0**-52, 0.001, 3.0),  # a start just below a power of two
+    (0.0, 0.25, 10.0),  # the 40th addition hits the limit exactly
+    (0.0, 0.002, plain_chain(0.0, 0.002, 2.0)[0]),  # so does the 1000th
+    (0.0, 0.002, 120.0),  # packetin-4c's chain: 60,000 additions across 16 binades
+])
+def test_busy_chain_matches_the_plain_loop(b, step, limit):
+    assert busy_chain(b, step, limit) == plain_chain(b, step, limit)
+
+
+def test_busy_chain_runs_a_36000_s_horizon_in_binades():
+    # the plain loop's result, 18 million additions of 0.002 from 0 (3 s in CPython):
+    # fig5c's 36,000 s run serves 17,999,999 packet-ins per controller
+    assert busy_chain(0.0, 0.002, 36000.0) == (float.fromhex("0x1.193ffefab2718p+15"), 17_999_999)
+
+
+def test_generated_busy_chains_match_the_plain_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # starts anywhere, or just below a power of two, so that chains cross binades
+    below_power = st.builds(lambda e, frac: math.ldexp(1.0, e) * (1 - frac), st.integers(-30, 40), st.floats(0, 1e-3))
+    starts = st.one_of(st.floats(0, 1e6), below_power, st.just(0.0))
+
+    @st.composite
+    def chains(draw):
+        b = draw(starts)
+        # any step, a dyadic or decimal one, or a multiple of half an ulp of the
+        # start: whole ulps and ties
+        step = draw(st.one_of(
+            st.floats(0, 10), st.sampled_from([2.0**-7, 0.25, 0.375, 0.002, 1e-9]),
+            st.integers(2, 9).map(lambda k: k * math.ulp(b) / 2),
+        ))
+        limit = b + step * draw(st.floats(-2, 4000))
+        # the helper's precondition: every addition moves b, so the plain loop ends
+        hypothesis.assume(step > math.ulp(limit) / 2)
+        return b, step, limit
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(chain=chains())
+    def check(chain):
+        assert busy_chain(*chain) == plain_chain(*chain)
+
+    check()
+
+
 class PerInstantPacketInWorld(World):
     """The oracle of packet-in stretches: one arrival event per instant, which
     serves the APs due then in name order and schedules the next instant, as
@@ -1178,6 +1242,12 @@ def test_packet_in_arrivals_stop_once_no_controller_can_serve():
     assert world.run().packet_in == {f"C{i}": 60000 for i in range(1, 5)}
     assert world.engine.executed == 1
     assert all(busy > 120 - 0.002 for busy in world._pi_busy.values()), world._pi_busy
+    # and saturated from its first instant on, each controller's busy time
+    # runs to the horizon in one jump, not through 30,000 quiet instants
+    watched = fig5c_world(controllers=4, duration=120, world=StretchWatchedWorld)
+    assert watched.run().packet_in == world.packet_in
+    assert watched._pi_busy == world._pi_busy
+    assert watched.engine.quiet_instants <= 3
 
 
 class StretchWatchedEngine(EventEngine):
@@ -1238,36 +1308,66 @@ def test_packet_in_stretches_match_one_event_per_arrival_instant():
     # and only once it has adopted AP1 and AP5
     @hypothesis.example(
         failures=[("ap AP4", 0.25), ("ap AP8", 0.25), ("controller C1", 2.0)], service_time="0.002", rate="400",
-        window="", cuts=[], controllers=4, detection_delay="0.3",
+        window="", cuts=[], controllers=4, detection_delay="0.3", duration="3.0",
     )
     # unsaturated: each controller idles before the horizon's last arrivals,
     # which it refuses; C2 crashes on an arrival instant, and C3 adopts its
     # APs one arrival period later, while a cut falls between
     @hypothesis.example(
         failures=[("controller C2", 1.0)], service_time="0.0005", rate="400", window=" until=2.2",
-        cuts=[0.5, 1.001], controllers=0, detection_delay="0.0025",
+        cuts=[0.5, 1.001], controllers=0, detection_delay="0.0025", duration="3.0",
+    )
+    # C2 loses all its APs and can gain none, so it does not hold the stop:
+    # C1 is served to the horizon in one jump, not through 47,998 instants
+    @hypothesis.example(
+        failures=[("ap AP2", 0.5), ("ap AP4", 0.5), ("ap AP6", 0.5), ("ap AP8", 0.5)], service_time="0.002",
+        rate="400", window="", cuts=[], controllers=2, detection_delay="0", duration="120",
+    )
+    # the same, with C1 still to crash: C2 adopts AP1 to AP7, so it must count
+    @hypothesis.example(
+        failures=[("ap AP2", 0.5), ("ap AP4", 0.5), ("ap AP6", 0.5), ("ap AP8", 0.5), ("controller C1", 2.0)],
+        service_time="0.002", rate="400", window="", cuts=[], controllers=2, detection_delay="0", duration="20.0",
     )
     @hypothesis.given(
         failures=st.lists(st.tuples(st.sampled_from(FAILABLE), at), max_size=4),
         # saturated at 0.002 s and over (800 arrivals/s per controller at 400/s per AP), unsaturated below
         service_time=st.sampled_from(["0.002", "0.004", "0.0005", "0.00125"]),
-        rate=st.sampled_from(["400", "250", "1000"]),
+        # 333/s: a period off the 1e-9 grid, so every instant is rounded onto it
+        rate=st.sampled_from(["400", "250", "1000", "333"]),
         window=st.sampled_from(["", " start=0.5", " until=2.2", " start=0.3 until=1.7"]),
         cuts=st.lists(at, max_size=3).map(sorted),
         controllers=st.integers(0, 4),
         detection_delay=st.sampled_from(["0", "0.0025", "0.004", "0.3"]),  # 0.0025 s: one period at 400/s
+        # 8 s: long enough for a saturated controller to reach the horizon after the last failure
+        duration=st.sampled_from(["3.0", "8.0"]),
     )
-    def check(failures, service_time, rate, window, cuts, controllers, detection_delay):
+    def check(failures, service_time, rate, window, cuts, controllers, detection_delay, duration):
         lines = [f"fail {what} at={t}" for what, t in failures]
         world, oracle = check_packet_in_stretches(lines, service_time, window, rate, cuts, controllers=controllers,
-                                                  detection_delay=detection_delay, duration="3.0")
+                                                  detection_delay=detection_delay, duration=duration)
         eng = world.engine
         seen.update(cut_by_failure=eng.cut_by["failure"] > 0, cut_by_run_end=eng.cut_by["run end"] > 0,
                     adopted=len(world._pi_busy) < len(world.packet_in),
-                    early_stop=eng.executed + eng.quiet_instants < oracle.engine.executed)
+                    early_stop=eng.executed + eng.quiet_instants < oracle.engine.executed,
+                    # more arrivals served than the instants visited could hold
+                    jumped=sum(world.packet_in.values()) > 8 * (eng.executed + eng.quiet_instants))
 
     check()
     assert all(seen[k] for k in ("cut_by_failure", "cut_by_run_end", "adopted", "early_stop")), seen
+    assert seen["jumped"], seen
+
+
+def test_an_idle_controller_that_can_gain_no_ap_does_not_hold_the_stop():
+    # C2 loses its four APs at t=0.5, and with no failure to come no adoption
+    # can give it more, so C1 alone decides the stop, and C1's stretch after
+    # the failures is one jump. C2's idle busy time held the arrivals to the
+    # horizon before: 47,998 quiet instants at 120 s
+    fails = [f"fail ap AP{i} at=0.5" for i in (2, 4, 6, 8)]
+    runs = [fig5c_world(fails, world=StretchWatchedWorld, controllers=2, duration=d) for d in (120, 1200)]
+    assert runs[0].run().packet_in == {"C1": 60000, "C2": 804}
+    runs[1].run()
+    # the 199 quiet instants before the failures, and the jump's: none grows with the horizon
+    assert runs[0].engine.quiet_instants == runs[1].engine.quiet_instants <= 201
 
 
 def test_packet_in_arrivals_stop_at_once_when_no_controller_is_live():
