@@ -8,11 +8,12 @@ engine keeps that trace, one (time, seq, kind, note) tuple per event, only
 when `record_trace` is set; otherwise nothing per event.
 
 A handler may do the work of later instants itself, without an event each,
-for as long as nothing else can happen in between: `quiet(t)` tells it
-whether instant `t` lies in its quiet stretch, before the next pending
-event and not after the end of the running `run_until`. Such a handler is
-one trace entry per stretch, and a failure in it names the stretch's first
-instant.
+for as long as nothing else can happen in between: `quiet_until()` gives
+the end of its quiet stretch, the next pending event's time (exclusive) or
+the end of the running `run_until` (inclusive). Such a handler is one trace
+entry per stretch, and a failure in it names the stretch's first instant.
+The clock is a float; only the packet-in workload keeps its own time in
+integer nanoseconds (see `simnet`).
 """
 
 from __future__ import annotations
@@ -87,11 +88,13 @@ class EventEngine:
         self.executed += count
         return count
 
-    def quiet(self, t: float) -> bool:
-        """Whether instant `t` lies in the running handler's quiet stretch:
-        before the next pending event's time and not after the run's end.
-        Nothing but the handler itself can act at such an instant, so it may
-        act there without an event. An instant equal to a pending event's
-        time is not quiet: that event was scheduled first, and runs first."""
+    def quiet_until(self) -> tuple[float, bool]:
+        """The end of the running handler's quiet stretch, and whether it is
+        inclusive: the next pending event's time, exclusive, since that event
+        was scheduled first and runs first, or else the end of the running
+        `run_until`, inclusive. Nothing but the handler itself can act at an
+        instant before it, so it may act there without an event."""
         heap = self._heap
-        return t <= self._t_end and not (heap and heap[0][0] <= t)
+        if heap and heap[0][0] <= self._t_end:
+            return heap[0][0], False
+        return self._t_end, True

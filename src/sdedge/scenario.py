@@ -217,7 +217,7 @@ class FailureDecl(_Directive):
 @dataclass(frozen=True, slots=True)
 class WorkloadDecl(_Directive):
     rate_per_ap: float
-    service_time: float
+    service_time: float  # served in whole ns, as its instants are rounded to them
     start: float = 0.0
     until: float | None = None
 
@@ -226,11 +226,13 @@ class WorkloadDecl(_Directive):
         return min(self.until, duration) if self.until is not None else duration
 
     def period_problem(self, duration: float) -> str | None:
-        """Arrival instants are 1/rate_per_ap apart up to the horizon, so that
-        period must move the clock there. The parser checks a file's own
-        `duration`; `World` checks the one it is given."""
+        """Arrival instants are 1/rate_per_ap apart up to the horizon, that
+        period rounded to whole ns, so it must be at least 1 ns and move the
+        clock there. The parser checks a file's own `duration`; `World` checks
+        the one it is given."""
         horizon = self.horizon(duration)
-        if self.rate_per_ap > 0 and later(horizon, 1 / self.rate_per_ap) <= horizon:
+        if self.rate_per_ap > 0 and (round(10**9 / self.rate_per_ap) < 1
+                                     or later(horizon, 1 / self.rate_per_ap) <= horizon):
             return (f"packetin rate_per_ap={self.rate_per_ap!r} does not advance the clock at t={horizon} "
                     "(instants are rounded to 1e-9 s)")
         return None

@@ -55,17 +55,14 @@ input of a decision changed replays the previous wave's log rows (see
 delivers at the same instants, and the deliveries of one instant are
 consecutive events that change no serving AP.
 A packet-in workload offers one packet-in per AP per period, each served
-at its controller's single server. One arrival event serves its own
-instant's APs, and then every later instant of its quiet stretch, up to
-the next pending event or the end of the running `run_until`, without an
-event each; it schedules the first instant after the stretch once, and
-nothing more once no controller can serve again. A stretch in which every
-loaded controller stays ahead of the clock is served in one jump: each
-one's busy time is advanced through the same float additions, a binade at
-a time (`busy_chain`), to the instant the arrivals stop (see
-`_packet_in_arrivals`). A handler failure there names the stretch's first
-instant, not the AP. Moves are
-batched the same way: the moves of one instant are one md-move event, and a
+at its controller's single server: a D/D/1 queue per controller, in
+integer ns. One arrival event serves its own instant's APs, and then every
+later instant of its quiet stretch, up to the next pending event or the
+end of the running `run_until`, in closed form per controller
+(`serve_stretch`); it schedules the first instant after the stretch once,
+and nothing more once no controller can serve again. A handler failure
+there names the stretch's first instant, not the AP. Moves are batched the
+same way: the moves of one instant are one md-move event, and a
 failure there names the instant. A `roam` is drawn here, not at parse: its
 instants once, and per device one array of points, so no object is made
 per waypoint. An instant's event moves the roams' devices in name order,
@@ -77,7 +74,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import insort
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -146,33 +142,36 @@ class _RoamPaths:
             yield md, path[i], path[i + 1]
 
 
-def busy_chain(b: float, step: float, limit: float) -> tuple[float, int]:
-    """`(b, n)` after `n = 0; while b + step <= limit: b += step; n += 1`, for
-    `b >= 0` and `step > ulp(limit) / 2`, so that every addition moves `b`,
-    bit for bit, in O(binades) passes, not O(n).
+def serve_stretch(busy: int, t: int, k: int, m: int, period: int, service: int,
+                  horizon: int) -> tuple[int, int, bool]:
+    """One single server over `m` instants `t, t + period, ...`, none past
+    `horizon`, with `k >= 1` arrivals at each, in integer ns: `(n, busy,
+    refused)` as serving arrival by arrival gives them, where an arrival at
+    `u` is served, at max(busy, u) + service, iff that is by the horizon, and
+    `refused` says whether the last instant refused one.
 
-    In the binade [top/2, top) of `b`, whose floats are the multiples of its
-    ulp `u`, an addition whose exact sum stays below `top` adds `d`, the
-    multiple of `u` nearest `step`, unless `step` lies halfway between two
-    (a tie, rounded to even, so the step is not constant). So `m` such additions
-    give the one exact `b + m * d`. A pass jumps to within a step of the
-    binade's top or `limit`, and adds one by one from there, across the top,
-    in a tie binade and from 0.
+    An instant served in full takes busy time b to max(b, u) + k * service,
+    Lindley's recursion with the constant increment k * service - period.
+    So after j >= 1 full instants b_j = max(max(busy, t) + j * k * service,
+    t + (j - 1) * period + k * service), as the server was last idle before
+    the first instant or the j-th. That only grows: the first f instants are
+    served in full, the next one (horizon - max(b_f, u_f)) // service < k
+    arrivals, and every later one none. With service 0 every one is full.
     """
-    assert step > math.ulp(limit) / 2, "an addition that leaves b as it is never ends the chain"
-    n = 0
-    while (nxt := b + step) <= limit:
-        d = nxt - b  # the rounded step, exact while nxt lies in b's binade or at its top
-        m = 0
-        if b > 0 and step % (u := math.ulp(b)) * 2 != u:
-            top = math.ldexp(1.0, math.frexp(b)[1])
-            # fewer than the additions that stay below top and limit: the float quotients are off by under one
-            m = int(min(top - b - step, limit - b) / d) - 1
-        if m > 1:
-            b, n = b + m * d, n + m
-        else:
-            b, n = nxt, n + 1
-    return b, n
+    ks = k * service
+    start = max(busy, t)
+    f = min(m, max(0, (horizon - t - ks) // period + 1))
+    if ks:
+        f = min(f, (horizon - start) // ks)
+    n = f * k
+    if f:
+        busy = max(start + f * ks, t + (f - 1) * period + ks)
+    if f < m:  # so service > 0
+        start = max(busy, t + f * period)
+        partial = (horizon - start) // service
+        if partial:
+            busy, n = start + partial * service, n + partial
+    return n, busy, f < m
 
 
 @dataclass
@@ -265,7 +264,7 @@ class World:
             self._md_streams.setdefault(st.decl.md, []).append(st)
         # the sampler's state: see `_sample`
         self._due: dict[float, _Chain] = {}  # sample instant -> the chain due then
-        self._waiters: dict[str, list[StreamState]] = {a: [] for a in self.aps}  # AP -> its waiters, by rank
+        self._waiters: dict[str, set[StreamState]] = {}  # AP -> its waiters, once it has had one
         self._gaps: list[tuple[float, str]] = []  # heap of (gap end, name) of streams sampled in a gap
         self._min_demand = min((s.demand for s in scenario.streams), default=0.0)
 
@@ -273,7 +272,7 @@ class World:
         self.handover_rows = HandoverLog()
         self.packet_in: dict[str, int] = {c.name: 0 for c in active}
         self.record_losses: list[str] = []
-        self._pi_busy: dict[str, float] = {c.name: 0.0 for c in active}
+        self._pi_busy: dict[str, int] = {c.name: 0 for c in active}  # in ns
         self._crashed: set[str] = set()  # controllers that crashed, adopted or not
 
         self._bootstrap()
@@ -646,24 +645,24 @@ class World:
     def _wait(self, st: StreamState, ap_name: str) -> None:
         """`st` waits for room on `ap_name`."""
         st.waiting_on = ap_name
-        insort(self._waiters[ap_name], st, key=_RANK)
+        self._waiters.setdefault(ap_name, set()).add(st)
 
     def _unwait(self, st: StreamState) -> None:
         """`st` waits for room no longer."""
         if st.waiting_on is not None:
-            self._waiters[st.waiting_on].remove(st)
+            self._waiters[st.waiting_on].discard(st)
             st.waiting_on = None
 
     def _wake(self, ap_name: str) -> None:
         """Room, or a live controller, came to `ap_name`: its waiters retry at their next instant."""
-        if self._waiters[ap_name]:
+        if self._waiters.get(ap_name):
             for chain in self._due.values():
                 chain.woken.add(ap_name)
 
     def _woken(self, ap_name: str, chain: _Chain) -> Iterator[StreamState]:
         """The waiters of `chain` on `ap_name`, in rank order, while the AP fits the smallest demand."""
         ap = self.aps[ap_name]
-        for st in list(self._waiters[ap_name]):
+        for st in sorted(self._waiters[ap_name], key=_RANK):  # one chain's ranks are distinct: one order
             if not ap.fits(self._min_demand):
                 return  # ticks only take room: no later waiter fits either
             if st.chain is chain:
@@ -779,110 +778,66 @@ class World:
         """The handler of a packet-in arrival instant, built once.
 
         Every AP offers one packet-in per period from the workload's start,
-        each served at its AP's current controller, a single server: an
-        arrival at `t` is served, and counted, iff it is done, at
-        max(busy, t) + service_time, by the horizon, and only a served
-        arrival moves the controller's busy time. A crashed controller
-        serves nothing: arrivals for it are lost until its partition is
-        adopted. The arrival event serves its own instant (an AP that failed
-        since the instant was scheduled is still served there, and at none
-        after), and then every later instant of its quiet stretch
-        (`EventEngine.quiet`) without an event; it schedules the first
-        instant outside the stretch, if that is inside the horizon and some
-        AP is still alive. An instant equal to a pending event's time is
-        that event's: the event was scheduled first, and runs first.
+        each served at its AP's current controller, a single server (see
+        `serve_stretch`). A crashed controller serves nothing: arrivals for
+        it are lost until its partition is adopted. The start, period,
+        service time and horizon are rounded to whole ns once. The arrival
+        event serves its own instant (an AP that failed since the instant was
+        scheduled is still served there, and at none after), and then every
+        later instant of its quiet stretch (`EventEngine.quiet_until`) in
+        closed form: between events nothing but the arrivals writes
+        `partition_of`, `_crashed`, AP liveness or `_pi_busy`, and an AP's
+        arrival touches only its own controller. It schedules the first
+        instant after the stretch, if that is inside the horizon and some AP
+        is still alive, unless the arrivals stop.
 
-        Serving per controller is exact. Between events nothing but the
-        arrivals writes `partition_of`, `_crashed`, AP liveness or
-        `_pi_busy`, and one AP's arrival reads and writes only its own
-        controller's busy time and count. So the live controllers' due APs
-        are counted once, k per controller, and each instant applies k
-        updates to each controller, in any order of controllers and APs.
-
-        The arrivals stop once every live controller that may still serve
-        has busy + service_time past the horizon, at once if none may: busy
-        time and the clock only grow, a crashed controller serves nothing
-        again, and an adoption moves APs only onto a live controller, so no
-        arrival could be served after that. A live controller with no AP
-        due may serve only what an adoption gives it, so it counts only
-        while a crashed controller awaits adoption or a failure, of an AP
-        too, is still to come before the horizon; counting it then only holds
-        the stop until that failure's event. Only a refused arrival, or an
-        instant with no AP of a live controller due, can show that point, so
-        only such an instant checks for it.
-
-        A saturated stretch is served in one jump. A controller with k due
-        APs whose busy time is at or past the stretch's first quiet instant
-        t, and with k * (service_time - ulp(horizon)) >= period + 2e-9,
-        stays ahead of the clock: a served arrival adds at least
-        service_time - ulp(horizon), and an instant moves the clock by at
-        most period + 2e-9 (0.5e-9 of rounding to the 1e-9 grid, and at
-        most 1e-9 of float rounding while ulp(2 * horizon + period) <=
-        1e-9). Its busy time is then the chain busy <- busy + service_time,
-        whatever the clock, and `busy_chain` runs that chain to the horizon
-        exactly, a binade at a time. If every loaded controller is so, and
-        every other counted one is full, the chains' lengths give the
-        instant j at which the loop would stop, the first after which every
-        counted controller is full and one refused. The jump serves up to
-        it if its clock, at most t + j * (period + 2e-9), is still quiet
-        and inside the horizon. Otherwise, and for an unsaturated load, the
-        stretch steps instant by instant as above. A handler failure names
-        the first instant of its stretch, not an AP.
+        They stop once an instant refused an arrival, or had no AP of a live
+        controller due, and every live controller that may still serve has
+        busy + service_time past the horizon, at once if none may: busy time
+        and the clock only grow, a crashed controller serves nothing again,
+        and an adoption moves APs only onto a live controller. A live
+        controller with no AP due counts only while a crashed controller
+        awaits adoption or a failure, of an AP too, is still to come before
+        the horizon. Once the rule holds, no later instant serves anything,
+        so it is checked at the stretch's end. A handler failure names the
+        first instant of its stretch, not an AP.
         """
-        eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
-        partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
-        horizon = w.horizon(p.duration)
+        w = self.scenario.workload
+        horizon = w.horizon(self.params.duration)
         last_failure = max((f.at for f in self.scenario.failures if f.at <= horizon), default=-math.inf)
-        period, service_time = 1.0 / w.rate_per_ap, w.service_time
-        quiet = eng.quiet
-        due = sorted(aps)
-
-        def per_controller(ap_names: list[str]) -> Counter[str]:
-            return Counter(partition_of[a] for a in ap_names if partition_of[a] not in crashed)
+        horizon, period, service = round(horizon * 10**9), round(10**9 / w.rate_per_ap), round(w.service_time * 10**9)
+        t, due = round(w.start * 10**9), sorted(self.aps)
 
         def arrivals() -> None:
-            nonlocal due
-            t, load = eng.now, per_controller(due)
+            nonlocal t, due
+            if t > horizon:
+                return  # a start after `until` serves nothing
+            eng, aps, partition_of, crashed = self.engine, self.aps, self.partition_of, self._crashed
+            busy_of, served = self._pi_busy, self.packet_in
+            load = Counter(partition_of[a] for a in due if partition_of[a] not in crashed)
             due = [a for a in due if aps[a].alive]
-            live = per_controller(due)
-            may_gain = any(c in busy_of for c in crashed) or t < last_failure
+            live = Counter(partition_of[a] for a in due if partition_of[a] not in crashed)
+            may_gain = any(c in busy_of for c in crashed) or eng.now < last_failure
             counted = [c for c in busy_of if c not in crashed and (may_gain or c in live)]
-            jump = True
-            while True:
+            end, inclusive = eng.quiet_until()
+            last = round(end * 10**9)  # the stretch's last instant: before `end`, or at it if inclusive
+            if last / 10**9 > end or last / 10**9 == end and not inclusive:
+                last -= 1
+            # this instant with the APs due at it, then the quiet ones after it with those still alive
+            stretch = [(load, 1)]
+            if (m := (min(last, horizon) - t) // period) > 0:
+                stretch.append((live, m))
+            for load, m in stretch:
                 refused = False
-                for controller, k in load.items():
-                    busy, n = busy_of[controller], 0
-                    while n < k:
-                        done = (busy if busy > t else t) + service_time
-                        if done > horizon:
-                            refused = True
-                            break
-                        busy, n = done, n + 1
-                    if n:
-                        busy_of[controller] = busy
-                        served[controller] += n
-                t = later(t, period)
-                if t > horizon or not due or (refused or not load) and all(
-                        busy_of[c] + service_time > horizon for c in counted):
-                    return
-                if not quiet(t):
-                    eng.schedule(t, "message-delivery", arrivals, "packetin")
-                    return
-                load = live
-                if jump:  # once per stretch, at its first quiet instant
-                    jump = False
-                    slack, least = period + 2e-9, service_time - math.ulp(horizon)
-                    if load and math.ulp(2 * horizon + period) <= 1e-9 and all(
-                            busy_of[c] >= t and k * least >= slack for c, k in load.items()) and all(
-                            busy_of[c] + service_time > horizon for c in counted if c not in load):
-                        chains = [(c, k, *busy_chain(busy_of[c], service_time, horizon)) for c, k in load.items()]
-                        # instant j serves arrivals j*k+1 to (j+1)*k: the first to refuse, and the last to fill
-                        stop = max(min(n // k for _, k, _, n in chains), max(-(-n // k) - 1 for _, k, _, n in chains))
-                        if t + stop * slack <= horizon and quiet(t + stop * slack):
-                            for c, _, busy, n in chains:
-                                busy_of[c] = busy
-                                served[c] += n
-                            return
+                for c, k in load.items():
+                    n, busy_of[c], full = serve_stretch(busy_of[c], t, k, m, period, service, horizon)
+                    served[c] += n
+                    refused |= full
+                t += m * period
+            if t > horizon or not due or (refused or not load) and all(
+                    busy_of[c] + service > horizon for c in counted):
+                return
+            eng.schedule(t / 10**9, "message-delivery", arrivals, "packetin")
 
         return arrivals
 

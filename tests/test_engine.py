@@ -92,14 +92,10 @@ def test_handler_error_carries_event_context():
 
 def test_quiet_stretch_ends_at_the_next_pending_event_or_the_run_end():
     eng = EventEngine()
-    grid = [i * 0.5 for i in range(25)]  # 0 .. 12
     seen = []
 
     def probe():
-        later = [t for t in grid if t > eng.now]
-        quiet = [t for t in later if eng.quiet(t)]
-        assert quiet == later[:len(quiet)]  # a stretch has no holes
-        seen.append((eng.now, quiet[-1] if quiet else None, later[len(quiet)]))
+        seen.append((eng.now, eng.quiet_until()))
 
     eng.schedule(1.0, "timer", probe)
     eng.schedule(4.0, "timer", probe)  # before the timer at its own time
@@ -107,10 +103,14 @@ def test_quiet_stretch_ends_at_the_next_pending_event_or_the_run_end():
     eng.schedule(4.0, "timer", probe)
     eng.schedule(7.0, "timer", probe)
     eng.run_until(2.5)
-    assert seen == [(1.0, 2.5, 3.0)]  # the run ends before the next event
+    assert seen == [(1.0, (2.5, True))]  # the run ends before the next event: its end, inclusive
     eng.run_until(10.0)
     assert seen[1:] == [
-        (4.0, None, 4.5),  # an event pending at its own time: no stretch
-        (4.0, 6.5, 7.0),  # the next event, not the run's end, bounds it
-        (7.0, 10.0, 10.5),  # nothing pending: the run's end, inclusive
+        (4.0, (4.0, False)),  # an event pending at its own time: no stretch
+        (4.0, (7.0, False)),  # the next event, not the run's end, bounds it, exclusive
+        (7.0, (10.0, True)),  # nothing pending: the run's end, inclusive
     ]
+    eng.schedule(11.0, "timer", probe)
+    eng.schedule(12.0, "timer", lambda: None)
+    eng.run_until(12.0)
+    assert seen[4:] == [(11.0, (12.0, False))]  # an event at the run's end runs first

@@ -1,5 +1,4 @@
 import hashlib
-import math
 from collections import Counter
 from dataclasses import replace
 
@@ -13,7 +12,8 @@ from sdedge.scenario import (
     WaypointDecl, _layout_rng, apply_overrides, bundled_scenario_path, parse_scenario, parse_scenario_text,
 )
 from sdedge.scheduler import APStatus
-from sdedge.simnet import World, busy_chain
+from sdedge import simnet
+from sdedge.simnet import World, serve_stretch
 
 from oracles import trace_digest
 from textdiff import first_difference
@@ -529,10 +529,22 @@ class SupervisionCheckedWorld(World):
             assert rec.current in nodes and rec.previous in (None, *nodes), (self.engine.now, md, rec)
 
 
+class WaiterCheckedWorld(World):
+    """Asserts on every wake of a chain's waiters on an AP that their ranks
+    are distinct, so that sorting the AP's set of waiters by rank gives them
+    in one order."""
+
+    def _woken(self, ap_name, chain):
+        ranks = [st.rank for st in self._waiters[ap_name] if st.chain is chain]
+        assert len(ranks) == len(set(ranks)), (self.engine.now, ap_name, ranks)
+        return super()._woken(ap_name, chain)
+
+
 class CheckedWorld(
-    CapacityCheckedWorld, RosterCheckedWorld, PacketInCheckedWorld, SampleCheckedWorld, SupervisionCheckedWorld
+    CapacityCheckedWorld, RosterCheckedWorld, PacketInCheckedWorld, SampleCheckedWorld, SupervisionCheckedWorld,
+    WaiterCheckedWorld,
 ):
-    """The capacity, roster, packet-in, dense-sample and supervision checks."""
+    """The capacity, roster, packet-in, dense-sample, supervision and waiter checks."""
 
 
 def test_roster_check_runs_on_a_grouped_failure_run():
@@ -1044,7 +1056,7 @@ def test_packet_in_follows_ap_failure_and_adoption():
     world = World(parse_scenario_text(text, "fig5c-failures"))
     report = world.run()
     assert world.partition_of["AP2"] == world.partition_of["AP6"] == "C3"
-    assert report.packet_in == {"C1": 4401, "C2": 2400, "C3": 4999, "C4": 4999}
+    assert report.packet_in == {"C1": 4401, "C2": 2400, "C3": 5000, "C4": 5000}
 
 
 @pytest.mark.parametrize("delay", ["0.5", "2.0"])
@@ -1057,7 +1069,7 @@ def test_crashed_controller_serves_no_packet_ins_before_adoption(delay):
     world = World(sc, apply_overrides(sc.params, {"detection_delay": delay}))
     report = world.run()
     assert world.partition_of["AP2"] == world.partition_of["AP6"] == "C3"
-    assert report.packet_in == {"C1": 4401, "C2": 2400, "C3": 4999, "C4": 4999}
+    assert report.packet_in == {"C1": 4401, "C2": 2400, "C3": 5000, "C4": 5000}
 
 
 def fig5c_world(failures=(), service_time="0.002", window="", rate="400", world=World, **overrides):
@@ -1075,7 +1087,14 @@ def fig5c_world(failures=(), service_time="0.002", window="", rate="400", world=
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_packet_in_counts_per_cluster_size(n):
     report = fig5c_world(controllers=n).run()
-    assert report.packet_in == {f"C{i}": 4999 for i in range(1, n + 1)}
+    assert report.packet_in == {f"C{i}": 5000 for i in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("service_time", ["0.002", "0"])
+def test_a_packet_in_window_that_starts_after_it_ends_serves_nothing(service_time):
+    world = fig5c_world(service_time=service_time, window=" start=5 until=3")
+    assert world.run().packet_in == {f"C{i}": 0 for i in range(1, 5)}
+    assert world._pi_busy == {f"C{i}": 0 for i in range(1, 5)}
 
 
 def test_packet_in_counts_inside_a_workload_window():
@@ -1088,7 +1107,7 @@ def test_packet_in_counts_after_one_ap_fails(i):
     # the failed AP's arrival at t=2.0 is still served; its controller keeps
     # only the other AP's arrivals from then on
     report = fig5c_world([f"fail ap AP{i} at=2.0"]).run()
-    expected = {"C1": 4999, "C2": 4999, "C3": 4999, "C4": 4999}
+    expected = {"C1": 5000, "C2": 5000, "C3": 5000, "C4": 5000}
     expected[f"C{(i - 1) % 4 + 1}"] = 4801
     assert report.packet_in == expected
 
@@ -1096,7 +1115,7 @@ def test_packet_in_counts_after_one_ap_fails(i):
 def test_packet_in_counts_as_every_ap_fails_in_turn():
     world = fig5c_world([f"fail ap AP{i} at={round(1.1 * i, 9)}" for i in range(1, 9)])
     report = world.run()
-    assert report.packet_in == {"C1": 2642, "C2": 3522, "C3": 4402, "C4": 4999}
+    assert report.packet_in == {"C1": 2642, "C2": 3522, "C3": 4402, "C4": 5000}
 
 
 # AP3 fails and C1 crashes at t=2.0; C4 adopts C1's partition after the
@@ -1116,97 +1135,107 @@ def test_unsaturated_packet_in_counts_lose_the_detection_window(delay, c4):
 @pytest.mark.parametrize("delay", ["0", "0.0025", "0.004"])
 def test_saturated_packet_in_counts_hide_the_detection_window(delay):
     world = fig5c_world(FIG5C_FAILURES, detection_delay=delay)
-    assert world.run().packet_in == {"C1": 1600, "C2": 4999, "C3": 4801, "C4": 4999}
+    assert world.run().packet_in == {"C1": 1600, "C2": 5000, "C3": 4801, "C4": 5000}
 
 
-def plain_chain(b, step, limit):
-    """`busy_chain`'s oracle: the additions one by one."""
-    n = 0
-    while b + step <= limit:
-        b += step
-        n += 1
-    return b, n
+def plain_stretch(busy, t, k, m, period, service, horizon):
+    """`serve_stretch`'s oracle: the arrivals one by one."""
+    n = refused = 0
+    for u in range(t, t + m * period, period):
+        refused = False
+        for _ in range(k):
+            done = max(busy, u) + service
+            if done > horizon:
+                refused = True
+            else:
+                busy, n = done, n + 1
+    return n, busy, refused
 
 
-@pytest.mark.parametrize("b,step,limit", [
-    # dyadic steps add exactly while they are whole ulps, here up to and
-    # across a binade's top, where 0.25 and 2**-7 become one ulp
-    (2.0**50 - 100, 0.25, 2.0**50 + 100),
-    (2.0**45 - 1, 2.0**-7, 2.0**45 + 1),
-    # one and a half ulps is a tie: the sum rounds to even, so a step from an
-    # odd multiple of the ulp adds one ulp and one from an even multiple two,
-    # and the helper adds one by one
-    (2.0**46 - 0.5, 3 * 2.0**-7, 2.0**46 + 10),
-    (2.0**50 + 0.25, 0.375, 2.0**50 + 300),
-    (2.0 - 2.0**-52, 0.001, 3.0),  # a start just below a power of two
-    (0.0, 0.25, 10.0),  # the 40th addition hits the limit exactly
-    (0.0, 0.002, plain_chain(0.0, 0.002, 2.0)[0]),  # so does the 1000th
-    (0.0, 0.002, 120.0),  # packetin-4c's chain: 60,000 additions across 16 binades
+@pytest.mark.parametrize("args", [
+    (0, 0, 2, 5, 2_500_000, 0, 10_000_000),  # service 0: every arrival, busy at the last instant
+    (0, 0, 2, 4001, 2_500_000, 2_000_000, 10_000_000_000),  # fig5c: saturated, 5,000 served
+    (0, 0, 2, 4001, 2_500_000, 500_000, 10_000_000_000),  # unsaturated: idle before each instant
+    (3_000_000, 0, 2, 10, 2_500_000, 500_000, 100_000_000),  # a backlog that drains, then idles
+    (0, 0, 3, 4, 10, 3, 25),  # an instant that refuses part of its arrivals
+    (0, 0, 1, 3, 10, 7, 27),  # the horizon's partial instant: 27 - 20 < 7, so it serves none
+    (0, 5, 1, 1, 10, 100, 50),  # an arrival that cannot be done by the horizon: refused, busy unmoved
 ])
-def test_busy_chain_matches_the_plain_loop(b, step, limit):
-    assert busy_chain(b, step, limit) == plain_chain(b, step, limit)
+def test_a_stretch_in_closed_form_matches_the_arrivals_one_by_one(args):
+    assert serve_stretch(*args) == plain_stretch(*args)
 
 
-def test_busy_chain_runs_a_36000_s_horizon_in_binades():
-    # the plain loop's result, 18 million additions of 0.002 from 0 (3 s in CPython):
-    # fig5c's 36,000 s run serves 17,999,999 packet-ins per controller
-    assert busy_chain(0.0, 0.002, 36000.0) == (float.fromhex("0x1.193ffefab2718p+15"), 17_999_999)
-
-
-def test_generated_busy_chains_match_the_plain_loop():
+def test_generated_stretches_match_the_arrivals_one_by_one():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # starts anywhere, or just below a power of two, so that chains cross binades
-    below_power = st.builds(lambda e, frac: math.ldexp(1.0, e) * (1 - frac), st.integers(-30, 40), st.floats(0, 1e-3))
-    starts = st.one_of(st.floats(0, 1e6), below_power, st.just(0.0))
 
     @st.composite
-    def chains(draw):
-        b = draw(starts)
-        # any step, a dyadic or decimal one, or a multiple of half an ulp of the
-        # start: whole ulps and ties
-        step = draw(st.one_of(
-            st.floats(0, 10), st.sampled_from([2.0**-7, 0.25, 0.375, 0.002, 1e-9]),
-            st.integers(2, 9).map(lambda k: k * math.ulp(b) / 2),
-        ))
-        limit = b + step * draw(st.floats(-2, 4000))
-        # the helper's precondition: every addition moves b, so the plain loop ends
-        hypothesis.assume(step > math.ulp(limit) / 2)
-        return b, step, limit
+    def stretch_args(draw):
+        period = draw(st.integers(1, 50))
+        t = draw(st.integers(0, 100))
+        m = draw(st.integers(0, 30))
+        # every instant inside the horizon, which may end anywhere after the last one
+        horizon = t + max(m - 1, 0) * period + draw(st.integers(0, 200))
+        # the server ahead of the clock, behind it, or idle; k * service above, at and below the period
+        busy = draw(st.integers(0, horizon))
+        k = draw(st.integers(1, 4))
+        service = draw(st.one_of(st.just(0), st.integers(0, 3 * period), st.just(period // k)))
+        return busy, t, k, m, period, service, horizon
 
-    @hypothesis.settings(max_examples=150, deadline=None)
-    @hypothesis.given(chain=chains())
-    def check(chain):
-        assert busy_chain(*chain) == plain_chain(*chain)
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(args=stretch_args())
+    def check(args):
+        assert serve_stretch(*args) == plain_stretch(*args)
 
     check()
+
+
+def test_a_stretch_with_service_time_0_divides_by_no_service_time():
+    # with service 0 no instant is short of room, so nothing divides by it:
+    # a division would raise ZeroDivisionError
+    assert serve_stretch(7, 10, 3, 1000, 5, 0, 10 + 999 * 5) == (3000, 10 + 999 * 5, False)
+    assert serve_stretch(7, 10, 3, 1000, 5, 0, 10**12) == (3000, 10 + 999 * 5, False)
+
+
+@pytest.fixture
+def stretches(monkeypatch):
+    """The arguments of every closed-form stretch that a world serves while the test runs."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return serve_stretch(*args)
+
+    monkeypatch.setattr(simnet, "serve_stretch", counted)
+    return calls
 
 
 class PerInstantPacketInWorld(World):
     """The oracle of packet-in stretches: one arrival event per instant, which
     serves the APs due then in name order and schedules the next instant, as
-    arrivals ran before an event served its quiet stretch."""
+    arrivals ran before an event served its quiet stretch. Its busy time is
+    integer ns, as the world's, and the clock is read in ns."""
 
     def _packet_in_arrivals(self):
         eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
         partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
         horizon = w.horizon(p.duration)
-        period, service_time = 1.0 / w.rate_per_ap, w.service_time
+        horizon_ns, service_time = round(horizon * 10**9), round(w.service_time * 10**9)
         due = sorted(aps)
 
         def arrivals():
             nonlocal due
-            now = eng.now
+            now = round(eng.now * 10**9)
             for ap_name in due:
                 controller = partition_of[ap_name]
                 if controller in crashed:
                     continue
                 busy = busy_of[controller]
                 done = (busy if busy > now else now) + service_time
-                if done <= horizon:
+                if done <= horizon_ns:
                     busy_of[controller] = done
                     served[controller] += 1
-            nxt = later(now, period)
+            nxt = later(eng.now, 1.0 / w.rate_per_ap)
             if nxt <= horizon:
                 due = [a for a in due if aps[a].alive]
                 if due:
@@ -1228,42 +1257,65 @@ def test_fig5c_serves_its_arrival_instants_in_one_event():
     assert instants[:3] == [0.0, 0.0025, 0.005] and instants[-1] == 10.0
     world = fig5c_world()
     world.engine.record_trace = True
-    assert world.run().packet_in == expected == {f"C{i}": 4999 for i in range(1, 5)}
+    assert world.run().packet_in == expected == {f"C{i}": 5000 for i in range(1, 5)}
     assert world.engine.executed == 1
     assert world.engine.trace == [(0.0, 0, "message-delivery", "packetin")]
     assert world._pi_busy == oracle._pi_busy
 
 
-def test_packet_in_arrivals_stop_once_no_controller_can_serve():
+def test_packet_in_arrivals_stop_once_no_controller_can_serve(stretches):
     # packetin-4c's shape: each controller serves 500 of its 800 arrivals/s
     # until its busy time reaches the horizon, about t=75 s; the one event
     # serves up to then and schedules nothing more
     world = fig5c_world(controllers=4, duration=120)
     assert world.run().packet_in == {f"C{i}": 60000 for i in range(1, 5)}
     assert world.engine.executed == 1
-    assert all(busy > 120 - 0.002 for busy in world._pi_busy.values()), world._pi_busy
-    # and saturated from its first instant on, each controller's busy time
-    # runs to the horizon in one jump, not through 30,000 quiet instants
-    watched = fig5c_world(controllers=4, duration=120, world=StretchWatchedWorld)
-    assert watched.run().packet_in == world.packet_in
-    assert watched._pi_busy == world._pi_busy
-    assert watched.engine.quiet_instants <= 3
+    assert world._pi_busy == {f"C{i}": 120 * 10**9 for i in range(1, 5)}  # 60,000 times 2 ms, in ns
+    # each controller's first instant, and then the 48,000 quiet ones to t=120, in closed form
+    assert [m for _, _, _, m, _, _, _ in stretches] == [1] * 4 + [48000] * 4
+
+
+def test_packet_in_work_does_not_grow_with_the_horizon(stretches):
+    # 50 arrivals/s per AP leave each controller idle between instants, and
+    # at either horizon the one event serves them in 4 + 4 closed forms
+    work, counts = [], []
+    for duration in (120, 12000):
+        world = fig5c_world(rate="50", controllers=4, duration=duration)
+        before = len(stretches)
+        counts.append(world.run().packet_in)
+        work.append((world.engine.executed, len(stretches) - before))
+    assert work == [(1, 8)] * 2
+    # every arrival but the two of the last instant, which cannot be done by the horizon
+    assert counts == [{f"C{i}": 2 * 50 * d for i in range(1, 5)} for d in (120, 12000)]
+
+
+def test_fig5c_serves_duration_over_service_time_per_controller():
+    # saturated from t=0, each controller is busy back to back to the horizon
+    assert fig5c_world().run().packet_in == {f"C{i}": 5000 for i in range(1, 5)}  # 10 s / 2 ms
+    assert fig5c_world(duration=36000).run().packet_in == {f"C{i}": 18_000_000 for i in range(1, 5)}
+
+
+def test_service_time_0_serves_every_arrival_up_to_the_horizon():
+    # 4001 instants of 2 APs per controller, each done as it arrives
+    world = fig5c_world(service_time="0")
+    assert world.run().packet_in == {f"C{i}": 8002 for i in range(1, 5)}
+    assert world._pi_busy == {f"C{i}": 10 * 10**9 for i in range(1, 5)}
 
 
 class StretchWatchedEngine(EventEngine):
-    """Counts the quiet instants, and why each stretch ended: the kind of the
-    pending event it met, or "run end"."""
+    """Records why each stretch ends: the kind of the pending event that
+    bounds it, or "run end"."""
 
     def __init__(self):
         super().__init__()
-        self.quiet_instants, self.cut_by = 0, Counter()
+        self.cut_by = Counter()
+        self.last_end = None  # the end of the last stretch
 
-    def quiet(self, t):
-        if super().quiet(t):
-            self.quiet_instants += 1
-            return True
-        self.cut_by["run end" if t > self._t_end else self._heap[0][2]] += 1
-        return False
+    def quiet_until(self):
+        end, inclusive = super().quiet_until()
+        self.cut_by["run end" if inclusive else self._heap[0][2]] += 1
+        self.last_end = end
+        return end, inclusive
 
 
 class StretchWatchedWorld(World):
@@ -1278,6 +1330,7 @@ def check_packet_in_stretches(failures, service_time, window, rate, cuts, **over
     world and the oracle."""
     world = fig5c_world(failures, service_time, window, rate, StretchWatchedWorld, **overrides)
     oracle = fig5c_world(failures, service_time, window, rate, PerInstantPacketInWorld, **overrides)
+    oracle.engine.record_trace = True
     for cut in [*cuts, None]:
         if cut is None:
             reports = world.run(), oracle.run()
@@ -1328,6 +1381,22 @@ def test_packet_in_stretches_match_one_event_per_arrival_instant():
         failures=[("ap AP2", 0.5), ("ap AP4", 0.5), ("ap AP6", 0.5), ("ap AP8", 0.5), ("controller C1", 2.0)],
         service_time="0.002", rate="400", window="", cuts=[], controllers=2, detection_delay="0", duration="20.0",
     )
+    # unsaturated (each controller idles between instants), and the stretch
+    # is cut short by AP3's failure, 1 ms after an instant
+    @hypothesis.example(
+        failures=[("ap AP3", 1.001)], service_time="0.0005", rate="400", window="", cuts=[], controllers=4,
+        detection_delay="0", duration="3.0",
+    )
+    # service time 0: every arrival is served, up to the horizon
+    @hypothesis.example(
+        failures=[("controller C2", 1.0)], service_time="0", rate="400", window=" until=2.2", cuts=[1.5],
+        controllers=0, detection_delay="0.004", duration="3.0",
+    )
+    # a service time with sub-ns digits: it is served as 2,000,001 ns
+    @hypothesis.example(
+        failures=[("ap AP1", 0.5)], service_time="0.0020000006", rate="400", window="", cuts=[0.25],
+        controllers=2, detection_delay="0", duration="3.0",
+    )
     @hypothesis.given(
         failures=st.lists(st.tuples(st.sampled_from(FAILABLE), at), max_size=4),
         # saturated at 0.002 s and over (800 arrivals/s per controller at 400/s per AP), unsaturated below
@@ -1346,31 +1415,35 @@ def test_packet_in_stretches_match_one_event_per_arrival_instant():
         world, oracle = check_packet_in_stretches(lines, service_time, window, rate, cuts, controllers=controllers,
                                                   detection_delay=detection_delay, duration=duration)
         eng = world.engine
+        last_arrival = max(t for t, _, _, note in oracle.engine.trace if note == "packetin")
         seen.update(cut_by_failure=eng.cut_by["failure"] > 0, cut_by_run_end=eng.cut_by["run end"] > 0,
                     adopted=len(world._pi_busy) < len(world.packet_in),
-                    early_stop=eng.executed + eng.quiet_instants < oracle.engine.executed,
-                    # more arrivals served than the instants visited could hold
-                    jumped=sum(world.packet_in.values()) > 8 * (eng.executed + eng.quiet_instants))
+                    # the world stopped its arrivals at a stretch that the oracle's arrivals outlast
+                    early_stop=last_arrival > eng.last_end)
 
     check()
     assert all(seen[k] for k in ("cut_by_failure", "cut_by_run_end", "adopted", "early_stop")), seen
-    assert seen["jumped"], seen
 
 
-def test_an_idle_controller_that_can_gain_no_ap_does_not_hold_the_stop():
+def test_an_idle_controller_that_can_gain_no_ap_does_not_hold_the_stop(stretches):
     # C2 loses its four APs at t=0.5, and with no failure to come no adoption
-    # can give it more, so C1 alone decides the stop, and C1's stretch after
-    # the failures is one jump. C2's idle busy time held the arrivals to the
-    # horizon before: 47,998 quiet instants at 120 s
+    # can give it more, so C1 alone decides the stop. C2's idle busy time held
+    # the arrivals to the horizon before: 47,998 quiet instants at 120 s
     fails = [f"fail ap AP{i} at=0.5" for i in (2, 4, 6, 8)]
-    runs = [fig5c_world(fails, world=StretchWatchedWorld, controllers=2, duration=d) for d in (120, 1200)]
-    assert runs[0].run().packet_in == {"C1": 60000, "C2": 804}
-    runs[1].run()
-    # the 199 quiet instants before the failures, and the jump's: none grows with the horizon
-    assert runs[0].engine.quiet_instants == runs[1].engine.quiet_instants <= 201
+    work, counts = [], []
+    for duration in (120, 1200):
+        world = fig5c_world(fails, controllers=2, duration=duration)
+        before = len(stretches)
+        counts.append(world.run().packet_in)
+        work.append((world.engine.executed, len(stretches) - before))
+    assert counts == [{"C1": 60000, "C2": 804}, {"C1": 600000, "C2": 804}]
+    # at either horizon: the arrivals up to t=0.5, the 4 failures, the arrivals
+    # at t=0.5 (cut short by the 4 recoveries due then) and the arrivals from
+    # 0.5025 on, in 4 + 2 + 2 closed forms; none grows with the horizon
+    assert work == [(11, 8)] * 2
 
 
-def test_packet_in_arrivals_stop_at_once_when_no_controller_is_live():
+def test_packet_in_arrivals_stop_at_once_when_no_controller_is_live(stretches):
     # the only controller crashes at t=1.0 and nothing can adopt its APs: the
     # arrival event then serves nothing and schedules nothing more, where the
     # per-instant oracle goes on through the 47,600 instants left to 120 s
@@ -1378,9 +1451,22 @@ def test_packet_in_arrivals_stop_at_once_when_no_controller_is_live():
                                               controllers=1, duration=120)
     assert world.packet_in == {"C1": 3200}  # 400 instants of 8 APs, queued up to t=6.4
     assert oracle.engine.executed == 48001 + 2
-    # the first arrival event serves the 399 quiet instants before the failure;
-    # then the failure, the arrivals at t=1.0, and the recovery that finds no adopter
-    assert (world.engine.quiet_instants, world.engine.executed) == (399, 4)
+    # the first arrival event serves its instant and the 399 quiet ones before
+    # the failure, in two closed forms; then come the failure, the arrivals at
+    # t=1.0, which serve nothing, and the recovery that finds no adopter
+    assert (len(stretches), world.engine.executed) == (2, 4)
+
+
+def test_packet_in_arrivals_stop_only_at_an_instant_that_refuses_one():
+    # each controller's 5,000th packet-in, at t=6.2475, fills it to the 10 s
+    # horizon; AP1's failure at t=6.25 cuts the stretch there, and since no
+    # arrival was refused yet, the arrivals at t=6.25 run, refuse, and stop
+    world = fig5c_world(["fail ap AP1 at=6.25"])
+    world.engine.record_trace = True
+    assert world.run().packet_in == {f"C{i}": 5000 for i in range(1, 5)}
+    assert [(t, note) for t, _, _, note in world.engine.trace] == [
+        (0.0, "packetin"), (6.25, "fail:AP1"), (6.25, "packetin"), (6.25, "recover:AP1"),
+    ]
 
 
 def test_packet_in_events_stop_when_every_ap_has_failed():
