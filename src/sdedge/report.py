@@ -3,6 +3,7 @@
 Reports are pure data derived from a finished run; emitting the same
 report twice (or a report from a repeated run with the same seed) must be
 byte-identical, so serialization sorts keys and uses repr-exact floats.
+Throughput instants and handover times are kept in ns and print as seconds.
 
 A report holds each of its three big lists in one form. Its throughput is
 a `Throughput`: per stream, its start, stop and runs (first instant, Mbps),
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,7 +45,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
-from .engine import later
 from .errors import EmitError
 
 SCHEMA_VERSION = "sdedge.metrics/1"
@@ -55,23 +55,17 @@ class Throughput:
     """Rows (t, stream id, Mbps) in (t, stream) order, kept as per-stream runs.
 
     A stream has a row at each of its instants up to its stop: its start
-    and then each `later(t, period)`, the instants `World` samples it at,
-    made once per start, up to the latest stop of the streams that start
-    then. Each row reads the value of the stream's latest run (first
-    instant, Mbps) at or before it. `len()` expands nothing; each reader
-    expands the runs once.
+    and then every `period` after it, all in ns, the instants `World`
+    samples it at. Each row reads the value of the stream's latest run
+    (first instant, Mbps) at or before it, and prints its instant in
+    seconds. `len()` expands nothing; each reader expands the runs once.
     """
 
-    def __init__(self, period: float, streams: Iterable[tuple[str, float, float, list[tuple[float, float]]]]):
-        given = sorted(streams, key=itemgetter(0))
-        self.instants: dict[float, list[float]] = {}  # start -> its instants, to its streams' latest stop
-        for _, start, stop, _ in given:
-            ts = self.instants.setdefault(start, [start])
-            while (t := later(ts[-1], period)) <= stop:
-                ts.append(t)
+    def __init__(self, period: int, streams: Iterable[tuple[str, int, int, list[tuple[int, float]]]]):
+        self.period = period
         # (stream id, start, row count, runs), from (stream id, start, stop, runs)
-        self.streams = [(sid, start, bisect_right(self.instants[start], stop), runs)
-                        for sid, start, stop, runs in given]
+        self.streams = [(sid, start, len(range(start, stop + 1, period)), runs)
+                        for sid, start, stop, runs in sorted(streams, key=itemgetter(0))]
         self._len = sum(n for _, _, n, _ in self.streams)
 
     def __len__(self) -> int:
@@ -88,16 +82,18 @@ class Throughput:
 
     def expand(self) -> tuple[list[tuple[str, float]], Iterator[tuple[float, list[int]]]]:
         """Every run as (stream id, Mbps), numbered in stream order, and an
-        iterator that yields, per instant in time order, the indices of the
-        runs its rows read, in stream order. Each start's instants are walked
+        iterator that yields, per instant in time order (in s), the indices of
+        the runs its rows read, in stream order. Each start's instants are walked
         one at a time (see `_start_rows`), and starts are merged only at the
         instants they share, so no reader holds more than one instant's rows."""
         runs: list[tuple[str, float]] = []
-        groups: dict[float, list[tuple[int, int, list[tuple[float, float]]]]] = {}
+        groups: dict[int, list[tuple[int, int, list[tuple[int, float]]]]] = {}
         for sid, start, n, stream_runs in self.streams:
             groups.setdefault(start, []).append((len(runs), n, stream_runs))
             runs += [(sid, mbps) for _, mbps in stream_runs]
-        passes = [_start_rows(self.instants[start], group) for start, group in groups.items()]
+        period = self.period  # each start's instants, to the last row of its streams
+        passes = [_start_rows(range(start, start + period * max(n for _, n, _ in group), period), group)
+                  for start, group in groups.items()]
         return runs, _merged(passes)
 
     @cached_property
@@ -107,8 +103,8 @@ class Throughput:
         return _delivered(self, None)
 
 
-def _start_rows(ts: list[float], group: list[tuple[int, int, list[tuple[float, float]]]]
-                ) -> Iterator[tuple[float, list[int]]]:
+def _start_rows(ts: range, group: list[tuple[int, int, list[tuple[int, float]]]]
+                ) -> Iterator[tuple[int, list[int]]]:
     """Per instant of one start, the run ids its streams read, in stream order.
 
     `group` holds each stream's (first run id, row count, runs). The list of
@@ -134,17 +130,17 @@ def _start_rows(ts: list[float], group: list[tuple[int, int, list[tuple[float, f
         yield t, ids
 
 
-def _next_change(ts: list[float], runs: list[tuple[float, float]], k: int, n: int) -> int:
+def _next_change(ts: range, runs: list[tuple[int, float]], k: int, n: int) -> int:
     """The index of the instant where run k begins, or the row count once no run is left."""
     return bisect_left(ts, runs[k][0]) if k < len(runs) else n
 
 
-def _merged(passes: list[Iterator[tuple[float, list[int]]]]) -> Iterator[tuple[float, list[int]]]:
-    """The starts' instants in time order; at an instant several starts
+def _merged(passes: list[Iterator[tuple[int, list[int]]]]) -> Iterator[tuple[float, list[int]]]:
+    """The starts' instants in time order, in s; at an instant several starts
     share, their run ids are merged, and run ids follow stream order."""
     for t, same in groupby(merge(*passes, key=itemgetter(0)), key=itemgetter(0)):
         lists = [ids for _, ids in same]
-        yield t, lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+        yield t / 10**9, lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
 
 
 def _delivered(rows: Throughput, stream_id: str | None) -> tuple[float, int]:
@@ -264,14 +260,14 @@ class HandoverLog(RowLog):
     handover's md in `mds`. A row is interned only with rows that print the
     same: latency and messages are keyed by their repr too, so 0.0 and
     -0.0, and 1, 1.0 and True, stay apart. Iterating yields one nine-key
-    dict per handover, in handover order.
+    dict per handover, in handover order, its `t` from ns to s.
     """
 
     def __init__(self):
         super().__init__()
         self.mds: list[str] = []
 
-    def append(self, t: float, md: str, kind: str, from_ap: str | None, to_ap: str,
+    def append(self, t: int, md: str, kind: str, from_ap: str | None, to_ap: str,
                from_controller: str | None, to_controller: str, latency: float, messages: int) -> None:
         row = (kind, from_ap, to_ap, from_controller, to_controller, latency, messages)
         self._append((row, repr(latency), repr(messages)), row, t)
@@ -280,6 +276,7 @@ class HandoverLog(RowLog):
     def __iter__(self) -> Iterator[dict]:
         rows, index, mds = self.rows, self.index, self.mds
         for t, lo, hi in self.spans():
+            t /= 10**9
             for row, md in zip(index[lo:hi], mds[lo:hi]):
                 kind, from_ap, to_ap, from_controller, to_controller, latency, messages = rows[row]
                 yield {"t": t, "md": md, "kind": kind, "from_ap": from_ap, "to_ap": to_ap,
@@ -294,7 +291,7 @@ class MetricsReport:
     mode: str
     duration: float
     personal_ap: bool = False
-    throughput: Throughput = field(default_factory=lambda: Throughput(1.0, ()))
+    throughput: Throughput = field(default_factory=lambda: Throughput(10**9, ()))
     # every association change / controller handover, in the order made
     handovers: HandoverLog = field(default_factory=HandoverLog)
     packet_in: dict[str, int] = field(default_factory=dict)
@@ -422,7 +419,7 @@ def _handover_chunks(log: HandoverLog) -> Iterator[str]:
     md_texts = {md: _value(md) for md in set(log.mds)}
     index, mds = log.index, log.mds
     for t, lo, hi in log.spans():
-        t = _value(t)
+        t = _value(t / 10**9)
         for i in range(lo, hi, _BATCH):
             j = min(i + _BATCH, hi)
             yield ",\n".join([f"{heads[row]}{md_texts[md]}{mids[row]}{t}{tails[row]}"

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .authn import MODES
-from .engine import later
+from .engine import ns
 from .errors import ScenarioError, UsageError
 from .ring import fnv1a64, hash_id
 
@@ -37,6 +37,13 @@ if TYPE_CHECKING:
 SECTIONS = ("params", "topology", "groups", "flows", "traces", "failures", "workload")
 PERSONAL_AP_CHOICES = ("auto", "on", "off")
 MD_STATUSES = ("joining", "leaving", "staying")  # parsed and validated; no decision reads it
+
+
+def _moves_clock(period: float, horizon: float) -> bool:
+    """Whether a `period` moves the clock, as a report prints it, at `horizon`
+    (both in s, then whole ns): (h + p) / 10**9 > h / 10**9, so p >= 1 ns."""
+    h = ns(horizon)
+    return math.isfinite(period * 10**9) and (h + ns(period)) / 10**9 > h / 10**9
 
 
 @dataclass(frozen=True)
@@ -69,17 +76,17 @@ class Params:
 
     def validate(self) -> list[tuple[str, str]]:
         """Range problems as (field, message), shared by scenario files and
-        `--set` overrides. Every float is finite; the horizon and the three
-        periods are positive, and every other float is >= 0. Each period must
-        move the clock at the horizon, or its events would repeat one instant."""
+        `--set` overrides. Every float is finite, in ns too; the horizon and the
+        three periods are positive, and every other float is >= 0. Each period
+        must move the clock at the horizon, or its events would repeat one instant."""
         problems = []
         for name in _FLOAT_PARAMS:
             value, positive = getattr(self, name), name in _POSITIVE_PARAMS
-            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            if not (math.isfinite(value * 10**9) and (value > 0 if positive else value >= 0)):
                 problems.append((name, f"{name} must be {'positive' if positive else '>= 0'} and finite"))
-            elif name in _PERIODS and later(self.duration, value) <= self.duration < math.inf:
+            elif name in _PERIODS and math.isfinite(self.duration * 10**9) and not _moves_clock(value, self.duration):
                 problems.append((name, f"{name} does not advance the clock at duration={self.duration} "
-                                       "(instants are rounded to 1e-9 s)"))
+                                       "(instants are whole ns)"))
         if not 2 <= self.m <= 32:
             problems.append(("m", f"ring width m={self.m} outside [2, 32]"))
         if self.r < 1:
@@ -226,15 +233,13 @@ class WorkloadDecl(_Directive):
         return min(self.until, duration) if self.until is not None else duration
 
     def period_problem(self, duration: float) -> str | None:
-        """Arrival instants are 1/rate_per_ap apart up to the horizon, that
-        period rounded to whole ns, so it must be at least 1 ns and move the
-        clock there. The parser checks a file's own `duration`; `World` checks
-        the one it is given."""
+        """Arrival instants are 1/rate_per_ap apart up to the horizon, so that
+        period must move the clock there. The parser checks a file's own
+        `duration`; `World` checks the one it is given."""
         horizon = self.horizon(duration)
-        if self.rate_per_ap > 0 and (round(10**9 / self.rate_per_ap) < 1
-                                     or later(horizon, 1 / self.rate_per_ap) <= horizon):
+        if self.rate_per_ap > 0 and not _moves_clock(1 / self.rate_per_ap, horizon):
             return (f"packetin rate_per_ap={self.rate_per_ap!r} does not advance the clock at t={horizon} "
-                    "(instants are rounded to 1e-9 s)")
+                    "(instants are whole ns)")
         return None
 
 
@@ -574,11 +579,11 @@ class _Row:
 
 
 def _number(low: float = -math.inf) -> Converter:
-    """A converter to a finite float that is at least `low`."""
+    """A converter to a float that is at least `low` and finite, in ns too."""
 
     def convert(text: str) -> float:
         value = float(text)
-        if not (math.isfinite(value) and value >= low):
+        if not (math.isfinite(value * 10**9) and value >= low):
             raise ValueError(text)
         return value
 

@@ -54,20 +54,22 @@ input of a decision changed replays the previous wave's log rows (see
 `authn`). That replay leans on two facts of the world: every grouped AP
 delivers at the same instants, and the deliveries of one instant are
 consecutive events that change no serving AP.
+Every time in the world is integer ns (see `engine`), converted once from
+the scenario's and parameters' seconds; `authn` keeps seconds.
 A packet-in workload offers one packet-in per AP per period, each served
-at its controller's single server: a D/D/1 queue per controller, in
-integer ns. One arrival event serves its own instant's APs, and then every
-later instant of its quiet stretch, up to the next pending event or the
-end of the running `run_until`, in closed form per controller
-(`serve_stretch`); it schedules the first instant after the stretch once,
-and nothing more once no controller can serve again. A handler failure
-there names the stretch's first instant, not the AP. Moves are batched the
-same way: the moves of one instant are one md-move event, and a
-failure there names the instant. A `roam` is drawn here, not at parse: its
-instants once, and per device one array of points, so no object is made
-per waypoint. An instant's event moves the roams' devices in name order,
-merged by name with the scenario's waypoints, which a parsed scenario
-holds in (instant, device) order and one built in code in any order.
+at its controller's single server: a D/D/1 queue per controller. One
+arrival event serves its own instant's APs, and then every later instant
+of its quiet stretch, up to the next pending event or the end of the
+running `run_until`, in closed form per controller (`serve_stretch`); it
+schedules the first instant after the stretch once, and nothing more once
+no controller can serve again. A handler failure there names the stretch's
+first instant, not the AP. Moves are batched the same way: the moves of
+one instant are one md-move event, and a failure there names the instant.
+A `roam` is drawn here, not at parse: its instants once, and per device
+one array of points, so no object is made per waypoint. An instant's event
+moves the roams' devices in name order, merged by name with the scenario's
+waypoints, which a parsed scenario holds in (instant, device) order and
+one built in code in any order.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from heapq import heappop, heappush, merge
 from operator import attrgetter, itemgetter
 
 from .authn import AuthnService, LocationGroup
-from .engine import EventEngine, later
+from .engine import EventEngine, ns
 from .errors import HandoverFailure, NotAMember, UsageError
 from .mobility import MobilityManager
 from .report import HandoverLog, MetricsReport, Throughput
@@ -93,15 +95,15 @@ from .scheduler import APStatus, FlowRequest, PartitionView, ViewEvent, best_ap,
 @dataclass(eq=False)
 class StreamState:
     decl: StreamDecl
-    stop: float  # its end or the horizon, whichever is earlier: its last allowed instant
+    stop: int  # its end or the horizon, whichever is earlier: its last allowed instant
     rank: int = 0  # its place in its chain's tick order
     started: bool = False
     ended: bool = False
     placed_on: str | None = None  # the AP its flow holds room on
-    gap_until: float = 0.0
+    gap_until: int = 0
     gate_blocked: bool = False
     chain: _Chain | None = None  # the instants it is still due at
-    runs: list[tuple[float, float]] = field(default_factory=list)  # (first instant, Mbps) per change
+    runs: list[tuple[int, float]] = field(default_factory=list)  # (first instant, Mbps) per change, from its start
     waiting_on: str | None = None  # the AP it waits on for room
 
     @property
@@ -111,14 +113,14 @@ class StreamState:
 
 @dataclass(eq=False)
 class _Chain:
-    """The streams due at one sequence of instants, each `later(t, sample_period)`
-    of the instant t before it. It counts no instants: a stream's rows are its
+    """The streams due at one sequence of instants, each `sample_period`
+    after the one before it. It counts no instants: a stream's rows are its
     instants from its start to its stop, which the report regenerates."""
 
     lo: int = 0  # the lowest and highest rank of its streams
     hi: int = -1
     # heap of (last allowed instant, name, stream), one entry per stream
-    stops: list[tuple[float, str, StreamState]] = field(default_factory=list)
+    stops: list[tuple[int, str, StreamState]] = field(default_factory=list)
     dirty: set[StreamState] = field(default_factory=set)  # to tick at the next instant
     woken: set[str] = field(default_factory=set)  # APs whose waiters retry at the next instant
 
@@ -202,6 +204,10 @@ class World:
         w = scenario.workload
         if w is not None and (problem := w.period_problem(p.duration)):
             raise UsageError(f"{scenario.name}:{w.line}: {problem}")
+        # every time in the world is ns, converted once, here or in `_schedule_all`
+        self.horizon, self._sample_period = ns(p.duration), ns(p.sample_period)
+        self._rotation_period, self._regrant_grace = ns(p.rotation_period), ns(p.regrant_grace)
+        self._recovery_lag, self._detection_delay = ns(p.recovery_lag), ns(p.detection_delay)
         self.ring = OverlayRing(m=p.m, replication=p.r)
         self.cid_of: dict[str, int] = keys
         self.name_of: dict[int, str] = {cid: name for name, cid in keys.items()}
@@ -257,15 +263,16 @@ class World:
         for state in self.mds.values():
             self._update_roster(state.name, state.position)
         self.streams: dict[str, StreamState] = {
-            s.name: StreamState(s, p.duration if s.end is None else min(s.end, p.duration)) for s in scenario.streams
+            s.name: StreamState(s, self.horizon if s.end is None else min(ns(s.end), self.horizon))
+            for s in scenario.streams
         }
         self._md_streams: dict[str, list[StreamState]] = {}  # device -> its streams, by name
         for st in sorted(self.streams.values(), key=lambda s: s.name):
             self._md_streams.setdefault(st.decl.md, []).append(st)
         # the sampler's state: see `_sample`
-        self._due: dict[float, _Chain] = {}  # sample instant -> the chain due then
+        self._due: dict[int, _Chain] = {}  # sample instant -> the chain due then
         self._waiters: dict[str, set[StreamState]] = {}  # AP -> its waiters, once it has had one
-        self._gaps: list[tuple[float, str]] = []  # heap of (gap end, name) of streams sampled in a gap
+        self._gaps: list[tuple[int, str]] = []  # heap of (gap end, name) of streams sampled in a gap
         self._min_demand = min((s.demand for s in scenario.streams), default=0.0)
 
         # --- metrics ------------------------------------------------------------
@@ -340,41 +347,40 @@ class World:
             state.connected = True
 
     def _schedule_all(self) -> None:
-        p = self.params
         eng = self.engine
         if self.scenario.groups:
-            eng.schedule(0.0, "timer", self._rotate_all, note="rotate")
+            eng.schedule(0, "timer", self._rotate_all, note="rotate")
             for ap_name in sorted(self.aps):
                 if self.authn.group_of.get(ap_name):
-                    eng.schedule(0.0, "beacon", *self._beacon_source(ap_name))
+                    eng.schedule(0, "beacon", *self._beacon_source(ap_name))
         # every move is scheduled here, together, so no other event can fall
         # between two moves of one instant: they are one event
         for t, (wps, roams) in sorted(self._moves_by_instant().items()):
             eng.schedule(t, "md-move", lambda w=wps, r=roams: self._apply_moves(w, r), note="move")
         for st in self.streams.values():
-            eng.schedule(st.decl.start, "flow-start", lambda s=st: self._flow_start(s), note=f"start:{st.name}")
-            end = st.decl.end
-            if end is not None and end <= p.duration:
+            eng.schedule(ns(st.decl.start), "flow-start", lambda s=st: self._flow_start(s), note=f"start:{st.name}")
+            if st.decl.end is not None and (end := ns(st.decl.end)) <= self.horizon:
                 eng.schedule(end, "flow-end", lambda s=st: self._flow_end(s), note=f"end:{st.name}")
         for f in self.scenario.failures:
-            eng.schedule(f.at, "failure", lambda fd=f: self.inject_failure(fd.kind, fd.name), note=f"fail:{f.name}")
+            eng.schedule(ns(f.at), "failure", lambda fd=f: self.inject_failure(fd.kind, fd.name), note=f"fail:{f.name}")
         w = self.scenario.workload
         if w is not None and w.rate_per_ap > 0:
-            eng.schedule(w.start, "message-delivery", self._packet_in_arrivals(), note="packetin")
+            eng.schedule(ns(w.start), "message-delivery", self._packet_in_arrivals(), note="packetin")
 
     # ------------------------------------------------------------------ beacons & keys
 
     def _rotate_all(self) -> None:
         now = self.engine.now
+        rotated_at = now / 10**9  # authn keeps seconds
         for gid in sorted(self.authn.groups):
             group = self.authn.groups[gid]
             down = {ap for ap in group.members if not self.aps[ap].alive}
-            self.authn.rotate_group_keys(gid, now, down_aps=down)
+            self.authn.rotate_group_keys(gid, rotated_at, down_aps=down)
         self.engine.schedule(
-            later(now, self.params.regrant_grace), "timer", lambda: self._expire_grants(now), note="grant-expiry"
+            now + self._regrant_grace, "timer", lambda: self._expire_grants(rotated_at), note="grant-expiry"
         )
-        nxt = later(now, self.params.rotation_period)
-        if nxt <= self.params.duration:
+        nxt = now + self._rotation_period
+        if nxt <= self.horizon:
             self.engine.schedule(nxt, "timer", self._rotate_all, note="rotate")
 
     def _expire_grants(self, rotated_by: float) -> None:
@@ -383,15 +389,16 @@ class World:
 
     def _beacon_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
         """One AP's beacon handler and note, and its key delivery's, built once."""
-        eng, p, authn, ap = self.engine, self.params, self.authn, self.aps[ap_name]
+        eng, authn, ap, horizon = self.engine, self.authn, self.aps[ap_name], self.horizon
+        latency, period = ns(self.params.wireless_latency), ns(self.params.beacon_period)
         note, deliver_note = f"beacon:{ap_name}", f"key:{ap_name}"
 
         def beacon() -> None:
             now = eng.now
             if ap.alive and authn.current_key(ap_name) is not None:
-                eng.schedule(later(now, p.wireless_latency), "message-delivery", deliver, deliver_note)
-            nxt = later(now, p.beacon_period)
-            if nxt <= p.duration and ap.alive:
+                eng.schedule(now + latency, "message-delivery", deliver, deliver_note)
+            nxt = now + period
+            if nxt <= horizon and ap.alive:
                 eng.schedule(nxt, "beacon", beacon, note)
 
         def deliver() -> None:
@@ -406,7 +413,7 @@ class World:
         order, when it is served by a grouped AP and holds no grant of that
         group's current epoch. A decision reads only its own device's wallet,
         so hearing first decides as hearing and deciding device by device."""
-        now, serving_of = self.engine.now, self.mobility.association_ap
+        now, serving_of = self.engine.now / 10**9, self.mobility.association_ap  # in s, one float for all
         for md, flipped, granted in self.authn.deliver(ap_name, recipients, serving_of, now):
             if flipped:  # the gate flips
                 self._mark(self._md_streams.get(md, ()))
@@ -419,25 +426,25 @@ class World:
         for st in self._md_streams.get(md, ()):
             if st.gate_blocked:
                 self._mark((st,))
-                st.gap_until = max(st.gap_until, later(now, self.params.recovery_lag))
+                st.gap_until = max(st.gap_until, now + self._recovery_lag)
                 st.gate_blocked = False
 
     # ------------------------------------------------------------------ movement
 
-    def _moves_by_instant(self) -> dict[float, tuple[list[WaypointDecl], list[tuple[_RoamPaths, int]]]]:
+    def _moves_by_instant(self) -> dict[int, tuple[list[WaypointDecl], list[tuple[_RoamPaths, int]]]]:
         """Instant -> its waypoints in list order, and each roam due then with
         the index of that instant among the roam's. A roam's instants are
         computed once for all its devices, and its points are drawn into one
         array per device, from the layout seed the scenario was parsed with:
         like the `mds` it placed, a `--set layout_seed=` moves no roam."""
-        moves: dict[float, tuple[list[WaypointDecl], list[tuple[_RoamPaths, int]]]] = {}
+        moves: dict[int, tuple[list[WaypointDecl], list[tuple[_RoamPaths, int]]]] = {}
         for wp in self.scenario.waypoints:
-            moves.setdefault(wp.t, ([], []))[0].append(wp)
+            moves.setdefault(ns(wp.t), ([], []))[0].append(wp)
         for roam in self.scenario.roams:
             instants = roam.instants()
             paths = _RoamPaths(roam, self.scenario.params.layout_seed, len(instants))
             for k, t in enumerate(instants):
-                moves.setdefault(t, ([], []))[1].append((paths, k))
+                moves.setdefault(ns(t), ([], []))[1].append((paths, k))
         return moves
 
     def _apply_moves(self, wps: list[WaypointDecl], roams: list[tuple[_RoamPaths, int]]) -> None:
@@ -522,9 +529,10 @@ class World:
         state.connected = True
 
         total = round(gap + (outcome.latency if outcome else 0.0), 9)
-        for st in self._md_streams.get(md, ()):
-            st.gap_until = max(st.gap_until, later(now, total))
-        self._replace_flows(md, new_ap)
+        for st in self._md_streams.get(md, ()):  # each flow moves to the new AP, after a gap
+            st.gap_until = max(st.gap_until, now + ns(total))
+            self._unplace(st)
+            self._place_flow(st, new_ap)
         self.handover_rows.append(now, md, reason if reason == "ap-recovery" else kind, old_ap, new_ap,
                                   old_ctrl, new_ctrl, total, outcome.messages if outcome else 0)
 
@@ -549,7 +557,7 @@ class World:
         if serving is not None and self.mds[md].connected:
             self._place_flow(st, serving)
         # the first sample is taken now; the chain of the next instant carries it on
-        nxt = later(self.engine.now, self.params.sample_period)
+        nxt = self.engine.now + self._sample_period
         if nxt <= st.stop:
             chain = st.chain = self._chain_at(nxt)
             st.rank = chain.hi = chain.hi + 1  # it asked for `nxt` after the chain's streams
@@ -589,11 +597,6 @@ class World:
         update_partition_view(self.views[self.partition_of[ap_name]], ViewEvent("flow-end", flow_id=st.name))
         st.placed_on = None
         self._wake(ap_name)
-
-    def _replace_flows(self, md: str, new_ap: str) -> None:
-        for st in self._md_streams.get(md, ()):
-            self._unplace(st)
-            self._place_flow(st, new_ap)
 
     # ------------------------------------------------------------------ transport
 
@@ -668,7 +671,7 @@ class World:
             if st.chain is chain:
                 yield st
 
-    def _chain_at(self, at: float) -> _Chain:
+    def _chain_at(self, at: int) -> _Chain:
         """The chain due at `at`; a new one schedules that instant's sampler event."""
         chain = self._due.get(at)
         if chain is None:
@@ -691,7 +694,7 @@ class World:
         a.dirty |= b.dirty
         a.woken |= b.woken
 
-    def _sample(self, at: float) -> None:
+    def _sample(self, at: int) -> None:
         """The one sampler event of an instant: tick the chain's dirty streams and
         woken waiters in rank order, then carry the chain on to its next instant."""
         chain = self._due.pop(at)
@@ -705,7 +708,7 @@ class World:
             chain.woken.clear()
         for st in order:
             self._tick(st)
-        nxt = later(at, self.params.sample_period)
+        nxt = at + self._sample_period
         stops = chain.stops
         while stops and stops[0][0] < nxt:
             st = heappop(stops)[2]
@@ -719,7 +722,7 @@ class World:
 
     def inject_failure(self, kind: str, name: str) -> None:
         now = self.engine.now
-        delay = self.params.detection_delay
+        delay = self._detection_delay
         if kind == "controller":
             cid = self.cid_of.get(name)
             if cid is None or not self.ring.is_live(cid):
@@ -727,7 +730,7 @@ class World:
             self.ring.crash(cid)
             self._crashed.add(name)
             self.engine.schedule(
-                later(now, delay), "failure", lambda: self._recover_controller(name, cid),
+                now + delay, "failure", lambda: self._recover_controller(name, cid),
                 note=f"recover:{name}",
             )
         elif kind == "ap":
@@ -738,7 +741,7 @@ class World:
             serving_of = self.mobility.association_ap
             self._mark([st for md, a in serving_of.items() if a == name for st in self._md_streams.get(md, ())])
             self.engine.schedule(
-                later(now, delay), "failure", lambda: self._recover_ap(name), note=f"recover:{name}"
+                now + delay, "failure", lambda: self._recover_ap(name), note=f"recover:{name}"
             )
         else:
             raise NotAMember(f"cannot fail a {kind!r}")
@@ -780,16 +783,16 @@ class World:
         Every AP offers one packet-in per period from the workload's start,
         each served at its AP's current controller, a single server (see
         `serve_stretch`). A crashed controller serves nothing: arrivals for
-        it are lost until its partition is adopted. The start, period,
-        service time and horizon are rounded to whole ns once. The arrival
-        event serves its own instant (an AP that failed since the instant was
-        scheduled is still served there, and at none after), and then every
-        later instant of its quiet stretch (`EventEngine.quiet_until`) in
-        closed form: between events nothing but the arrivals writes
-        `partition_of`, `_crashed`, AP liveness or `_pi_busy`, and an AP's
-        arrival touches only its own controller. It schedules the first
-        instant after the stretch, if that is inside the horizon and some AP
-        is still alive, unless the arrivals stop.
+        it are lost until its partition is adopted. The start, period
+        `1/rate_per_ap`, service time and horizon are whole ns, as every
+        instant. The arrival event serves its own instant (an AP that failed
+        since the instant was scheduled is still served there, and at none
+        after), and then every later instant of its quiet stretch
+        (`EventEngine.quiet_until`) in closed form: between events nothing
+        but the arrivals writes `partition_of`, `_crashed`, AP liveness or
+        `_pi_busy`, and an AP's arrival touches only its own controller. It
+        schedules the first instant after the stretch, if that is inside the
+        horizon and some AP is still alive, unless the arrivals stop.
 
         They stop once an instant refused an arrival, or had no AP of a live
         controller due, and every live controller that may still serve has
@@ -797,16 +800,16 @@ class World:
         and the clock only grow, a crashed controller serves nothing again,
         and an adoption moves APs only onto a live controller. A live
         controller with no AP due counts only while a crashed controller
-        awaits adoption or a failure, of an AP too, is still to come before
-        the horizon. Once the rule holds, no later instant serves anything,
-        so it is checked at the stretch's end. A handler failure names the
-        first instant of its stretch, not an AP.
+        awaits adoption or a controller failure, which adoption follows, is
+        still to come before the horizon. Once the rule holds, no later
+        instant serves anything, so it is checked at the stretch's end. A
+        handler failure names the first instant of its stretch, not an AP.
         """
         w = self.scenario.workload
-        horizon = w.horizon(self.params.duration)
-        last_failure = max((f.at for f in self.scenario.failures if f.at <= horizon), default=-math.inf)
-        horizon, period, service = round(horizon * 10**9), round(10**9 / w.rate_per_ap), round(w.service_time * 10**9)
-        t, due = round(w.start * 10**9), sorted(self.aps)
+        horizon, period, service = ns(w.horizon(self.params.duration)), ns(1 / w.rate_per_ap), ns(w.service_time)
+        last_failure = max((at for f in self.scenario.failures
+                            if f.kind == "controller" and (at := ns(f.at)) <= horizon), default=-1)
+        t, due = ns(w.start), sorted(self.aps)
 
         def arrivals() -> None:
             nonlocal t, due
@@ -817,15 +820,11 @@ class World:
             load = Counter(partition_of[a] for a in due if partition_of[a] not in crashed)
             due = [a for a in due if aps[a].alive]
             live = Counter(partition_of[a] for a in due if partition_of[a] not in crashed)
-            may_gain = any(c in busy_of for c in crashed) or eng.now < last_failure
+            may_gain = any(c in busy_of for c in crashed) or t < last_failure
             counted = [c for c in busy_of if c not in crashed and (may_gain or c in live)]
-            end, inclusive = eng.quiet_until()
-            last = round(end * 10**9)  # the stretch's last instant: before `end`, or at it if inclusive
-            if last / 10**9 > end or last / 10**9 == end and not inclusive:
-                last -= 1
             # this instant with the APs due at it, then the quiet ones after it with those still alive
             stretch = [(load, 1)]
-            if (m := (min(last, horizon) - t) // period) > 0:
+            if (m := (min(eng.quiet_until(), horizon) - t) // period) > 0:
                 stretch.append((live, m))
             for load, m in stretch:
                 refused = False
@@ -837,25 +836,25 @@ class World:
             if t > horizon or not due or (refused or not load) and all(
                     busy_of[c] + service > horizon for c in counted):
                 return
-            eng.schedule(t / 10**9, "message-delivery", arrivals, "packetin")
+            eng.schedule(t, "message-delivery", arrivals, "packetin")
 
         return arrivals
 
     # ------------------------------------------------------------------ run & report
 
     def run(self) -> MetricsReport:
-        self.engine.run_until(self.params.duration)
+        self.engine.run_until(self.horizon)
         return self.record_metrics()
 
     def record_metrics(self) -> MetricsReport:
-        streams = [(st.name, st.decl.start, st.stop, st.runs[:]) for st in self.streams.values() if st.runs]
+        streams = [(st.name, st.runs[0][0], st.stop, st.runs[:]) for st in self.streams.values() if st.runs]
         return MetricsReport(
             scenario=self.scenario.name,
             seed=self.params.seed,
             mode=self.params.mode,
             personal_ap=self.params.personal_ap_enabled,
             duration=self.params.duration,
-            throughput=Throughput(self.params.sample_period, streams),
+            throughput=Throughput(self._sample_period, streams),
             handovers=self.handover_rows,
             packet_in=dict(sorted(self.packet_in.items())),
             lookup_hops=dict(sorted(self.ring.lookup_hops.items())),

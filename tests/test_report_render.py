@@ -5,7 +5,8 @@ pin its output, byte for byte, to `json.dumps(document, sort_keys=True,
 indent=1) + "\\n"` over generated reports, whose throughput is a runs-backed
 `Throughput`, whose handovers are a `HandoverLog` and whose auth log is a
 `DecisionLog`, as a run makes them, and pin the CSV rows to their plain
-`repr` spelling. The generators favour the
+`repr` spelling. Throughput instants and handover times are integer ns, as
+a run's clock counts them, and print as seconds. The generators favour the
 values where the two could part: signed zero, subnormal and large floats, the
 non-finite floats json spells its own way, ints and bools where floats are
 expected, None, names that need escaping, and empty lists and tables.
@@ -54,41 +55,43 @@ names = st.one_of(
 APART = (0.0, -0.0, 1, 1.0, True, math.nan)
 
 
-def runs_of(sid, start, samples, period, slack=0.0):
-    """One stream's (stream id, start, stop, runs), from its sample per
-    instant; its stop is `slack` after its last instant."""
+def runs_of(sid, start, samples, period, slack=0):
+    """One stream's (stream id, start, stop, runs), in ns, from its sample
+    per instant; its stop is `slack` after its last instant."""
     runs, t = [], start
     for mbps in samples:
         if not runs or runs[-1][1] != mbps:
             runs.append((t, mbps))
-        stop, t = t, round(t + period, 9)
+        stop, t = t, t + period
     return sid, start, stop + slack, runs
 
 
 def expanded(period, streams):
-    """The rows of `Throughput(period, streams)`, expanded by hand and sorted."""
+    """The rows of `Throughput(period, streams)`, expanded by hand and
+    sorted, each instant in seconds."""
     rows = []
     for sid, start, stop, runs in streams:
         firsts, t, mbps = dict(runs), start, None
         while t <= stop:
             mbps = firsts.get(t, mbps)
-            rows.append((t, sid, mbps))
-            t = round(t + period, 9)
+            rows.append((t / 10**9, sid, mbps))
+            t += period
     return sorted(rows, key=lambda row: (row[0], row[1]))
 
 
-# starts on different sampling chains, and later starts that join a chain
-starts = st.sampled_from((0.0, 0.05, 0.1, 0.3, 0.25, 1.0, 0.30000000001))
+# starts on different sampling chains, and later starts that join a chain,
+# in ns: one is 1 ns off the chain of the one before it
+starts = st.sampled_from((0, 50_000_000, 100_000_000, 300_000_000, 250_000_000, 10**9, 300_000_001))
 # a few values that repeat into runs, and any number, SPECIAL_FLOATS included
 mbps_values = st.one_of(st.sampled_from((0.0, 0.2, 8.0)), numbers)
 # a stop on the stream's last instant, or between it and the next, as the horizon can fall
-slacks = st.sampled_from((0.0, 0.04))
+slacks = st.sampled_from((0, 40_000_000))
 # (period, streams) as `Throughput` takes them, on any stream id `names` draws
 runs_streams = st.builds(
     lambda period, streams: (
         period, [runs_of(sid, start, samples, period, slack) for sid, (start, samples, slack) in streams.items()]
     ),
-    st.sampled_from((0.1, 0.25)),
+    st.sampled_from((100_000_000, 250_000_000)),
     st.dictionaries(names, st.tuples(starts, st.lists(mbps_values, min_size=1, max_size=8), slacks), max_size=5),
 )
 
@@ -130,18 +133,24 @@ HANDOVER_KEYS = ("t", "md", "kind", "from_ap", "to_ap", "from_controller", "to_c
 
 
 def handover(*fields) -> dict:
-    """A handover as the dict a log yields for it, keys in its order."""
+    """A handover as a run appends it, keys in the order of the dict a log
+    yields for it, its `t` in ns."""
     return dict(zip(HANDOVER_KEYS, fields))
 
 
+def yielded(handovers) -> list[dict]:
+    """The dicts a log of `handovers` yields: each `t` in seconds."""
+    return [{**h, "t": h["t"] / 10**9} for h in handovers]
+
+
 # handovers as a run appends them. Names come from small pools as often as
-# from `names`, so that rows repeat and are interned; `t` and `latency` draw
-# APART as often as any number, so that equal rows that print apart, and
-# instants that print apart, fall within one example
+# from `names`, so that rows repeat and are interned; instants repeat, and
+# `latency` draws APART as often as any number, so that equal rows that
+# print apart fall within one example
 pooled_names = st.one_of(st.sampled_from(("AP1", "C1")), names)
 logged_handovers = st.lists(st.builds(
     handover,
-    st.one_of(st.sampled_from(APART), st.just(0.5).map(lambda x: x * 1.0), numbers),
+    st.one_of(st.sampled_from((0, 1, 500_000_000, 10**9)), st.integers(0, 2**63)),
     st.one_of(st.sampled_from(("M1", "M2")), names),
     st.one_of(st.sampled_from(("associate", "pap-migrate")), names),
     st.one_of(pooled_names, st.none()), pooled_names, st.one_of(pooled_names, st.none()), pooled_names,
@@ -215,19 +224,19 @@ def test_render_json_matches_json_dumps_and_emit_writes_its_bytes(report):
 def test_rows_spanning_several_batches_match_json_dumps():
     # one instant's throughput rows, decisions and handovers each span three batches
     n = report_module._BATCH
-    streams = [runs_of(f"S{i}", 0.0, [float(i % 7)] * 2, 0.1) for i in range(2 * n + 1)]
+    streams = [runs_of(f"S{i}", 0, [float(i % 7)] * 2, 10**8) for i in range(2 * n + 1)]
     decisions = [AuthDecision("M2é", "G1", i % 2 == 0, (None, "ok")[i % 2], 0, float(i // (2 * n + 1)))
                  for i in range(2 * n + 2)]
-    handovers = [handover(float(i // (2 * n + 1)), f"M{i % 5}é", "reassociate", "AP1", "AP2", None, "C1",
+    handovers = [handover(i // (2 * n + 1) * 10**9, f"M{i % 5}é", "reassociate", "AP1", "AP2", None, "C1",
                           (0.5, math.nan, -math.inf)[i % 3], 0) for i in range(2 * n + 2)]
     report = MetricsReport(
         scenario="batches", seed=1, mode="None", duration=2.0,
-        throughput=Throughput(0.1, streams),
+        throughput=Throughput(10**8, streams),
         handovers=handover_log(handovers),
         auth_events=decision_log(decisions),
     )
-    assert report.throughput == expanded(0.1, streams) and report.auth_events == decisions
-    assert list(map(repr, report.handovers)) == list(map(repr, handovers))
+    assert report.throughput == expanded(10**8, streams) and report.auth_events == decisions
+    assert list(map(repr, report.handovers)) == list(map(repr, yielded(handovers)))
     assert len(report.handovers.rows) == 3 and len(report.handovers.times) == 2
     assert first_difference(render_json(report), reference_json(report)) is None
     assert first_difference(render_csv(report), reference_csv(report)) is None
@@ -245,10 +254,24 @@ def test_runs_backed_throughput_renders_the_bytes_of_its_rows(runs, report):
     assert render_csv(report) == reference_csv(report)
 
 
+def test_a_long_run_has_one_row_per_period_up_to_its_horizon():
+    # 36,000 s at 0.1 s: in integer ns every instant is exact, so no row is
+    # lost or gained to drift, and each prints as its ns over 10**9
+    horizon = 36000 * 10**9
+    throughput = Throughput(10**8, [("S1", 0, horizon, [(0, 1.0)]), ("S2", 0, horizon, [(0, 2.0), (10**9, 3.0)])])
+    assert [n for _, _, n, _ in throughput.streams] == [360_001] * 2 and len(throughput) == 720_002
+    runs, instants = throughput.expand()
+    assert runs == [("S1", 1.0), ("S2", 2.0), ("S2", 3.0)]
+    head = list(islice(instants, 11))
+    assert [t for t, _ in head] == [k / 10 for k in range(11)] and head[-1] == (1.0, [0, 2])
+    *_, last = instants
+    assert last == (36000.0, [0, 2])
+
+
 def test_runs_spanning_several_batches_render_the_bytes_of_their_rows():
-    period, n = 0.1, report_module._BATCH
+    period, n = 10**8, report_module._BATCH
     streams = [runs_of(f"S{i}", start, [float(k // 50 % 3) for k in range(n)], period)
-               for i, start in enumerate((0.0, 0.05, 1.0))]
+               for i, start in enumerate((0, 5 * 10**7, 10**9))]
     throughput = Throughput(period, streams)
     assert len(throughput) == 3 * n > 2 * report_module._BATCH
     assert throughput == expanded(period, streams)
@@ -283,11 +306,11 @@ def left_to_right_mean(latencies):
     return total / len(latencies)
 
 
-# every pair of APART values as (t, latency), one row apart from the next,
-# and messages 1 and True on otherwise equal rows
+# every APART value as the latency at each of three instants, one row apart
+# from the next, and messages 1 and True on otherwise equal rows
 APART_HANDOVERS = [handover(t, "M1", "associate", None, "AP1", None, "C1", latency, 0)
-                   for t in APART for latency in APART]
-APART_HANDOVERS += [handover(True, "M1", "associate", None, "AP1", None, "C1", 1, m) for m in (1, True)]
+                   for t in (0, 1, 10**9) for latency in APART]
+APART_HANDOVERS += [handover(1, "M1", "associate", None, "AP1", None, "C1", 1, m) for m in (1, True)]
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -296,7 +319,7 @@ APART_HANDOVERS += [handover(True, "M1", "associate", None, "AP1", None, "C1", 1
 def test_a_handover_log_renders_the_bytes_of_its_dicts(handovers, report):
     log = handover_log(handovers)
     # every field as given, spelled by repr, so values that are equal but print apart stay apart
-    assert list(map(repr, log)) == list(map(repr, handovers)) and len(log) == len(handovers)
+    assert list(map(repr, log)) == list(map(repr, yielded(handovers))) and len(log) == len(handovers)
     report.handovers = log
     if handovers:
         mean = left_to_right_mean([h["latency"] for h in handovers])
@@ -317,7 +340,7 @@ def test_an_instant_of_several_batches_of_decisions_renders_their_bytes():
 def test_mean_handover_latency_sums_left_to_right():
     # the built-in sum() compensates rounding from Python 3.12 on: it would
     # read 1/3 here, and reports would differ across interpreters
-    handovers = [handover(0.0, "M1", "reassociate", "AP1", "AP2", "C1", "C1", x, 0) for x in (1e16, 1.0, -1e16)]
+    handovers = [handover(0, "M1", "reassociate", "AP1", "AP2", "C1", "C1", x, 0) for x in (1e16, 1.0, -1e16)]
     report = MetricsReport(scenario="fold", seed=1, mode="None", duration=1.0, handovers=handover_log(handovers))
     assert report.mean_handover_latency() == 0.0
     assert report.summary()["mean_handover_latency"] == 0.0
@@ -328,7 +351,7 @@ def test_the_handover_log_holds_a_few_bytes_per_handover():
     # roam's shape. A list of one nine-key dict per handover holds about 280
     # bytes each; rows plus one md reference and one row index each hold about 16.
     mds = [f"M{i:04d}" for i in range(3000)]
-    instants = [round(k * 0.01, 9) for k in range(2000)]
+    instants = [k * 10**7 for k in range(2000)]
     rows = [("reassociate", f"AP{k % 10}", f"AP{(k + 1) % 10}", "C1", f"C{k // 10}", round(0.1 + k * 1e-3, 9), k)
             for k in range(100)]
     gc.collect()
@@ -349,7 +372,7 @@ def test_the_handover_log_holds_a_few_bytes_per_handover():
 
 def test_a_failed_emit_leaves_no_truncated_report(tmp_path, monkeypatch):
     report = MetricsReport(scenario="cut", seed=1, mode="None", duration=9.0,
-                           throughput=Throughput(0.1, [runs_of("S1", 0.0, [float(i % 3) for i in range(90)], 0.1)]))
+                           throughput=Throughput(10**8, [runs_of("S1", 0, [float(i % 3) for i in range(90)], 10**8)]))
     kept = emit(report, "json", tmp_path / "kept.json").read_bytes()
     full_instant_rows = report_module._instant_rows
 
@@ -406,13 +429,13 @@ def test_rows_are_expanded_one_instant_at_a_time():
     instant's rows, not every row's run index. Expanding every row before
     the first peaked at 12.2 bytes per row for CSV and 12.8 for JSON; one
     instant at a time, it is 4.4 and 4.9."""
-    period, instants = 0.1, 196
+    period, instants = 10**8, 196
 
     def stream(i):
-        start = 0.5 if i % 4 else 0.0
+        start = 5 * 10**8 if i % 4 else 0
         ts = [start]
         while len(ts) < instants:
-            ts.append(round(ts[-1] + period, 9))
+            ts.append(ts[-1] + period)
         runs = [(ts[0], 0.2)] + [(ts[k], float(k % 3)) for k in (40 + i % 50, 100 + i % 7, 150)]
         return f"F{i:04d}", start, ts[-1], runs
 

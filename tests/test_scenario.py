@@ -10,7 +10,6 @@ import pytest
 
 import sdedge
 from sdedge.cli import main
-from sdedge.engine import later
 from sdedge.errors import ScenarioError, UsageError
 from sdedge.scenario import (
     MD_STATUSES,
@@ -429,19 +428,22 @@ def test_a_packetin_period_that_cannot_move_the_clock_is_rejected():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(text.replace("rate_per_ap=400", "rate_per_ap=1e12"), "fig5c")
     assert [ln for ln, _, _ in err.value.errors] == [line]
-    # a period of 6e-10 s moves the clock at the file's 10 s, not at 1e7 s
+    # a period of 6e-10 s is 1 ns, which moves the printed clock at the
+    # file's 10 s, and at 1e7 s, where floats are 1.86e-9 s apart, but not at
+    # 1e8 s, where they are 1.49e-8 s apart
     sc = parse_scenario_text(text.replace("rate_per_ap=400", f"rate_per_ap={1 / 6e-10!r}"), "fig5c")
     World(sc)
+    World(sc, replace(sc.params, duration=1e7))
     with pytest.raises(UsageError, match=f"fig5c:{line}: packetin"):
-        World(sc, replace(sc.params, duration=1e7))
+        World(sc, replace(sc.params, duration=1e8))
 
 
 def test_a_packetin_period_that_rounds_to_0_ns_is_rejected():
     # 2e9 arrivals/s is a period of 0.5 ns, 0 in whole ns, though
-    # round(10 + 5e-10, 9) moves the clock at the file's 10 s
+    # 10 + 5e-10 s prints apart from 10 s
     text = bundled_scenario_path("fig5c").read_text()
     line = text.splitlines().index("packetin rate_per_ap=400 service_time=0.002") + 1
-    assert later(10.0, 1 / 2e9) > 10.0
+    assert 10.0 + 1 / 2e9 > 10.0
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(text.replace("rate_per_ap=400", "rate_per_ap=2e9"), "fig5c")
     assert [ln for ln, _, _ in err.value.errors] == [line]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from sdedge.cli import main
-from sdedge.engine import EventEngine, later
+from sdedge.engine import EventEngine, ns
 from sdedge.errors import SimulationHalted, UsageError
 from sdedge.report import render_csv, render_json
 from sdedge.scenario import (
@@ -66,7 +66,7 @@ def test_fresh_association_lists_the_running_flows():
     # the 22.1 s move is a plain re-association under mode None, with F1 running
     sc, params = load("fig6", mode="None")
     world = World(sc, params)
-    world.engine.run_until(22.1)
+    world.engine.run_until(ns(22.1))
     assert [h["kind"] for h in world.handover_rows] == ["reassociate"]
     assert world.mobility.associations["M6"].flow_status == {"F1"}
 
@@ -104,11 +104,11 @@ def test_cross_partition_move_runs_the_handover_protocol_in_order():
 def test_personal_ap_migration_preserves_md_visible_state():
     sc, params = load("fig6", mode="LEDGE-PAP")
     world = World(sc, params)
-    world.engine.run_until(22.0)
+    world.engine.run_until(ns(22.0))
     assoc = world.mobility.associations["M6"]
     before = assoc.md_visible()
     ap_mac_before = assoc.ap_mac
-    world.engine.run_until(23.0)
+    world.engine.run_until(ns(23.0))
     after = world.mobility.associations["M6"]
     assert after is assoc
     assert after.md_visible()[0] == before[0]          # md_mac
@@ -167,15 +167,15 @@ def test_fig6_la_survives_rotations_while_inside():
 def test_wallet_fills_after_one_beacon_period_dwell():
     sc, params = load("fig6", mode="LEDGE-LA")
     world = World(sc, params)
-    world.engine.run_until(0.3)
+    world.engine.run_until(ns(0.3))
     assert set(world.authn.wallets["M6"]) == {"AP1", "AP2", "AP3"}
     assert world.authn.is_granted("M6", "G1")
 
 
 def test_stale_grant_expires_at_its_deadline_whatever_its_float_sum():
-    # 10.5 + 0.3 is exactly the expiry event's instant 10.8, while 5.1 + 0.3
-    # falls just short of its 5.4: both deadlines must revoke the grant that
-    # the 1 s beacon waves cannot renew within the grace window
+    # as floats 10.5 + 0.3 is exactly the expiry event's instant 10.8, while
+    # 5.1 + 0.3 falls just short of its 5.4; both deadlines, exact in ns, must
+    # revoke the grant that the 1 s beacon waves cannot renew within the grace window
     for rotation, expiry in ((10.5, 10.8), (5.1, 5.4)):
         sc, params = load("fig6", mode="LEDGE-LA", beacon_period=1.0, rotation_period=rotation)
         by_t = dict(series_of(World(sc, params).run(), "F1"))
@@ -304,7 +304,7 @@ def test_ap_failure_flow_that_does_not_fit_waits_for_room():
     ]
     text = star(aps, ["M1 pos=1,1"], flows, tail="[failures]\nfail ap AP1 at=2.0\n")
     world = World(parse_scenario_text(text, "wait"))
-    world.engine.run_until(3.0)
+    world.engine.run_until(ns(3.0))
     [row] = recoveries(world)
     assert row["to_ap"] == world.mobility.association_ap["M1"] == "AP2"
     assert placed_on(world) == {"F0": "AP2"}  # F1 rides the association but does not fit
@@ -380,7 +380,7 @@ def test_move_into_an_undetected_crashed_partition_disconnects():
     )
     mds = ["M1 pos=1,1", "M2 pos=100,0"]
     world = World(parse_scenario_text(star(aps, mds, **TWO_PARTITIONS, params=CRASHED_C2, tail=tail), "ho-fail"))
-    world.engine.run_until(3.9)
+    world.engine.run_until(ns(3.9))
     assert world.handover_rows == []
     assert not world.mds["M1"].connected and not world.mds["M2"].connected
     assert world.name_of[world.mobility.get_supervisory("M1").current] == "C1"
@@ -402,7 +402,7 @@ def test_ap_failure_next_to_an_undetected_crashed_partition_disconnects():
     tail = "[failures]\nfail controller C2 at=1.0\nfail ap AP1 at=0.5\n"
     text = star(aps, ["M1 pos=1,1"], **TWO_PARTITIONS, params=CRASHED_C2, tail=tail)
     world = World(parse_scenario_text(text, "rec-fail"))
-    world.engine.run_until(3.9)
+    world.engine.run_until(ns(3.9))
     assert world.handover_rows == []
     assert not world.mds["M1"].connected
     # the adoption at t=4.0 puts M1 back on AP2, now in C1's partition
@@ -619,7 +619,7 @@ class PerWaypointWorld(World):
         def one_per_waypoint(at, kind, fn, note=""):
             if kind not in ("timer", "beacon"):
                 for wp in waypoints:
-                    schedule(wp.t, "md-move", lambda w=wp: self.apply_move(w.md, w.x, w.y), f"move:{wp.md}")
+                    schedule(ns(wp.t), "md-move", lambda w=wp: self.apply_move(w.md, w.x, w.y), f"move:{wp.md}")
                 waypoints.clear()
             if kind != "md-move":
                 schedule(at, kind, fn, note)
@@ -743,7 +743,7 @@ class MoveLogWorld(World):
 
     def apply_move(self, md, *position):
         super().apply_move(md, *position)
-        self.moved.append((self.engine.now, md, self.mds[md].position))
+        self.moved.append((self.engine.now / 10**9, md, self.mds[md].position))
 
 
 # four devices declared out of name order roam over two small APs, so that
@@ -834,7 +834,7 @@ class PerCallBeaconWorld(World):
     wallet scan by `authenticate`, as deliveries ran before they were batched."""
 
     def _deliver_key(self, ap_name, recipients):
-        now, authn, serving_of = self.engine.now, self.authn, self.mobility.association_ap
+        now, authn, serving_of = self.engine.now / 10**9, self.authn, self.mobility.association_ap
         for md in recipients:
             authn.receive_beacon(md, ap_name, now)
             if not authn.active:
@@ -1213,29 +1213,28 @@ def stretches(monkeypatch):
 class PerInstantPacketInWorld(World):
     """The oracle of packet-in stretches: one arrival event per instant, which
     serves the APs due then in name order and schedules the next instant, as
-    arrivals ran before an event served its quiet stretch. Its busy time is
-    integer ns, as the world's, and the clock is read in ns."""
+    arrivals ran before an event served its quiet stretch. Its times are
+    integer ns, as the world's."""
 
     def _packet_in_arrivals(self):
         eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
         partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
-        horizon = w.horizon(p.duration)
-        horizon_ns, service_time = round(horizon * 10**9), round(w.service_time * 10**9)
+        horizon, service_time, period = ns(w.horizon(p.duration)), ns(w.service_time), ns(1 / w.rate_per_ap)
         due = sorted(aps)
 
         def arrivals():
             nonlocal due
-            now = round(eng.now * 10**9)
+            now = eng.now
             for ap_name in due:
                 controller = partition_of[ap_name]
                 if controller in crashed:
                     continue
                 busy = busy_of[controller]
                 done = (busy if busy > now else now) + service_time
-                if done <= horizon_ns:
+                if done <= horizon:
                     busy_of[controller] = done
                     served[controller] += 1
-            nxt = later(eng.now, 1.0 / w.rate_per_ap)
+            nxt = now + period
             if nxt <= horizon:
                 due = [a for a in due if aps[a].alive]
                 if due:
@@ -1254,12 +1253,12 @@ def test_fig5c_serves_its_arrival_instants_in_one_event():
     assert oracle.engine.executed == 4001
     instants = [t for t, _, kind, note in oracle.engine.trace if kind == "message-delivery" and note == "packetin"]
     assert len(instants) == len(set(instants)) == 4001
-    assert instants[:3] == [0.0, 0.0025, 0.005] and instants[-1] == 10.0
+    assert instants[:3] == [0, 2_500_000, 5_000_000] and instants[-1] == 10 * 10**9
     world = fig5c_world()
     world.engine.record_trace = True
     assert world.run().packet_in == expected == {f"C{i}": 5000 for i in range(1, 5)}
     assert world.engine.executed == 1
-    assert world.engine.trace == [(0.0, 0, "message-delivery", "packetin")]
+    assert world.engine.trace == [(0, 0, "message-delivery", "packetin")]
     assert world._pi_busy == oracle._pi_busy
 
 
@@ -1309,13 +1308,13 @@ class StretchWatchedEngine(EventEngine):
     def __init__(self):
         super().__init__()
         self.cut_by = Counter()
-        self.last_end = None  # the end of the last stretch
+        self.last_end = None  # the last ns of the last stretch
 
     def quiet_until(self):
-        end, inclusive = super().quiet_until()
-        self.cut_by["run end" if inclusive else self._heap[0][2]] += 1
-        self.last_end = end
-        return end, inclusive
+        last = super().quiet_until()
+        self.cut_by["run end" if last == self._t_end else self._heap[0][2]] += 1
+        self.last_end = last
+        return last
 
 
 class StretchWatchedWorld(World):
@@ -1335,8 +1334,8 @@ def check_packet_in_stretches(failures, service_time, window, rate, cuts, **over
         if cut is None:
             reports = world.run(), oracle.run()
         else:
-            world.engine.run_until(cut)
-            oracle.engine.run_until(cut)
+            world.engine.run_until(ns(cut))
+            oracle.engine.run_until(ns(cut))
             reports = world.record_metrics(), oracle.record_metrics()
         assert world.packet_in == oracle.packet_in, cut
         assert world._pi_busy == oracle._pi_busy, cut
@@ -1464,17 +1463,30 @@ def test_packet_in_arrivals_stop_only_at_an_instant_that_refuses_one():
     world = fig5c_world(["fail ap AP1 at=6.25"])
     world.engine.record_trace = True
     assert world.run().packet_in == {f"C{i}": 5000 for i in range(1, 5)}
-    assert [(t, note) for t, _, _, note in world.engine.trace] == [
+    assert [(t / 10**9, note) for t, _, _, note in world.engine.trace] == [
         (0.0, "packetin"), (6.25, "fail:AP1"), (6.25, "packetin"), (6.25, "recover:AP1"),
     ]
 
 
 def test_packet_in_events_stop_when_every_ap_has_failed():
+    # the arrival event after AP7's failure at 7.7 serves AP8 up to AP8's
+    # failure at 8.8, and C4 is full and refuses within that stretch. With no
+    # controller failure to come, no adoption can give idle C1 to C3 an AP,
+    # so C4 alone decides the stop, and the arrivals stop there
     world = fig5c_world([f"fail ap AP{i} at={round(1.1 * i, 9)}" for i in range(1, 9)])
     world.engine.record_trace = True
-    world.run()
+    assert world.run().packet_in == {"C1": 2642, "C2": 3522, "C3": 4402, "C4": 5000}
     instants = [t for t, _, _, note in world.engine.trace if note == "packetin"]
-    assert instants[-1] == 8.8  # AP8 fails then, after its arrival was scheduled
+    assert len(instants) == 15 and instants[-1] == 7_702_500_000
+
+
+def test_an_instant_off_the_ns_grid_runs_at_its_nearest_ns():
+    world = World(parse_scenario_text(AP_FAIL.replace("at=2.0", "at=1.0000000004"), "apfail-off-grid"))
+    world.engine.record_trace = True
+    report = world.run()
+    assert [t for t, _, _, note in world.engine.trace if note in ("fail:AP1", "recover:AP1")] == [10**9] * 2
+    assert [h["t"] for h in report.handovers if h["kind"] == "ap-recovery"] == [1.0] * 3
+    assert '"t": 1.0,' in render_json(report)
 
 
 def test_crashed_controller_admits_no_flow_before_adoption():
@@ -1493,7 +1505,7 @@ def test_crashed_controller_admits_no_flow_before_adoption():
     text = star(aps, ["M1 pos=1,1", "M2 pos=41,1"], flows, controllers=("C1 key=3", "C2 key=10"),
                 params=params, tail="[failures]\nfail controller C2 at=1.0\n")
     world = World(parse_scenario_text(text, "crash-admit"))
-    world.engine.run_until(2.9)
+    world.engine.run_until(ns(2.9))
     assert placed_on(world) == {"F1": "AP1"}
     assert world.packet_in == {"C1": 1, "C2": 0}
     report = world.run()
@@ -1590,7 +1602,7 @@ def test_one_sampler_event_per_sample_instant():
     report = world.run()
     starts = {(st.decl.start, st.name) for st in world.streams.values()}
     instants = {t for t, name, _ in report.throughput if (t, name) not in starts}
-    ticks = [t for t, _, kind, note in world.engine.trace if kind == "timer" and note == "tick"]
+    ticks = [t / 10**9 for t, _, kind, note in world.engine.trace if kind == "timer" and note == "tick"]
     assert len(instants) == 11
     assert sorted(ticks) == sorted(instants)
 
@@ -1604,12 +1616,12 @@ def test_waiting_flow_is_admitted_at_the_first_instant_after_room_frees(end, adm
     aps = ["AP1 pos=0,0 radius=30 capacity=5 techs=wifi partition=C1"]
     text = star(aps, ["M1 pos=1,1", "M2 pos=2,2"], flows, params=["sample_period = 0.1", "duration = 3.0"])
     world = World(parse_scenario_text(text, "full-ap"))
-    world.engine.run_until(round(admitted - 0.1, 9))
+    world.engine.run_until(ns(admitted - 0.1))
     assert placed_on(world) == {"F1": "AP1"}  # F2 waits for room
-    world.engine.run_until(end)
+    world.engine.run_until(ns(end))
     if end < admitted:
         assert placed_on(world) == {}  # room, but no sampling instant yet
-    world.engine.run_until(admitted)
+    world.engine.run_until(ns(admitted))
     assert placed_on(world) == {"F2": "AP1"}
     report = world.run()
     assert first_nonzero_after(report.series("F2"), 0.0) == admitted
@@ -1638,12 +1650,12 @@ def test_stream_starting_on_a_sampling_instant_gets_one_row_there_in_name_order(
     ]
 
 
-@pytest.mark.parametrize("start,winner", [("0.30000000001", "FA"), ("0.29999999999", "FB"), ("0.3", "FB")])
+@pytest.mark.parametrize("start,winner", [("0.30000000001", "FB"), ("0.29999999999", "FB"), ("0.3", "FB")])
 def test_streams_that_meet_at_an_instant_rank_in_the_order_they_asked_for_it(start, winner):
     # F0 frees AP1's one flow of room at 0.35, and FA and FB both retry at
-    # 0.4. FB's start rounds onto FA's chain of instants there: it asks for
-    # 0.4 after FA's sampler event at 0.3 did when it starts after 0.3,
-    # and before it otherwise; the stream that asked first wins the room.
+    # 0.4. FB's start rounds to whole ns, onto FA's instant 0.3: it asks for
+    # 0.4 before FA's sampler event at 0.3 does, since every start was
+    # scheduled before it, and the stream that asked first wins the room.
     flows = [
         "F0 md=M3 dst=C1 type=tcp demand=1 tech=wifi start=0.0 end=0.35",
         "FA md=M2 dst=C1 type=tcp demand=1 tech=wifi start=0.0",
