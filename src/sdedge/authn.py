@@ -4,12 +4,14 @@ A location group is a set of APs whose coverage intersection is the
 access-granted area. The controller rotates one opaque key per member AP
 each epoch; APs broadcast them in beacons; a device proves presence by
 holding a current-epoch key for *every* member, each heard recently
-(within `key_freshness` seconds). Possession of all keys stands in for
+(within `key_freshness`). Possession of all keys stands in for
 being inside the intersection, so the freshness window is what makes a
 key stop counting once the device walks away. Group beacons fire in one
 synchronized wave per period, so a device inside the area always presents
 same-wave (age-zero) receipts; the default window only needs to cover
 clock skew within a wave, and anything outside the area fails it.
+Every time here is integer ns, the world's clock, so the window is one
+exact comparison: a key heard exactly `key_freshness` ago still counts.
 
 Grants persist between checks and are revoked by: a failed
 re-authentication, a change of serving AP, or missing the
@@ -93,7 +95,6 @@ class BeaconKey:
     ap: str
     group_id: str
     epoch: int
-    issued_at: float
 
 
 @dataclass(slots=True)
@@ -103,19 +104,13 @@ class WalletEntry:
     re-stamps it (`AuthnService.hear`)."""
 
     key: BeaconKey
-    received_at: float
-
-
-@dataclass(slots=True)
-class Grant:
-    epoch: int
-    at: float
+    received_at: int
 
 
 class AuthnService:
     """Controller-side key state plus per-device wallets and grants."""
 
-    def __init__(self, mode: str = MODE_NONE, key_freshness: float = 0.05):
+    def __init__(self, mode: str = MODE_NONE, key_freshness: int = 50_000_000):  # ns
         if mode not in MODES:
             raise ValueError(f"unknown access-control mode {mode!r}")
         self.mode = mode
@@ -123,11 +118,11 @@ class AuthnService:
         self.key_freshness = key_freshness
         self.groups: dict[str, LocationGroup] = {}
         self.epochs: dict[str, int] = {}
-        self.rotated_at: dict[str, float] = {}
+        self.rotated_at: dict[str, int] = {}
         self.ap_keys: dict[str, BeaconKey] = {}
         self.group_of: dict[str, str] = {}
         self.wallets: dict[str, dict[str, WalletEntry]] = {}  # device -> latest entry per AP
-        self.grants: dict[tuple[str, str], Grant] = {}
+        self.grants: dict[tuple[str, str], int] = {}  # (device, group) -> epoch granted
         self.auth_log = DecisionLog()
         # (device, group) -> (epoch, log row, member AP whose key was missing
         # or stale) of its latest `missing-keys` denial that named a member
@@ -152,7 +147,7 @@ class AuthnService:
         for ap in group.members:
             self.group_of[ap] = group.group_id
 
-    def rotate_group_keys(self, group_id: str, now: float, down_aps=()) -> list[BeaconKey]:
+    def rotate_group_keys(self, group_id: str, now: int, down_aps=()) -> list[BeaconKey]:
         """Advance the epoch and hand one fresh key to every live member AP.
 
         Keys are issued for down APs too but never installed: a failed AP
@@ -166,13 +161,7 @@ class AuthnService:
         down = set(down_aps)
         keys = []
         for ap in group.ordered_members:
-            key = BeaconKey(
-                key_id=f"k/{group_id}/{epoch}/{ap}",
-                ap=ap,
-                group_id=group_id,
-                epoch=epoch,
-                issued_at=now,
-            )
+            key = BeaconKey(key_id=f"k/{group_id}/{epoch}/{ap}", ap=ap, group_id=group_id, epoch=epoch)
             keys.append(key)
             if ap not in down:
                 self.ap_keys[ap] = key
@@ -183,7 +172,7 @@ class AuthnService:
 
     # -- device side -----------------------------------------------------------
 
-    def receive_beacon(self, md_id: str, ap: str, received_at: float) -> BeaconKey | None:
+    def receive_beacon(self, md_id: str, ap: str, received_at: int) -> BeaconKey | None:
         """Hear `ap`'s current key: it replaces the wallet's entry for `ap`.
         Only `rotate_group_keys` installs a key, at a rising epoch, so no held
         entry is of a later epoch than it."""
@@ -194,7 +183,7 @@ class AuthnService:
             self.wallets.setdefault(md_id, {})[ap] = WalletEntry(key, received_at)
         return key
 
-    def hear(self, ap: str, recipients: tuple[str, ...], now: float) -> BeaconKey | None:
+    def hear(self, ap: str, recipients: tuple[str, ...], now: int) -> BeaconKey | None:
         """One delivery of `ap`'s current key to each of `recipients`, as
         `receive_beacon` for each, with one wallet entry shared by all. A
         delivery of the same key to the same tuple, with no `receive_beacon`
@@ -215,7 +204,7 @@ class AuthnService:
         return key
 
     def deliver(self, ap: str, recipients: tuple[str, ...], serving_of: dict[str, str],
-                now: float) -> list[tuple[str, bool, bool]]:
+                now: int) -> list[tuple[str, bool, bool]]:
         """`ap`'s key reaches `recipients`, its roster in name order: `hear`,
         then `reauthenticate`, or a replay of `ap`'s previous wave when
         nothing it read has changed (see the module docstring). Returns what
@@ -235,17 +224,18 @@ class AuthnService:
 
     # -- decisions ----------------------------------------------------------------
 
-    def authenticate(self, md_id: str, group_id: str, now: float) -> AuthDecision:
-        """Grant iff the wallet shows a fresh, current-epoch key per member AP.
+    def authenticate(self, md_id: str, group_id: str, now: int) -> AuthDecision:
+        """One decision: granted iff the wallet shows a fresh, current-epoch key per member AP.
 
         A denial revokes any standing grant (a failed re-authentication is
-        exactly the revocation trigger after rotations).
+        exactly the revocation trigger after rotations). Returns the logged
+        decision, its time in seconds.
         """
         self.version += 1
         group = self.groups.get(group_id)
         if group is None:
             self.auth_log.append(md_id, group_id, False, DENY_UNKNOWN_GROUP, -1, now)
-            return AuthDecision(md_id, group_id, False, DENY_UNKNOWN_GROUP, -1, now)
+            return self.auth_log.latest()
 
         epoch = self.epochs[group_id]
         held = self.wallets.get(md_id) or {}
@@ -264,16 +254,16 @@ class AuthnService:
         granted = reason is None
         pair = (md_id, group_id)
         if granted:
-            self.grants[pair] = Grant(epoch, now)
+            self.grants[pair] = epoch
         else:
             self.grants.pop(pair, None)
         row = self.auth_log.append(md_id, group_id, granted, reason, epoch, now)
         if witness is not None:
             self.denials[pair] = (epoch, row, witness)
-        return AuthDecision(md_id, group_id, granted, reason, epoch, now)
+        return self.auth_log.latest()
 
     def reauthenticate(self, recipients: list[str], serving_of: dict[str, str],
-                       now: float) -> list[tuple[str, bool, bool]]:
+                       now: int) -> list[tuple[str, bool, bool]]:
         """Decide, in order, each of `recipients` whose serving AP (`serving_of`)
         is grouped and that holds no grant of that group's current epoch, as
         `authenticate` would. Returns (md, gate flipped, granted) for each
@@ -301,7 +291,7 @@ class AuthnService:
                     if entry is None or now - entry.received_at > freshness:
                         repeats.append(denial[1])
                         continue
-            elif grant.epoch == epoch:
+            elif grant == epoch:
                 continue
             log.extend_rows(repeats, now)
             repeats.clear()
@@ -315,7 +305,7 @@ class AuthnService:
         self.version += 1
         self.grants.pop((md_id, group_id), None)
 
-    def expire_stale_grants(self, rotated_by: float) -> list[tuple[str, str]]:
+    def expire_stale_grants(self, rotated_by: int) -> list[tuple[str, str]]:
         """Revoke grants whose epoch a rotation at or before `rotated_by` ended.
 
         This is the "missed re-authentication after rotation" rule: the
@@ -324,8 +314,8 @@ class AuthnService:
         wave well inside the window and never observe a gap.
         """
         expired = []
-        for (md, gid), grant in list(self.grants.items()):
-            if grant.epoch < self.epochs.get(gid, 0) and self.rotated_at[gid] <= rotated_by:
+        for (md, gid), epoch in list(self.grants.items()):
+            if epoch < self.epochs.get(gid, 0) and self.rotated_at[gid] <= rotated_by:
                 expired.append((md, gid))
                 del self.grants[(md, gid)]
                 self.version += 1

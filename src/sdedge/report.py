@@ -3,7 +3,7 @@
 Reports are pure data derived from a finished run; emitting the same
 report twice (or a report from a repeated run with the same seed) must be
 byte-identical, so serialization sorts keys and uses repr-exact floats.
-Throughput instants and handover times are kept in ns and print as seconds.
+Throughput instants and both logs' times are kept in ns and print as seconds.
 
 A report holds each of its three big lists in one form. Its throughput is
 a `Throughput`: per stream, its start, stop and runs (first instant, Mbps),
@@ -164,11 +164,11 @@ class RowLog:
     """Entries in the order made, each distinct row kept once.
 
     `rows` holds the distinct rows in order of first use, and `index` the
-    row of each entry. An entry's time is kept once per instant: `times`
-    holds each instant's time and `starts` its first entry, and a new
-    instant starts wherever an entry's rendered time would differ from the
-    previous entry's, so 0.0 and -0.0, or 1 and 1.0, stay apart. A subclass
-    keeps the rest of an entry and makes its entries on demand.
+    row of each entry. An entry's time, in ns, is kept once per instant:
+    `times` holds each instant's time and `starts` its first entry, and a
+    new instant starts wherever an entry's time differs from the previous
+    entry's. A subclass keeps the rest of an entry and makes its entries on
+    demand.
     """
 
     def __init__(self):
@@ -176,42 +176,42 @@ class RowLog:
         self._row_of: dict[tuple, int] = {}
         self.index = array("I")
         self.starts = array("I")  # the first entry of each instant
-        self.times: list[float] = []  # each instant's time
-        self._t: float | None = None  # the latest entry's time
+        self.times: list[int] = []  # each instant's time
+        self._t: int | None = None  # the latest entry's time
 
-    def _append(self, key: tuple, row: tuple, t: float) -> int:
+    def _append(self, key: tuple, row: tuple, t: int) -> int:
         """Log one entry of `row`, interned under `key`, at `t`; returns its row."""
         i = self._row_of.get(key)
         if i is None:
             i = self._row_of[key] = len(self.rows)
             self.rows.append(row)
-        if t is not self._t:  # an instant's entries mostly share one object
+        if t != self._t:
             self._instant(t)
         self.index.append(i)
         return i
 
-    def extend_rows(self, rows: list[int], t: float) -> None:
+    def extend_rows(self, rows: list[int], t: int) -> None:
         """Log entries at `t` that repeat rows already in the log, in order:
         for a log whose entry is only its row and time, as a `DecisionLog`'s."""
         if rows:
-            if t is not self._t:
+            if t != self._t:
                 self._instant(t)
             self.index.extend(rows)
 
-    def _instant(self, t: float) -> None:
-        """The next entry is at `t`: a new instant, unless it renders as the latest one."""
-        if t != self._t or repr(t) != repr(self._t):
-            self.starts.append(len(self.index))
-            self.times.append(t)
+    def _instant(self, t: int) -> None:
+        """The next entry starts a new instant, at `t`."""
+        self.starts.append(len(self.index))
+        self.times.append(t)
         self._t = t
 
     def __len__(self) -> int:
         return len(self.index)
 
     def spans(self) -> Iterator[tuple[float, int, int]]:
-        """Per instant, in entry order, its time and the bounds [lo, hi) of its entries."""
+        """Per instant, in entry order, its time in seconds and the bounds
+        [lo, hi) of its entries."""
         starts = self.starts
-        return zip(self.times, starts, [*starts[1:], len(self.index)])
+        return zip([t / 10**9 for t in self.times], starts, [*starts[1:], len(self.index)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, (list, type(self))) and list(self) == list(other)
@@ -233,19 +233,23 @@ class DecisionLog(RowLog):
     instants and about a thousand rows, so the log holds about five bytes
     per decision. `grants` counts the granted decisions as they are
     appended; `extend_rows` repeats denied rows only. Iterating yields the
-    `AuthDecision`s in decision order.
+    `AuthDecision`s in decision order, each `at` in seconds.
     """
 
     def __init__(self):
         super().__init__()
         self.grants = 0
 
-    def append(self, md_id: str, group_id: str, granted: bool, reason: str | None, epoch: int, at: float) -> int:
-        """Log one decision; returns its row."""
+    def append(self, md_id: str, group_id: str, granted: bool, reason: str | None, epoch: int, at: int) -> int:
+        """Log one decision at `at` ns; returns its row."""
         key = (md_id, group_id, granted, reason, epoch)
         if granted:
             self.grants += 1
         return self._append(key, key, at)
+
+    def latest(self) -> AuthDecision:
+        """The latest decision, its `at` in seconds."""
+        return AuthDecision(*self.rows[self.index[-1]], self._t / 10**9)
 
     def __iter__(self) -> Iterator[AuthDecision]:
         rows, index = self.rows, self.index
@@ -276,7 +280,6 @@ class HandoverLog(RowLog):
     def __iter__(self) -> Iterator[dict]:
         rows, index, mds = self.rows, self.index, self.mds
         for t, lo, hi in self.spans():
-            t /= 10**9
             for row, md in zip(index[lo:hi], mds[lo:hi]):
                 kind, from_ap, to_ap, from_controller, to_controller, latency, messages = rows[row]
                 yield {"t": t, "md": md, "kind": kind, "from_ap": from_ap, "to_ap": to_ap,
@@ -419,7 +422,7 @@ def _handover_chunks(log: HandoverLog) -> Iterator[str]:
     md_texts = {md: _value(md) for md in set(log.mds)}
     index, mds = log.index, log.mds
     for t, lo, hi in log.spans():
-        t = _value(t / 10**9)
+        t = _value(t)
         for i in range(lo, hi, _BATCH):
             j = min(i + _BATCH, hi)
             yield ",\n".join([f"{heads[row]}{md_texts[md]}{mids[row]}{t}{tails[row]}"

@@ -54,8 +54,8 @@ input of a decision changed replays the previous wave's log rows (see
 `authn`). That replay leans on two facts of the world: every grouped AP
 delivers at the same instants, and the deliveries of one instant are
 consecutive events that change no serving AP.
-Every time in the world is integer ns (see `engine`), converted once from
-the scenario's and parameters' seconds; `authn` keeps seconds.
+Every time in the world is integer ns (see `engine`), `authn`'s too,
+converted once from the scenario's and parameters' seconds.
 A packet-in workload offers one packet-in per AP per period, each served
 at its controller's single server: a D/D/1 queue per controller. One
 arrival event serves its own instant's APs, and then every later instant
@@ -246,7 +246,7 @@ class World:
         self._bottleneck_cache: dict[tuple[str, str], float] = {}
 
         # --- authentication ------------------------------------------------
-        self.authn = AuthnService(mode=p.mode, key_freshness=p.key_freshness)
+        self.authn = AuthnService(mode=p.mode, key_freshness=ns(p.key_freshness))
         for g in scenario.groups:
             self.authn.register_group(LocationGroup(g.name, frozenset(g.members)))
 
@@ -371,19 +371,18 @@ class World:
 
     def _rotate_all(self) -> None:
         now = self.engine.now
-        rotated_at = now / 10**9  # authn keeps seconds
         for gid in sorted(self.authn.groups):
             group = self.authn.groups[gid]
             down = {ap for ap in group.members if not self.aps[ap].alive}
-            self.authn.rotate_group_keys(gid, rotated_at, down_aps=down)
+            self.authn.rotate_group_keys(gid, now, down_aps=down)
         self.engine.schedule(
-            now + self._regrant_grace, "timer", lambda: self._expire_grants(rotated_at), note="grant-expiry"
+            now + self._regrant_grace, "timer", lambda: self._expire_grants(now), note="grant-expiry"
         )
         nxt = now + self._rotation_period
         if nxt <= self.horizon:
             self.engine.schedule(nxt, "timer", self._rotate_all, note="rotate")
 
-    def _expire_grants(self, rotated_by: float) -> None:
+    def _expire_grants(self, rotated_by: int) -> None:
         for md, _gid in self.authn.expire_stale_grants(rotated_by):
             self._mark(self._md_streams.get(md, ()))
 
@@ -413,8 +412,8 @@ class World:
         order, when it is served by a grouped AP and holds no grant of that
         group's current epoch. A decision reads only its own device's wallet,
         so hearing first decides as hearing and deciding device by device."""
-        now, serving_of = self.engine.now / 10**9, self.mobility.association_ap  # in s, one float for all
-        for md, flipped, granted in self.authn.deliver(ap_name, recipients, serving_of, now):
+        delivered = self.authn.deliver(ap_name, recipients, self.mobility.association_ap, self.engine.now)
+        for md, flipped, granted in delivered:
             if flipped:  # the gate flips
                 self._mark(self._md_streams.get(md, ()))
             if granted:

@@ -392,7 +392,7 @@ def _auth_world(seed):
     def recording_hear(ap, recipients, now):
         key = hear(ap, recipients, now)
         if key is not None:
-            deliveries.extend((now, md, ap, key.epoch) for md in recipients)
+            deliveries.extend((now / 10**9, md, ap, key.epoch) for md in recipients)
         return key
 
     world.authn.hear = recording_hear

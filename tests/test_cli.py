@@ -58,6 +58,18 @@ def test_run_expands_the_throughput_rows_once_per_reader(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_key_as_old_as_key_freshness_is_fresh(capsys):
+    # fig6's beacons come every 0.1 s, so with key_freshness=0.1 a previous
+    # wave's key sits exactly on the window's edge; compared in float seconds
+    # some of them read stale, giving 4 grants, 146 denies and 144.8 Mbit
+    lines = []
+    for freshness in ("0.1", "0.2"):
+        assert main(["run", "fig6", "--set", "mode=LEDGE-LA", "--set", f"key_freshness={freshness}"]) == 0
+        lines.append(capsys.readouterr().out.splitlines()[-1])
+    assert lines == ["fig6: mode=LEDGE-LA seed=42 delivered=176.000 Mbit handovers=1 packet_in=2 "
+                     "grants=5 denies=66 lost=0"] * 2
+
+
 def test_validate_ok(capsys):
     assert main(["validate", "fig5"]) == 0
     assert "ok" in capsys.readouterr().out

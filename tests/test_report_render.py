@@ -5,7 +5,7 @@ pin its output, byte for byte, to `json.dumps(document, sort_keys=True,
 indent=1) + "\\n"` over generated reports, whose throughput is a runs-backed
 `Throughput`, whose handovers are a `HandoverLog` and whose auth log is a
 `DecisionLog`, as a run makes them, and pin the CSV rows to their plain
-`repr` spelling. Throughput instants and handover times are integer ns, as
+`repr` spelling. Throughput instants and both logs' times are integer ns, as
 a run's clock counts them, and print as seconds. The generators favour the
 values where the two could part: signed zero, subnormal and large floats, the
 non-finite floats json spells its own way, ints and bools where floats are
@@ -19,7 +19,8 @@ import json
 import math
 import tempfile
 import tracemalloc
-from itertools import islice
+from dataclasses import replace
+from itertools import groupby, islice
 from pathlib import Path
 
 import pytest
@@ -95,28 +96,41 @@ runs_streams = st.builds(
     st.dictionaries(names, st.tuples(starts, st.lists(mbps_values, min_size=1, max_size=8), slacks), max_size=5),
 )
 
-# decisions as a run makes them, one type per field, so that equal rows are
-# the same row; instants repeat as the same object, as an equal object, and
-# as values that are equal but print apart (-0.0 and 0.0, 1 and 1.0 and True)
+# instants in ns, as a run's clock counts them; they repeat as the same
+# object and as equal but distinct objects (10**9 and a fresh int("1000000000"))
+instants_ns = st.one_of(st.sampled_from((0, 1, 500_000_000, 10**9)), st.builds(int, st.just("1000000000")),
+                        st.integers(0, 2**63))
+
+# decisions as a run logs them, `at` in ns, one type per field, so that
+# equal rows are the same row
 logged_decisions = st.lists(st.builds(
     AuthDecision, md_id=st.one_of(st.sampled_from(("M1", "M2")), names),
     group_id=st.one_of(st.sampled_from(("G1", "G%")), names), granted=st.booleans(),
     reason=st.one_of(st.sampled_from((None, "missing-keys", "stale-epoch")), names), epoch=st.integers(-1, 2),
-    at=st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1, 1.0, True, math.nan)), st.just(0.5).map(lambda x: x * 1.0),
-                 numbers),
+    at=instants_ns,
 ), max_size=12)
+
+
+def decided(decisions) -> list[AuthDecision]:
+    """The decisions a log of `decisions` yields: each `at` in seconds."""
+    return [replace(d, at=d.at / 10**9) for d in decisions]
+
+
+def instant_count(times) -> int:
+    """The number of instants of entries at `times`: one per run of equal times."""
+    return len(list(groupby(times)))
 
 
 def decision_log(decisions) -> DecisionLog:
     """The log of `decisions`, made as a run makes it. A denial whose row is
     already logged is replayed by `extend_rows`, in one list with the
-    replays before it at the same `at` object, as `reauthenticate` batches
-    them; any other decision is appended. The list is flushed, empty or
-    not, before each append and wherever `at` changes."""
+    replays before it at the same `at`, as `reauthenticate` batches them;
+    any other decision is appended. The list is flushed, empty or not,
+    before each append and wherever `at` changes."""
     log, row_of, replays, at = DecisionLog(), {}, [], None
     for d in decisions:
         key = (d.md_id, d.group_id, d.granted, d.reason, d.epoch)
-        if d.at is not at:
+        if d.at != at:
             log.extend_rows(replays, at)
             replays, at = [], d.at
         if not d.granted and key in row_of:
@@ -150,7 +164,7 @@ def yielded(handovers) -> list[dict]:
 pooled_names = st.one_of(st.sampled_from(("AP1", "C1")), names)
 logged_handovers = st.lists(st.builds(
     handover,
-    st.one_of(st.sampled_from((0, 1, 500_000_000, 10**9)), st.integers(0, 2**63)),
+    instants_ns,
     st.one_of(st.sampled_from(("M1", "M2")), names),
     st.one_of(st.sampled_from(("associate", "pap-migrate")), names),
     st.one_of(pooled_names, st.none()), pooled_names, st.one_of(pooled_names, st.none()), pooled_names,
@@ -225,7 +239,7 @@ def test_rows_spanning_several_batches_match_json_dumps():
     # one instant's throughput rows, decisions and handovers each span three batches
     n = report_module._BATCH
     streams = [runs_of(f"S{i}", 0, [float(i % 7)] * 2, 10**8) for i in range(2 * n + 1)]
-    decisions = [AuthDecision("M2é", "G1", i % 2 == 0, (None, "ok")[i % 2], 0, float(i // (2 * n + 1)))
+    decisions = [AuthDecision("M2é", "G1", i % 2 == 0, (None, "ok")[i % 2], 0, i // (2 * n + 1) * 10**9)
                  for i in range(2 * n + 2)]
     handovers = [handover(i // (2 * n + 1) * 10**9, f"M{i % 5}é", "reassociate", "AP1", "AP2", None, "C1",
                           (0.5, math.nan, -math.inf)[i % 3], 0) for i in range(2 * n + 2)]
@@ -235,7 +249,7 @@ def test_rows_spanning_several_batches_match_json_dumps():
         handovers=handover_log(handovers),
         auth_events=decision_log(decisions),
     )
-    assert report.throughput == expanded(10**8, streams) and report.auth_events == decisions
+    assert report.throughput == expanded(10**8, streams) and report.auth_events == decided(decisions)
     assert list(map(repr, report.handovers)) == list(map(repr, yielded(handovers)))
     assert len(report.handovers.rows) == 3 and len(report.handovers.times) == 2
     assert first_difference(render_json(report), reference_json(report)) is None
@@ -280,21 +294,31 @@ def test_runs_spanning_several_batches_render_the_bytes_of_their_rows():
     assert first_difference(render_csv(report), reference_csv(report)) is None
 
 
+# one instant at equal times that are distinct int objects: a denial, its
+# replay and a grant
+SAME_INSTANT = (10**9, int("1000000000"))
+SAME_INSTANT_DECISIONS = [AuthDecision("M1", "G1", False, "missing-keys", 1, t) for t in SAME_INSTANT]
+SAME_INSTANT_DECISIONS.append(AuthDecision("M2", "G1", True, None, 1, SAME_INSTANT[1]))
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.example(SAME_INSTANT_DECISIONS, MetricsReport(scenario="same", seed=1, mode="LEDGE-LA", duration=1.0))
 @hypothesis.given(logged_decisions, reports)
 def test_a_decision_log_renders_the_bytes_of_its_decisions(decisions, report):
     log = decision_log(decisions)
-    # every field as given, spelled by repr, so instants that are equal but print apart stay apart
-    assert list(map(repr, log)) == list(map(repr, decisions)) and len(log) == len(decisions)
+    # every field as given, spelled by repr, and equal times, distinct objects
+    # or not, are one instant
+    assert list(map(repr, log)) == list(map(repr, decided(decisions))) and len(log) == len(decisions)
+    assert len(log.times) == instant_count(d.at for d in decisions)
     assert log.grants == sum(d.granted for d in decisions)
     # replayed rows, and empty lists, open the instants that appends open; an
     # empty list at a time no decision has opens none
     appended = DecisionLog()
     for d in decisions:
         appended.append(d.md_id, d.group_id, d.granted, d.reason, d.epoch, d.at)
-    assert log.starts == appended.starts and list(map(repr, log.times)) == list(map(repr, appended.times))
+    assert log.starts == appended.starts and log.times == appended.times
     log.extend_rows([], object())
-    assert len(log.times) == len(appended.times) and log == decisions
+    assert len(log.times) == len(appended.times) and log == decided(decisions)
     report.auth_events = log
     assert render_json(report) == reference_json(report)
 
@@ -315,11 +339,15 @@ APART_HANDOVERS += [handover(1, "M1", "associate", None, "AP1", None, "C1", 1, m
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.example(APART_HANDOVERS, MetricsReport(scenario="apart", seed=1, mode="None", duration=1.0))
+@hypothesis.example([handover(t, "M1", "associate", None, "AP1", None, "C1", 0.5, 0) for t in SAME_INSTANT],
+                    MetricsReport(scenario="same", seed=1, mode="None", duration=1.0))
 @hypothesis.given(logged_handovers, reports)
 def test_a_handover_log_renders_the_bytes_of_its_dicts(handovers, report):
     log = handover_log(handovers)
-    # every field as given, spelled by repr, so values that are equal but print apart stay apart
+    # every field as given, spelled by repr, so values that are equal but print
+    # apart stay apart, and equal times, distinct objects or not, are one instant
     assert list(map(repr, log)) == list(map(repr, yielded(handovers))) and len(log) == len(handovers)
+    assert len(log.times) == instant_count(h["t"] for h in handovers)
     report.handovers = log
     if handovers:
         mean = left_to_right_mean([h["latency"] for h in handovers])
@@ -330,9 +358,9 @@ def test_a_handover_log_renders_the_bytes_of_its_dicts(handovers, report):
 def test_an_instant_of_several_batches_of_decisions_renders_their_bytes():
     n = report_module._BATCH
     decisions = [AuthDecision(f"M{i % 7}", "G1", i % 5 == 0, (None, "missing-keys")[i % 5 > 0], 1, t)
-                 for i, t in enumerate([0.5] * (2 * n + 1) + [1.0] * 3)]
+                 for i, t in enumerate([500_000_000] * (2 * n + 1) + [10**9] * 3)]
     log = decision_log(decisions)
-    assert len(log.rows) == 14 and len(log.times) == 2 and log == decisions
+    assert len(log.rows) == 14 and len(log.times) == 2 and log == decided(decisions)
     report = MetricsReport(scenario="decisions", seed=1, mode="LEDGE-LA", duration=2.0, auth_events=log)
     assert first_difference(render_json(report), reference_json(report)) is None
 

@@ -834,7 +834,7 @@ class PerCallBeaconWorld(World):
     wallet scan by `authenticate`, as deliveries ran before they were batched."""
 
     def _deliver_key(self, ap_name, recipients):
-        now, authn, serving_of = self.engine.now / 10**9, self.authn, self.mobility.association_ap
+        now, authn, serving_of = self.engine.now, self.authn, self.mobility.association_ap
         for md in recipients:
             authn.receive_beacon(md, ap_name, now)
             if not authn.active:
@@ -843,7 +843,7 @@ class PerCallBeaconWorld(World):
             if gid is None:
                 continue
             grant = authn.grants.get((md, gid))
-            if grant is not None and grant.epoch == authn.epochs.get(gid):
+            if grant is not None and grant == authn.epochs.get(gid):
                 continue
             granted = authn.authenticate(md, gid, now).granted
             if granted != (grant is not None):  # the gate flips
@@ -927,8 +927,9 @@ def test_beacons_batched_per_delivery_match_one_call_per_recipient():
         failures=st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1.0, 2.0, 2.5, 3.0))), max_size=2),
         # beacons come every 0.1 s: a window of several waves keeps a key
         # fresh after its device has left the AP, so a key that a later wave
-        # brings can turn a denial into a grant inside the window
-        key_freshness=st.sampled_from(["0.05", "0.35", "2.0"]),
+        # brings can turn a denial into a grant inside the window; at 0.1 a
+        # previous wave's key sits exactly on the window's edge
+        key_freshness=st.sampled_from(["0.05", "0.1", "0.35", "2.0"]),
         # with ungrouped AP3 over AP2's spot, a device can change between a
         # grouped and an ungrouped serving AP and stay on AP2's roster
         ap3=st.sampled_from(["60,0", "45,0"]),
