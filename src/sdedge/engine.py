@@ -9,6 +9,7 @@ when `record_trace` is set; otherwise nothing per event.
 
 The clock is an integer count of nanoseconds (ns), as ns-3's `Time` keeps
 it: `now`, the heap keys, `at` and `t_end` are ints; errors name seconds.
+`ns` converts seconds: the parser's declared times, and `World`'s `Params`.
 A handler may do the work of later instants itself, without an event each,
 for as long as nothing else can happen in between: `quiet_until()` gives
 the last ns of its quiet stretch, just before the next pending event or at

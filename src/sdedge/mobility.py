@@ -79,7 +79,7 @@ class HandoverOutcome:
     previous: int | None
     new: int
     messages: int
-    latency: float
+    latency: int  # ns: messages * link_latency
     noop: bool = False
     session_from_replica: bool = False
 
@@ -96,9 +96,9 @@ class RecoveryReport:
 class MobilityManager:
     """Registration, supervisory tracking, handover, and recovery paths."""
 
-    def __init__(self, ring: OverlayRing, link_latency: float = 0.001):
+    def __init__(self, ring: OverlayRing, link_latency: int = 1_000_000):
         self.ring = ring
-        self.link_latency = link_latency
+        self.link_latency = link_latency  # ns per message
         self.registered: dict[str, int] = {}          # md id -> ring key
         self.associations: dict[str, AssociationRecord] = {}
         self.association_ap: dict[str, str] = {}      # md id -> serving AP id

@@ -9,9 +9,10 @@ and `flows` expand at parse time using `layout_seed` into concrete
 entities. A `roam` line stays a declaration, a `RoamDecl` with its matched
 MDs, `until` and `area` resolved; `World` draws its waypoints, also from
 `layout_seed`, and the parser computes a roam's instants only to check
-them against another trace on the same MD. Re-emitting then re-parsing a
-scenario is structurally lossless. The run seed never influences layout;
-overriding it cannot silently reshape the topology.
+them against another trace on the same MD. Each declared time becomes
+whole ns once, by `_time`; `Params` stay in seconds. Writing a scenario out,
+times in seconds, and re-parsing it is structurally lossless. The run seed
+never influences layout; overriding it cannot silently reshape the topology.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import fnmatch
 import math
 import random
-from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -39,11 +39,10 @@ PERSONAL_AP_CHOICES = ("auto", "on", "off")
 MD_STATUSES = ("joining", "leaving", "staying")  # parsed and validated; no decision reads it
 
 
-def _moves_clock(period: float, horizon: float) -> bool:
+def _moves_clock(period: int, horizon: int) -> bool:
     """Whether a `period` moves the clock, as a report prints it, at `horizon`
-    (both in s, then whole ns): (h + p) / 10**9 > h / 10**9, so p >= 1 ns."""
-    h = ns(horizon)
-    return math.isfinite(period * 10**9) and (h + ns(period)) / 10**9 > h / 10**9
+    (both in whole ns): (h + p) / 10**9 > h / 10**9, so p >= 1 ns."""
+    return (horizon + period) / 10**9 > horizon / 10**9
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,12 @@ class Params:
         three periods are positive, and every other float is >= 0. Each period
         must move the clock at the horizon, or its events would repeat one instant."""
         problems = []
+        horizon = ns(self.duration) if math.isfinite(self.duration * 10**9) else None
         for name in _FLOAT_PARAMS:
             value, positive = getattr(self, name), name in _POSITIVE_PARAMS
             if not (math.isfinite(value * 10**9) and (value > 0 if positive else value >= 0)):
                 problems.append((name, f"{name} must be {'positive' if positive else '>= 0'} and finite"))
-            elif name in _PERIODS and math.isfinite(self.duration * 10**9) and not _moves_clock(value, self.duration):
+            elif name in _PERIODS and horizon is not None and not _moves_clock(ns(value), horizon):
                 problems.append((name, f"{name} does not advance the clock at duration={self.duration} "
                                        "(instants are whole ns)"))
         if not 2 <= self.m <= 32:
@@ -169,14 +169,14 @@ class StreamDecl(_Directive):
     flow_type: str
     demand: float
     tech: str
-    start: float
-    end: float | None = None
+    start: int  # ns, as every declared time
+    end: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class WaypointDecl(_Directive):
     md: str
-    t: float
+    t: int
     x: float
     y: float
     status: str = "staying"
@@ -190,19 +190,14 @@ class RoamDecl(_Directive):
 
     pattern: str
     mds: tuple[str, ...]  # the MDs `pattern` matched, in declaration order
-    interval: float
-    until: float
+    interval: int
+    until: int
     area: tuple[float, float, float, float]
 
-    def instants(self) -> array:
-        """`interval`, then `t += interval` while t <= until, each rounded to
-        1e-6 s. They increase: the parser rejects an interval below 1e-6 s
-        or one that does not move the clock at `until`."""
-        out, t = array("d"), self.interval
-        while t <= self.until:
-            out.append(round(t, 6))
-            t += self.interval
-        return out
+    def instants(self) -> range:
+        """Every multiple of `interval` from `interval` up to `until`; the parser
+        rejects an interval that does not move the clock at `until`."""
+        return range(self.interval, self.until + 1, self.interval)
 
     def points(self, layout_seed: int, md: str, count: int) -> Iterator[tuple[float, float]]:
         """`md`'s point (x, y) at each of the first `count` instants, each
@@ -218,28 +213,32 @@ class RoamDecl(_Directive):
 class FailureDecl(_Directive):
     kind: str  # controller | ap
     name: str
-    at: float
+    at: int
 
 
 @dataclass(frozen=True, slots=True)
 class WorkloadDecl(_Directive):
     rate_per_ap: float
-    service_time: float  # served in whole ns, as its instants are rounded to them
-    start: float = 0.0
-    until: float | None = None
+    service_time: int
+    start: int = 0
+    until: int | None = None
 
-    def horizon(self, duration: float) -> float:
-        """The last instant an arrival may be served at."""
+    @property
+    def period(self) -> int:  # 1/rate_per_ap in ns, for a rate_per_ap > 0 that `period_problem` passes
+        return ns(1 / self.rate_per_ap)
+
+    def horizon(self, duration: int) -> int:
+        """The last instant an arrival may be served at; `duration` in ns."""
         return min(self.until, duration) if self.until is not None else duration
 
-    def period_problem(self, duration: float) -> str | None:
-        """Arrival instants are 1/rate_per_ap apart up to the horizon, so that
+    def period_problem(self, duration: int) -> str | None:
+        """Arrival instants are a period apart up to the horizon, so the
         period must move the clock there. The parser checks a file's own
         `duration`; `World` checks the one it is given."""
         horizon = self.horizon(duration)
-        if self.rate_per_ap > 0 and not _moves_clock(1 / self.rate_per_ap, horizon):
-            return (f"packetin rate_per_ap={self.rate_per_ap!r} does not advance the clock at t={horizon} "
-                    "(instants are whole ns)")
+        if self.rate_per_ap > 0 and not (10**9 / self.rate_per_ap < math.inf and _moves_clock(self.period, horizon)):
+            return (f"packetin rate_per_ap={self.rate_per_ap!r} does not advance the clock at "
+                    f"t={horizon / 10**9} (instants are whole ns)")
         return None
 
 
@@ -294,6 +293,7 @@ class _Parser:
         # raw directives per section, with line numbers
         self.raw: dict[str, list[tuple[int, str]]] = {s: [] for s in SECTIONS}
         self.param_lines: dict[str, int] = {}  # parameter -> line that set it
+        self.flagged: set[str] = set()  # parameters out of range
 
     def fail(self, line_no: int, msg: str, col: int = 1) -> None:
         self.errors.append((line_no, col, msg))
@@ -338,6 +338,7 @@ class _Parser:
         self.scenario.params = Params(**values)  # each key is a field, each value converted
         for name, problem in self.scenario.params.validate():
             self.fail(self.param_lines.get(name, 0), problem)
+            self.flagged.add(name)
 
     def parse_section(self, section: str) -> None:
         """Each line is `HEAD POSITIONAL... key=value...`, read by its head's
@@ -407,24 +408,24 @@ class _Parser:
         self.scenario.groups.append(GroupDecl(name, members, line=line))
 
     def add_flow(self, line: int, name: str, md: str, dst: str, type: str, demand: float, tech: str,
-                 start: float, end: float | None = None) -> None:
+                 start: int, end: int | None = None) -> None:
         self.scenario.streams.append(StreamDecl(name, md, dst, type, demand, tech, start, end, line=line))
 
     def add_flows(self, line: int, prefix: str, md: str, dst: str, type: str, demand: float, tech: str,
-                  start: float, end: float | None = None) -> None:
+                  start: int, end: int | None = None) -> None:
         matched = [m.name for m in self.scenario.mds if fnmatch.fnmatchcase(m.name, md)]
         if not matched:
             self.fail(line, f"flows pattern {md!r} matches no MD")
         for name in matched:
             self.add_flow(line, f"{prefix}-{name}", name, dst, type, demand, tech, start, end)
 
-    def add_move(self, line: int, md: str, t: float, pos: tuple[float, float], status: str = "staying") -> None:
+    def add_move(self, line: int, md: str, t: int, pos: tuple[float, float], status: str = "staying") -> None:
         if status not in MD_STATUSES:
             self.fail(line, f"unknown MD status {status!r}")
             return
         self.scenario.waypoints.append(WaypointDecl(md, t, *pos, status, line=line))
 
-    def add_roam(self, line: int, pattern: str, interval: float, until: float | None = None,
+    def add_roam(self, line: int, pattern: str, interval: int, until: int | None = None,
                  area: tuple[float, float, float, float] | None = None) -> None:
         sc = self.scenario
         if area is None and sc.aps:  # the bounding box of the APs' discs
@@ -433,9 +434,12 @@ class _Parser:
         if area is None:
             self.fail(line, "roam needs area= (no APs to infer one from)")
             return
-        until = sc.params.duration if until is None else until
-        if until + interval <= until:  # `t += interval` would stop moving short of `until`
-            self.fail(line, f"roam interval={interval!r} does not advance the clock at until={until!r}")
+        if until is None and "duration" in self.flagged:
+            return  # reported at its own line, and not whole ns
+        until = ns(sc.params.duration) if until is None else until
+        if not _moves_clock(interval, until):  # its instants would repeat one
+            self.fail(line, f"roam interval={interval / 10**9} does not advance the clock at "
+                            f"until={until / 10**9} (instants are whole ns)")
             return
         matched = tuple(m.name for m in sc.mds if fnmatch.fnmatchcase(m.name, pattern))
         if not matched:
@@ -443,14 +447,14 @@ class _Parser:
             return
         sc.roams.append(RoamDecl(pattern, matched, interval, until, area, line=line))
 
-    def add_failure(self, line: int, kind: str, name: str, at: float) -> None:
+    def add_failure(self, line: int, kind: str, name: str, at: int) -> None:
         if kind not in ("controller", "ap"):
             self.fail(line, f"cannot fail a {kind!r} (controller|ap)")
             return
         self.scenario.failures.append(FailureDecl(kind, name, at, line=line))
 
-    def add_packetin(self, line: int, rate_per_ap: float, service_time: float, start: float = 0.0,
-                     until: float | None = None) -> None:
+    def add_packetin(self, line: int, rate_per_ap: float, service_time: int, start: int = 0,
+                     until: int | None = None) -> None:
         if self.scenario.workload is not None:
             self.fail(line, "duplicate packetin workload")
             return
@@ -480,13 +484,12 @@ class _Parser:
         problem = sc.params.controllers_problem(len(sc.controllers))
         if problem:
             self.fail(self.param_lines.get("controllers", 0), problem)
-        flagged = {name for name, _ in sc.params.validate()}
-        if "m" not in flagged:
+        if "m" not in self.flagged:
             active = sc.controllers[: sc.params.controllers] if sc.params.controllers else sc.controllers
             for line, msg in ring_keys(active, sc.params.m)[1]:
                 self.fail(line, msg)
         w = sc.workload
-        if w is not None and "duration" not in flagged and (problem := w.period_problem(sc.params.duration)):
+        if w is not None and "duration" not in self.flagged and (problem := w.period_problem(ns(sc.params.duration))):
             self.fail(w.line, problem)
 
         for ap in sc.aps:
@@ -526,9 +529,9 @@ class _Parser:
 
     def check_traces(self, md_names: set[str]) -> None:
         """Each MD's waypoint times, from its moves and its roams together,
-        strictly increase; a time that repeats is reported at the later line.
-        One roam's own instants increase, so only an MD with more than one
-        trace is checked."""
+        strictly increase in whole ns; a time that repeats is reported at the
+        later line. One roam's own instants increase, so only an MD with more
+        than one trace is checked."""
         sc = self.scenario
         traces: dict[str, list[WaypointDecl | RoamDecl]] = {}
         for wp in sc.waypoints:
@@ -546,7 +549,7 @@ class _Parser:
             times = sorted((t, d.line) for d in decls for t in (d.instants() if isinstance(d, RoamDecl) else (d.t,)))
             for (last, _), (t, line) in zip(times, times[1:]):
                 if t == last:
-                    self.fail(line, f"waypoints for {md} are not strictly increasing at t={t}")
+                    self.fail(line, f"waypoints for {md} are not strictly increasing at t={t / 10**9}")
 
     def run(self) -> Scenario:
         self.split_sections()
@@ -591,9 +594,13 @@ def _number(low: float = -math.inf) -> Converter:
 
 
 _float = _number()
-_nonnegative = _number(0.0)  # an instant of the run, a latency, a rate or a service time
+_nonnegative = _number(0.0)  # a latency or a rate
 _positive = _number(math.nextafter(0.0, 1.0))  # at least the least float above 0
-_interval = _number(1e-6)  # roam's step: its waypoint times are rounded to 1e-6 s
+
+
+def _time(text: str) -> int:
+    """A declared time, >= 0 s and finite in ns, as whole ns: its one conversion."""
+    return ns(_nonnegative(text))
 
 
 def _count(text: str) -> int:
@@ -625,7 +632,7 @@ def _csv(text: str) -> tuple[str, ...]:
 
 
 _NAME = (("NAME", str),)
-_FLOW_KEYS = {"md": str, "dst": str, "type": str, "demand": _positive, "tech": str, "start": _nonnegative}
+_FLOW_KEYS = {"md": str, "dst": str, "type": str, "demand": _positive, "tech": str, "start": _time}
 
 # head -> its row; `parse_section` reads every directive line through this table
 _DIRECTIVES = {
@@ -642,33 +649,30 @@ _DIRECTIVES = {
                  {"latency": _nonnegative, "rate": _nonnegative}),
     "group": _Row("groups", "group NAME members=AP1,AP2,...", _Parser.add_group, _NAME, {"members": _csv}),
     "flow": _Row("flows", "flow NAME md=MD dst=NODE type=TYPE demand=MBPS tech=TECH start=T [end=T]",
-                 _Parser.add_flow, _NAME, _FLOW_KEYS, {"end": _nonnegative}),
+                 _Parser.add_flow, _NAME, _FLOW_KEYS, {"end": _time}),
     "flows": _Row("flows", "flows PREFIX md=GLOB dst=NODE type=TYPE demand=MBPS tech=TECH start=T [end=T]",
-                  _Parser.add_flows, (("PREFIX", str),), _FLOW_KEYS, {"end": _nonnegative}),
+                  _Parser.add_flows, (("PREFIX", str),), _FLOW_KEYS, {"end": _time}),
     "move": _Row("traces", "move MD T X,Y [STATUS]", _Parser.add_move,
-                 (("MD", str), ("T", _nonnegative), ("X,Y", _point), ("STATUS", str)), optional_positional=1),
+                 (("MD", str), ("T", _time), ("X,Y", _point), ("STATUS", str)), optional_positional=1),
     "roam": _Row("traces", "roam GLOB interval=S [until=T] [area=X0,Y0,X1,Y1]", _Parser.add_roam,
-                 (("GLOB", str),), {"interval": _interval}, {"until": _nonnegative, "area": _rect}),
+                 (("GLOB", str),), {"interval": _time}, {"until": _time, "area": _rect}),
     "fail": _Row("failures", "fail controller|ap NAME at=T", _Parser.add_failure,
-                 (("controller|ap", str), ("NAME", str)), {"at": _nonnegative}),
+                 (("controller|ap", str), ("NAME", str)), {"at": _time}),
     "packetin": _Row("workload", "packetin rate_per_ap=HZ service_time=S [start=T] [until=T]", _Parser.add_packetin,
-                     (), {"rate_per_ap": _nonnegative, "service_time": _nonnegative},
-                     {"start": _nonnegative, "until": _nonnegative}),
+                     (), {"rate_per_ap": _nonnegative, "service_time": _time},
+                     {"start": _time, "until": _time}),
 }
 
 
+_CHOICES = {"mode": MODES, "personal_ap": PERSONAL_AP_CHOICES}
+
+
 def _convert_param(key: str, val: str):
-    if key == "mode":
-        if val not in MODES:
-            raise ValueError(f"mode must be one of {', '.join(MODES)}")
+    if key in _CHOICES:
+        if val not in _CHOICES[key]:
+            raise ValueError(f"{key} must be one of {', '.join(_CHOICES[key])}")
         return val
-    if key == "personal_ap":
-        if val not in PERSONAL_AP_CHOICES:
-            raise ValueError(f"personal_ap must be one of {', '.join(PERSONAL_AP_CHOICES)}")
-        return val
-    if key in _INT_PARAMS:
-        return int(val)
-    return float(val)
+    return int(val) if key in _INT_PARAMS else float(val)
 
 
 def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
@@ -730,15 +734,14 @@ def apply_overrides(params: Params, overrides: dict[str, str]) -> Params:
 
 
 def format_scenario(sc: Scenario) -> str:
-    """Write a scenario back out in canonical concrete form."""
+    """Write a scenario back out in canonical concrete form, times in seconds."""
     out: list[str] = [f"# {sc.name}", "", "[params]"]
     defaults = Params()
     for f in fields(Params):
         val = getattr(sc.params, f.name)
         if val != getattr(defaults, f.name):
             out.append(f"{f.name} = {val}")
-    out.append("")
-    out.append("[topology]")
+    out += ["", "[topology]"]
     for c in sc.controllers:
         out.append(f"controller {c.name}" + (f" key={c.key}" if c.key is not None else ""))
     for s in sc.switches:
@@ -754,38 +757,30 @@ def format_scenario(sc: Scenario) -> str:
     for link in sc.links:
         out.append(f"link {link.a} {link.b} latency={link.latency!r} rate={link.rate!r}")
     if sc.groups:
-        out.append("")
-        out.append("[groups]")
+        out += ["", "[groups]"]
         for g in sc.groups:
             out.append(f"group {g.name} members={','.join(g.members)}")
     if sc.streams:
-        out.append("")
-        out.append("[flows]")
+        out += ["", "[flows]"]
         for s in sc.streams:
-            end = f" end={s.end!r}" if s.end is not None else ""
-            out.append(
-                f"flow {s.name} md={s.md} dst={s.dst} type={s.flow_type} "
-                f"demand={s.demand!r} tech={s.tech} start={s.start!r}{end}"
-            )
+            end = f" end={s.end / 10**9}" if s.end is not None else ""
+            out.append(f"flow {s.name} md={s.md} dst={s.dst} type={s.flow_type} demand={s.demand!r} tech={s.tech} "
+                       f"start={s.start / 10**9}{end}")
     if sc.waypoints or sc.roams:
-        out.append("")
-        out.append("[traces]")
+        out += ["", "[traces]"]
         for w in sc.waypoints:
-            out.append(f"move {w.md} {w.t!r} {w.x!r},{w.y!r} {w.status}")
+            out.append(f"move {w.md} {w.t / 10**9} {w.x!r},{w.y!r} {w.status}")
         for r in sc.roams:
             area = ",".join(repr(v) for v in r.area)
-            out.append(f"roam {r.pattern} interval={r.interval!r} until={r.until!r} area={area}")
+            out.append(f"roam {r.pattern} interval={r.interval / 10**9} until={r.until / 10**9} area={area}")
     if sc.failures:
-        out.append("")
-        out.append("[failures]")
+        out += ["", "[failures]"]
         for fl in sc.failures:
-            out.append(f"fail {fl.kind} {fl.name} at={fl.at!r}")
+            out.append(f"fail {fl.kind} {fl.name} at={fl.at / 10**9}")
     if sc.workload is not None:
-        out.append("")
-        out.append("[workload]")
+        out += ["", "[workload]"]
         w = sc.workload
-        until = f" until={w.until!r}" if w.until is not None else ""
-        out.append(
-            f"packetin rate_per_ap={w.rate_per_ap!r} service_time={w.service_time!r} start={w.start!r}{until}"
-        )
+        until = f" until={w.until / 10**9}" if w.until is not None else ""
+        out.append(f"packetin rate_per_ap={w.rate_per_ap!r} service_time={w.service_time / 10**9} "
+                   f"start={w.start / 10**9}{until}")
     return "\n".join(out) + "\n"

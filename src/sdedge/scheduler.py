@@ -2,11 +2,11 @@
 
 Assignment is a generalized assignment problem: flows are items, APs are
 bins bounded by residual capacity and filtered by radio technology and
-disc coverage. The production path is a greedy heuristic (largest demand
-first, placed on the most-residual feasible AP); `brute_force_assign` is
-the exhaustive oracle used to bound its quality on small instances.
-Utility is total satisfied demand in Mbps. `best_ap` is the one placement
-rule: the greedy heuristic, joins, moves and AP-failure recovery all call it.
+disc coverage; utility is satisfied demand in Mbps. The simulation runs one
+placement rule, `best_ap`, per device at bootstrap, on a move, on an AP
+failure's recovery and on an adoption. The greedy `assign_flows_greedy`
+(largest demand first, each on its `best_ap`), its exhaustive oracle
+`brute_force_assign` and `select_ap_for_join` are checked only by tests.
 
 A partition view holds what admission and release read: per-AP capacity,
 load, radio techs and coverage disc, and the open flows. It keeps no

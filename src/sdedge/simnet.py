@@ -54,8 +54,9 @@ input of a decision changed replays the previous wave's log rows (see
 `authn`). That replay leans on two facts of the world: every grouped AP
 delivers at the same instants, and the deliveries of one instant are
 consecutive events that change no serving AP.
-Every time in the world is integer ns (see `engine`), `authn`'s too,
-converted once from the scenario's and parameters' seconds.
+Every time in the world is integer ns (see `engine`), `authn`'s too: the
+parser gives declared times in ns, and `World.__init__` converts `Params`
+once; a handover's gap is summed in ns and printed in seconds.
 A packet-in workload offers one packet-in per AP per period, each served
 at its controller's single server: a D/D/1 queue per controller. One
 arrival event serves its own instant's APs, and then every later instant
@@ -65,11 +66,11 @@ schedules the first instant after the stretch once, and nothing more once
 no controller can serve again. A handler failure there names the stretch's
 first instant, not the AP. Moves are batched the same way: the moves of
 one instant are one md-move event, and a failure there names the instant.
-A `roam` is drawn here, not at parse: its instants once, and per device
-one array of points, so no object is made per waypoint. An instant's event
-moves the roams' devices in name order, merged by name with the scenario's
-waypoints, which a parsed scenario holds in (instant, device) order and
-one built in code in any order.
+A `roam` is drawn here, not at parse: its instants, a `range` of ns, once,
+and per device one array of points, so no object is made per waypoint. An
+instant's event moves the roams' devices in name order, merged by name with
+the scenario's waypoints, which a parsed scenario holds in (instant,
+device) order and one built in code in any order.
 """
 
 from __future__ import annotations
@@ -201,13 +202,15 @@ class World:
         keys, problems = ring_keys(active, p.m)
         if problems:
             raise UsageError("; ".join(f"{scenario.name}:{line}: {msg}" for line, msg in problems))
-        w = scenario.workload
-        if w is not None and (problem := w.period_problem(p.duration)):
-            raise UsageError(f"{scenario.name}:{w.line}: {problem}")
-        # every time in the world is ns, converted once, here or in `_schedule_all`
+        # every time in the world is ns: the declarations' from the parser, the parameters' from here
         self.horizon, self._sample_period = ns(p.duration), ns(p.sample_period)
         self._rotation_period, self._regrant_grace = ns(p.rotation_period), ns(p.regrant_grace)
         self._recovery_lag, self._detection_delay = ns(p.recovery_lag), ns(p.detection_delay)
+        self._beacon_period, self._wireless_latency = ns(p.beacon_period), ns(p.wireless_latency)
+        self._reassociation_delay, self._pap_migration_delay = ns(p.reassociation_delay), ns(p.pap_migration_delay)
+        w = scenario.workload
+        if w is not None and (problem := w.period_problem(self.horizon)):
+            raise UsageError(f"{scenario.name}:{w.line}: {problem}")
         self.ring = OverlayRing(m=p.m, replication=p.r)
         self.cid_of: dict[str, int] = keys
         self.name_of: dict[int, str] = {cid: name for name, cid in keys.items()}
@@ -215,7 +218,7 @@ class World:
             self.ring.join(cid)
         self.ring.lookup_hops.clear()  # the report counts the run's lookups, not the joins'
 
-        self.mobility = MobilityManager(self.ring, link_latency=p.link_latency)
+        self.mobility = MobilityManager(self.ring, link_latency=ns(p.link_latency))
 
         # --- partitions --------------------------------------------------
         self.partition_of: dict[str, str] = {}
@@ -263,7 +266,7 @@ class World:
         for state in self.mds.values():
             self._update_roster(state.name, state.position)
         self.streams: dict[str, StreamState] = {
-            s.name: StreamState(s, self.horizon if s.end is None else min(ns(s.end), self.horizon))
+            s.name: StreamState(s, self.horizon if s.end is None else min(s.end, self.horizon))
             for s in scenario.streams
         }
         self._md_streams: dict[str, list[StreamState]] = {}  # device -> its streams, by name
@@ -358,14 +361,14 @@ class World:
         for t, (wps, roams) in sorted(self._moves_by_instant().items()):
             eng.schedule(t, "md-move", lambda w=wps, r=roams: self._apply_moves(w, r), note="move")
         for st in self.streams.values():
-            eng.schedule(ns(st.decl.start), "flow-start", lambda s=st: self._flow_start(s), note=f"start:{st.name}")
-            if st.decl.end is not None and (end := ns(st.decl.end)) <= self.horizon:
-                eng.schedule(end, "flow-end", lambda s=st: self._flow_end(s), note=f"end:{st.name}")
+            eng.schedule(st.decl.start, "flow-start", lambda s=st: self._flow_start(s), note=f"start:{st.name}")
+            if st.decl.end is not None and st.decl.end <= self.horizon:
+                eng.schedule(st.decl.end, "flow-end", lambda s=st: self._flow_end(s), note=f"end:{st.name}")
         for f in self.scenario.failures:
-            eng.schedule(ns(f.at), "failure", lambda fd=f: self.inject_failure(fd.kind, fd.name), note=f"fail:{f.name}")
+            eng.schedule(f.at, "failure", lambda fd=f: self.inject_failure(fd.kind, fd.name), note=f"fail:{f.name}")
         w = self.scenario.workload
         if w is not None and w.rate_per_ap > 0:
-            eng.schedule(ns(w.start), "message-delivery", self._packet_in_arrivals(), note="packetin")
+            eng.schedule(w.start, "message-delivery", self._packet_in_arrivals(), note="packetin")
 
     # ------------------------------------------------------------------ beacons & keys
 
@@ -389,7 +392,7 @@ class World:
     def _beacon_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
         """One AP's beacon handler and note, and its key delivery's, built once."""
         eng, authn, ap, horizon = self.engine, self.authn, self.aps[ap_name], self.horizon
-        latency, period = ns(self.params.wireless_latency), ns(self.params.beacon_period)
+        latency, period = self._wireless_latency, self._beacon_period
         note, deliver_note = f"beacon:{ap_name}", f"key:{ap_name}"
 
         def beacon() -> None:
@@ -438,12 +441,12 @@ class World:
         like the `mds` it placed, a `--set layout_seed=` moves no roam."""
         moves: dict[int, tuple[list[WaypointDecl], list[tuple[_RoamPaths, int]]]] = {}
         for wp in self.scenario.waypoints:
-            moves.setdefault(ns(wp.t), ([], []))[0].append(wp)
+            moves.setdefault(wp.t, ([], []))[0].append(wp)
         for roam in self.scenario.roams:
             instants = roam.instants()
             paths = _RoamPaths(roam, self.scenario.params.layout_seed, len(instants))
             for k, t in enumerate(instants):
-                moves.setdefault(ns(t), ([], []))[1].append((paths, k))
+                moves.setdefault(t, ([], []))[1].append((paths, k))
         return moves
 
     def _apply_moves(self, wps: list[WaypointDecl], roams: list[tuple[_RoamPaths, int]]) -> None:
@@ -519,21 +522,21 @@ class World:
         if registered and self.params.personal_ap_enabled and old_ap is not None:
             self.mobility.personal_ap_migrate(md, old_ap, new_ap)
             kind = "pap-migrate"
-            gap = self.params.pap_migration_delay
+            gap = self._pap_migration_delay
         else:  # a fresh association lists the flows already running
             assoc = self.mobility.establish_association(md, new_ap)
             assoc.flow_status.update(st.name for st in self._running(md))
             kind = "reassociate" if registered else "associate"
-            gap = self.params.reassociation_delay
+            gap = self._reassociation_delay
         state.connected = True
 
-        total = round(gap + (outcome.latency if outcome else 0.0), 9)
+        total = gap + (outcome.latency if outcome else 0)
         for st in self._md_streams.get(md, ()):  # each flow moves to the new AP, after a gap
-            st.gap_until = max(st.gap_until, now + ns(total))
+            st.gap_until = max(st.gap_until, now + total)
             self._unplace(st)
             self._place_flow(st, new_ap)
         self.handover_rows.append(now, md, reason if reason == "ap-recovery" else kind, old_ap, new_ap,
-                                  old_ctrl, new_ctrl, total, outcome.messages if outcome else 0)
+                                  old_ctrl, new_ctrl, total / 10**9, outcome.messages if outcome else 0)
 
     def _disconnect(self, md: str) -> None:
         state = self.mds[md]
@@ -805,10 +808,10 @@ class World:
         handler failure names the first instant of its stretch, not an AP.
         """
         w = self.scenario.workload
-        horizon, period, service = ns(w.horizon(self.params.duration)), ns(1 / w.rate_per_ap), ns(w.service_time)
-        last_failure = max((at for f in self.scenario.failures
-                            if f.kind == "controller" and (at := ns(f.at)) <= horizon), default=-1)
-        t, due = ns(w.start), sorted(self.aps)
+        horizon, period, service = w.horizon(self.horizon), w.period, w.service_time
+        last_failure = max((f.at for f in self.scenario.failures
+                            if f.kind == "controller" and f.at <= horizon), default=-1)
+        t, due = w.start, sorted(self.aps)
 
         def arrivals() -> None:
             nonlocal t, due

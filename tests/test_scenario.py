@@ -10,6 +10,7 @@ import pytest
 
 import sdedge
 from sdedge.cli import main
+from sdedge.engine import ns
 from sdedge.errors import ScenarioError, UsageError
 from sdedge.scenario import (
     MD_STATUSES,
@@ -79,7 +80,7 @@ def test_bundled_fig6_contents():
     assert all(ap.capacity == 11.0 for ap in sc.aps)
     assert sc.params.beacon_period == 0.1
     assert sc.params.recovery_lag == 4.0
-    assert {w.t for w in sc.waypoints} == {22.1, 35.9}
+    assert {w.t for w in sc.waypoints} == {22_100_000_000, 35_900_000_000}  # ns
 
 
 def test_bundled_fig5_contents():
@@ -172,9 +173,14 @@ def test_a_move_between_a_roams_instants_is_accepted():
     assert errors == set()
 
 
-@pytest.mark.parametrize("move_first", [False, True])
-def test_a_move_on_a_roam_instant_is_rejected_at_the_later_line(move_first):
-    lines = ["roam M* interval=2.0", "move M1 4.0 5,5"]
+@pytest.mark.parametrize("move_first,t", [
+    pytest.param(False, "4.0", id="False"), pytest.param(True, "4.0", id="True"),
+    # 1e-10 s after the instant is the same ns
+    pytest.param(False, "4.0000000001", id="False-1e-10-after"),
+    pytest.param(True, "4.0000000001", id="True-1e-10-after"),
+])
+def test_a_move_on_a_roam_instant_is_rejected_at_the_later_line(move_first, t):
+    lines = ["roam M* interval=2.0", f"move M1 {t} 5,5"]
     errors, at = _trace_errors(*(lines[::-1] if move_first else lines))
     assert errors == {(at[1], "waypoints for M1 are not strictly increasing at t=4.0")}
 
@@ -187,10 +193,26 @@ def test_two_roams_on_one_md_are_accepted_while_their_instants_never_meet():
 def test_two_roams_on_one_md_are_rejected_at_the_later_line_where_they_meet():
     errors, at = _trace_errors("roam M1 interval=3.0", "roam M* interval=2.0")
     assert errors == {(at[1], "waypoints for M1 are not strictly increasing at t=6.0")}
-    # instants are accumulated, `t += interval`, then rounded to 1e-6 s:
-    # 0.1 + 0.1 + 0.1 meets 0.3 once both are rounded
+    # instants are multiples of the interval in whole ns: 3 * 0.1 s meets 0.3 s
     errors, at = _trace_errors("roam M2 interval=0.1 until=1.0", "move M1 0.5 1,1", "roam M* interval=0.3 until=1.0")
     assert errors == {(at[2], f"waypoints for M2 are not strictly increasing at t={t}") for t in (0.3, 0.6, 0.9)}
+
+
+@pytest.mark.parametrize("roam,instants", [
+    ("roam M* interval=0.1 until=0.3", [0.1, 0.2, 0.3]),  # `t += 0.1` in floats reached 0.30000000000000004
+    ("roam M* interval=1e-7 until=1e-5", [i / 10**7 for i in range(1, 101)]),
+])
+def test_a_roams_instants_are_the_multiples_of_its_interval_up_to_until(roam, instants):
+    sc = parse_scenario_text(ROAMS + roam + "\n", "roams")
+    assert [t / 10**9 for t in sc.roams[0].instants()] == instants
+
+
+@pytest.mark.parametrize("duration", ["1e300", "inf"])
+def test_a_roam_to_a_duration_out_of_range_is_rejected_at_the_durations_line(duration):
+    # a roam without until= ends at `duration`, which is not whole ns here
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(ROAMS.replace("duration = 6.0", f"duration = {duration}") + "roam M* interval=2.0\n", "r")
+    assert {(ln, msg) for ln, _, msg in err.value.errors} == {(2, "duration must be positive and finite")}
 
 
 def test_a_roam_over_an_md_declared_twice_collides_with_itself():
@@ -276,6 +298,11 @@ CROSS_CHECKS = [
     (FLOW, FLOW + "flow F2 md=M1 dst=C1 type=t demand=1 tech=wifi start=2 end=1\n", "end=1", "ends before"),
     ("move M1 1.0 2,2 staying\n", "move M1 1.0 2,2 staying\nmove M9 2.0 1,1\n", "move M9", "undeclared MD 'M9'"),
     ("move M1 1.0 2,2 staying\n", "move M1 1.0 2,2 staying\nmove M1 1.0 3,3\n", "3,3", "not strictly increasing"),
+    # times 1e-10 s apart are one ns: one instant
+    ("move M1 1.0 2,2 staying\n", "move M1 1.0 2,2 staying\nmove M1 1.0000000001 3,3\n", "3,3",
+     "increasing at t=1.0"),
+    (FLOW, FLOW + "flow F2 md=M1 dst=C1 type=t demand=1 tech=wifi start=1 end=1.0000000001\n", "F2",
+     "F2 ends before"),
     ("[traces]\n", "[failures]\nfail ap AP9 at=1\n\n[traces]\n", "fail ap AP9", "undeclared ap 'AP9'"),
 ]
 
@@ -365,7 +392,6 @@ def _with_line(section, bad, tmp_path):
         ("flows", "flows F md=M* dst=C1 type=tcp demand=2 tech=wifi start=0 end=inf"),
         ("traces", "move M1 -3 2,2"),
         ("traces", "move M1 1 2,nan"),
-        ("traces", "roam M* interval=1e-7 until=1e-5"),  # waypoint times are rounded to 1e-6 s
         ("topology", "md M2 pos=inf,1"),
         ("topology", "ap AP3 pos=0,0 radius=nan capacity=11 techs=wifi partition=C1"),
         ("topology", "mds M 3 area=0,0,inf,1"),
@@ -397,10 +423,12 @@ def test_each_bad_directive_line_is_rejected_at_its_line(section, bad, tmp_path,
 
 
 @pytest.mark.parametrize("bad", ["roam M* interval=0", "roam M* interval=-1", "roam M* interval=1 until=inf",
-                                 "roam M* interval=1e-6 until=1e11"])
+                                 "roam M* interval=1e-6 until=1e11", "roam M* interval=1e-10",
+                                 "roam M* interval=5e-10"])
 def test_roam_steps_that_never_reach_the_end_are_rejected_in_time(bad, tmp_path):
-    # each of these would step its instants without end unless it is rejected:
-    # the parse runs in a child with a time and memory limit
+    # each of these would step its instants without end unless it is rejected
+    # (1e-10 and 5e-10 s are 0 ns): the parse runs in a child with a time and
+    # memory limit
     _, path, line = _with_line("traces", bad, tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "sdedge.cli", "validate", str(path)], capture_output=True, text=True, timeout=10,
@@ -449,16 +477,29 @@ def test_a_packetin_period_that_rounds_to_0_ns_is_rejected():
     assert [ln for ln, _, _ in err.value.errors] == [line]
 
 
+@pytest.mark.parametrize("rate", ["1e-300", "5e-324"])
+def test_a_packetin_period_with_no_whole_ns_is_rejected(rate):
+    # 1/rate_per_ap is not finite in ns: rejected at its line, with no OverflowError
+    text = bundled_scenario_path("fig5c").read_text()
+    line = text.splitlines().index("packetin rate_per_ap=400 service_time=0.002") + 1
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text.replace("rate_per_ap=400", f"rate_per_ap={rate}"), "fig5c")
+    assert [ln for ln, _, _ in err.value.errors] == [line]
+
+
 def test_formatted_scenarios_parse_back_equal():
     """`format_scenario` then `parse_scenario_text` gives back the scenario,
     over generated concrete scenarios that use every concrete directive, each
     optional argument left at its default or set (`key=`, `md` without `pos`,
-    `end=`, STATUS, `packetin` `start=` and `until=`)."""
+    `end=`, STATUS, `packetin` `start=` and `until=`). A declared time is the
+    ns that the parser makes of a float of seconds, up to 1e12 s; an int that
+    no float maps to is never parsed, and need not print back."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     number = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     positive = st.floats(1e-3, 1e6)
-    time = st.floats(0, 1e6)
+    nonnegative = st.floats(0, 1e6)
+    time = st.floats(0, 1e12).map(ns)
 
     @st.composite
     def scenarios(draw):
@@ -474,13 +515,13 @@ def test_formatted_scenarios_parse_back_equal():
                for i in range(draw(st.integers(1, 3)))]
         infra = [d.name for d in controllers + switches + aps]
         links = [LinkDecl(draw(st.sampled_from(infra)), draw(st.sampled_from(infra + [m.name for m in mds])),
-                          draw(time), draw(time))
+                          draw(nonnegative), draw(nonnegative))
                  for _ in range(draw(st.integers(0, 2)))]
         groups = [GroupDecl("G1", tuple(a.name for a in aps))] if len(aps) > 1 and draw(st.booleans()) else []
         streams = []
         for i in range(draw(st.integers(0, 2))):
             start = draw(time)
-            end = draw(st.none() | st.floats(start, 2e6, exclude_min=True))
+            end = draw(st.none() | st.floats(start / 10**9, 2e12).map(ns).filter(lambda t: t > start))
             streams.append(StreamDecl(f"F{i}", draw(st.sampled_from(mds)).name, draw(st.sampled_from(infra)),
                                       draw(st.sampled_from(["tcp", "udp"])), draw(positive), "wifi", start, end))
         waypoints = sorted(
@@ -491,14 +532,15 @@ def test_formatted_scenarios_parse_back_equal():
         failures = [FailureDecl(kind, draw(st.sampled_from(controllers if kind == "controller" else aps)).name,
                                 draw(time))
                     for kind in draw(st.lists(st.sampled_from(["controller", "ap"]), max_size=2))]
-        workload = draw(st.none() | st.builds(WorkloadDecl, st.floats(0.1, 1e3), positive, time, st.none() | time))
+        workload = draw(st.none() | st.builds(WorkloadDecl, st.floats(0.1, 1e3), positive.map(ns), time,
+                                              st.none() | time))
         names = [m.name for m in mds]
         patterns = [p for p in ("M*", "*", "M0", "M1", "M[12]") if fnmatch.filter(names, p)]
         roams = []
         for _ in range(draw(st.integers(0, 2))):
             pattern, interval = draw(st.sampled_from(patterns)), draw(st.floats(1e-3, 1e3))
-            roams.append(RoamDecl(pattern, tuple(fnmatch.filter(names, pattern)), interval,
-                                  draw(st.floats(0, 20 * interval)), tuple(draw(number) for _ in range(4))))
+            roams.append(RoamDecl(pattern, tuple(fnmatch.filter(names, pattern)), ns(interval),
+                                  ns(draw(st.floats(0, 20 * interval))), tuple(draw(number) for _ in range(4))))
         for md in names:  # a parsed MD's waypoint times never repeat
             times = [w.t for w in waypoints if w.md == md] + [t for r in roams if md in r.mds for t in r.instants()]
             hypothesis.assume(len(times) == len(set(times)))

@@ -619,7 +619,7 @@ class PerWaypointWorld(World):
         def one_per_waypoint(at, kind, fn, note=""):
             if kind not in ("timer", "beacon"):
                 for wp in waypoints:
-                    schedule(ns(wp.t), "md-move", lambda w=wp: self.apply_move(w.md, w.x, w.y), f"move:{wp.md}")
+                    schedule(wp.t, "md-move", lambda w=wp: self.apply_move(w.md, w.x, w.y), f"move:{wp.md}")
                 waypoints.clear()
             if kind != "md-move":
                 schedule(at, kind, fn, note)
@@ -638,7 +638,7 @@ def check_moves_batched_per_instant(sc, params):
     reports = batched.run(), oracle.run()
     assert first_difference(render_json(reports[0]), render_json(reports[1])) is None
     assert first_difference(render_csv(reports[0]), render_csv(reports[1])) is None
-    moves = [wp.t for wp in sc.waypoints if wp.t <= params.duration]
+    moves = [wp.t for wp in sc.waypoints if wp.t <= ns(params.duration)]
     assert oracle.engine.executed - batched.engine.executed == len(moves) - len(set(moves))
     return reports[0]
 
@@ -789,14 +789,15 @@ ROAM_MERGE = ROAM_ORDER.replace(
 
 def with_roams_expanded(sc):
     """`sc` with each roam expanded into one waypoint per device and instant,
-    sorted by (instant, device), as the parser once expanded roams."""
+    `t += interval` in ns while t <= until, sorted by (instant, device), as
+    the parser once expanded roams."""
     waypoints = list(sc.waypoints)
     for roam in sc.roams:
         x0, y0, x1, y1 = roam.area
         for md in roam.mds:
             rng, t = _layout_rng(sc.params.layout_seed, f"roam:{md}"), roam.interval
             while t <= roam.until:
-                waypoints.append(WaypointDecl(md, round(t, 6), round(rng.uniform(x0, x1), 3),
+                waypoints.append(WaypointDecl(md, t, round(rng.uniform(x0, x1), 3),
                                               round(rng.uniform(y0, y1), 3), line=roam.line))
                 t += roam.interval
     return replace(sc, waypoints=sorted(waypoints, key=lambda w: (w.t, w.md)), roams=[])
@@ -822,7 +823,7 @@ def test_roams_drawn_by_the_world_match_their_waypoints_expanded(name, overrides
 
 def test_a_failed_move_names_its_instant():
     sc = batched_moves_scenario((1.0, [1, 2, 3]), [], "0.0", [])
-    sc.waypoints.append(WaypointDecl("GHOST", 2.0, 0.0, 0.0))
+    sc.waypoints.append(WaypointDecl("GHOST", 2 * 10**9, 0.0, 0.0))
     with pytest.raises(SimulationHalted, match=r"t=2\.0 \(md-move 'move'\)"):
         World(sc).run()
 
@@ -1220,7 +1221,7 @@ class PerInstantPacketInWorld(World):
     def _packet_in_arrivals(self):
         eng, w, p, aps = self.engine, self.scenario.workload, self.params, self.aps
         partition_of, busy_of, served, crashed = self.partition_of, self._pi_busy, self.packet_in, self._crashed
-        horizon, service_time, period = ns(w.horizon(p.duration)), ns(w.service_time), ns(1 / w.rate_per_ap)
+        horizon, service_time, period = w.horizon(ns(p.duration)), w.service_time, ns(1 / w.rate_per_ap)
         due = sorted(aps)
 
         def arrivals():
@@ -1601,7 +1602,7 @@ def test_one_sampler_event_per_sample_instant():
     world = World(parse_scenario_text(SAMPLER, "sampler"))
     world.engine.record_trace = True
     report = world.run()
-    starts = {(st.decl.start, st.name) for st in world.streams.values()}
+    starts = {(st.decl.start / 10**9, st.name) for st in world.streams.values()}
     instants = {t for t, name, _ in report.throughput if (t, name) not in starts}
     ticks = [t / 10**9 for t, _, kind, note in world.engine.trace if kind == "timer" and note == "tick"]
     assert len(instants) == 11
