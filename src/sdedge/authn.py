@@ -9,7 +9,9 @@ being inside the intersection, so the freshness window is what makes a
 key stop counting once the device walks away. Group beacons fire in one
 synchronized wave per period, so a device inside the area always presents
 same-wave (age-zero) receipts; the default window only needs to cover
-clock skew within a wave, and anything outside the area fails it.
+clock skew within a wave. A device outside the area fails it only while
+`key_freshness` is below the beacon period: at or above it, the keys heard
+one wave before it left still count.
 Every time here is integer ns, the world's clock, so the window is one
 exact comparison: a key heard exactly `key_freshness` ago still counts.
 

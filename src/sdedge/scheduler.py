@@ -117,14 +117,13 @@ def update_partition_view(view: PartitionView, event: ViewEvent) -> None:
         raise ValueError(f"unknown view event kind {event.kind!r}")
 
 
-def best_ap(aps, hint: FlowRequest | None, position: tuple[float, float] | None) -> APStatus | None:
+def best_ap(aps, tech: str | None = None, position: tuple[float, float] | None = None) -> APStatus | None:
     """The placement rule: the AP with the most residual capacity among those
-    that cover `position` and support the hint's technology, ties by AP id.
+    that cover `position` and support `tech`, ties by AP id.
 
     Capacity is checked by the caller: if the most-residual AP cannot fit a
     demand, no candidate can.
     """
-    tech = hint.required_tech if hint is not None else None
     cands = [ap for ap in aps if ap.covers(position) and ap.supports(tech)]
     return min(cands, key=lambda ap: (-ap.residual, ap.ap_id), default=None)
 
@@ -143,7 +142,7 @@ def assign_flows_greedy(requests, view: PartitionView) -> Assignment:
     placements: dict[FlowRequest, str | None] = {}
     utility = 0.0
     for req in _canonical(requests):
-        best = best_ap(aps, req, req.origin)
+        best = best_ap(aps, req.required_tech, req.origin)
         if best is not None and best.fits(req.demand):
             best.load += req.demand
             placements[req] = best.ap_id
@@ -220,8 +219,8 @@ def select_ap_for_join(md_id: str, flow_hint: FlowRequest | None, view: Partitio
     with no hint nothing but the partition constrains the choice. The
     simulation no longer calls it; the traced benchmark patches it by name.
     """
-    position = flow_hint.origin if flow_hint is not None else None
-    ap = best_ap(view.ap_status.values(), flow_hint, position)
+    tech, position = (flow_hint.required_tech, flow_hint.origin) if flow_hint is not None else (None, None)
+    ap = best_ap(view.ap_status.values(), tech, position)
     if ap is None or (flow_hint is not None and not ap.fits(flow_hint.demand)):
         raise NoApAvailable(f"no feasible AP for {md_id} in partition {view.controller}")
     return ap.ap_id

@@ -33,12 +33,11 @@ their last one; every other stream is parked, its run going on:
   retried only after a release there or the adoption of its partition, in
   rank order while the AP fits the smallest demand. Without either, no
   retry could succeed.
-Within an instant, streams tick in rank order, the order in which they
-asked for it, as a tick of every due stream would take them, so admissions
-that compete for the same room resolve the same way. A stream that starts
-on a chain's instant asks for the next one before the chain's streams do,
-so later starts rank first, and streams that start together rank in
-declaration order.
+Within an instant, streams tick in rank order, as a tick of every due
+stream would take them, so admissions that compete for the same room
+resolve the same way. Ranks are fixed when the world is built: later
+starts rank first, and streams that start together rank in declaration
+order.
 Coverage is kept, not recomputed: each AP has a roster of the devices whose
 position lies in its disc, which `apply_move` updates on every position
 change; that is the only disc test the world makes. A device is covered by
@@ -90,14 +89,14 @@ from .mobility import MobilityManager
 from .report import HandoverLog, MetricsReport, Throughput
 from .ring import OverlayRing
 from .scenario import Params, RoamDecl, Scenario, StreamDecl, WaypointDecl, ring_keys
-from .scheduler import APStatus, FlowRequest, PartitionView, ViewEvent, best_ap, update_partition_view
+from .scheduler import APStatus, PartitionView, ViewEvent, best_ap, update_partition_view
 
 
 @dataclass(eq=False)
 class StreamState:
     decl: StreamDecl
     stop: int  # its end or the horizon, whichever is earlier: its last allowed instant
-    rank: int = 0  # its place in its chain's tick order
+    rank: int = 0  # its place in the tick order of an instant, set once by `World.__init__`
     started: bool = False
     ended: bool = False
     placed_on: str | None = None  # the AP its flow holds room on
@@ -115,11 +114,8 @@ class StreamState:
 @dataclass(eq=False)
 class _Chain:
     """The streams due at one sequence of instants, each `sample_period`
-    after the one before it. It counts no instants: a stream's rows are its
-    instants from its start to its stop, which the report regenerates."""
+    after the one before it."""
 
-    lo: int = 0  # the lowest and highest rank of its streams
-    hi: int = -1
     # heap of (last allowed instant, name, stream), one entry per stream
     stops: list[tuple[int, str, StreamState]] = field(default_factory=list)
     dirty: set[StreamState] = field(default_factory=set)  # to tick at the next instant
@@ -127,6 +123,7 @@ class _Chain:
 
 
 _RANK = attrgetter("rank")
+_START = attrgetter("decl.start")
 _MD = itemgetter(0)
 
 
@@ -269,6 +266,9 @@ class World:
             s.name: StreamState(s, self.horizon if s.end is None else min(s.end, self.horizon))
             for s in scenario.streams
         }
+        # the tick order: later starts first, and a stable sort keeps ties in declaration order
+        for rank, st in enumerate(sorted(self.streams.values(), key=_START, reverse=True)):
+            st.rank = rank
         self._md_streams: dict[str, list[StreamState]] = {}  # device -> its streams, by name
         for st in sorted(self.streams.values(), key=lambda s: s.name):
             self._md_streams.setdefault(st.decl.md, []).append(st)
@@ -342,7 +342,7 @@ class World:
     def _bootstrap(self) -> None:
         for md in self._md_order:
             state = self.mds[md]
-            ap = best_ap([self.aps[a] for a in self.coverage_set(md)], None, None)
+            ap = best_ap([self.aps[a] for a in self.coverage_set(md)])
             if ap is None:
                 continue
             self.mobility.establish_association(md, ap.ap_id)
@@ -481,7 +481,7 @@ class World:
         if serving is not None and state.connected and self._covers(md, serving):
             return  # still inside the serving AP's disc: nothing to do
         covering = [self.aps[a] for a in self.coverage_set(md)]
-        ap = best_ap(covering, self._largest_flow_hint(md), None)
+        ap = best_ap(covering, self._lead_tech(md))
         if ap is None:
             self._disconnect(md)
             return
@@ -490,12 +490,10 @@ class World:
     def _running(self, md: str) -> list[StreamState]:
         return [st for st in self._md_streams.get(md, ()) if st.started and not st.ended]
 
-    def _largest_flow_hint(self, md: str) -> FlowRequest | None:
-        active = self._running(md)
-        if not active:
-            return None
-        lead = min(active, key=lambda st: (-st.decl.demand, st.name))
-        return FlowRequest(md, lead.decl.flow_type, lead.decl.demand, lead.decl.tech)
+    def _lead_tech(self, md: str) -> str | None:
+        """The technology of `md`'s largest running stream, ties by name, which its AP must support."""
+        lead = min(self._running(md), key=lambda st: (-st.decl.demand, st.name), default=None)
+        return lead.decl.tech if lead is not None else None
 
     def _associate(self, md: str, new_ap: str, reason: str) -> None:
         """Attach `md` to `new_ap`, which `_reattach` chose among the APs
@@ -562,7 +560,6 @@ class World:
         nxt = self.engine.now + self._sample_period
         if nxt <= st.stop:
             chain = st.chain = self._chain_at(nxt)
-            st.rank = chain.hi = chain.hi + 1  # it asked for `nxt` after the chain's streams
             heappush(chain.stops, (st.stop, st.name, st))
         self._tick(st)
 
@@ -667,7 +664,7 @@ class World:
     def _woken(self, ap_name: str, chain: _Chain) -> Iterator[StreamState]:
         """The waiters of `chain` on `ap_name`, in rank order, while the AP fits the smallest demand."""
         ap = self.aps[ap_name]
-        for st in sorted(self._waiters[ap_name], key=_RANK):  # one chain's ranks are distinct: one order
+        for st in sorted(self._waiters[ap_name], key=_RANK):  # ranks are distinct: one order
             if not ap.fits(self._min_demand):
                 return  # ticks only take room: no later waiter fits either
             if st.chain is chain:
@@ -683,15 +680,9 @@ class World:
 
     def _merge(self, a: _Chain, b: _Chain) -> None:
         """Chains `a` and `b` are due at the same instant, so one from then on:
-        `a` takes `b`'s streams, which asked for the instant first and so rank first."""
-        shift = a.lo - 1 - b.hi
-        a.lo = b.lo + shift
+        `a` takes `b`'s streams, their stops, and what they are due to tick."""
         for entry in b.stops:
-            st, waiting_on = entry[2], entry[2].waiting_on
-            self._unwait(st)  # its rank changes, and with it its place among the waiters
-            st.chain, st.rank = a, st.rank + shift
-            if waiting_on is not None:
-                self._wait(st, waiting_on)
+            entry[2].chain = a
             heappush(a.stops, entry)
         a.dirty |= b.dirty
         a.woken |= b.woken

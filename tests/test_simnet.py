@@ -15,7 +15,7 @@ from sdedge.scheduler import APStatus
 from sdedge import simnet
 from sdedge.simnet import World, serve_stretch
 
-from oracles import trace_digest
+from oracles import CheckedWorld, RosterCheckedWorld, trace_digest
 from textdiff import first_difference
 
 
@@ -414,137 +414,7 @@ def test_ap_failure_next_to_an_undetected_crashed_partition_disconnects():
     assert first_nonzero_after(report.series("F1"), 0.5) > 4.0
 
 
-class CapacityCheckedWorld(World):
-    """Asserts after every sampler event that no AP carries more than its capacity."""
-
-    def _sample(self, at):
-        super()._sample(at)
-        for ap in self.aps.values():
-            assert ap.load <= ap.capacity + 1e-9, (at, ap.ap_id, ap.load)
-
-
 GROUP_G1 = "[groups]\ngroup G1 members=AP3,AP4,AP5,AP6\n\n"  # fig5's middle APs
-
-
-class RosterCheckedWorld(World):
-    """Asserts after every move and at the end of the run that each AP's
-    roster holds exactly the devices whose position lies in its disc, and
-    that each kept recipients tuple is its AP's roster in name order; and on
-    every association that its AP covers the device and is not the AP of a
-    device still connected."""
-
-    def check_roster(self):
-        for ap_name, ap in self.aps.items():
-            for md, state in self.mds.items():
-                inside = state.position is not None and ap.covers(state.position)
-                assert (md in self.disc_roster[ap_name]) == inside, (self.engine.now, ap_name, md)
-        for ap_name, kept in self._recipients.items():
-            assert kept == tuple(sorted(self.disc_roster[ap_name])), (self.engine.now, ap_name)
-
-    def apply_move(self, md, x, y):
-        super().apply_move(md, x, y)
-        self.check_roster()
-
-    def _associate(self, md, new_ap, reason):
-        assert self._covers(md, new_ap), (self.engine.now, md, new_ap)
-        connected_at = self.mobility.association_ap.get(md) if self.mds[md].connected else None
-        assert new_ap != connected_at, (self.engine.now, md, new_ap)
-        super()._associate(md, new_ap, reason)
-
-    def run(self):
-        report = super().run()
-        self.check_roster()
-        return report
-
-
-class PacketInGuard(dict):
-    """Packet-in counts that fail on a count for a controller that has
-    crashed and whose partition is not yet adopted (its view still exists)."""
-
-    def __init__(self, world, counts):
-        super().__init__(counts)
-        self.world = world
-
-    def __setitem__(self, controller, value):
-        world = self.world
-        assert not (controller in world._crashed and controller in world.views), (world.engine.now, controller)
-        super().__setitem__(controller, value)
-
-
-class PacketInCheckedWorld(World):
-    """Asserts on every packet-in, from an arrival or a flow setup, that its
-    controller is not crashed and awaiting adoption."""
-
-    def _schedule_all(self):
-        self.packet_in = PacketInGuard(self, self.packet_in)
-        super()._schedule_all()
-
-
-class SampleCheckedWorld(World):
-    """A dense oracle of the sampler. After every sampler event, each stream
-    due then that was not ticked would sample its run's value and could not
-    be admitted. At the end, the report has a row per stream for its start
-    and for every sampler event whose chain still held it."""
-
-    def _schedule_all(self):
-        self.ticked, self.samples = set(), Counter()  # stream -> instants it was due at
-        super()._schedule_all()
-
-    def _tick(self, st):
-        super()._tick(st)
-        self.ticked.add(st.name)
-
-    def _flow_start(self, st):
-        super()._flow_start(st)
-        self.samples[st.name] += 1
-
-    def _sample(self, at):
-        due = [st for _, _, st in self._due[at].stops]
-        self.ticked.clear()
-        super()._sample(at)
-        for st in due:
-            if st.name not in self.ticked:
-                value, why = self.sample_of(st)
-                last = st.runs[-1][1]
-                assert value == last and why != "admit", (at, st.name, value, why, last)
-            self.samples[st.name] += 1
-
-    def run(self):
-        report = super().run()
-        assert Counter(sid for _, sid, _ in report.throughput) == self.samples
-        return report
-
-
-class SupervisionCheckedWorld(World):
-    """Asserts after every adoption that each registered device's supervisory
-    record is servable, and names as its current and previous controller
-    only live ones or crashed ones still awaiting adoption. (Only live ones
-    would be too strict: crashes can overlap.)"""
-
-    def _recover_controller(self, name, cid):
-        super()._recover_controller(name, cid)
-        nodes = self.ring.nodes  # an adoption deletes the adopted node
-        for md in self.mobility.registered:
-            rec = self.mobility.get_supervisory(md)
-            assert rec.current in nodes and rec.previous in (None, *nodes), (self.engine.now, md, rec)
-
-
-class WaiterCheckedWorld(World):
-    """Asserts on every wake of a chain's waiters on an AP that their ranks
-    are distinct, so that sorting the AP's set of waiters by rank gives them
-    in one order."""
-
-    def _woken(self, ap_name, chain):
-        ranks = [st.rank for st in self._waiters[ap_name] if st.chain is chain]
-        assert len(ranks) == len(set(ranks)), (self.engine.now, ap_name, ranks)
-        return super()._woken(ap_name, chain)
-
-
-class CheckedWorld(
-    CapacityCheckedWorld, RosterCheckedWorld, PacketInCheckedWorld, SampleCheckedWorld, SupervisionCheckedWorld,
-    WaiterCheckedWorld,
-):
-    """The capacity, roster, packet-in, dense-sample, supervision and waiter checks."""
 
 
 def test_roster_check_runs_on_a_grouped_failure_run():
@@ -1655,9 +1525,9 @@ def test_stream_starting_on_a_sampling_instant_gets_one_row_there_in_name_order(
 @pytest.mark.parametrize("start,winner", [("0.30000000001", "FB"), ("0.29999999999", "FB"), ("0.3", "FB")])
 def test_streams_that_meet_at_an_instant_rank_in_the_order_they_asked_for_it(start, winner):
     # F0 frees AP1's one flow of room at 0.35, and FA and FB both retry at
-    # 0.4. FB's start rounds to whole ns, onto FA's instant 0.3: it asks for
-    # 0.4 before FA's sampler event at 0.3 does, since every start was
-    # scheduled before it, and the stream that asked first wins the room.
+    # 0.4. FB's start rounds to whole ns, onto FA's instant 0.3, so the two
+    # share FA's instants from then on, and FB, the later start, ranks first
+    # and wins the room.
     flows = [
         "F0 md=M3 dst=C1 type=tcp demand=1 tech=wifi start=0.0 end=0.35",
         "FA md=M2 dst=C1 type=tcp demand=1 tech=wifi start=0.0",
@@ -1668,6 +1538,27 @@ def test_streams_that_meet_at_an_instant_rank_in_the_order_they_asked_for_it(sta
     report = CheckedWorld(parse_scenario_text(text, "rounded-race")).run()
     assert {f: first_nonzero_after(report.series(f), 0.0) for f in ("FA", "FB")} == {
         f: 0.4 if f == winner else None for f in ("FA", "FB")
+    }
+
+
+def test_waiters_take_the_room_later_starts_first_and_ties_in_declaration_order():
+    # AP1 has room for one flow, which F0 holds until 0.95. FA waits from
+    # 0.0; FB joins its chain at 0.3, and FE and FD, declared in that order,
+    # at 0.6: two merges and a start tie against name order. Each release
+    # admits the next waiter, the latest start first, FE before FD.
+    flows = [
+        "F0 md=M0 dst=C1 type=tcp demand=1 tech=wifi start=0.0 end=0.95",
+        "FA md=M1 dst=C1 type=tcp demand=1 tech=wifi start=0.0",
+        "FB md=M2 dst=C1 type=tcp demand=1 tech=wifi start=0.3 end=2.45",
+        "FE md=M3 dst=C1 type=tcp demand=1 tech=wifi start=0.6 end=1.45",
+        "FD md=M4 dst=C1 type=tcp demand=1 tech=wifi start=0.6 end=1.95",
+    ]
+    aps = ["AP1 pos=0,0 radius=30 capacity=1 techs=wifi partition=C1"]
+    mds = [f"M{i} pos={i},1" for i in range(5)]
+    text = star(aps, mds, flows, params=["sample_period = 0.1", "duration = 3.0"])
+    report = CheckedWorld(parse_scenario_text(text, "rank-order")).run()
+    assert {f: first_nonzero_after(report.series(f), 0.0) for f in ("FE", "FD", "FB", "FA")} == {
+        "FE": 1.0, "FD": 1.5, "FB": 2.0, "FA": 2.5,
     }
 
 
