@@ -179,11 +179,11 @@ class RowLog:
         self.times: list[int] = []  # each instant's time
         self._t: int | None = None  # the latest entry's time
 
-    def _append(self, key: tuple, row: tuple, t: int) -> int:
-        """Log one entry of `row`, interned under `key`, at `t`; returns its row."""
-        i = self._row_of.get(key)
+    def _append(self, row: tuple, t: int) -> int:
+        """Log one entry of `row` at `t`; returns its row, one per distinct `row`."""
+        i = self._row_of.get(row)
         if i is None:
-            i = self._row_of[key] = len(self.rows)
+            i = self._row_of[row] = len(self.rows)
             self.rows.append(row)
         if t != self._t:
             self._instant(t)
@@ -242,10 +242,9 @@ class DecisionLog(RowLog):
 
     def append(self, md_id: str, group_id: str, granted: bool, reason: str | None, epoch: int, at: int) -> int:
         """Log one decision at `at` ns; returns its row."""
-        key = (md_id, group_id, granted, reason, epoch)
         if granted:
             self.grants += 1
-        return self._append(key, key, at)
+        return self._append((md_id, group_id, granted, reason, epoch), at)
 
     def latest(self) -> AuthDecision:
         """The latest decision, its `at` in seconds."""
@@ -261,10 +260,10 @@ class DecisionLog(RowLog):
 class HandoverLog(RowLog):
     """Handovers, each distinct (kind, from_ap, to_ap, from_controller,
     to_controller, latency, messages) kept once as a row, and each
-    handover's md in `mds`. A row is interned only with rows that print the
-    same: latency and messages are keyed by their repr too, so 0.0 and
-    -0.0, and 1, 1.0 and True, stay apart. Iterating yields one nine-key
-    dict per handover, in handover order, its `t` from ns to s.
+    handover's md in `mds`. Equal rows are one row, as in a `DecisionLog`: a
+    run's latency is a whole ns count >= 0 over 10**9 and its messages an
+    int, so equal rows print the same. Iterating yields one nine-key dict
+    per handover, in handover order, its `t` from ns to s.
     """
 
     def __init__(self):
@@ -273,8 +272,7 @@ class HandoverLog(RowLog):
 
     def append(self, t: int, md: str, kind: str, from_ap: str | None, to_ap: str,
                from_controller: str | None, to_controller: str, latency: float, messages: int) -> None:
-        row = (kind, from_ap, to_ap, from_controller, to_controller, latency, messages)
-        self._append((row, repr(latency), repr(messages)), row, t)
+        self._append((kind, from_ap, to_ap, from_controller, to_controller, latency, messages), t)
         self.mds.append(md)
 
     def __iter__(self) -> Iterator[dict]:

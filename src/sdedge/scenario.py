@@ -194,10 +194,12 @@ class RoamDecl(_Directive):
     until: int
     area: tuple[float, float, float, float]
 
-    def instants(self) -> range:
-        """Every multiple of `interval` from `interval` up to `until`; the parser
-        rejects an interval that does not move the clock at `until`."""
-        return range(self.interval, self.until + 1, self.interval)
+    def instants(self, horizon: int | None = None) -> range:
+        """Every multiple of `interval` from `interval` up to `until`, or up to
+        `horizon` if that is earlier; the parser rejects an interval that does
+        not move the clock at `until`."""
+        last = self.until if horizon is None else min(self.until, horizon)
+        return range(self.interval, last + 1, self.interval)
 
     def points(self, layout_seed: int, md: str, count: int) -> Iterator[tuple[float, float]]:
         """`md`'s point (x, y) at each of the first `count` instants, each

@@ -61,15 +61,16 @@ at its controller's single server: a D/D/1 queue per controller. One
 arrival event serves its own instant's APs, and then every later instant
 of its quiet stretch, up to the next pending event or the end of the
 running `run_until`, in closed form per controller (`serve_stretch`); it
-schedules the first instant after the stretch once, and nothing more once
-no controller can serve again. A handler failure there names the stretch's
-first instant, not the AP. Moves are batched the same way: the moves of
-one instant are one md-move event, and a failure there names the instant.
-A `roam` is drawn here, not at parse: its instants, a `range` of ns, once,
-and per device one array of points, so no object is made per waypoint. An
-instant's event moves the roams' devices in name order, merged by name with
-the scenario's waypoints, which a parsed scenario holds in (instant,
-device) order and one built in code in any order.
+schedules the first instant after the stretch once, while that is inside
+the horizon and some AP is alive. A handler failure there names the
+stretch's first instant, not the AP. Moves are batched the same way: the
+moves of one instant are one md-move event, and a failure there names the
+instant. A `roam` is drawn here, not at parse: its instants up to the
+horizon, a `range` of ns, once, and per device one array of points, so no
+object is made per waypoint. An instant's event moves the roams' devices
+in name order, merged by name with the scenario's waypoints, which a
+parsed scenario holds in (instant, device) order and one built in code in
+any order.
 """
 
 from __future__ import annotations
@@ -143,12 +144,11 @@ class _RoamPaths:
 
 
 def serve_stretch(busy: int, t: int, k: int, m: int, period: int, service: int,
-                  horizon: int) -> tuple[int, int, bool]:
+                  horizon: int) -> tuple[int, int]:
     """One single server over `m` instants `t, t + period, ...`, none past
-    `horizon`, with `k >= 1` arrivals at each, in integer ns: `(n, busy,
-    refused)` as serving arrival by arrival gives them, where an arrival at
-    `u` is served, at max(busy, u) + service, iff that is by the horizon, and
-    `refused` says whether the last instant refused one.
+    `horizon`, with `k >= 1` arrivals at each, in integer ns: `(n, busy)` as
+    serving arrival by arrival gives them, where an arrival at `u` is served,
+    at max(busy, u) + service, iff that is by the horizon.
 
     An instant served in full takes busy time b to max(b, u) + k * service,
     Lindley's recursion with the constant increment k * service - period.
@@ -171,7 +171,7 @@ def serve_stretch(busy: int, t: int, k: int, m: int, period: int, service: int,
         partial = (horizon - start) // service
         if partial:
             busy, n = start + partial * service, n + partial
-    return n, busy, f < m
+    return n, busy
 
 
 @dataclass
@@ -367,7 +367,7 @@ class World:
         for f in self.scenario.failures:
             eng.schedule(f.at, "failure", lambda fd=f: self.inject_failure(fd.kind, fd.name), note=f"fail:{f.name}")
         w = self.scenario.workload
-        if w is not None and w.rate_per_ap > 0:
+        if w is not None and w.rate_per_ap > 0 and w.start <= w.horizon(self.horizon):  # else it serves nothing
             eng.schedule(w.start, "message-delivery", self._packet_in_arrivals(), note="packetin")
 
     # ------------------------------------------------------------------ beacons & keys
@@ -435,15 +435,16 @@ class World:
 
     def _moves_by_instant(self) -> dict[int, tuple[list[WaypointDecl], list[tuple[_RoamPaths, int]]]]:
         """Instant -> its waypoints in list order, and each roam due then with
-        the index of that instant among the roam's. A roam's instants are
-        computed once for all its devices, and its points are drawn into one
-        array per device, from the layout seed the scenario was parsed with:
-        like the `mds` it placed, a `--set layout_seed=` moves no roam."""
+        the index of that instant among the roam's. A roam's instants, up to
+        the horizon, are computed once for all its devices, and its points
+        for those instants, a prefix of the same draws, into one array per
+        device, from the layout seed the scenario was parsed with: like the
+        `mds` it placed, a `--set layout_seed=` moves no roam."""
         moves: dict[int, tuple[list[WaypointDecl], list[tuple[_RoamPaths, int]]]] = {}
         for wp in self.scenario.waypoints:
             moves.setdefault(wp.t, ([], []))[0].append(wp)
         for roam in self.scenario.roams:
-            instants = roam.instants()
+            instants = roam.instants(self.horizon)
             paths = _RoamPaths(roam, self.scenario.params.layout_seed, len(instants))
             for k, t in enumerate(instants):
                 moves.setdefault(t, ([], []))[1].append((paths, k))
@@ -757,7 +758,6 @@ class World:
             self.partition_of[ap_name] = adopter_name
             self._wake(ap_name)  # its waiters may be admitted by a live controller now
         self.cid_of.pop(name, None)
-        self._pi_busy.pop(name, None)
         # devices a failed handover or registration cut off can attach again
         for md in self._md_order:
             if not self.mds[md].connected:
@@ -784,52 +784,34 @@ class World:
         (`EventEngine.quiet_until`) in closed form: between events nothing
         but the arrivals writes `partition_of`, `_crashed`, AP liveness or
         `_pi_busy`, and an AP's arrival touches only its own controller. It
-        schedules the first instant after the stretch, if that is inside the
-        horizon and some AP is still alive, unless the arrivals stop.
-
-        They stop once an instant refused an arrival, or had no AP of a live
-        controller due, and every live controller that may still serve has
-        busy + service_time past the horizon, at once if none may: busy time
-        and the clock only grow, a crashed controller serves nothing again,
-        and an adoption moves APs only onto a live controller. A live
-        controller with no AP due counts only while a crashed controller
-        awaits adoption or a controller failure, which adoption follows, is
-        still to come before the horizon. Once the rule holds, no later
-        instant serves anything, so it is checked at the stretch's end. A
-        handler failure names the first instant of its stretch, not an AP.
+        schedules the first instant after the stretch iff that is inside the
+        horizon and some AP is still alive. Each stretch runs to the next
+        pending event, so there is at most one arrival event per other event,
+        besides the first. A handler failure names the first instant of its
+        stretch, not an AP.
         """
         w = self.scenario.workload
         horizon, period, service = w.horizon(self.horizon), w.period, w.service_time
-        last_failure = max((f.at for f in self.scenario.failures
-                            if f.kind == "controller" and f.at <= horizon), default=-1)
         t, due = w.start, sorted(self.aps)
 
         def arrivals() -> None:
             nonlocal t, due
-            if t > horizon:
-                return  # a start after `until` serves nothing
             eng, aps, partition_of, crashed = self.engine, self.aps, self.partition_of, self._crashed
             busy_of, served = self._pi_busy, self.packet_in
             load = Counter(partition_of[a] for a in due if partition_of[a] not in crashed)
             due = [a for a in due if aps[a].alive]
             live = Counter(partition_of[a] for a in due if partition_of[a] not in crashed)
-            may_gain = any(c in busy_of for c in crashed) or t < last_failure
-            counted = [c for c in busy_of if c not in crashed and (may_gain or c in live)]
             # this instant with the APs due at it, then the quiet ones after it with those still alive
             stretch = [(load, 1)]
             if (m := (min(eng.quiet_until(), horizon) - t) // period) > 0:
                 stretch.append((live, m))
             for load, m in stretch:
-                refused = False
                 for c, k in load.items():
-                    n, busy_of[c], full = serve_stretch(busy_of[c], t, k, m, period, service, horizon)
+                    n, busy_of[c] = serve_stretch(busy_of[c], t, k, m, period, service, horizon)
                     served[c] += n
-                    refused |= full
                 t += m * period
-            if t > horizon or not due or (refused or not load) and all(
-                    busy_of[c] + service > horizon for c in counted):
-                return
-            eng.schedule(t, "message-delivery", arrivals, "packetin")
+            if t <= horizon and due:
+                eng.schedule(t, "message-delivery", arrivals, "packetin")
 
         return arrivals
 

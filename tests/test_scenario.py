@@ -205,6 +205,8 @@ def test_two_roams_on_one_md_are_rejected_at_the_later_line_where_they_meet():
 def test_a_roams_instants_are_the_multiples_of_its_interval_up_to_until(roam, instants):
     sc = parse_scenario_text(ROAMS + roam + "\n", "roams")
     assert [t / 10**9 for t in sc.roams[0].instants()] == instants
+    # a horizon inside the roam ends it there, as a shorter `until=` would
+    assert sc.roams[0].instants(ns(instants[1])) == replace(sc.roams[0], until=ns(instants[1])).instants()
 
 
 @pytest.mark.parametrize("duration", ["1e300", "inf"])

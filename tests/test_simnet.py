@@ -691,6 +691,22 @@ def test_roams_drawn_by_the_world_match_their_waypoints_expanded(name, overrides
     assert drawn.engine.executed == expanded.engine.executed
 
 
+def test_a_roam_moves_no_device_past_the_horizon():
+    # fig5's roam runs to 18 s; at `duration=5` its instants after 5 s would
+    # never run, so none is scheduled or drawn: the run is that of a roam to 5 s
+    text = bundled_scenario_path("fig5").read_text()
+    short = text.replace("roam M* interval=2.0 until=18.0", "roam M* interval=2.0 until=5.0", 1)
+    assert short != text
+    worlds = []
+    for t in (text, short):
+        sc = parse_scenario_text(t, "fig5")
+        worlds.append(World(sc, apply_overrides(sc.params, {"duration": "5"})))
+    reports = [w.run() for w in worlds]
+    assert first_difference(render_json(reports[0]), render_json(reports[1])) is None
+    assert first_difference(render_csv(reports[0]), render_csv(reports[1])) is None
+    assert [kind for _, _, kind, _, _ in worlds[0].engine._heap if kind == "md-move"] == []
+
+
 def test_a_failed_move_names_its_instant():
     sc = batched_moves_scenario((1.0, [1, 2, 3]), [], "0.0", [])
     sc.waypoints.append(WaypointDecl("GHOST", 2 * 10**9, 0.0, 0.0))
@@ -1012,16 +1028,13 @@ def test_saturated_packet_in_counts_hide_the_detection_window(delay):
 
 def plain_stretch(busy, t, k, m, period, service, horizon):
     """`serve_stretch`'s oracle: the arrivals one by one."""
-    n = refused = 0
+    n = 0
     for u in range(t, t + m * period, period):
-        refused = False
         for _ in range(k):
             done = max(busy, u) + service
-            if done > horizon:
-                refused = True
-            else:
+            if done <= horizon:
                 busy, n = done, n + 1
-    return n, busy, refused
+    return n, busy
 
 
 @pytest.mark.parametrize("args", [
@@ -1065,8 +1078,8 @@ def test_generated_stretches_match_the_arrivals_one_by_one():
 def test_a_stretch_with_service_time_0_divides_by_no_service_time():
     # with service 0 no instant is short of room, so nothing divides by it:
     # a division would raise ZeroDivisionError
-    assert serve_stretch(7, 10, 3, 1000, 5, 0, 10 + 999 * 5) == (3000, 10 + 999 * 5, False)
-    assert serve_stretch(7, 10, 3, 1000, 5, 0, 10**12) == (3000, 10 + 999 * 5, False)
+    assert serve_stretch(7, 10, 3, 1000, 5, 0, 10 + 999 * 5) == (3000, 10 + 999 * 5)
+    assert serve_stretch(7, 10, 3, 1000, 5, 0, 10**12) == (3000, 10 + 999 * 5)
 
 
 @pytest.fixture
@@ -1134,10 +1147,10 @@ def test_fig5c_serves_its_arrival_instants_in_one_event():
     assert world._pi_busy == oracle._pi_busy
 
 
-def test_packet_in_arrivals_stop_once_no_controller_can_serve(stretches):
+def test_packet_in_arrivals_to_the_horizon_are_one_event(stretches):
     # packetin-4c's shape: each controller serves 500 of its 800 arrivals/s
-    # until its busy time reaches the horizon, about t=75 s; the one event
-    # serves up to then and schedules nothing more
+    # until its busy time reaches the horizon, about t=75 s; with no other
+    # event pending, the one event serves every instant to the horizon
     world = fig5c_world(controllers=4, duration=120)
     assert world.run().packet_in == {f"C{i}": 60000 for i in range(1, 5)}
     assert world.engine.executed == 1
@@ -1180,12 +1193,10 @@ class StretchWatchedEngine(EventEngine):
     def __init__(self):
         super().__init__()
         self.cut_by = Counter()
-        self.last_end = None  # the last ns of the last stretch
 
     def quiet_until(self):
         last = super().quiet_until()
         self.cut_by["run end" if last == self._t_end else self._heap[0][2]] += 1
-        self.last_end = last
         return last
 
 
@@ -1241,13 +1252,13 @@ def test_packet_in_stretches_match_one_event_per_arrival_instant():
         failures=[("controller C2", 1.0)], service_time="0.0005", rate="400", window=" until=2.2",
         cuts=[0.5, 1.001], controllers=0, detection_delay="0.0025", duration="3.0",
     )
-    # C2 loses all its APs and can gain none, so it does not hold the stop:
-    # C1 is served to the horizon in one jump, not through 47,998 instants
+    # C2 loses all its APs and can gain none: C1 is served to the horizon in
+    # one closed form, not through 47,998 instants
     @hypothesis.example(
         failures=[("ap AP2", 0.5), ("ap AP4", 0.5), ("ap AP6", 0.5), ("ap AP8", 0.5)], service_time="0.002",
         rate="400", window="", cuts=[], controllers=2, detection_delay="0", duration="120",
     )
-    # the same, with C1 still to crash: C2 adopts AP1 to AP7, so it must count
+    # the same, with C1 still to crash: idle C2 adopts AP1, AP3, AP5 and AP7
     @hypothesis.example(
         failures=[("ap AP2", 0.5), ("ap AP4", 0.5), ("ap AP6", 0.5), ("ap AP8", 0.5), ("controller C1", 2.0)],
         service_time="0.002", rate="400", window="", cuts=[], controllers=2, detection_delay="0", duration="20.0",
@@ -1286,20 +1297,32 @@ def test_packet_in_stretches_match_one_event_per_arrival_instant():
         world, oracle = check_packet_in_stretches(lines, service_time, window, rate, cuts, controllers=controllers,
                                                   detection_delay=detection_delay, duration=duration)
         eng = world.engine
-        last_arrival = max(t for t, _, _, note in oracle.engine.trace if note == "packetin")
         seen.update(cut_by_failure=eng.cut_by["failure"] > 0, cut_by_run_end=eng.cut_by["run end"] > 0,
-                    adopted=len(world._pi_busy) < len(world.packet_in),
-                    # the world stopped its arrivals at a stretch that the oracle's arrivals outlast
-                    early_stop=last_arrival > eng.last_end)
+                    adopted=len(world.views) < len(world.packet_in))
 
     check()
-    assert all(seen[k] for k in ("cut_by_failure", "cut_by_run_end", "adopted", "early_stop")), seen
+    assert all(seen[k] for k in ("cut_by_failure", "cut_by_run_end", "adopted")), seen
 
 
-def test_an_idle_controller_that_can_gain_no_ap_does_not_hold_the_stop(stretches):
+def packet_in_work(make, durations):
+    """Run `make(duration)` at each of `durations` with its trace recorded,
+    and assert that the run records at most one packet-in arrival entry per
+    other entry, plus the first. Returns the worlds, run."""
+    worlds = []
+    for duration in durations:
+        world = make(duration)
+        world.engine.record_trace = True
+        world.run()
+        notes = [note for *_, note in world.engine.trace]
+        arrivals = notes.count("packetin")
+        assert arrivals <= len(notes) - arrivals + 1, (duration, arrivals, len(notes))
+        worlds.append(world)
+    return worlds
+
+
+def test_an_idle_controller_adds_no_work_that_grows_with_the_horizon(stretches):
     # C2 loses its four APs at t=0.5, and with no failure to come no adoption
-    # can give it more, so C1 alone decides the stop. C2's idle busy time held
-    # the arrivals to the horizon before: 47,998 quiet instants at 120 s
+    # can give it more; C1 is served to either horizon in closed forms
     fails = [f"fail ap AP{i} at=0.5" for i in (2, 4, 6, 8)]
     work, counts = [], []
     for duration in (120, 1200):
@@ -1314,42 +1337,60 @@ def test_an_idle_controller_that_can_gain_no_ap_does_not_hold_the_stop(stretches
     assert work == [(11, 8)] * 2
 
 
-def test_packet_in_arrivals_stop_at_once_when_no_controller_is_live(stretches):
+def test_packet_in_work_with_no_live_controller_does_not_grow_with_the_horizon():
     # the only controller crashes at t=1.0 and nothing can adopt its APs: the
-    # arrival event then serves nothing and schedules nothing more, where the
-    # per-instant oracle goes on through the 47,600 instants left to 120 s
+    # arrivals after it serve nothing, where the per-instant oracle goes on
+    # through the 47,600 instants left to 120 s
     world, oracle = check_packet_in_stretches(["fail controller C1 at=1.0"], "0.002", "", "400", [],
                                               controllers=1, duration=120)
     assert world.packet_in == {"C1": 3200}  # 400 instants of 8 APs, queued up to t=6.4
     assert oracle.engine.executed == 48001 + 2
-    # the first arrival event serves its instant and the 399 quiet ones before
-    # the failure, in two closed forms; then come the failure, the arrivals at
-    # t=1.0, which serve nothing, and the recovery that finds no adopter
-    assert (len(stretches), world.engine.executed) == (2, 4)
+    worlds = packet_in_work(lambda d: fig5c_world(["fail controller C1 at=1.0"], controllers=1, duration=d),
+                            (120, 1200))
+    assert [w.packet_in for w in worlds] == [{"C1": 3200}] * 2
+    assert worlds[0].engine.executed == worlds[1].engine.executed
 
 
-def test_packet_in_arrivals_stop_only_at_an_instant_that_refuses_one():
-    # each controller's 5,000th packet-in, at t=6.2475, fills it to the 10 s
-    # horizon; AP1's failure at t=6.25 cuts the stretch there, and since no
-    # arrival was refused yet, the arrivals at t=6.25 run, refuse, and stop
-    world = fig5c_world(["fail ap AP1 at=6.25"])
-    world.engine.record_trace = True
-    assert world.run().packet_in == {f"C{i}": 5000 for i in range(1, 5)}
-    assert [(t / 10**9, note) for t, _, _, note in world.engine.trace] == [
-        (0.0, "packetin"), (6.25, "fail:AP1"), (6.25, "packetin"), (6.25, "recover:AP1"),
-    ]
+def test_packet_in_work_past_full_controllers_does_not_grow_with_the_horizon():
+    # at 10 s each controller's 5,000th packet-in, at t=6.2475, fills it to
+    # the horizon; AP1's failure at t=6.25 cuts the stretch there, and the
+    # arrivals after it serve nothing more. At 120 s C1 is left AP5's 400/s,
+    # below its 500/s: it serves all but one of its arrivals
+    worlds = packet_in_work(lambda d: fig5c_world(["fail ap AP1 at=6.25"], duration=d), (10, 120))
+    assert worlds[0].packet_in == {f"C{i}": 5000 for i in range(1, 5)}
+    assert worlds[1].packet_in == {"C1": 2 * 2501 + 45500 - 1, "C2": 60000, "C3": 60000, "C4": 60000}
+    assert worlds[0].engine.executed == worlds[1].engine.executed
 
 
 def test_packet_in_events_stop_when_every_ap_has_failed():
-    # the arrival event after AP7's failure at 7.7 serves AP8 up to AP8's
-    # failure at 8.8, and C4 is full and refuses within that stretch. With no
-    # controller failure to come, no adoption can give idle C1 to C3 an AP,
-    # so C4 alone decides the stop, and the arrivals stop there
-    world = fig5c_world([f"fail ap AP{i} at={round(1.1 * i, 9)}" for i in range(1, 9)])
-    world.engine.record_trace = True
-    assert world.run().packet_in == {"C1": 2642, "C2": 3522, "C3": 4402, "C4": 5000}
-    instants = [t for t, _, _, note in world.engine.trace if note == "packetin"]
-    assert len(instants) == 15 and instants[-1] == 7_702_500_000
+    # the APs fail in turn, AP8 last at t=8.8: the arrival event at 8.8 serves
+    # AP8's arrival there and schedules no more, at either horizon
+    fails = [f"fail ap AP{i} at={round(1.1 * i, 9)}" for i in range(1, 9)]
+    worlds = packet_in_work(lambda d: fig5c_world(fails, duration=d), (10, 120))
+    assert worlds[0].packet_in == {"C1": 2642, "C2": 3522, "C3": 4402, "C4": 5000}
+    for world in worlds:
+        assert max(t for t, _, _, note in world.engine.trace if note == "packetin") == ns(8.8)
+    assert worlds[0].engine.executed == worlds[1].engine.executed
+
+
+def fig5_with_packet_ins(world, duration):
+    """Bundled fig5, its roam, flows and sampling, with fig5c's saturated
+    packet-in workload added, as a `world` run for `duration` s."""
+    text = bundled_scenario_path("fig5").read_text()
+    sc = parse_scenario_text(text + "\n[workload]\npacketin rate_per_ap=400 service_time=0.002\n", "fig5-packetin")
+    return world(sc, apply_overrides(sc.params, {"duration": str(duration)}))
+
+
+def test_packet_in_work_on_mixed_traffic_is_bounded_by_the_other_events():
+    # the arrivals run between fig5's moves, flow starts and sampling ticks:
+    # at most one arrival event per other event, and the counts and busy times
+    # of the per-instant oracle
+    worlds = packet_in_work(lambda d: fig5_with_packet_ins(World, d), (20, 60))
+    for world in worlds:
+        oracle = fig5_with_packet_ins(PerInstantPacketInWorld, world.params.duration)
+        report = oracle.run()
+        assert world.packet_in == oracle.packet_in and world._pi_busy == oracle._pi_busy
+        assert first_difference(render_json(world.record_metrics()), render_json(report)) is None
 
 
 def test_an_instant_off_the_ns_grid_runs_at_its_nearest_ns():
