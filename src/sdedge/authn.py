@@ -31,11 +31,11 @@ Every decision is logged in `auth_log`, a `report.DecisionLog`.
 
 Most deliveries change nothing, and cost one log extend and one re-stamp:
 - `hear` re-stamps its AP's latest entry, `received_at = now`, when the
-  AP's key is the same object, the recipients the same tuple, and no
-  `receive_beacon` has run since. Only this AP's deliveries and
-  `receive_beacon` write this AP's wallet slot, so each of those recipients
-  still holds that entry: the re-stamp is a fresh `WalletEntry(key, now)`
-  written to each of them.
+  AP's key is the same object and the recipients the same tuple as in the
+  AP's previous `hear`. Only `hear` writes a wallet (`receive_beacon` is a
+  `hear` to one device), and only this AP's `hear` writes this AP's wallet
+  slot, so each of those recipients still holds that entry: the re-stamp
+  is a fresh `WalletEntry(key, now)` written to each of them.
 - `deliver` replays the AP's previous wave, extending the log by its rows
   with no decision made, when `version` is what it was at that wave's
   start, the recipients are the same tuple and their serving APs are equal.
@@ -51,9 +51,11 @@ Most deliveries change nothing, and cost one log extend and one re-stamp:
     (exact, by induction over deliveries) the device is served as in both
     waves of this AP and holds no grant, so it is decided, and the fresh
     key sends it to a scan, which moves `version`.
-  "Served as in both waves" holds because every AP delivers in each wave,
-  and the deliveries of one wave follow each other with no change of
-  serving AP among them (`simnet`). Writes made straight into `grants`,
+  "Served as in both waves" holds because `simnet` delivers a wave in one
+  event, in which every live grouped AP delivers and no serving AP changes.
+  This AP delivered at both waves, so it was alive in every wave between
+  (a failed AP does not return): they are consecutive, and the member's
+  delivery falls in one of those two events. Writes made straight into `grants`,
   `ap_keys` or `wallets` move no `version`: they are outside this contract,
   and code that makes them calls `hear` and `reauthenticate`, not `deliver`.
 """
@@ -130,9 +132,7 @@ class AuthnService:
         # or stale) of its latest `missing-keys` denial that named a member
         self.denials: dict[tuple[str, str], tuple[int, int, str]] = {}
         self.version = 0  # moved by every write a decision reads
-        self.receipts = 0  # `receive_beacon` calls
-        # AP -> (entry, recipients, receipts) of its latest delivery
-        self._heard: dict[str, tuple[WalletEntry, tuple[str, ...], int]] = {}
+        self._heard: dict[str, tuple[WalletEntry, tuple[str, ...]]] = {}  # AP -> (entry, recipients) of its latest `hear`
         # AP -> (version at its start, recipients, their serving APs, log rows) of its latest wave
         self._waves: dict[str, tuple[int, tuple[str, ...], list, array]] = {}
 
@@ -175,25 +175,21 @@ class AuthnService:
     # -- device side -----------------------------------------------------------
 
     def receive_beacon(self, md_id: str, ap: str, received_at: int) -> BeaconKey | None:
-        """Hear `ap`'s current key: it replaces the wallet's entry for `ap`.
-        Only `rotate_group_keys` installs a key, at a rising epoch, so no held
-        entry is of a later epoch than it."""
+        """One device hears `ap`'s current key, outside any wave: a `hear` to
+        it alone, which moves `version`."""
         self.version += 1
-        self.receipts += 1
-        key = self.ap_keys.get(ap)
-        if key is not None:
-            self.wallets.setdefault(md_id, {})[ap] = WalletEntry(key, received_at)
-        return key
+        return self.hear(ap, (md_id,), received_at)
 
     def hear(self, ap: str, recipients: tuple[str, ...], now: int) -> BeaconKey | None:
-        """One delivery of `ap`'s current key to each of `recipients`, as
-        `receive_beacon` for each, with one wallet entry shared by all. A
-        delivery of the same key to the same tuple, with no `receive_beacon`
-        since, re-stamps the previous delivery's entry instead."""
+        """`ap`'s current key reaches each of `recipients`: it replaces their
+        wallet entry for `ap` with one entry shared by all. Only
+        `rotate_group_keys` installs a key, at a rising epoch, so no held entry
+        is of a later epoch than it. A delivery of the same key to the same
+        tuple as `ap`'s previous one re-stamps that one's entry instead."""
         key = self.ap_keys.get(ap)
         if key is not None:
             last = self._heard.get(ap)
-            if last is not None and last[0].key is key and last[1] is recipients and last[2] == self.receipts:
+            if last is not None and last[0].key is key and last[1] is recipients:
                 last[0].received_at = now
                 return key
             entry, wallets = WalletEntry(key, now), self.wallets
@@ -202,7 +198,7 @@ class AuthnService:
                 if held is None:
                     held = wallets[md] = {}
                 held[ap] = entry
-            self._heard[ap] = (entry, recipients, self.receipts)
+            self._heard[ap] = (entry, recipients)
         return key
 
     def deliver(self, ap: str, recipients: tuple[str, ...], serving_of: dict[str, str],

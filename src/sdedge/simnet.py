@@ -50,12 +50,18 @@ key, then each recipient re-authenticates as needed, in name order, and a
 repeated denial is logged without a wallet scan; a delivery to the same
 tuple re-stamps the previous one's wallet entry, and a wave in which no
 input of a decision changed replays the previous wave's log rows (see
-`authn`). That replay leans on two facts of the world: every grouped AP
-delivers at the same instants, and the deliveries of one instant are
-consecutive events that change no serving AP.
+`authn`). Beacons come in synchronized waves: one `beacon` event per wave
+visits the live grouped APs in name order and schedules the next, and one
+`key` event, `wireless_latency` later, has each of them still alive deliver
+its key, in that order, with no change of serving AP between. That one
+handler is the fact the replay leans on; a failure in it names the wave, not
+the AP. Mode None, which reads no key, wallet or grant, schedules no
+rotation, beacon or key delivery.
 Every time in the world is integer ns (see `engine`), `authn`'s too: the
 parser gives declared times in ns, and `World.__init__` converts `Params`
-once; a handover's gap is summed in ns and printed in seconds.
+once; a handover's gap is summed in ns and printed in seconds. No event is
+scheduled past the horizon, where it would never run (`World._schedule`),
+so a run leaves none pending.
 A packet-in workload offers one packet-in per AP per period, each served
 at its controller's single server: a D/D/1 queue per controller. One
 arrival event serves its own instant's APs, and then every later instant
@@ -249,6 +255,7 @@ class World:
         self.authn = AuthnService(mode=p.mode, key_freshness=ns(p.key_freshness))
         for g in scenario.groups:
             self.authn.register_group(LocationGroup(g.name, frozenset(g.members)))
+        self._grouped = sorted(self.authn.group_of)  # the APs that beacon, in name order
 
         # --- device & stream state -------------------------------------------
         self.mds: dict[str, MDState] = {
@@ -349,26 +356,29 @@ class World:
             self.mobility.register_md(md, self.cid_of[self.partition_of[ap.ap_id]])
             state.connected = True
 
+    def _schedule(self, at: int, kind: str, fn: Callable[[], None], note: str) -> None:
+        """The world's one horizon rule: an event past the horizon would never
+        run, so it is not scheduled."""
+        if at <= self.horizon:
+            self.engine.schedule(at, kind, fn, note)
+
     def _schedule_all(self) -> None:
-        eng = self.engine
-        if self.scenario.groups:
-            eng.schedule(0, "timer", self._rotate_all, note="rotate")
-            for ap_name in sorted(self.aps):
-                if self.authn.group_of.get(ap_name):
-                    eng.schedule(0, "beacon", *self._beacon_source(ap_name))
+        if self.authn.active and self._grouped:  # mode None reads no key, wallet or grant
+            self._schedule(0, "timer", self._rotate_all, "rotate")
+            self._schedule(0, "beacon", self._beacon_wave, "beacon")
         # every move is scheduled here, together, so no other event can fall
         # between two moves of one instant: they are one event
         for t, (wps, roams) in sorted(self._moves_by_instant().items()):
-            eng.schedule(t, "md-move", lambda w=wps, r=roams: self._apply_moves(w, r), note="move")
+            self._schedule(t, "md-move", lambda w=wps, r=roams: self._apply_moves(w, r), "move")
         for st in self.streams.values():
-            eng.schedule(st.decl.start, "flow-start", lambda s=st: self._flow_start(s), note=f"start:{st.name}")
-            if st.decl.end is not None and st.decl.end <= self.horizon:
-                eng.schedule(st.decl.end, "flow-end", lambda s=st: self._flow_end(s), note=f"end:{st.name}")
+            self._schedule(st.decl.start, "flow-start", lambda s=st: self._flow_start(s), f"start:{st.name}")
+            if st.decl.end is not None:
+                self._schedule(st.decl.end, "flow-end", lambda s=st: self._flow_end(s), f"end:{st.name}")
         for f in self.scenario.failures:
-            eng.schedule(f.at, "failure", lambda fd=f: self.inject_failure(fd.kind, fd.name), note=f"fail:{f.name}")
+            self._schedule(f.at, "failure", lambda fd=f: self.inject_failure(fd.kind, fd.name), f"fail:{f.name}")
         w = self.scenario.workload
         if w is not None and w.rate_per_ap > 0 and w.start <= w.horizon(self.horizon):  # else it serves nothing
-            eng.schedule(w.start, "message-delivery", self._packet_in_arrivals(), note="packetin")
+            self._schedule(w.start, "message-delivery", self._packet_in_arrivals(), "packetin")
 
     # ------------------------------------------------------------------ beacons & keys
 
@@ -378,36 +388,31 @@ class World:
             group = self.authn.groups[gid]
             down = {ap for ap in group.members if not self.aps[ap].alive}
             self.authn.rotate_group_keys(gid, now, down_aps=down)
-        self.engine.schedule(
-            now + self._regrant_grace, "timer", lambda: self._expire_grants(now), note="grant-expiry"
-        )
-        nxt = now + self._rotation_period
-        if nxt <= self.horizon:
-            self.engine.schedule(nxt, "timer", self._rotate_all, note="rotate")
+        self._schedule(now + self._regrant_grace, "timer", lambda: self._expire_grants(now), "grant-expiry")
+        self._schedule(now + self._rotation_period, "timer", self._rotate_all, "rotate")
 
     def _expire_grants(self, rotated_by: int) -> None:
         for md, _gid in self.authn.expire_stale_grants(rotated_by):
             self._mark(self._md_streams.get(md, ()))
 
-    def _beacon_source(self, ap_name: str) -> tuple[Callable[[], None], str]:
-        """One AP's beacon handler and note, and its key delivery's, built once."""
-        eng, authn, ap, horizon = self.engine, self.authn, self.aps[ap_name], self.horizon
-        latency, period = self._wireless_latency, self._beacon_period
-        note, deliver_note = f"beacon:{ap_name}", f"key:{ap_name}"
+    def _beacon_wave(self) -> None:
+        """One synchronized beacon wave: each live grouped AP beacons now, in
+        name order, and delivers its key one `wireless_latency` later, in one
+        event. Each holds a key: the rotation at t=0 runs before the first
+        wave, and no key is taken back. The next wave comes one
+        `beacon_period` later, while some grouped AP is alive."""
+        now = self.engine.now
+        live = [a for a in self._grouped if self.aps[a].alive]
+        if live:
+            self._schedule(now + self._wireless_latency, "message-delivery", lambda: self._deliver_wave(live), "key")
+            self._schedule(now + self._beacon_period, "beacon", self._beacon_wave, "beacon")
 
-        def beacon() -> None:
-            now = eng.now
-            if ap.alive and authn.current_key(ap_name) is not None:
-                eng.schedule(now + latency, "message-delivery", deliver, deliver_note)
-            nxt = now + period
-            if nxt <= horizon and ap.alive:
-                eng.schedule(nxt, "beacon", beacon, note)
-
-        def deliver() -> None:
-            if authn.current_key(ap_name) is not None and ap.alive:
+    def _deliver_wave(self, live: list[str]) -> None:
+        """A wave's key deliveries, one event: each of `live` still alive
+        delivers to its roster, in name order, and no serving AP changes."""
+        for ap_name in live:
+            if self.aps[ap_name].alive:
                 self._deliver_key(ap_name, self._recipients_of(ap_name))
-
-        return beacon, note
 
     def _deliver_key(self, ap_name: str, recipients: tuple[str, ...]) -> None:
         """`ap_name`'s key reaches `recipients`, its roster in name order, as
@@ -676,7 +681,7 @@ class World:
         chain = self._due.get(at)
         if chain is None:
             chain = self._due[at] = _Chain()
-            self.engine.schedule(at, "timer", lambda: self._sample(at), note="tick")
+            self._schedule(at, "timer", lambda: self._sample(at), "tick")
         return chain
 
     def _merge(self, a: _Chain, b: _Chain) -> None:
@@ -723,10 +728,7 @@ class World:
                 return  # unknown-by-override or already failed: no-op
             self.ring.crash(cid)
             self._crashed.add(name)
-            self.engine.schedule(
-                now + delay, "failure", lambda: self._recover_controller(name, cid),
-                note=f"recover:{name}",
-            )
+            self._schedule(now + delay, "failure", lambda: self._recover_controller(name, cid), f"recover:{name}")
         elif kind == "ap":
             ap = self.aps.get(name)
             if ap is None or not ap.alive:
@@ -734,9 +736,7 @@ class World:
             ap.alive = False
             serving_of = self.mobility.association_ap
             self._mark([st for md, a in serving_of.items() if a == name for st in self._md_streams.get(md, ())])
-            self.engine.schedule(
-                now + delay, "failure", lambda: self._recover_ap(name), note=f"recover:{name}"
-            )
+            self._schedule(now + delay, "failure", lambda: self._recover_ap(name), f"recover:{name}")
         else:
             raise NotAMember(f"cannot fail a {kind!r}")
 
@@ -811,7 +811,7 @@ class World:
                     served[c] += n
                 t += m * period
             if t <= horizon and due:
-                eng.schedule(t, "message-delivery", arrivals, "packetin")
+                self._schedule(t, "message-delivery", arrivals, "packetin")
 
         return arrivals
 

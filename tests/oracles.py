@@ -145,3 +145,51 @@ class CheckedWorld(
     WaiterCheckedWorld,
 ):
     """The capacity, roster, packet-in, dense-sample, supervision and waiter checks."""
+
+
+class PerAPBeaconWorld(World):
+    """The oracle of one beacon event per wave: the per-AP beacons it replaces.
+    Each grouped AP beacons in an event of its own, note `beacon:<AP>`,
+    which schedules that AP's key delivery, note `key:<AP>`, and its next
+    beacon. Rotations and beacons run in mode None too. The world's own
+    rotation and beacon events are dropped."""
+
+    def _schedule_all(self):
+        eng, schedule = self.engine, self.engine.schedule
+        first = True
+
+        def per_ap(at, kind, fn, note=""):
+            nonlocal first
+            if first:  # where the world schedules its rotation and first wave, when it does
+                first = False
+                schedule(0, "timer", self._rotate_all, "rotate")
+                for ap_name in self._grouped:
+                    schedule(0, "beacon", *self._beacon_source(ap_name))
+            if note not in ("rotate", "beacon"):
+                schedule(at, kind, fn, note)
+
+        eng.schedule = per_ap
+        try:
+            super()._schedule_all()
+        finally:
+            del eng.schedule
+
+    def _beacon_source(self, ap_name):
+        """One AP's beacon handler and note, and its key delivery's, built once."""
+        eng, authn, ap, horizon = self.engine, self.authn, self.aps[ap_name], self.horizon
+        latency, period = self._wireless_latency, self._beacon_period
+        note, deliver_note = f"beacon:{ap_name}", f"key:{ap_name}"
+
+        def beacon():
+            now = eng.now
+            if ap.alive and authn.current_key(ap_name) is not None:
+                eng.schedule(now + latency, "message-delivery", deliver, deliver_note)
+            nxt = now + period
+            if nxt <= horizon and ap.alive:
+                eng.schedule(nxt, "beacon", beacon, note)
+
+        def deliver():
+            if authn.current_key(ap_name) is not None and ap.alive:
+                self._deliver_key(ap_name, self._recipients_of(ap_name))
+
+        return beacon, note

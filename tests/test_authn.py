@@ -415,7 +415,7 @@ def test_a_repeated_delivery_restamps_its_shared_entry():
     entry = svc.wallets["M1"]["AP1"]
     both(RECIPIENTS, ns(0.1))
     assert all(svc.wallets[md]["AP1"] is entry for md in RECIPIENTS) and entry.received_at == ns(0.1)
-    # a new tuple, or a `receive_beacon` since, writes a fresh entry
+    # a new tuple, or a `receive_beacon` on the same AP since, writes a fresh entry
     both(RECIPIENTS + ("M4",), ns(0.2))
     assert entry.received_at == ns(0.1) and svc.wallets["M4"]["AP1"].received_at == ns(0.2)
     entry = svc.wallets["M4"]["AP1"]
@@ -423,3 +423,27 @@ def test_a_repeated_delivery_restamps_its_shared_entry():
     oracle.receive_beacon("M9", "AP2", ns(0.25))
     both(RECIPIENTS, ns(0.3))
     assert entry.received_at == ns(0.2) and svc.wallets["M1"]["AP1"] is not entry
+
+
+@pytest.mark.parametrize("ap, restamped", [("AP2", True), ("AP1", False)])
+def test_a_receive_beacon_breaks_the_restamp_of_its_own_ap_only(ap, restamped):
+    # M1 hears `ap` alone between two identical AP1 deliveries: on AP2 it
+    # leaves M1's shared AP1 entry in place, on AP1 it replaces it
+    svc, oracle = make_service(), make_service()
+    for s in (svc, oracle):
+        s.rotate_group_keys("G1", now=0)
+
+    def both(now):
+        svc.deliver("AP1", RECIPIENTS, {}, now)
+        for md in RECIPIENTS:
+            oracle.receive_beacon(md, "AP1", now)
+        assert svc.wallets == oracle.wallets
+
+    both(0)
+    entry = svc.wallets["M2"]["AP1"]
+    for s in (svc, oracle):
+        s.receive_beacon("M1", ap, ns(0.05))
+    assert svc.wallets == oracle.wallets
+    both(ns(0.1))
+    assert (svc.wallets["M2"]["AP1"] is entry) is restamped
+    assert all(svc.wallets[md]["AP1"].received_at == ns(0.1) for md in RECIPIENTS)

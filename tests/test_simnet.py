@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from sdedge.authn import MODES
 from sdedge.cli import main
 from sdedge.engine import EventEngine, ns
 from sdedge.errors import SimulationHalted, UsageError
@@ -15,7 +16,7 @@ from sdedge.scheduler import APStatus
 from sdedge import simnet
 from sdedge.simnet import World, serve_stretch
 
-from oracles import CheckedWorld, RosterCheckedWorld, trace_digest
+from oracles import CheckedWorld, PerAPBeaconWorld, RosterCheckedWorld, trace_digest
 from textdiff import first_difference
 
 
@@ -836,6 +837,80 @@ def test_beacons_batched_per_delivery_match_one_call_per_recipient():
     assert all(seen[k] for k in ("LEDGE-LA", "LEDGE-PAP", "skipped_scans", "refreshed", "later_wave",
                                  "rotated", "failed_member", "long_window", "replayed", "restamped",
                                  "serving_moved")), seen
+
+
+def per_wave(trace, mode):
+    """A per-AP beacon trace, (ns, kind, note) per event, as one event per wave
+    gives it: each unbroken run of an instant's `beacon:<AP>` and `key:<AP>`
+    events becomes its distinct kinds, noted `beacon` and `key`, in the order
+    each first comes. In mode None no rotation, expiry, beacon or key event
+    runs at all."""
+    out, run = [], set()
+    for t, _seq, kind, note in trace:
+        head = note.partition(":")[0]
+        if mode == "None" and head in ("rotate", "grant-expiry", "beacon", "key"):
+            continue
+        if head not in ("beacon", "key"):
+            run.clear()
+            out.append((t, kind, note))
+        elif (t, kind, head) not in run:
+            run.add((t, kind, head))
+            out.append((t, kind, head))
+    return out
+
+
+def check_one_beacon_event_per_wave(sc, params):
+    """The world and its per-AP beacon oracle emit the same bytes, make the same
+    decisions, and run the same events but for the per-AP ones that one event
+    per wave saves. Returns how many it saves."""
+    world, oracle = World(sc, params), PerAPBeaconWorld(sc, params)
+    world.engine.record_trace = oracle.engine.record_trace = True
+    reports = world.run(), oracle.run()
+    assert first_difference(render_json(reports[0]), render_json(reports[1])) is None
+    assert first_difference(render_csv(reports[0]), render_csv(reports[1])) is None
+    assert list(world.authn.auth_log) == list(oracle.authn.auth_log)
+    expected = per_wave(oracle.engine.trace, params.mode)
+    assert [(t, kind, note) for t, _seq, kind, note in world.engine.trace] == expected
+    saved = len(oracle.engine.trace) - len(expected)
+    assert oracle.engine.executed - world.engine.executed == saved
+    return saved
+
+
+def fig5_two_ap_failures():
+    """fig5 with location group G1 over AP3-AP6, two of whose members fail 5 ms apart."""
+    text = bundled_scenario_path("fig5").read_text().replace("[flows]\n", GROUP_G1 + "[flows]\n", 1)
+    return parse_scenario_text(text + "\n[failures]\nfail ap AP4 at=13.3\nfail ap AP5 at=13.305\n", "fig5-g1")
+
+
+# a delivery 0 s after its beacon, one period after it (with the next wave's
+# beacons), and between waves; and periods that are no multiple of each other
+BEACON_VARIANTS = ({}, {"wireless_latency": "0"}, {"wireless_latency": "0.1"}, {"wireless_latency": "0.25"},
+                   {"beacon_period": "0.07", "rotation_period": "5.05"})
+
+
+@pytest.mark.parametrize("variant", BEACON_VARIANTS, ids=lambda v: " ".join(f"{k}={x}" for k, x in v.items()) or "default")
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scenario", ["fig6", "fig5-g1"])
+def test_one_beacon_event_per_wave_matches_one_per_ap(scenario, mode, variant):
+    sc = parse_scenario(bundled_scenario_path("fig6")) if scenario == "fig6" else fig5_two_ap_failures()
+    saved = check_one_beacon_event_per_wave(sc, apply_overrides(sc.params, {"mode": mode, **variant}))
+    assert saved > 0
+
+
+# a duration of each bundled scenario that cuts its run short of its moves,
+# flow ends, waves, expiries or packet-in arrivals
+SHORTER = {"fig2": "3", "fig5": "7.3", "fig5c": "4.2", "fig6": "20"}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("duration", ["own", "shorter"])
+@pytest.mark.parametrize("name", sorted(SHORTER))
+def test_a_run_leaves_no_event_past_its_horizon(name, duration, mode):
+    overrides = {"mode": mode} if duration == "own" else {"mode": mode, "duration": SHORTER[name]}
+    sc, params = load(name, **overrides)
+    world = World(sc, params)
+    world.run()
+    assert world.engine._heap == []
 
 
 class EveryDecisionWorld(PerCallBeaconWorld):
